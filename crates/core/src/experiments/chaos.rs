@@ -422,8 +422,8 @@ fn run_smoke(sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
 /// stuck-flow detector fires and the shrinker must strip every benign
 /// pair, leaving exactly the guilty event.
 fn run_shrink_demo(_sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
-    use crate::net::baldur_net::simulate_chaos;
-    use crate::net::config::{BaldurParams, LinkParams};
+    use crate::net::baldur_net::simulate;
+    use crate::net::config::{BaldurParams, LinkParams, RunSpec};
     use crate::net::driver::Driver;
     use crate::net::faults::shrink_plan;
     use crate::net::oracle::OracleConfig;
@@ -460,17 +460,12 @@ fn run_shrink_demo(_sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
             &LinkParams::paper(),
             cfg.seed,
         );
-        let r = simulate_chaos(
-            nodes,
-            params,
-            LinkParams::paper(),
-            d,
-            cfg.seed,
-            None,
-            pl,
-            ocfg,
-        );
-        !r.oracle.is_clean()
+        let spec = RunSpec {
+            plan: pl.clone(),
+            oracle: ocfg,
+            ..RunSpec::new(LinkParams::paper(), cfg.seed)
+        };
+        !simulate(nodes, params, d, &spec).0.oracle.is_clean()
     };
 
     let mut out = String::new();

@@ -262,10 +262,11 @@ fn run_smoke(_sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
 
 /// The original Sec. IV-F demo: dead switch, rotation, diagnosis.
 fn run_diagnose(_sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
-    use crate::net::baldur_net::simulate_with_faults;
-    use crate::net::config::{BaldurParams, LinkParams};
+    use crate::net::baldur_net::simulate;
+    use crate::net::config::{BaldurParams, LinkParams, RunSpec};
     use crate::net::diagnosis::locate_faulty_switch;
     use crate::net::driver::Driver;
+    use crate::net::faults::{FaultKind, FaultPlan};
     use crate::topo::multibutterfly::MultiButterfly;
 
     let cfg = p.cfg;
@@ -285,7 +286,15 @@ fn run_diagnose(_sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
             fault.0, fault.1, nodes
         ),
     );
-    for (label, faults) in [("healthy", vec![]), ("faulty", vec![fault])] {
+    let dead = FaultKind::SwitchDown {
+        stage: fault.0,
+        switch: fault.1,
+    };
+    let healthy = FaultPlan::new(cfg.seed);
+    for (label, plan) in [
+        ("healthy", healthy.clone()),
+        ("faulty", healthy.at(0, dead)),
+    ] {
         let d = Driver::open_loop(
             nodes,
             Pattern::RandomPermutation,
@@ -294,15 +303,11 @@ fn run_diagnose(_sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
             &LinkParams::paper(),
             cfg.seed,
         );
-        let r = simulate_with_faults(
-            nodes,
-            params,
-            LinkParams::paper(),
-            d,
-            cfg.seed,
-            None,
-            &faults,
-        );
+        let spec = RunSpec {
+            plan,
+            ..RunSpec::new(LinkParams::paper(), cfg.seed)
+        };
+        let r = simulate(nodes, params, d, &spec).0;
         outln!(
             out,
             "{label:>8}: delivered {:>6.2}% | avg {:>10} | retransmissions {:>7} | drops {:>7}",

@@ -27,8 +27,8 @@ use serde::{Deserialize, Serialize};
 use super::perf::{peak_rss_bytes, wall_now_ns};
 use super::EvalConfig;
 use crate::error::BaldurError;
-use crate::net::baldur_net::simulate_scaling;
-use crate::net::config::{BaldurParams, LinkParams};
+use crate::net::baldur_net::simulate;
+use crate::net::config::{BaldurParams, LinkParams, RunSpec};
 use crate::net::driver::Driver;
 use crate::net::traffic::Pattern;
 use crate::registry::{
@@ -165,7 +165,7 @@ fn measure(endpoints: u32, ppn: u32, seed: u64) -> ScalingRow {
     let params = BaldurParams::paper_for(u64::from(endpoints));
     let driver = Driver::open_loop(endpoints, Pattern::UniformRandom, 0.5, ppn, &link, seed);
     let t0 = wall_now_ns();
-    let (report, stats) = simulate_scaling(endpoints, params, link, driver, seed, None);
+    let (report, stats) = simulate(endpoints, params, driver, &RunSpec::new(link, seed));
     let wall_ns = wall_now_ns().saturating_sub(t0);
     ScalingRow {
         endpoints,

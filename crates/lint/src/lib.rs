@@ -87,9 +87,7 @@ pub const JOB_PATH_FILES: &[&str] = &[
 /// and the two packet models' struct-of-arrays state. Per-event heap
 /// allocation (`Box::new`) and node-per-entry collections (`BTreeMap`,
 /// `HashMap`) are banned here outright — state lives in flat arrays and
-/// generational arenas, sized once and reused. The retired `_baseline`
-/// models are deliberately absent: they keep the old map-based layout
-/// for differential testing.
+/// generational arenas, sized once and reused.
 pub const HOT_PATH_FILES: &[&str] = &[
     "crates/sim/src/engine.rs",
     "crates/sim/src/calendar.rs",
@@ -953,10 +951,6 @@ mod tests {
         // Same source elsewhere in the kernel crate: BTreeMap is the
         // *recommended* replacement for HashMap there.
         assert!(lint_source("crates/sim/src/stats.rs", src)
-            .iter()
-            .all(|f| f.rule != "hot-path-alloc"));
-        // The retired baseline models keep their map-based layout.
-        assert!(lint_source("crates/net/src/baldur_net_baseline.rs", src)
             .iter()
             .all(|f| f.rule != "hot-path-alloc"));
         // HashMap in a hot-path file trips both the determinism wall and

@@ -20,9 +20,9 @@
 //! NIC field indexed by node id, a single flat port table indexed by
 //! `(stage, switch, dir, path)`, and intrusive queue links (a per-packet
 //! `next` pointer) instead of per-node `VecDeque`s. Combined-ACK batches
-//! live in generational [`Arena`]s; the retired map-based model is kept
-//! as `baldur_net_baseline` and differential-tested for byte-identical
-//! reports. Invariants the layout relies on: packet ids are sequential
+//! live in generational [`Arena`]s; the retired map-based model's reports
+//! are pinned by fingerprint in `results/golden/soa_fingerprints.json`.
+//! Invariants the layout relies on: packet ids are sequential
 //! and never reused (the path-rotation hash keys on them), and a packet
 //! sits in at most one NIC queue at a time (one `next` link suffices).
 
@@ -31,10 +31,10 @@ use baldur_sim::{Arena, ArenaStats, Duration, Handle, Model, Scheduler, Simulati
 use baldur_topo::graph::NodeId;
 use baldur_topo::staged::Staged;
 
-use crate::config::{BaldurParams, LinkParams};
+use crate::config::{BaldurParams, LinkParams, RunSpec};
 use crate::driver::Driver;
-use crate::faults::{jittered_timeout_ps, FaultKind, FaultPlan, FaultState};
-use crate::metrics::{Collector, DeliveryOutcome, LatencyReport, RecoverySpec};
+use crate::faults::{jittered_timeout_ps, FaultPlan, FaultState};
+use crate::metrics::{Collector, DeliveryOutcome, LatencyReport};
 use crate::oracle::{Oracle, OracleConfig, Violation};
 
 /// Index into the packet table.
@@ -241,26 +241,6 @@ impl BaldurNet {
             fault_rng: StreamRng::named(seed, "biterror", 0),
             oracle: Oracle::new(OracleConfig::default()),
         }
-    }
-
-    /// Marks switches as dead: every packet reaching one is dropped (the
-    /// Leighton–Maggs fault model — the multi-butterfly's randomized
-    /// multiplicity routes retransmissions around them).
-    pub fn inject_faults(&mut self, switches: &[(u32, u32)]) {
-        let width = self.topo.switches_per_stage();
-        for &(stage, switch) in switches {
-            assert!(
-                stage < self.topo.stages() && switch < width,
-                "fault out of range"
-            );
-            self.fstate
-                .apply(self.plan.seed, 0, &FaultKind::SwitchDown { stage, switch });
-        }
-    }
-
-    /// The wired topology in use.
-    pub fn topology(&self) -> &Staged {
-        &self.topo
     }
 
     /// Kernel-state accounting (capacities, not live population): the
@@ -1222,162 +1202,36 @@ impl Model for BaldurNet {
     }
 }
 
-/// Convenience: run a Baldur simulation to completion.
+/// Runs a Baldur simulation of `active_nodes` servers under `spec` to
+/// completion (or the horizon) and returns the report with the run's
+/// kernel-state accounting: state bytes, arena high-water marks, and
+/// scheduler population and backend.
 ///
-/// `horizon_ns` bounds simulated time (saturated configurations otherwise
-/// retry for a very long time); `None` uses a generous default derived from
-/// the workload size.
+/// Without [`RunSpec::horizon_ns`] the horizon is ~50x the time to stream
+/// the whole workload at line rate, plus slack for retransmission storms
+/// (saturated configurations otherwise retry for a very long time).
 pub fn simulate(
     active_nodes: u32,
     params: BaldurParams,
-    link: LinkParams,
     driver: Driver,
-    seed: u64,
-    horizon_ns: Option<u64>,
-) -> LatencyReport {
-    simulate_with_faults(active_nodes, params, link, driver, seed, horizon_ns, &[])
-}
-
-/// [`simulate`] with a set of dead switches injected before the run.
-pub fn simulate_with_faults(
-    active_nodes: u32,
-    params: BaldurParams,
-    link: LinkParams,
-    driver: Driver,
-    seed: u64,
-    horizon_ns: Option<u64>,
-    faults: &[(u32, u32)],
-) -> LatencyReport {
-    simulate_impl(
-        active_nodes,
-        params,
-        link,
-        driver,
-        seed,
-        horizon_ns,
-        faults,
-        &FaultPlan::new(seed),
-        OracleConfig::default(),
-    )
-    .0
-}
-
-/// [`simulate`] executing a full [`FaultPlan`]: scheduled kill/revive of
-/// switches, links, and lasers plus bit-error bursts, with per-fault-epoch
-/// metrics in the report.
-pub fn simulate_plan(
-    active_nodes: u32,
-    params: BaldurParams,
-    link: LinkParams,
-    driver: Driver,
-    seed: u64,
-    horizon_ns: Option<u64>,
-    plan: &FaultPlan,
-) -> LatencyReport {
-    simulate_impl(
-        active_nodes,
-        params,
-        link,
-        driver,
-        seed,
-        horizon_ns,
-        &[],
-        plan,
-        OracleConfig::default(),
-    )
-    .0
-}
-
-/// [`simulate`] returning kernel-state accounting alongside the report —
-/// the `scaling` experiment's entry point (state bytes, arena high-water
-/// marks, scheduler population and backend).
-pub fn simulate_scaling(
-    active_nodes: u32,
-    params: BaldurParams,
-    link: LinkParams,
-    driver: Driver,
-    seed: u64,
-    horizon_ns: Option<u64>,
-) -> (LatencyReport, StateStats) {
-    simulate_impl(
-        active_nodes,
-        params,
-        link,
-        driver,
-        seed,
-        horizon_ns,
-        &[],
-        &FaultPlan::new(seed),
-        OracleConfig::default(),
-    )
-}
-
-/// [`simulate_plan`] with an explicit [`OracleConfig`]: the chaos
-/// experiment tightens the stall deadline, and the shrinker fixture
-/// deliberately mis-tunes it to demonstrate plan minimization.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_chaos(
-    active_nodes: u32,
-    params: BaldurParams,
-    link: LinkParams,
-    driver: Driver,
-    seed: u64,
-    horizon_ns: Option<u64>,
-    plan: &FaultPlan,
-    oracle_cfg: OracleConfig,
-) -> LatencyReport {
-    simulate_impl(
-        active_nodes,
-        params,
-        link,
-        driver,
-        seed,
-        horizon_ns,
-        &[],
-        plan,
-        oracle_cfg,
-    )
-    .0
-}
-
-#[allow(clippy::too_many_arguments)]
-fn simulate_impl(
-    active_nodes: u32,
-    params: BaldurParams,
-    link: LinkParams,
-    driver: Driver,
-    seed: u64,
-    horizon_ns: Option<u64>,
-    faults: &[(u32, u32)],
-    plan: &FaultPlan,
-    oracle_cfg: OracleConfig,
+    spec: &RunSpec,
 ) -> (LatencyReport, StateStats) {
     let total = driver.total_to_send();
     let sample_cap = (total.min(2_000_000)) as usize + 16;
-    let mut model = BaldurNet::new(active_nodes, params, link, driver, seed, sample_cap);
-    model.oracle = Oracle::new(oracle_cfg);
+    let mut model = BaldurNet::new(
+        active_nodes,
+        params,
+        spec.link,
+        driver,
+        spec.seed,
+        sample_cap,
+    );
+    model.oracle = Oracle::new(spec.oracle);
+    let plan = &spec.plan;
     if !plan.is_empty() {
-        let repairs = plan.repair_times();
-        let recovery = match (
-            repairs.is_empty(),
-            plan.events.iter().map(|e| e.at_ps).min(),
-        ) {
-            (false, Some(first_fault_ps)) => Some(RecoverySpec {
-                // 1 us bins resolve recovery on CI-scale runs while a
-                // 1 M-bin cap keeps long sweeps bounded.
-                bin_ps: 1_000_000,
-                frac: 0.5,
-                first_fault_ps,
-                repairs_ps: repairs,
-            }),
-            _ => None,
-        };
-        model.metrics = Collector::with_recovery(sample_cap, plan.epoch_boundaries(), recovery);
+        model.metrics = Collector::for_plan(sample_cap, plan);
         model.oracle.set_boundaries(plan.epoch_boundaries());
         model.plan = plan.clone();
-    }
-    if !faults.is_empty() {
-        model.inject_faults(faults);
     }
     let initial = model.driver.initial();
     let mut sim = Simulation::new(model);
@@ -1389,11 +1243,9 @@ fn simulate_impl(
         sim.scheduler_mut()
             .schedule_at(Time::from_ps(ev.at_ps), Ev::Fault(idx as u32));
     }
-    let horizon = Time::from_ns(horizon_ns.unwrap_or_else(|| {
-        // ~50x the time to stream the whole workload at line rate, plus
-        // slack for retransmission storms.
-        let per_node = total / u64::from(sim.model().active_nodes.max(1)) + 1;
-        50 * per_node * link.packet_time().as_ps() / 1_000 + 10_000_000
+    let horizon = Time::from_ns(spec.horizon_ns.unwrap_or_else(|| {
+        let per_node = total / u64::from(active_nodes.max(1)) + 1;
+        50 * per_node * spec.link.packet_time().as_ps() / 1_000 + 10_000_000
     }));
     // Every 8192 executed events (a deterministic cadence, independent of
     // wall clock and thread count) the oracle's stuck-flow detector gets a
@@ -1423,6 +1275,7 @@ fn simulate_impl(
 mod tests {
     use super::*;
     use crate::driver::Driver;
+    use crate::faults::FaultKind;
     use crate::traffic::Pattern;
     use crate::workloads::ping_pong1_pairs;
 
@@ -1435,7 +1288,13 @@ mod tests {
         // 64 nodes, load 0.05: essentially no contention. The floor is
         // 2 x 100 ns fiber + 6 stages x ~2 ns + 163.84 ns serialization.
         let d = Driver::open_loop(64, Pattern::RandomPermutation, 0.05, 50, &link(), 42);
-        let r = simulate(64, BaldurParams::paper_for(64), link(), d, 42, None);
+        let r = simulate(
+            64,
+            BaldurParams::paper_for(64),
+            d,
+            &RunSpec::new(link(), 42),
+        )
+        .0;
         assert_eq!(r.delivered, r.generated, "all packets must arrive");
         assert!(r.avg_ns > 350.0 && r.avg_ns < 500.0, "avg {}", r.avg_ns);
         assert!(r.drop_rate < 0.02, "drop rate {}", r.drop_rate);
@@ -1450,7 +1309,7 @@ mod tests {
             multiplicity: 2,
             ..BaldurParams::paper_1k()
         };
-        let r = simulate(64, params, link(), d, 7, None);
+        let r = simulate(64, params, d, &RunSpec::new(link(), 7)).0;
         assert!(
             r.delivery_ratio() > 0.99,
             "delivered {}",
@@ -1470,7 +1329,7 @@ mod tests {
                 multiplicity: m,
                 ..BaldurParams::paper_1k()
             };
-            let r = simulate(64, params, link(), d, 3, None);
+            let r = simulate(64, params, d, &RunSpec::new(link(), 3)).0;
             drops.push(r.drop_rate);
         }
         assert!(
@@ -1485,7 +1344,7 @@ mod tests {
     fn ping_pong_round_trip_is_two_network_crossings() {
         let pairs = ping_pong1_pairs(16, 9);
         let d = Driver::ping_pong(pairs, 10, 9);
-        let r = simulate(16, BaldurParams::paper_for(16), link(), d, 9, None);
+        let r = simulate(16, BaldurParams::paper_for(16), d, &RunSpec::new(link(), 9)).0;
         assert_eq!(r.delivered, r.generated);
         // One crossing is ~370-420 ns; closed-loop latency per packet is a
         // single crossing (measured generation->delivery).
@@ -1495,7 +1354,13 @@ mod tests {
     #[test]
     fn retransmission_buffer_stays_bounded_at_paper_load() {
         let d = Driver::open_loop(128, Pattern::RandomPermutation, 0.7, 100, &link(), 5);
-        let r = simulate(128, BaldurParams::paper_for(128), link(), d, 5, None);
+        let r = simulate(
+            128,
+            BaldurParams::paper_for(128),
+            d,
+            &RunSpec::new(link(), 5),
+        )
+        .0;
         assert!(r.delivery_ratio() > 0.999);
         // Paper: 536 KB suffices at 0.7 load; 1 MB in the design. Our
         // high-water mark must sit well inside 1 MB.
@@ -1517,7 +1382,7 @@ mod tests {
                 ..BaldurParams::paper_for(64)
             };
             let d = Driver::open_loop(64, Pattern::RandomPermutation, 0.6, 80, &link(), 13);
-            simulate(64, params, link(), d, 13, None)
+            simulate(64, params, d, &RunSpec::new(link(), 13)).0
         };
         let plain = run_with(0);
         let combined = run_with(300_000); // 300 ns window << 1 us timeout
@@ -1543,9 +1408,33 @@ mod tests {
             ..BaldurParams::paper_for(64)
         };
         let d = Driver::open_loop(64, Pattern::RandomPermutation, 0.3, 60, &link(), 21);
-        let healthy = simulate(64, params, link(), d, 21, None);
+        let healthy = simulate(64, params, d, &RunSpec::new(link(), 21)).0;
         let d = Driver::open_loop(64, Pattern::RandomPermutation, 0.3, 60, &link(), 21);
-        let faulty = simulate_with_faults(64, params, link(), d, 21, None, &[(2, 7), (3, 11)]);
+        let plan = FaultPlan::new(21)
+            .at(
+                0,
+                FaultKind::SwitchDown {
+                    stage: 2,
+                    switch: 7,
+                },
+            )
+            .at(
+                0,
+                FaultKind::SwitchDown {
+                    stage: 3,
+                    switch: 11,
+                },
+            );
+        let faulty = simulate(
+            64,
+            params,
+            d,
+            &RunSpec {
+                plan,
+                ..RunSpec::new(link(), 21)
+            },
+        )
+        .0;
         assert_eq!(healthy.delivered, healthy.generated);
         assert_eq!(
             faulty.delivered, faulty.generated,
@@ -1564,7 +1453,23 @@ mod tests {
         params.max_retries = 2;
         params.base_timeout_ps = 500_000;
         let d = Driver::open_loop(64, Pattern::UniformRandom, 0.2, 20, &link(), 5);
-        let r = simulate_with_faults(64, params, link(), d, 5, None, &[(0, 0)]);
+        let plan = FaultPlan::new(5).at(
+            0,
+            FaultKind::SwitchDown {
+                stage: 0,
+                switch: 0,
+            },
+        );
+        let r = simulate(
+            64,
+            params,
+            d,
+            &RunSpec {
+                plan,
+                ..RunSpec::new(link(), 5)
+            },
+        )
+        .0;
         // Nodes 0 and 1 inject into switch (0,0): their 40 packets die.
         assert!(r.abandoned >= 30, "{}", r.abandoned);
         assert!(r.delivered as f64 >= 0.9 * (r.generated - r.abandoned) as f64);
@@ -1581,7 +1486,16 @@ mod tests {
         params.base_timeout_ps = 500_000;
         let d = Driver::open_loop(16, Pattern::UniformRandom, 0.3, 10, &link(), 11);
         let plan = FaultPlan::degradation(11, 1.0);
-        let r = simulate_plan(16, params, link(), d, 11, None, &plan);
+        let r = simulate(
+            16,
+            params,
+            d,
+            &RunSpec {
+                plan,
+                ..RunSpec::new(link(), 11)
+            },
+        )
+        .0;
         assert_eq!(r.delivered, 0, "nothing can cross a fully dead fabric");
         assert_eq!(r.abandoned, r.generated, "every packet must give up");
         assert!(r.generated > 0);
@@ -1600,7 +1514,16 @@ mod tests {
             .at(0, FaultKind::LaserDown { node: 0 })
             .at(40_000_000, FaultKind::LaserUp { node: 0 });
         let d = Driver::open_loop(32, Pattern::RandomPermutation, 0.2, 30, &link(), 5);
-        let r = simulate_plan(32, params, link(), d, 5, None, &plan);
+        let r = simulate(
+            32,
+            params,
+            d,
+            &RunSpec {
+                plan,
+                ..RunSpec::new(link(), 5)
+            },
+        )
+        .0;
         assert_eq!(r.delivered, r.generated, "revival must recover all flows");
         assert!(r.laser_losses > 0, "the dark window must eat frames");
         assert!(r.retransmissions >= r.laser_losses - 1);
@@ -1622,7 +1545,16 @@ mod tests {
             },
         );
         let d = Driver::open_loop(32, Pattern::RandomPermutation, 0.3, 30, &link(), 17);
-        let r = simulate_plan(32, params, link(), d, 17, None, &plan);
+        let r = simulate(
+            32,
+            params,
+            d,
+            &RunSpec {
+                plan,
+                ..RunSpec::new(link(), 17)
+            },
+        )
+        .0;
         assert_eq!(r.delivered, r.generated);
         assert!(r.corrupted > 0, "the burst must corrupt some traversals");
         assert!(
@@ -1637,7 +1569,7 @@ mod tests {
         // more contention drops, same connectivity.
         let params = BaldurParams::paper_for(64);
         let d = Driver::open_loop(64, Pattern::Transpose, 0.5, 40, &link(), 23);
-        let healthy = simulate(64, params, link(), d, 23, None);
+        let healthy = simulate(64, params, d, &RunSpec::new(link(), 23)).0;
         let plan = FaultPlan::new(23)
             .at(
                 0,
@@ -1667,7 +1599,16 @@ mod tests {
                 },
             );
         let d = Driver::open_loop(64, Pattern::Transpose, 0.5, 40, &link(), 23);
-        let faulty = simulate_plan(64, params, link(), d, 23, None, &plan);
+        let faulty = simulate(
+            64,
+            params,
+            d,
+            &RunSpec {
+                plan,
+                ..RunSpec::new(link(), 23)
+            },
+        )
+        .0;
         assert_eq!(healthy.delivered, healthy.generated);
         assert_eq!(faulty.delivered, faulty.generated);
         assert!(faulty.drop_attempts >= healthy.drop_attempts);
@@ -1677,7 +1618,13 @@ mod tests {
     fn deterministic_for_fixed_seed() {
         let mk = || {
             let d = Driver::open_loop(32, Pattern::Bisection, 0.5, 30, &link(), 77);
-            simulate(32, BaldurParams::paper_for(32), link(), d, 77, None)
+            simulate(
+                32,
+                BaldurParams::paper_for(32),
+                d,
+                &RunSpec::new(link(), 77),
+            )
+            .0
         };
         let a = mk();
         let b = mk();
@@ -1701,7 +1648,7 @@ mod tests {
             ..BaldurParams::paper_for(16)
         };
         let d = Driver::open_loop(16, Pattern::RandomPermutation, 0.05, 4, &link(), 31);
-        let r = simulate(16, params, link(), d, 31, None);
+        let r = simulate(16, params, d, &RunSpec::new(link(), 31)).0;
         assert_eq!(r.generated, r.delivered + r.abandoned, "conservation");
         assert!(r.abandoned > 0, "the race needs exhausted packets");
         assert!(
@@ -1721,12 +1668,17 @@ mod tests {
             ..BaldurParams::paper_for(16)
         };
         let plan = FaultPlan::new(5).at(0, FaultKind::FailFraction { fraction: 1.0 });
-        let cfg = crate::oracle::OracleConfig {
+        let oracle = OracleConfig {
             stall_ps: 1_000_000, // 1 us of silence is already damning here
-            ..crate::oracle::OracleConfig::default()
+            ..OracleConfig::default()
+        };
+        let spec = RunSpec {
+            plan,
+            oracle,
+            ..RunSpec::new(link(), 5)
         };
         let d = Driver::open_loop(16, Pattern::RandomPermutation, 0.3, 10, &link(), 5);
-        let r = simulate_chaos(16, params, link(), d, 5, None, &plan, cfg);
+        let r = simulate(16, params, d, &spec).0;
         assert_eq!(r.delivered, 0);
         assert!(
             r.oracle
@@ -1749,7 +1701,7 @@ mod tests {
             ..BaldurParams::paper_for(32)
         };
         let d = Driver::storm(32, Pattern::Incast { fanin: 16 }, 4.0, 40, &link(), 7);
-        let r = simulate(32, params, link(), d, 7, None);
+        let r = simulate(32, params, d, &RunSpec::new(link(), 7)).0;
         assert!(r.ingress_drops > 0, "4x incast must trip admission control");
         assert_eq!(
             r.generated,
@@ -1773,7 +1725,16 @@ mod tests {
         };
         let plan = FaultPlan::degradation(11, 1.0);
         let d = Driver::open_loop(16, Pattern::UniformRandom, 0.3, 10, &link(), 11);
-        let r = simulate_plan(16, params, link(), d, 11, None, &plan);
+        let r = simulate(
+            16,
+            params,
+            d,
+            &RunSpec {
+                plan,
+                ..RunSpec::new(link(), 11)
+            },
+        )
+        .0;
         assert_eq!(r.delivered, 0, "nothing crosses a dead fabric");
         assert_eq!(r.expired, r.generated, "every packet expires at deadline");
         assert_eq!(r.abandoned, 0, "deadline fires before the retry budget");
@@ -1799,7 +1760,7 @@ mod tests {
             // An incast storm guarantees wavelength contention at the
             // victim, so the unpaced run sees real fabric drops.
             let d = Driver::storm(64, Pattern::Incast { fanin: 8 }, 2.0, 30, &link(), 13);
-            simulate(64, params, link(), d, 13, None)
+            simulate(64, params, d, &RunSpec::new(link(), 13)).0
         };
         let unpaced = run(0);
         let paced = run(2);
@@ -1823,7 +1784,7 @@ mod tests {
     #[test]
     fn hotcast_storm_delivers_and_reports_fairness() {
         let d = Driver::storm(32, Pattern::Hotcast, 0.6, 30, &link(), 3);
-        let r = simulate(32, BaldurParams::paper_for(32), link(), d, 3, None);
+        let r = simulate(32, BaldurParams::paper_for(32), d, &RunSpec::new(link(), 3)).0;
         assert_eq!(r.generated, 32 * 30);
         assert!(r.delivery_ratio() > 0.99, "{}", r.delivery_ratio());
         assert_eq!(r.fairness.flows, 32, "every node offers traffic");
@@ -1851,17 +1812,21 @@ mod tests {
         };
         let plan = FaultPlan::chaos(19, &shape, &profile);
         let d = Driver::open_loop(64, Pattern::RandomPermutation, 0.3, 40, &link(), 19);
-        let r = simulate_plan(64, BaldurParams::paper_for(64), link(), d, 19, None, &plan);
+        let spec = RunSpec {
+            plan,
+            ..RunSpec::new(link(), 19)
+        };
+        let r = simulate(64, BaldurParams::paper_for(64), d, &spec).0;
         assert_eq!(r.generated, r.delivered + r.abandoned, "conservation");
         assert!(r.oracle.is_clean(), "oracle: {:?}", r.oracle);
-        assert_eq!(r.recoveries.len(), plan.repair_times().len());
+        assert_eq!(r.recoveries.len(), spec.plan.repair_times().len());
         assert!(r.flap_amplification() >= 1.0);
     }
 
     #[test]
     fn scaling_stats_report_state_and_scheduler_accounting() {
         let d = Driver::open_loop(64, Pattern::UniformRandom, 0.3, 20, &link(), 9);
-        let (r, stats) = simulate_scaling(64, BaldurParams::paper_for(64), link(), d, 9, None);
+        let (r, stats) = simulate(64, BaldurParams::paper_for(64), d, &RunSpec::new(link(), 9));
         assert_eq!(r.delivered, r.generated);
         assert!(stats.state_bytes > 0);
         assert!(stats.events_scheduled >= r.events);

@@ -5,6 +5,9 @@ use baldur_topo::multibutterfly::Wiring;
 use baldur_topo::staged::StagedKind;
 use serde::{Deserialize, Serialize};
 
+use crate::faults::FaultPlan;
+use crate::oracle::OracleConfig;
+
 /// Link and packet parameters shared by every network model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LinkParams {
@@ -269,6 +272,39 @@ impl RouterParams {
 impl Default for RouterParams {
     fn default() -> Self {
         RouterParams::paper()
+    }
+}
+
+/// The run-level knobs every packet model's `simulate` takes alongside
+/// its own construction inputs.
+#[derive(Debug, Clone)]
+pub struct RunSpec {
+    /// Link/packet parameters.
+    pub link: LinkParams,
+    /// Master seed.
+    pub seed: u64,
+    /// Simulated-time bound in ns (None = the model's default, generous
+    /// for the workload size).
+    pub horizon_ns: Option<u64>,
+    /// Fault schedule. The empty plan is the fault-free fast path; a
+    /// non-empty one adds per-fault-epoch and recovery metrics to the
+    /// report.
+    pub plan: FaultPlan,
+    /// Invariant-oracle tuning (the chaos shrink demo tightens the stall
+    /// deadline).
+    pub oracle: OracleConfig,
+}
+
+impl RunSpec {
+    /// A fault-free run with the default horizon and oracle.
+    pub fn new(link: LinkParams, seed: u64) -> Self {
+        RunSpec {
+            link,
+            seed,
+            horizon_ns: None,
+            plan: FaultPlan::new(seed),
+            oracle: OracleConfig::default(),
+        }
     }
 }
 

@@ -29,13 +29,13 @@
 //! * [`runner`] — one entry point that builds any of the networks, applies
 //!   any workload, and returns a [`metrics::LatencyReport`].
 //!
-//! Both packet models keep their retired pre-SoA implementations
-//! ([`baldur_net_baseline`], [`router_net_baseline`]) for differential
-//! testing: seeded workloads must produce byte-identical reports through
-//! the map-based and struct-of-arrays state layouts.
+//! Each packet model has one run entry point, `simulate`, taking the
+//! model's own construction inputs plus a shared [`RunSpec`] (link,
+//! seed, horizon, fault plan, oracle tuning). The retired map-based
+//! models these replaced are pinned by report fingerprints in
+//! `results/golden/soa_fingerprints.json`.
 
 pub mod baldur_net;
-pub mod baldur_net_baseline;
 pub mod config;
 pub mod diagnosis;
 pub mod driver;
@@ -45,7 +45,6 @@ pub mod ideal_net;
 pub mod metrics;
 pub mod oracle;
 pub mod router_net;
-pub mod router_net_baseline;
 pub mod routing;
 pub mod runner;
 pub mod traffic;
@@ -55,4 +54,4 @@ pub use config::LinkParams;
 pub use faults::{FaultKind, FaultPlan};
 pub use metrics::LatencyReport;
 pub use oracle::{OracleReport, OracleSummary};
-pub use runner::{run, run_baseline, NetworkKind, RunConfig, Workload};
+pub use runner::{run, NetworkKind, RunConfig, Workload};

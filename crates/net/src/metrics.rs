@@ -1,5 +1,6 @@
 //! Latency and drop accounting shared by all network models.
 
+use crate::faults::FaultPlan;
 use crate::oracle::OracleSummary;
 use baldur_sim::stats::{Reservoir, Streaming};
 use baldur_sim::{Duration, Time};
@@ -204,20 +205,15 @@ impl Collector {
     /// An empty collector retaining up to `sample_cap` exact latency
     /// samples for percentiles.
     pub fn new(sample_cap: usize) -> Self {
-        Collector::with_epochs(sample_cap, Vec::new())
+        Collector::with_recovery(sample_cap, Vec::new(), None)
     }
 
     /// [`Collector::new`], additionally bucketing observations into the
     /// fault epochs delimited by `boundaries_ps` (sorted ascending, e.g.
-    /// from `FaultPlan::epoch_boundaries`). Each observation lands in the
-    /// epoch containing its event time, giving per-epoch degradation
-    /// curves across a staircase fault plan.
-    pub fn with_epochs(sample_cap: usize, boundaries_ps: Vec<u64>) -> Self {
-        Collector::with_recovery(sample_cap, boundaries_ps, None)
-    }
-
-    /// [`Collector::with_epochs`], additionally measuring per-repair
-    /// recovery time against `recovery` (when given): deliveries are
+    /// from `FaultPlan::epoch_boundaries`) and measuring per-repair
+    /// recovery time against `recovery` (when given). Each observation
+    /// lands in the epoch containing its event time, giving per-epoch
+    /// degradation curves across a staircase fault plan; deliveries are
     /// histogrammed in `bin_ps` windows and each repair instant is
     /// scanned for the first bin back at the threshold goodput.
     pub fn with_recovery(
@@ -252,6 +248,28 @@ impl Collector {
             epochs,
             recovery: recovery.map(RecoveryTrack::new),
         }
+    }
+
+    /// The collector a run executing `plan` uses: fault epochs at the
+    /// plan's boundaries and, when the plan repairs anything, recovery
+    /// measured from its first fault.
+    pub fn for_plan(sample_cap: usize, plan: &FaultPlan) -> Self {
+        let repairs = plan.repair_times();
+        let recovery = match (
+            repairs.is_empty(),
+            plan.events.iter().map(|e| e.at_ps).min(),
+        ) {
+            (false, Some(first_fault_ps)) => Some(RecoverySpec {
+                // 1 us bins resolve recovery on CI-scale runs while a
+                // 1 M-bin cap keeps long sweeps bounded.
+                bin_ps: 1_000_000,
+                frac: 0.5,
+                first_fault_ps,
+                repairs_ps: repairs,
+            }),
+            _ => None,
+        };
+        Collector::with_recovery(sample_cap, plan.epoch_boundaries(), recovery)
     }
 
     #[inline]
@@ -723,7 +741,7 @@ mod tests {
     #[test]
     fn epochs_bucket_by_event_time() {
         // Boundaries at 10 us and 20 us → three epochs.
-        let mut c = Collector::with_epochs(64, vec![10_000_000, 20_000_000]);
+        let mut c = Collector::with_recovery(64, vec![10_000_000, 20_000_000], None);
         c.on_generated(Time::from_us(1));
         c.on_delivered(Duration::from_ns(400), Time::from_us(2));
         c.on_generated(Time::from_us(12));

@@ -16,18 +16,18 @@
 //! per-(input port, VC) (`credits`, queue heads/tails) tables — radix
 //! varies per router, so offsets rather than a fixed stride. Input and
 //! NIC queues are intrusive lists over a per-packet `next` link (a packet
-//! sits in at most one queue at a time). The retired map-based model is
-//! kept as `router_net_baseline` and differential-tested for
-//! byte-identical reports.
+//! sits in at most one queue at a time). The retired map-based model's
+//! reports are pinned by fingerprint in
+//! `results/golden/soa_fingerprints.json`.
 
 use baldur_sim::rng::StreamRng;
 use baldur_sim::{Duration, Model, Scheduler, Simulation, Time};
 use baldur_topo::graph::{Endpoint, NodeId, RouterGraph};
 
-use crate::config::{LinkParams, RouterParams};
+use crate::config::{LinkParams, RouterParams, RunSpec};
 use crate::driver::Driver;
 use crate::faults::{nested_kill_set, FaultKind, FaultPlan};
-use crate::metrics::{Collector, LatencyReport, RecoverySpec};
+use crate::metrics::{Collector, LatencyReport};
 use crate::oracle::{Oracle, OracleConfig, Violation};
 use crate::routing::{RouteState, RoutingAlg};
 
@@ -973,93 +973,27 @@ impl Model for RouterNet {
     }
 }
 
-/// Runs an electrical network simulation to completion (or horizon).
-pub fn simulate(
-    graph: RouterGraph,
-    alg: RoutingAlg,
-    link: LinkParams,
-    rp: RouterParams,
-    driver: Driver,
-    seed: u64,
-    horizon_ns: Option<u64>,
-) -> LatencyReport {
-    simulate_plan(
-        graph,
-        alg,
-        link,
-        rp,
-        driver,
-        seed,
-        horizon_ns,
-        &FaultPlan::new(seed),
-    )
-}
-
-/// [`simulate`] executing a [`FaultPlan`]. The electrical model honors
-/// router-granularity kinds ([`FaultKind::FailFraction`],
+/// Runs an electrical network simulation under `spec` to completion (or
+/// the horizon). The electrical model honors router-granularity fault
+/// kinds ([`FaultKind::FailFraction`], [`FaultKind::RouterDown`],
 /// [`FaultKind::ReviveAll`]); packets reaching a dead router are terminal
 /// losses (`abandoned` in the report) since these baselines have no
 /// retransmission layer.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_plan(
+pub fn simulate(
     graph: RouterGraph,
     alg: RoutingAlg,
-    link: LinkParams,
     rp: RouterParams,
     driver: Driver,
-    seed: u64,
-    horizon_ns: Option<u64>,
-    plan: &FaultPlan,
-) -> LatencyReport {
-    simulate_chaos(
-        graph,
-        alg,
-        link,
-        rp,
-        driver,
-        seed,
-        horizon_ns,
-        plan,
-        OracleConfig::default(),
-    )
-}
-
-/// [`simulate_plan`] with an explicit [`OracleConfig`] (the chaos
-/// experiment tightens the stall deadline).
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_chaos(
-    graph: RouterGraph,
-    alg: RoutingAlg,
-    link: LinkParams,
-    rp: RouterParams,
-    driver: Driver,
-    seed: u64,
-    horizon_ns: Option<u64>,
-    plan: &FaultPlan,
-    oracle_cfg: OracleConfig,
+    spec: &RunSpec,
 ) -> LatencyReport {
     let total = driver.total_to_send();
     let nodes = driver.nodes().max(1);
     let sample_cap = (total.min(2_000_000)) as usize + 16;
-    let mut model = RouterNet::new(graph, alg, link, rp, driver, seed, sample_cap);
-    model.oracle = Oracle::new(oracle_cfg);
+    let mut model = RouterNet::new(graph, alg, spec.link, rp, driver, spec.seed, sample_cap);
+    model.oracle = Oracle::new(spec.oracle);
+    let plan = &spec.plan;
     if !plan.is_empty() {
-        let repairs = plan.repair_times();
-        let recovery = match (
-            repairs.is_empty(),
-            plan.events.iter().map(|e| e.at_ps).min(),
-        ) {
-            (false, Some(first_fault_ps)) => Some(RecoverySpec {
-                // 1 us bins resolve recovery on CI-scale runs while a
-                // 1 M-bin cap keeps long sweeps bounded.
-                bin_ps: 1_000_000,
-                frac: 0.5,
-                first_fault_ps,
-                repairs_ps: repairs,
-            }),
-            _ => None,
-        };
-        model.metrics = Collector::with_recovery(sample_cap, plan.epoch_boundaries(), recovery);
+        model.metrics = Collector::for_plan(sample_cap, plan);
         model.oracle.set_boundaries(plan.epoch_boundaries());
         model.plan = plan.clone();
     }
@@ -1073,9 +1007,9 @@ pub fn simulate_chaos(
         sim.scheduler_mut()
             .schedule_at(Time::from_ps(ev.at_ps), Ev::Fault(idx as u32));
     }
-    let horizon = Time::from_ns(horizon_ns.unwrap_or_else(|| {
+    let horizon = Time::from_ns(spec.horizon_ns.unwrap_or_else(|| {
         let per_node = total / u64::from(nodes) + 1;
-        100 * per_node * link.packet_time().as_ps() / 1_000 + 50_000_000
+        100 * per_node * spec.link.packet_time().as_ps() / 1_000 + 50_000_000
     }));
     // Deterministic event-count cadence for the stuck-flow detector; a
     // latched stall aborts instead of burning the horizon.
@@ -1113,11 +1047,9 @@ mod tests {
         let r = simulate(
             g,
             RoutingAlg::FatTree(ft),
-            link(),
             RouterParams::paper(),
             d,
-            2,
-            None,
+            &RunSpec::new(link(), 2),
         );
         assert_eq!(r.delivered, r.generated);
         // Unloaded floor: up to 4 router hops x 90 ns + links + one
@@ -1133,11 +1065,9 @@ mod tests {
         let r = simulate(
             g,
             RoutingAlg::Dragonfly(df),
-            link(),
             RouterParams::paper(),
             d,
-            3,
-            None,
+            &RunSpec::new(link(), 3),
         );
         assert_eq!(r.delivered, r.generated);
         assert!(r.avg_ns > 250.0 && r.avg_ns < 2_000.0, "avg {}", r.avg_ns);
@@ -1151,11 +1081,9 @@ mod tests {
         let r = simulate(
             g,
             RoutingAlg::MultiButterfly(mb),
-            link(),
             RouterParams::paper(),
             d,
-            4,
-            None,
+            &RunSpec::new(link(), 4),
         );
         assert_eq!(r.delivered, r.generated);
         // 6 stages x 90 ns + 2 x 100 ns fiber + serialization ~ 0.9 us.
@@ -1171,11 +1099,9 @@ mod tests {
             simulate(
                 g.clone(),
                 RoutingAlg::FatTree(ft.clone()),
-                link(),
                 RouterParams::paper(),
                 d,
-                5,
-                None,
+                &RunSpec::new(link(), 5),
             )
         };
         let hi = {
@@ -1183,11 +1109,9 @@ mod tests {
             simulate(
                 g,
                 RoutingAlg::FatTree(ft),
-                link(),
                 RouterParams::paper(),
                 d,
-                5,
-                None,
+                &RunSpec::new(link(), 5),
             )
         };
         assert!(
@@ -1207,11 +1131,9 @@ mod tests {
         let r = simulate(
             g,
             RoutingAlg::FatTree(ft),
-            link(),
             RouterParams::paper(),
             d,
-            1,
-            None,
+            &RunSpec::new(link(), 1),
         );
         assert_eq!(r.delivered, r.generated);
         assert_eq!(r.delivered, 16 / 2 * 2 * 5);
@@ -1225,7 +1147,7 @@ mod tests {
         let run_with = |alg: RoutingAlg| {
             let g = df.build_graph(10_000, 100_000);
             let d = Driver::open_loop(72, Pattern::GroupPermutation, 0.6, 40, &link(), 8);
-            simulate(g, alg, link(), RouterParams::paper(), d, 8, None)
+            simulate(g, alg, RouterParams::paper(), d, &RunSpec::new(link(), 8))
         };
         let adaptive = run_with(RoutingAlg::Dragonfly(df.clone()));
         let minimal = run_with(RoutingAlg::DragonflyMinimal(df.clone()));
@@ -1248,11 +1170,9 @@ mod tests {
         let r = simulate(
             g,
             RoutingAlg::FatTree(ft),
-            link(),
             RouterParams::paper(),
             d,
-            6,
-            None,
+            &RunSpec::new(link(), 6),
         );
         assert_eq!(r.delivered, r.generated, "lossless under backpressure");
         assert_eq!(r.drop_attempts, 0);
@@ -1266,17 +1186,11 @@ mod tests {
         let ft = FatTree::new(4);
         let g = ft.build_graph(10_000, 50_000, 100_000);
         let d = Driver::open_loop(16, Pattern::RandomPermutation, 0.3, 30, &link(), 12);
-        let plan = FaultPlan::degradation(12, 0.15);
-        let r = simulate_plan(
-            g,
-            RoutingAlg::FatTree(ft),
-            link(),
-            RouterParams::paper(),
-            d,
-            12,
-            None,
-            &plan,
-        );
+        let spec = RunSpec {
+            plan: FaultPlan::degradation(12, 0.15),
+            ..RunSpec::new(link(), 12)
+        };
+        let r = simulate(g, RoutingAlg::FatTree(ft), RouterParams::paper(), d, &spec);
         assert!(r.abandoned > 0, "dead routers must eat something");
         assert!(r.delivered > 0, "the rest of the fabric must still work");
         assert_eq!(
@@ -1369,22 +1283,16 @@ mod tests {
         let ft = FatTree::new(4);
         let g = ft.build_graph(10_000, 50_000, 100_000);
         let d = Driver::open_loop(16, Pattern::RandomPermutation, 0.3, 40, &link(), 33);
-        let r = simulate_chaos(
-            g,
-            RoutingAlg::FatTree(ft),
-            link(),
-            RouterParams::paper(),
-            d,
-            33,
-            None,
-            &plan,
-            OracleConfig::default(),
-        );
+        let spec = RunSpec {
+            plan,
+            ..RunSpec::new(link(), 33)
+        };
+        let r = simulate(g, RoutingAlg::FatTree(ft), RouterParams::paper(), d, &spec);
         assert!(r.oracle.is_clean(), "oracle: {:?}", r.oracle);
         assert_eq!(r.delivered + r.abandoned, r.generated, "conservation");
         assert_eq!(
             r.recoveries.len(),
-            plan.repair_times().len(),
+            spec.plan.repair_times().len(),
             "one recovery measurement per repair event"
         );
     }
@@ -1402,7 +1310,7 @@ mod tests {
             nic_queue_cap: 4,
             ..RouterParams::paper()
         };
-        let r = simulate(g, RoutingAlg::FatTree(ft), link(), rp, d, 9, None);
+        let r = simulate(g, RoutingAlg::FatTree(ft), rp, d, &RunSpec::new(link(), 9));
         assert_eq!(r.generated, 4 * 40);
         assert!(r.ingress_drops > 0, "storm must overflow the capped queue");
         assert_eq!(r.delivered + r.ingress_drops, r.generated);
@@ -1426,7 +1334,7 @@ mod tests {
             deadline_ps: 2_000_000, // 2 us age budget
             ..RouterParams::paper()
         };
-        let r = simulate(g, RoutingAlg::FatTree(ft), link(), rp, d, 11, None);
+        let r = simulate(g, RoutingAlg::FatTree(ft), rp, d, &RunSpec::new(link(), 11));
         assert_eq!(r.generated, 8 * 60);
         assert!(r.expired > 0, "queue wait past the deadline must shed");
         assert_eq!(
@@ -1445,7 +1353,13 @@ mod tests {
             nic_queue_cap: 32,
             ..RouterParams::paper()
         };
-        let r2 = simulate(g2, RoutingAlg::FatTree(ft2), link(), rp2, d2, 11, None);
+        let r2 = simulate(
+            g2,
+            RoutingAlg::FatTree(ft2),
+            rp2,
+            d2,
+            &RunSpec::new(link(), 11),
+        );
         assert_eq!(r2.expired, 0, "deadline 0 never expires");
         assert_eq!(r2.delivered + r2.ingress_drops, r2.generated);
     }
@@ -1459,11 +1373,9 @@ mod tests {
             simulate(
                 g,
                 RoutingAlg::Dragonfly(df),
-                link(),
                 RouterParams::paper(),
                 d,
-                9,
-                None,
+                &RunSpec::new(link(), 9),
             )
         };
         let a = run();

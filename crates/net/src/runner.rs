@@ -6,14 +6,14 @@ use baldur_topo::fattree::FatTree;
 use baldur_topo::multibutterfly::MultiButterfly;
 use serde::{Deserialize, Serialize};
 
-use crate::config::{BaldurParams, LinkParams, RouterParams};
+use crate::config::{BaldurParams, LinkParams, RouterParams, RunSpec};
 use crate::driver::Driver;
 use crate::faults::FaultPlan;
 use crate::metrics::LatencyReport;
 use crate::routing::{build_mb_graph, RoutingAlg};
 use crate::traffic::Pattern;
 use crate::workloads::{self, HpcApp, TraceParams};
-use crate::{baldur_net, baldur_net_baseline, ideal_net, router_net, router_net_baseline};
+use crate::{baldur_net, ideal_net, router_net};
 
 /// Which network to simulate (the five of Sec. V-A).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -280,20 +280,19 @@ pub fn run(cfg: &RunConfig) -> LatencyReport {
     let driver = build_driver(cfg);
     // An absent schedule is the empty plan: both simulators take the
     // fault-free fast path on it, bit-identical to a plain run.
-    let plan = cfg
-        .faults
-        .clone()
-        .unwrap_or_else(|| FaultPlan::new(cfg.seed));
-    match &cfg.network {
-        NetworkKind::Baldur(params) => baldur_net::simulate_plan(
-            cfg.nodes,
-            *params,
-            cfg.link,
-            driver,
-            cfg.seed,
-            cfg.horizon_ns,
-            &plan,
-        ),
+    let spec = RunSpec {
+        horizon_ns: cfg.horizon_ns,
+        plan: cfg
+            .faults
+            .clone()
+            .unwrap_or_else(|| FaultPlan::new(cfg.seed)),
+        ..RunSpec::new(cfg.link, cfg.seed)
+    };
+    let (graph, alg, router) = match &cfg.network {
+        NetworkKind::Baldur(params) => {
+            return baldur_net::simulate(cfg.nodes, *params, driver, &spec).0
+        }
+        NetworkKind::Ideal => return ideal_net::simulate(driver, None),
         NetworkKind::ElectricalMultiButterfly {
             multiplicity,
             router,
@@ -302,189 +301,27 @@ pub fn run(cfg: &RunConfig) -> LatencyReport {
             let mb = MultiButterfly::new(topo_nodes, *multiplicity, cfg.seed);
             // Node fibers 100 ns (Table VI); same-room stage links short.
             let graph = build_mb_graph(&mb, 100_000, 10_000);
-            router_net::simulate_plan(
-                graph,
-                RoutingAlg::MultiButterfly(mb),
-                cfg.link,
-                *router,
-                driver,
-                cfg.seed,
-                cfg.horizon_ns,
-                &plan,
-            )
+            (graph, RoutingAlg::MultiButterfly(mb), router)
         }
         NetworkKind::Dragonfly { router } => {
             let df = Dragonfly::at_least(u64::from(cfg.nodes));
             // Table VI: intra-group 10 ns, inter-group 100 ns.
             let graph = df.build_graph(10_000, 100_000);
-            router_net::simulate_plan(
-                graph,
-                RoutingAlg::Dragonfly(df),
-                cfg.link,
-                *router,
-                driver,
-                cfg.seed,
-                cfg.horizon_ns,
-                &plan,
-            )
+            (graph, RoutingAlg::Dragonfly(df), router)
         }
         NetworkKind::DragonflyMinimal { router } => {
             let df = Dragonfly::at_least(u64::from(cfg.nodes));
             let graph = df.build_graph(10_000, 100_000);
-            router_net::simulate_plan(
-                graph,
-                RoutingAlg::DragonflyMinimal(df),
-                cfg.link,
-                *router,
-                driver,
-                cfg.seed,
-                cfg.horizon_ns,
-                &plan,
-            )
+            (graph, RoutingAlg::DragonflyMinimal(df), router)
         }
         NetworkKind::FatTree { router } => {
             let ft = FatTree::at_least(u64::from(cfg.nodes));
             // Table VI: level 1/2/3 links at 10/50/100 ns.
             let graph = ft.build_graph(10_000, 50_000, 100_000);
-            router_net::simulate_plan(
-                graph,
-                RoutingAlg::FatTree(ft),
-                cfg.link,
-                *router,
-                driver,
-                cfg.seed,
-                cfg.horizon_ns,
-                &plan,
-            )
+            (graph, RoutingAlg::FatTree(ft), router)
         }
-        NetworkKind::Ideal => ideal_net::simulate(driver, None),
-    }
-}
-
-/// [`run`] through the retired map-based packet models
-/// (`baldur_net_baseline`, `router_net_baseline`) instead of the
-/// struct-of-arrays ones. Exists only for differential testing: for any
-/// configuration both entry points must return byte-identical
-/// [`LatencyReport`]s — the property suite holds them to it. The ideal
-/// network has no retired variant (it never had per-packet hot state),
-/// so it dispatches to the live model.
-///
-/// # Panics
-///
-/// Panics on malformed configurations, exactly like [`run`].
-pub fn run_baseline(cfg: &RunConfig) -> LatencyReport {
-    let driver = build_driver(cfg);
-    let plan = cfg
-        .faults
-        .clone()
-        .unwrap_or_else(|| FaultPlan::new(cfg.seed));
-    match &cfg.network {
-        NetworkKind::Baldur(params) => baldur_net_baseline::simulate_plan(
-            cfg.nodes,
-            *params,
-            cfg.link,
-            driver,
-            cfg.seed,
-            cfg.horizon_ns,
-            &plan,
-        ),
-        NetworkKind::ElectricalMultiButterfly {
-            multiplicity,
-            router,
-        } => {
-            let topo_nodes = cfg.nodes.next_power_of_two().max(4);
-            let mb = MultiButterfly::new(topo_nodes, *multiplicity, cfg.seed);
-            let graph = build_mb_graph(&mb, 100_000, 10_000);
-            router_net_baseline::simulate_plan(
-                graph,
-                RoutingAlg::MultiButterfly(mb),
-                cfg.link,
-                *router,
-                driver,
-                cfg.seed,
-                cfg.horizon_ns,
-                &plan,
-            )
-        }
-        NetworkKind::Dragonfly { router } => {
-            let df = Dragonfly::at_least(u64::from(cfg.nodes));
-            let graph = df.build_graph(10_000, 100_000);
-            router_net_baseline::simulate_plan(
-                graph,
-                RoutingAlg::Dragonfly(df),
-                cfg.link,
-                *router,
-                driver,
-                cfg.seed,
-                cfg.horizon_ns,
-                &plan,
-            )
-        }
-        NetworkKind::DragonflyMinimal { router } => {
-            let df = Dragonfly::at_least(u64::from(cfg.nodes));
-            let graph = df.build_graph(10_000, 100_000);
-            router_net_baseline::simulate_plan(
-                graph,
-                RoutingAlg::DragonflyMinimal(df),
-                cfg.link,
-                *router,
-                driver,
-                cfg.seed,
-                cfg.horizon_ns,
-                &plan,
-            )
-        }
-        NetworkKind::FatTree { router } => {
-            let ft = FatTree::at_least(u64::from(cfg.nodes));
-            let graph = ft.build_graph(10_000, 50_000, 100_000);
-            router_net_baseline::simulate_plan(
-                graph,
-                RoutingAlg::FatTree(ft),
-                cfg.link,
-                *router,
-                driver,
-                cfg.seed,
-                cfg.horizon_ns,
-                &plan,
-            )
-        }
-        NetworkKind::Ideal => ideal_net::simulate(driver, None),
-    }
-}
-
-/// Runs a batch of independent configurations across up to `threads`
-/// workers, returning reports in input order.
-///
-/// Every run is a pure function of its `RunConfig`, so the fan-out cannot
-/// change any report — results are byte-identical at any thread count.
-/// `threads == 0` resolves through `BALDUR_THREADS`, then the machine's
-/// available parallelism (see [`baldur_sim::par::thread_count`]).
-///
-/// # Panics
-///
-/// Propagates a panic from any individual [`run`].
-pub fn run_many(threads: usize, cfgs: Vec<RunConfig>) -> Vec<LatencyReport> {
-    baldur_sim::par::par_map(baldur_sim::par::thread_count(threads), cfgs, run)
-}
-
-/// [`run_many`] with panic isolation: a configuration whose [`run`]
-/// panics (e.g. a malformed topology/pattern pairing) yields
-/// `Err(panic message)` in its input-order slot while every other
-/// configuration still completes. Never panics and never skips: the
-/// isolated pool runs with an unlimited failure budget, so the result is
-/// thread-count deterministic like [`run_many`] itself.
-pub fn try_run_many(threads: usize, cfgs: Vec<RunConfig>) -> Vec<Result<LatencyReport, String>> {
-    use baldur_sim::par::JobSlot;
-    let (slots, _aborted) =
-        baldur_sim::par::par_map_isolated(baldur_sim::par::thread_count(threads), cfgs, None, run);
-    slots
-        .into_iter()
-        .map(|slot| match slot {
-            JobSlot::Done(report) => Ok(report),
-            JobSlot::Panicked(msg) => Err(msg),
-            JobSlot::Skipped => Err("skipped".to_string()),
-        })
-        .collect()
+    };
+    router_net::simulate(graph, alg, *router, driver, &spec)
 }
 
 #[cfg(test)]
@@ -544,55 +381,6 @@ mod tests {
         assert!(baldur < avg["dragonfly"], "{avg:?}");
         // And the ideal network lower-bounds everyone.
         assert!(avg["ideal"] <= baldur, "{avg:?}");
-    }
-
-    #[test]
-    fn run_many_matches_serial_runs_in_order() {
-        let cfgs: Vec<RunConfig> = NetworkKind::paper_lineup(64)
-            .into_iter()
-            .map(|(_, net)| RunConfig::new(64, net, synth(0.2, 10)))
-            .collect();
-        let serial: Vec<LatencyReport> = cfgs.iter().map(run).collect();
-        let batched = run_many(4, cfgs);
-        assert_eq!(serial, batched);
-    }
-
-    #[test]
-    fn try_run_many_isolates_a_bad_config() {
-        // Transpose requires a power-of-two node count; 6 nodes panics —
-        // and must not take its siblings with it.
-        let bad = RunConfig::new(
-            6,
-            NetworkKind::Ideal,
-            Workload::Synthetic {
-                pattern: Pattern::Transpose,
-                load: 0.2,
-                packets_per_node: 5,
-            },
-        );
-        let good = RunConfig::new(64, NetworkKind::Ideal, synth(0.2, 5));
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let out = try_run_many(2, vec![good.clone(), bad, good.clone()]);
-        std::panic::set_hook(prev);
-        assert!(out[0].is_ok() && out[2].is_ok());
-        assert_eq!(out[0], out[2]);
-        assert!(out[1].is_err(), "bad config must surface its panic");
-        assert_eq!(
-            out[0].as_ref().ok().map(|r| r.delivered),
-            Some(run(&good).delivered)
-        );
-    }
-
-    #[test]
-    fn baseline_models_match_soa_models_byte_identically() {
-        // The retired map-based models and the struct-of-arrays models
-        // must agree on the whole report, including float bits, for every
-        // network in the lineup.
-        for (name, net) in NetworkKind::paper_lineup(64) {
-            let cfg = RunConfig::new(64, net, synth(0.3, 15));
-            assert_eq!(run(&cfg), run_baseline(&cfg), "{name}");
-        }
     }
 
     #[test]

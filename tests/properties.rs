@@ -529,19 +529,46 @@ fn overload_storms_conserve_packets_and_bound_queues() {
     }
 }
 
-/// Struct-of-arrays refactor safety net: for 16 seeded workloads across
-/// both packet models ({baldur, fattree}), both traffic shapes
-/// ({uniform, incast}), and both scales (64 and 256 nodes), the live
-/// SoA state layout and the retired map-based `_baseline` models return
-/// byte-identical `LatencyReport`s — every counter, every float bit,
-/// the oracle summary, and the conservation ledger included. The whole
-/// report derives `PartialEq`, so a single `assert_eq!` covers it all.
+/// Repo-relative path of the pinned packet-model fingerprints.
+const FINGERPRINTS: &str = "results/golden/soa_fingerprints.json";
+
+/// Struct-of-arrays refactor safety net. The retired map-based packet
+/// models were deleted once their output was pinned: the SHA-256 of
+/// every report they produced is recorded in [`FINGERPRINTS`], and the
+/// live models must reproduce each one — every counter, every float bit,
+/// the oracle summary, and the conservation ledger included, since the
+/// digest covers the report's whole exact serialization.
+///
+/// The matrix is 16 seeded storms across both packet models
+/// ({baldur, fattree}), both traffic shapes ({uniform, incast}), and
+/// both scales (64 and 256 nodes), plus the five-network paper lineup
+/// on one open-loop workload (the electrical multi-butterfly and
+/// dragonfly routings included). Only a deliberate change to the
+/// report's shape or the models' behaviour re-records the table, with
+/// `BALDUR_BLESS=1 cargo test -q --test properties soa_models`.
 #[test]
 fn soa_models_match_retired_baselines_byte_identically() {
     use baldur::net::config::{BaldurParams, RouterParams};
-    use baldur::net::runner::{run, run_baseline, NetworkKind, RunConfig, Workload};
+    use baldur::net::runner::{run, NetworkKind, RunConfig, Workload};
     use baldur::net::traffic::Pattern;
+    use std::collections::BTreeMap;
 
+    let fingerprint = |cfg: &RunConfig| {
+        let report = run(cfg);
+        let text = serde_json::to_string_exact(&report).expect("the vendored renderer never fails");
+        (report.generated, baldur::hash::hex_digest(text.as_bytes()))
+    };
+    let mut got = BTreeMap::new();
+    for (name, net) in NetworkKind::paper_lineup(64) {
+        let workload = Workload::Synthetic {
+            pattern: Pattern::RandomPermutation,
+            load: 0.3,
+            packets_per_node: 15,
+        };
+        let (generated, digest) = fingerprint(&RunConfig::new(64, net, workload));
+        assert!(generated > 0, "lineup {name}: empty workload");
+        got.insert(format!("lineup/{name}"), digest);
+    }
     for case in 0..16 {
         let mut rng = case_rng("soadiff", case);
         let nodes = if case % 2 == 0 { 64u32 } else { 256 };
@@ -571,14 +598,32 @@ fn soa_models_match_retired_baselines_byte_identically() {
                 seed,
                 ..RunConfig::new(nodes, net, workload)
             };
-            let live = run(&cfg);
-            let retired = run_baseline(&cfg);
-            assert_eq!(
-                live, retired,
-                "case {case} {label} nodes {nodes}: SoA diverged from baseline"
-            );
-            assert!(live.generated > 0, "case {case} {label}: empty workload");
+            let (generated, digest) = fingerprint(&cfg);
+            assert!(generated > 0, "case {case} {label}: empty workload");
+            got.insert(format!("case{case:02}/{label}/n{nodes}"), digest);
         }
+    }
+
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(FINGERPRINTS);
+    if std::env::var_os("BALDUR_BLESS").is_some() {
+        let text = serde_json::to_string_pretty(&got).expect("the vendored renderer never fails");
+        std::fs::write(&path, text + "\n").unwrap_or_else(|e| panic!("bless {FINGERPRINTS}: {e}"));
+        return;
+    }
+    let text =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {FINGERPRINTS}: {e}"));
+    let want: BTreeMap<String, String> =
+        serde_json::from_str(&text).unwrap_or_else(|e| panic!("parse {FINGERPRINTS}: {e}"));
+    assert_eq!(
+        got.keys().collect::<Vec<_>>(),
+        want.keys().collect::<Vec<_>>(),
+        "the case matrix drifted from {FINGERPRINTS}"
+    );
+    for (id, digest) in &got {
+        assert_eq!(
+            digest, &want[id],
+            "{id}: the report diverged from the retired model's fingerprint"
+        );
     }
 }
 

@@ -37,8 +37,10 @@ const GOLDEN_EXEMPT: &[&str] = &[
 
 /// Snapshots under `results/golden/` owned by repo tooling rather than a
 /// registered experiment. Each must be pinned by its own freshness test
-/// (the lint report by `tests/lint_wall.rs::lint_json_snapshot_is_fresh`).
-const TOOL_GOLDENS: &[&str] = &["lint.json", "perf_ops.json"];
+/// (the lint report by `tests/lint_wall.rs::lint_json_snapshot_is_fresh`,
+/// the packet-model fingerprints by
+/// `tests/properties.rs::soa_models_match_retired_baselines_byte_identically`).
+const TOOL_GOLDENS: &[&str] = &["lint.json", "perf_ops.json", "soa_fingerprints.json"];
 
 fn repo_path(rel: &str) -> std::path::PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join(rel)
