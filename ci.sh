@@ -115,6 +115,11 @@ run_step perf-smoke-8t env BALDUR_THREADS=8 cargo run --release -p baldur-bench 
 # the SoA kernel; asserts byte-identical repeat runs, 1-vs-8-thread sweep
 # invariance, and packet conservation (wall/RSS columns stay advisory).
 run_step scaling-smoke cargo run --release -p baldur-bench --bin scaling -- --smoke
+# Repo benchmark (benchmark/, its own workspace): its unit tests, then the
+# 64-node smoke versions of the four workloads, which check conservation
+# and repeat-identical fingerprints.
+run_step benchmark-tests cargo test -q --manifest-path benchmark/Cargo.toml
+run_step benchmark-smoke bash benchmark/run.sh --smoke
 
 write_summary
 echo "=== OK (summary: ${summary})"

@@ -58,7 +58,7 @@ pub use overload::{overload, overload_network, overload_on, storm_pattern, Overl
 pub use perf::{
     bench_report, install_memory_probe, install_wall_clock, ops_report, override_samples,
     peak_rss_bytes, wall_clock_installed, wall_now_ns, BenchRecord, BenchReport, Counters,
-    DeltaRecord, OpsReport, OpsRow, WallStats, MIN_SAMPLES, SCHEMA as PERF_SCHEMA,
+    OpsReport, OpsRow, WallStats, MIN_SAMPLES, SCHEMA as PERF_SCHEMA,
 };
 pub use reliability::{reliability, reliability_on, ReliabilityReport};
 pub use saturation::{saturation, saturation_lineup_on, saturation_on, SaturationRow};

@@ -15,9 +15,7 @@
 //! The default hook emits the `BENCH_8.json` trajectory artifact
 //! (schema `baldur-perf/1`): per-benchmark wall statistics
 //! (median/min/MAD with outlier rejection), the exact counters, derived
-//! ops/sec, the repo git revision, and before/after deltas against the
-//! retained pre-optimization baselines (`Encoder::encode_data_baseline`,
-//! `Decoder::decode_baseline`, `CircuitSim::run_reference`).
+//! ops/sec, and the repo git revision.
 
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
@@ -55,8 +53,7 @@ pub const MIN_SAMPLES: usize = 3;
 const PERF_NODES: u32 = 64;
 
 /// Passes over the codec working set per sample (amortizes the
-/// deterministic payload generation that both baseline and optimized
-/// paths pay).
+/// deterministic payload generation).
 const CODEC_PASSES: usize = 8;
 
 /// Bytes in the codec working set.
@@ -212,20 +209,6 @@ pub struct BenchRecord {
     pub ops_per_sec: f64,
 }
 
-/// A before/after pair against a retained pre-optimization baseline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DeltaRecord {
-    /// The optimized benchmark's name.
-    pub name: String,
-    /// The baseline measurement (same workload through the retained
-    /// `*_baseline` implementation).
-    pub baseline: BenchRecord,
-    /// The optimized measurement (copied from the main table).
-    pub optimized: BenchRecord,
-    /// `baseline.median_ns / optimized.median_ns`.
-    pub speedup_median: f64,
-}
-
 /// The `BENCH_8.json` document.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchReport {
@@ -240,8 +223,6 @@ pub struct BenchReport {
     pub samples: usize,
     /// One record per hot-path benchmark.
     pub benches: Vec<BenchRecord>,
-    /// Before/after deltas against the retained baselines.
-    pub deltas: Vec<DeltaRecord>,
     /// Peak resident-set size in bytes at emission time (zero when no
     /// memory probe is installed; absent in pre-probe artifacts).
     #[serde(default)]
@@ -276,13 +257,6 @@ struct BenchDef {
     work: fn() -> Counters,
 }
 
-struct DeltaDef {
-    /// Name of the optimized benchmark in [`BENCHES`].
-    optimized: &'static str,
-    /// The same workload through the retained baseline implementation.
-    baseline: fn() -> Counters,
-}
-
 static BENCHES: [BenchDef; 7] = [
     BenchDef {
         name: "sched_heap_push_pop",
@@ -311,21 +285,6 @@ static BENCHES: [BenchDef; 7] = [
     BenchDef {
         name: "fig6_throughput",
         work: fig6_throughput,
-    },
-];
-
-static DELTAS: [DeltaDef; 3] = [
-    DeltaDef {
-        optimized: "codec_encode",
-        baseline: codec_encode_baseline,
-    },
-    DeltaDef {
-        optimized: "codec_decode",
-        baseline: codec_decode_baseline,
-    },
-    DeltaDef {
-        optimized: "tl_gate_loop",
-        baseline: tl_gate_loop_baseline,
     },
 ];
 
@@ -383,14 +342,14 @@ fn codec_payload() -> Vec<u8> {
     bytes
 }
 
-fn codec_encode_with(encode: fn(&mut Encoder, u8) -> Code10) -> Counters {
+fn codec_encode() -> Counters {
     let bytes = codec_payload();
     let mut acc = 0u16;
     let mut ops = 0u64;
     for _ in 0..CODEC_PASSES {
         let mut enc = Encoder::new();
         for &b in &bytes {
-            acc ^= encode(&mut enc, b).0;
+            acc ^= enc.encode_data(b).0;
             ops += 1;
         }
     }
@@ -402,33 +361,20 @@ fn codec_encode_with(encode: fn(&mut Encoder, u8) -> Code10) -> Counters {
     }
 }
 
-fn codec_encode() -> Counters {
-    codec_encode_with(Encoder::encode_data)
-}
-
-fn codec_encode_baseline() -> Counters {
-    codec_encode_with(Encoder::encode_data_baseline)
-}
-
 fn codec_codes() -> Vec<Code10> {
     let bytes = codec_payload();
     let mut enc = Encoder::new();
     bytes.iter().map(|&b| enc.encode_data(b)).collect()
 }
 
-fn codec_decode_with(
-    decode: fn(
-        &mut Decoder,
-        Code10,
-    ) -> Result<crate::phy::eightbtenb::Symbol, crate::phy::eightbtenb::DecodeError>,
-) -> Counters {
+fn codec_decode() -> Counters {
     let codes = codec_codes();
     let mut acc = 0u32;
     let mut ops = 0u64;
     for _ in 0..CODEC_PASSES {
         let mut dec = Decoder::new();
         for &c in &codes {
-            match decode(&mut dec, c) {
+            match dec.decode(c) {
                 Ok(sym) => acc = acc.wrapping_add(u32::from(sym.byte())),
                 Err(_) => acc = acc.wrapping_add(0x1000),
             }
@@ -441,14 +387,6 @@ fn codec_decode_with(
         packets: 0,
         bytes: ops,
     }
-}
-
-fn codec_decode() -> Counters {
-    codec_decode_with(Decoder::decode)
-}
-
-fn codec_decode_baseline() -> Counters {
-    codec_decode_with(Decoder::decode_baseline)
 }
 
 /// A 2x2 switch with both inputs driven (the contention case exercises
@@ -474,21 +412,6 @@ fn tl_gate_loop() -> Counters {
     assert!(matches!(out, RunOutcome::Settled { .. }), "{out:?}");
     Counters {
         ops: sim.events_executed(),
-        packets: 2,
-        bytes: 24,
-    }
-}
-
-fn tl_gate_loop_baseline() -> Counters {
-    let (sim, horizon) = tl_build();
-    let r = sim.run_reference(horizon);
-    assert!(
-        matches!(r.outcome, RunOutcome::Settled { .. }),
-        "{:?}",
-        r.outcome
-    );
-    Counters {
-        ops: r.events,
         packets: 2,
         bytes: 24,
     }
@@ -600,8 +523,7 @@ pub fn ops_report() -> OpsReport {
     }
 }
 
-/// Measures every benchmark and every baseline delta at `samples` timed
-/// samples each. This is the engine behind the default hook; tests call
+/// Measures every benchmark at `samples` timed samples each. This is the engine behind the default hook; tests call
 /// it directly (clock-free) to validate the schema.
 pub fn bench_report(samples: usize) -> Result<BenchReport, BaldurError> {
     let samples = samples.max(MIN_SAMPLES);
@@ -609,36 +531,12 @@ pub fn bench_report(samples: usize) -> Result<BenchReport, BaldurError> {
     for b in &BENCHES {
         benches.push(measure(b.name, samples, b.work)?);
     }
-    let mut deltas = Vec::with_capacity(DELTAS.len());
-    for d in &DELTAS {
-        let optimized = benches
-            .iter()
-            .find(|r| r.name == d.optimized)
-            .cloned()
-            .ok_or_else(|| BaldurError::Experiment {
-                name: "perf".to_string(),
-                message: format!("delta references unknown bench `{}`", d.optimized),
-            })?;
-        let baseline = measure(&format!("{}_baseline", d.optimized), samples, d.baseline)?;
-        let speedup_median = if optimized.wall.median_ns > 0.0 {
-            baseline.wall.median_ns / optimized.wall.median_ns
-        } else {
-            0.0
-        };
-        deltas.push(DeltaRecord {
-            name: d.optimized.to_string(),
-            baseline,
-            optimized,
-            speedup_median,
-        });
-    }
     Ok(BenchReport {
         schema: SCHEMA.to_string(),
         git_rev: git_rev(),
         threads: crate::sim::par::thread_count(0),
         samples,
         benches,
-        deltas,
         peak_rss_bytes: peak_rss_bytes(),
     })
 }
@@ -726,25 +624,6 @@ fn run_hook(_sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
             b.ops_per_sec
         );
     }
-    section(&mut console, "deltas vs retained baselines");
-    outln!(
-        console,
-        "{:<26} {:>14} {:>14} {:>10}",
-        "bench",
-        "baseline",
-        "optimized",
-        "speedup"
-    );
-    for d in &report.deltas {
-        outln!(
-            console,
-            "{:<26} {:>14} {:>14} {:>9.2}x",
-            d.name,
-            fmt_ns(d.baseline.wall.median_ns),
-            fmt_ns(d.optimized.wall.median_ns),
-            d.speedup_median
-        );
-    }
     outln!(console);
     outln!(
         console,
@@ -764,8 +643,7 @@ fn run_hook(_sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
 
 /// The `--smoke` CI gate: two in-process counter passes must agree
 /// byte-for-byte, and both must match the blessed
-/// `results/golden/perf_ops.json` exactly. Wall clock is advisory — a
-/// quick 3-sample delta is printed but never fails the gate.
+/// `results/golden/perf_ops.json` exactly. No wall clock is read.
 fn smoke_hook(_sw: &Sweep, _p: &Params) -> Result<Output, BaldurError> {
     let first = ops_report();
     let second = ops_report();
@@ -810,28 +688,6 @@ fn smoke_hook(_sw: &Sweep, _p: &Params) -> Result<Output, BaldurError> {
         "counters: {} benches, two passes identical, golden match",
         first.benches.len()
     );
-    if wall_clock_installed() {
-        let opt = measure("codec_encode", MIN_SAMPLES, codec_encode)?;
-        let base = measure("codec_encode_baseline", MIN_SAMPLES, codec_encode_baseline)?;
-        let speedup = if opt.wall.median_ns > 0.0 {
-            base.wall.median_ns / opt.wall.median_ns
-        } else {
-            0.0
-        };
-        outln!(
-            console,
-            "advisory wall clock: codec_encode {} vs baseline {} ({speedup:.2}x{})",
-            fmt_ns(opt.wall.median_ns),
-            fmt_ns(base.wall.median_ns),
-            if speedup < 2.0 {
-                " — below the 2x trajectory target, not gating"
-            } else {
-                ""
-            }
-        );
-    } else {
-        outln!(console, "advisory wall clock: skipped (no clock installed)");
-    }
     Ok(Output {
         console,
         csv: None,
@@ -886,7 +742,7 @@ pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
     flags: &[],
     modes: &[Mode {
         flag: "smoke",
-        help: "gate exact work counters against results/golden/perf_ops.json (wall clock advisory)",
+        help: "gate exact work counters against results/golden/perf_ops.json",
         run: smoke_hook,
     }],
     output_columns: &[
@@ -929,19 +785,15 @@ mod tests {
     }
 
     #[test]
-    fn codec_counters_are_exact_and_baseline_identical() {
-        let fast = codec_encode();
-        let slow = codec_encode_baseline();
-        assert_eq!(fast, slow);
-        assert_eq!(fast.ops, (CODEC_BYTES * CODEC_PASSES) as u64);
-        let fast = codec_decode();
-        let slow = codec_decode_baseline();
-        assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn tl_counters_match_reference() {
-        assert_eq!(tl_gate_loop(), tl_gate_loop_baseline());
+    fn codec_counters_are_exact() {
+        let ops = (CODEC_BYTES * CODEC_PASSES) as u64;
+        let want = Counters {
+            ops,
+            packets: 0,
+            bytes: ops,
+        };
+        assert_eq!(codec_encode(), want);
+        assert_eq!(codec_decode(), want);
     }
 
     #[test]

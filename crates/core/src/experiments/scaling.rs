@@ -15,9 +15,11 @@
 //!
 //! The simulation outcome columns (`events`, `delivered`, `generated`,
 //! `state_bytes`) are bit-deterministic for a fixed seed at any thread
-//! count; the timing/RSS columns are measurements and replay verbatim
-//! on sweep-cache hits (pass `--no-cache` for fresh numbers). There is
-//! deliberately no golden snapshot. The default sweep tops out at the
+//! count; the timing/RSS columns are measurements. The cells therefore
+//! run on an uncached, single-worker sweep, whatever sweep the caller
+//! passes: a cache hit would replay a stale wall time and peak RSS, and
+//! a parallel neighbour would inflate a cell's process-wide peak RSS.
+//! There is deliberately no golden snapshot. The default sweep tops out at the
 //! paper-scale 1,048,576 endpoints; CI exercises the curve through
 //! `--smoke` (1K→4K, byte-identical repeat, 1/8-thread invariance) and
 //! accepts the full default up to 262,144 on CI-class resources.
@@ -219,7 +221,7 @@ fn print_rows(out: &mut String, rows: &[ScalingRow]) {
     }
 }
 
-fn run_sweep(sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
+fn run_sweep(_sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
     let cfg = p.cfg;
     let endpoints = p.u32_list("endpoints")?;
     let ppn = u32::try_from(p.u64("ppn")?).unwrap_or(u32::MAX).max(1);
@@ -231,7 +233,8 @@ fn run_sweep(sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
             ppn, cfg.seed
         ),
     );
-    let rows = scaling_curves_on(sw, &cfg, &endpoints, ppn);
+    // Fresh, serial measurement (see the module notes).
+    let rows = scaling_curves_on(&Sweep::new(1), &cfg, &endpoints, ppn);
     print_rows(&mut out, &rows);
     Ok(Output {
         console: out,

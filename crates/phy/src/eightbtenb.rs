@@ -218,16 +218,13 @@ const fn complement4(code: u8) -> u8 {
 // Table-driven fast path.
 //
 // `encode_data` and `decode` are the hottest per-symbol operations in the
-// repo (every simulated packet body flows through them), and the original
-// implementations recomputed the sub-block selection — including linear
-// scans of the 5b/6b and 3b/4b tables on decode — on every call. Since a
-// stateful codec step is a pure function of (running disparity, input),
-// the whole step is precomputed here into compile-time tables: 2×256
-// entries for the encoder, 2×1024 for the decoder (~9 KiB total). The
-// const builders below replicate the branchy reference implementations,
-// which are retained as `encode_data_baseline`/`decode_baseline` — they
-// serve as the perf baseline for BENCH_8.json deltas and as the oracle
-// for the exhaustive equivalence tests in this module.
+// repo (every simulated packet body flows through them). Since a stateful
+// codec step is a pure function of (running disparity, input), the whole
+// step — sub-block selection, table reverse scans, disparity checks — is
+// evaluated once by the const builders below into compile-time tables:
+// 2×256 entries for the encoder, 2×1024 for the decoder (~9 KiB total).
+// Every cell of both tables is pinned by a SHA-256 fingerprint in
+// `results/golden/reference_fingerprints.json` (see `tests/properties.rs`).
 
 /// One precomputed encoder step: the emitted group and the RD it leaves.
 #[derive(Clone, Copy)]
@@ -267,8 +264,9 @@ const fn rd_after(d: i8, rd_pos: bool) -> i8 {
     }
 }
 
-/// Const replica of [`Encoder::encode_data_baseline`]: `(RD, byte)` →
-/// `(code, RD′)`, with RD as a bool (`true` = RD+).
+/// One data-encoder step, `(RD, byte)` → `(code, RD′)`, with RD as a
+/// bool (`true` = RD+): the 5b/6b and 3b/4b sub-blocks each take the
+/// column for the RD in force when they start.
 const fn encode_data_step(rd_pos: bool, byte: u8) -> (u16, bool) {
     let x = (byte & 0x1F) as usize; // EDCBA
     let y = (byte >> 5) as usize; // HGF
@@ -325,8 +323,8 @@ const fn encode_data_step(rd_pos: bool, byte: u8) -> (u16, bool) {
     (((six as u16) << 4) | four as u16, rd)
 }
 
-/// Const replica of the reference 5b/6b reverse scan ([`decode_six`]);
-/// −1 for an unrecognized block.
+/// Reverse 5b/6b lookup: the EDCBA value whose RD− or RD+ column holds
+/// `six`; −1 for an unrecognized block.
 const fn decode_six_step(six: u8) -> i16 {
     let mut x = 0;
     while x < 32 {
@@ -342,7 +340,8 @@ const fn decode_six_step(six: u8) -> i16 {
     -1
 }
 
-/// Const replica of [`decode_four`]; −1 for an unrecognized block.
+/// Reverse 3b/4b data lookup (A7 in either polarity decodes to y = 7);
+/// −1 for an unrecognized block.
 const fn decode_four_step(four: u8) -> i16 {
     if four == A7_NEG || four == complement4(A7_NEG) {
         return 7;
@@ -361,7 +360,10 @@ const fn decode_four_step(four: u8) -> i16 {
     -1
 }
 
-/// Const replica of [`decode_k_four`]; −1 for an unrecognized block.
+/// Reverse 3b/4b control lookup. Control 3b/4b codes always track the
+/// column for the mid-group disparity, and the columns are mutual
+/// complements, so that disparity disambiguates pairs like K.x.2 (1010
+/// at RD−) vs K.x.5 (1010 at RD+). −1 for an unrecognized block.
 const fn decode_k_four_step(four: u8, rd_mid_pos: bool) -> i16 {
     let mut y = 0;
     while y < 8 {
@@ -375,9 +377,10 @@ const fn decode_k_four_step(four: u8, rd_mid_pos: bool) -> i16 {
     -1
 }
 
-/// Const replica of [`Decoder::decode_baseline`], preserving its exact
-/// error precedence (invalid 6b → 6b disparity → invalid 4b → 4b
-/// disparity) so the equivalence test can compare all 2×1024 cells.
+/// One decoder step. Errors take precedence in the order invalid 6b →
+/// 6b disparity → invalid 4b → 4b disparity. The RD must stay within ±1
+/// after *each* sub-block, so an RD+ 6b block arriving at RD+ is a
+/// violation even if the 4b block would cancel it.
 const fn decode_step(rd_pos: bool, code: u16) -> DecEntry {
     let six = ((code >> 4) & 0x3F) as u8;
     let four = (code & 0x0F) as u8;
@@ -517,8 +520,7 @@ impl Encoder {
     /// Encodes a data octet (D.x.y).
     ///
     /// One lookup into a compile-time `(RD, byte)` table; see the module
-    /// notes on the table-driven fast path. Exhaustively equivalent to
-    /// [`Encoder::encode_data_baseline`].
+    /// notes on the table-driven fast path.
     #[inline]
     pub fn encode_data(&mut self, byte: u8) -> Code10 {
         let e = &ENC_LUT[(self.rd == Disparity::Positive) as usize][byte as usize];
@@ -528,65 +530,6 @@ impl Encoder {
             Disparity::Negative
         };
         Code10(e.code)
-    }
-
-    /// The pre-LUT reference encoder, retained verbatim: the perf
-    /// baseline for the BENCH_8.json before/after delta and the oracle
-    /// for the table-equivalence test.
-    pub fn encode_data_baseline(&mut self, byte: u8) -> Code10 {
-        let x = (byte & 0x1F) as usize; // EDCBA
-        let y = (byte >> 5) as usize; // HGF
-
-        // 5b/6b sub-block.
-        let six_neg = FIVE_SIX_NEG[x];
-        let six = match (six_disparity(six_neg), self.rd) {
-            (0, _) => {
-                // Balanced, but D.07 alternates by rule.
-                if x == 7 && self.rd == Disparity::Positive {
-                    complement6(six_neg)
-                } else {
-                    six_neg
-                }
-            }
-            (_, Disparity::Negative) => six_neg,
-            (_, Disparity::Positive) => complement6(six_neg),
-        };
-        let mut rd = self.rd;
-        if six_disparity(six) != 0 {
-            rd = rd.flip();
-        }
-
-        // 3b/4b sub-block; pick A7 where P7 would create a run of five.
-        let four = if y == 7 {
-            let use_a7 = match rd {
-                Disparity::Negative => matches!(x, 17 | 18 | 20),
-                Disparity::Positive => matches!(x, 11 | 13 | 14),
-            };
-            let neg = if use_a7 { A7_NEG } else { THREE_FOUR_NEG[7] };
-            match rd {
-                Disparity::Negative => neg,
-                Disparity::Positive => complement4(neg),
-            }
-        } else {
-            let neg = THREE_FOUR_NEG[y];
-            match (four_disparity(neg), rd) {
-                (0, _) => {
-                    // D.x.3 (1100) alternates: transmitted as 0011 at RD+.
-                    if y == 3 && rd == Disparity::Positive {
-                        complement4(neg)
-                    } else {
-                        neg
-                    }
-                }
-                (_, Disparity::Negative) => neg,
-                (_, Disparity::Positive) => complement4(neg),
-            }
-        };
-        if four_disparity(four) != 0 {
-            rd = rd.flip();
-        }
-        self.rd = rd;
-        Code10(((six as u16) << 4) | four as u16)
     }
 
     /// Encodes a control character (K.x.y).
@@ -664,12 +607,16 @@ impl Decoder {
         }
     }
 
+    /// Current running disparity.
+    pub fn disparity(&self) -> Disparity {
+        self.rd
+    }
+
     /// Decodes one 10-bit code group.
     ///
     /// One lookup into a compile-time `(RD, code)` table; see the module
-    /// notes on the table-driven fast path. Exhaustively equivalent to
-    /// [`Decoder::decode_baseline`], including error precedence. Errors
-    /// leave the running disparity unchanged.
+    /// notes on the table-driven fast path. Errors leave the running
+    /// disparity unchanged.
     ///
     /// # Errors
     ///
@@ -693,128 +640,12 @@ impl Decoder {
             _ => Err(DecodeError::DisparityViolation),
         }
     }
-
-    /// The pre-LUT reference decoder, retained verbatim: the perf
-    /// baseline for the BENCH_8.json before/after delta and the oracle
-    /// for the table-equivalence test.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] for invalid sub-blocks or running-disparity
-    /// violations.
-    pub fn decode_baseline(&mut self, code: Code10) -> Result<Symbol, DecodeError> {
-        let six = ((code.0 >> 4) & 0x3F) as u8;
-        let four = (code.0 & 0x0F) as u8;
-
-        // Recognize the 6b block first (unknown block = InvalidSixBit, even
-        // when its disparity is also impossible).
-        let is_k28 = six == K28_SIX_NEG || six == complement6(K28_SIX_NEG);
-        let data_x = decode_six(six);
-        if !is_k28 && data_x.is_none() {
-            return Err(DecodeError::InvalidSixBit(six));
-        }
-
-        // Validate the 6b block against the current disparity and compute
-        // the mid-group disparity, needed to disambiguate control 4b codes.
-        let d6 = six_disparity(six);
-        let rd_mid = match (d6, self.rd) {
-            (0, rd) => rd,
-            (2, Disparity::Negative) => Disparity::Positive,
-            (-2, Disparity::Positive) => Disparity::Negative,
-            _ => return Err(DecodeError::DisparityViolation),
-        };
-
-        if is_k28 {
-            let y = decode_k_four(four, rd_mid).ok_or(DecodeError::InvalidFourBit(four))?;
-            self.advance(six, four)?;
-            return Ok(Symbol::Control((y << 5) | 28));
-        }
-
-        let x = data_x.expect("checked above");
-        // K.x.7 with A7-looking 4b block on Kx in {23,27,29,30}: those share
-        // D.x codes; distinguish by the 4b block being the A7 form where P7
-        // would be legal (i.e. where data would never use A7).
-        if matches!(x, 23 | 27 | 29 | 30) && (four == A7_NEG || four == complement4(A7_NEG)) {
-            let data_would_use_a7 = false; // A7 for data only at x=17,18,20 / 11,13,14
-            if !data_would_use_a7 {
-                self.advance(six, four)?;
-                return Ok(Symbol::Control((7 << 5) | x));
-            }
-        }
-        let y = decode_four(four, x).ok_or(DecodeError::InvalidFourBit(four))?;
-        self.advance(six, four)?;
-        Ok(Symbol::Data((y << 5) | x))
-    }
-
-    fn advance(&mut self, six: u8, four: u8) -> Result<(), DecodeError> {
-        // Disparity must stay in {-1, +1} after *each* sub-block, not just
-        // at group boundaries; an RD+ sub-block arriving at RD+ is an error
-        // even if the following sub-block would cancel it.
-        let rd_mid = match (six_disparity(six), self.rd) {
-            (0, rd) => rd,
-            (2, Disparity::Negative) => Disparity::Positive,
-            (-2, Disparity::Positive) => Disparity::Negative,
-            _ => return Err(DecodeError::DisparityViolation),
-        };
-        self.rd = match (four_disparity(four), rd_mid) {
-            (0, rd) => rd,
-            (2, Disparity::Negative) => Disparity::Positive,
-            (-2, Disparity::Positive) => Disparity::Negative,
-            _ => return Err(DecodeError::DisparityViolation),
-        };
-        Ok(())
-    }
 }
 
 impl Default for Decoder {
     fn default() -> Self {
         Decoder::new()
     }
-}
-
-fn decode_six(six: u8) -> Option<u8> {
-    for (x, &neg) in FIVE_SIX_NEG.iter().enumerate() {
-        if six == neg {
-            return Some(x as u8);
-        }
-        if (six_disparity(neg) != 0 || x == 7) && six == complement6(neg) {
-            return Some(x as u8);
-        }
-    }
-    None
-}
-
-fn decode_four(four: u8, _x: u8) -> Option<u8> {
-    // A7 in either polarity decodes to y=7.
-    if four == A7_NEG || four == complement4(A7_NEG) {
-        return Some(7);
-    }
-    for (y, &neg) in THREE_FOUR_NEG.iter().enumerate() {
-        if four == neg {
-            return Some(y as u8);
-        }
-        if (four_disparity(neg) != 0 || y == 3) && four == complement4(neg) {
-            return Some(y as u8);
-        }
-    }
-    None
-}
-
-fn decode_k_four(four: u8, rd_mid: Disparity) -> Option<u8> {
-    // Control 3b/4b codes always track the column for the current
-    // disparity, and the columns are mutual complements, so the mid-group
-    // disparity disambiguates pairs like K.x.2 (1010 at RD-) vs K.x.5
-    // (1010 at RD+).
-    for (y, &neg) in K_THREE_FOUR_NEG.iter().enumerate() {
-        let expected = match rd_mid {
-            Disparity::Negative => neg,
-            Disparity::Positive => complement4(neg),
-        };
-        if four == expected {
-            return Some(y as u8);
-        }
-    }
-    None
 }
 
 /// Longest run of identical bits in `bits`.
@@ -850,6 +681,28 @@ mod tests {
         assert_eq!(format!("{c}"), "1001110100");
         // After one unbalanced-then-rebalanced group RD is back to -.
         assert_eq!(enc.disparity(), Disparity::Negative);
+
+        // IEEE 802.3 Table 36-1 code groups for each special case of the
+        // encoder: (start RD, octet, code group, exit RD).
+        let cases = [
+            // D.7.0 at RD+: the balanced D.07 6b block still alternates.
+            (Disparity::Positive, 0x07, "0001110100", Disparity::Negative),
+            // D.3.3 at RD+: the balanced D.x.3 4b block alternates.
+            (Disparity::Positive, 0x63, "1100010011", Disparity::Positive),
+            // D.17.7 at RD-: A7 replaces P7, which would run five ones.
+            (Disparity::Negative, 0xF1, "1000110111", Disparity::Positive),
+            // D.11.7 at RD+: A7 replaces P7, which would run five zeros.
+            (Disparity::Positive, 0xEB, "1101001000", Disparity::Negative),
+        ];
+        for (rd, byte, want, exit) in cases {
+            let mut enc = Encoder { rd };
+            let c = enc.encode_data(byte);
+            assert_eq!(format!("{c}"), want, "{rd:?} D{byte:#04x}");
+            assert_eq!(enc.disparity(), exit, "{rd:?} D{byte:#04x}");
+            let mut dec = Decoder { rd };
+            assert_eq!(dec.decode(c), Ok(Symbol::Data(byte)), "{rd:?} {want}");
+            assert_eq!(dec.disparity(), exit, "{rd:?} {want}");
+        }
     }
 
     #[test]
@@ -939,45 +792,6 @@ mod tests {
     #[should_panic(expected = "invalid control character")]
     fn bad_control_panics() {
         Encoder::new().encode_control(0x00);
-    }
-
-    #[test]
-    fn lut_encoder_matches_baseline_exhaustively() {
-        // Every (running disparity, byte) cell of the compile-time
-        // encoder table must agree with the retained reference
-        // implementation — same code group, same exit disparity.
-        for rd in [Disparity::Negative, Disparity::Positive] {
-            for byte in 0u16..=255 {
-                let byte = byte as u8;
-                let mut fast = Encoder { rd };
-                let mut slow = Encoder { rd };
-                assert_eq!(
-                    fast.encode_data(byte),
-                    slow.encode_data_baseline(byte),
-                    "{rd:?} D{byte:#04x}"
-                );
-                assert_eq!(fast.disparity(), slow.disparity(), "{rd:?} D{byte:#04x}");
-            }
-        }
-    }
-
-    #[test]
-    fn lut_decoder_matches_baseline_exhaustively() {
-        // All 2×1024 decoder cells: identical Ok/Err outcome (including
-        // which error, with the reference's precedence) and identical
-        // exit disparity — errors must leave RD untouched in both.
-        for rd in [Disparity::Negative, Disparity::Positive] {
-            for code in 0u16..1024 {
-                let mut fast = Decoder { rd };
-                let mut slow = Decoder { rd };
-                assert_eq!(
-                    fast.decode(Code10(code)),
-                    slow.decode_baseline(Code10(code)),
-                    "{rd:?} {code:#05x}"
-                );
-                assert_eq!(fast.rd, slow.rd, "{rd:?} {code:#05x}");
-            }
-        }
     }
 
     #[test]

@@ -20,8 +20,6 @@
 //! Feedback (latches, arbiters) is expressed by creating a wire first and
 //! later attaching a gate that drives it via [`Netlist::gate_into`].
 
-use std::collections::BTreeMap;
-
 use baldur_phy::waveform::{Fs, Waveform};
 use baldur_sim::{Model, Scheduler, Simulation, Time};
 
@@ -78,14 +76,6 @@ enum Component {
         out: WireId,
         delay: Fs,
     },
-}
-
-impl Component {
-    fn out(&self) -> WireId {
-        match self {
-            Component::Gate { out, .. } | Component::Transport { out, .. } => *out,
-        }
-    }
 }
 
 /// A circuit under construction.
@@ -362,10 +352,9 @@ struct Pending {
 // contiguous arrays — CSR fanout, `Copy` component records with transport
 // inputs concatenated into one slice, and an O(1) probe-slot vector.
 // The event *sequence* is bit-identical to the original model (same
-// touch order, same pending seq allocation, same scheduler calls), which
-// is proven against the retained [`ReferenceModel`] by the equivalence
-// tests below; the reference also serves as the perf baseline for the
-// BENCH_8.json before/after delta.
+// touch order, same pending seq allocation, same scheduler calls): two
+// runs of it are pinned by SHA-256 fingerprints in
+// `results/golden/reference_fingerprints.json` (see `tests/properties.rs`).
 
 /// A component flattened for the hot loop. Wire ids are raw indices;
 /// `u32::MAX` marks an absent gate input b. Transport inputs live in
@@ -579,140 +568,6 @@ impl Model for CircuitModel {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Reference event loop (pre-optimization), retained verbatim.
-
-/// The original interpreted circuit model: nested-`Vec` fanout, enum
-/// components holding their own input vectors, and `BTreeMap` probes.
-/// Kept as the perf baseline measured into BENCH_8.json and as the
-/// differential oracle proving the compiled loop replays the exact same
-/// event sequence.
-struct ReferenceModel {
-    netlist: Netlist,
-    fanout: Vec<Vec<CompId>>,
-    values: Vec<bool>,
-    pending: Vec<Option<Pending>>,
-    next_seq: u64,
-    probes: BTreeMap<WireId, Vec<(Fs, bool)>>,
-}
-
-impl ReferenceModel {
-    fn set_wire(
-        &mut self,
-        now: Time,
-        wire: WireId,
-        value: bool,
-        sched: &mut Scheduler<CircuitEvent>,
-    ) {
-        let idx = wire.0 as usize;
-        if self.values[idx] == value {
-            return;
-        }
-        self.values[idx] = value;
-        if let Some(trace) = self.probes.get_mut(&wire) {
-            trace.push((now.as_ps(), value));
-        }
-        for i in 0..self.fanout[idx].len() {
-            let comp = self.fanout[idx][i];
-            self.touch(now, comp, sched);
-        }
-    }
-
-    fn touch(&mut self, now: Time, comp: CompId, sched: &mut Scheduler<CircuitEvent>) {
-        let c = comp.0 as usize;
-        match &self.netlist.comps[c] {
-            Component::Gate {
-                kind,
-                a,
-                b,
-                out,
-                delay,
-            } => {
-                let va = self.values[a.0 as usize];
-                let vb = b.map(|w| self.values[w.0 as usize]).unwrap_or(false);
-                let v = kind.eval(va, vb);
-                let cur = self.values[out.0 as usize];
-                let delay = *delay;
-                match self.pending[c] {
-                    Some(p) if p.value == v => {}
-                    Some(_) => {
-                        self.pending[c] = None;
-                        if v != cur {
-                            self.schedule_gate(comp, v, delay, sched);
-                        }
-                    }
-                    None => {
-                        if v != cur {
-                            self.schedule_gate(comp, v, delay, sched);
-                        }
-                    }
-                }
-                let _ = now;
-            }
-            Component::Transport { inputs, out, delay } => {
-                let v = inputs.iter().any(|w| self.values[w.0 as usize]);
-                let (out, delay) = (*out, *delay);
-                sched.schedule_in(
-                    baldur_sim::Duration::from_ps(delay),
-                    CircuitEvent::Drive {
-                        wire: out,
-                        value: v,
-                    },
-                );
-            }
-        }
-    }
-
-    fn schedule_gate(
-        &mut self,
-        comp: CompId,
-        value: bool,
-        delay: Fs,
-        sched: &mut Scheduler<CircuitEvent>,
-    ) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.pending[comp.0 as usize] = Some(Pending { value, seq });
-        sched.schedule_in(
-            baldur_sim::Duration::from_ps(delay),
-            CircuitEvent::GateFire { comp, seq },
-        );
-    }
-}
-
-impl Model for ReferenceModel {
-    type Event = CircuitEvent;
-
-    fn handle(&mut self, now: Time, event: CircuitEvent, sched: &mut Scheduler<CircuitEvent>) {
-        match event {
-            CircuitEvent::Drive { wire, value } => self.set_wire(now, wire, value, sched),
-            CircuitEvent::GateFire { comp, seq } => {
-                let c = comp.0 as usize;
-                if let Some(p) = self.pending[c] {
-                    if p.seq == seq {
-                        self.pending[c] = None;
-                        let out = self.netlist.comps[c].out();
-                        self.set_wire(now, out, p.value, sched);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Everything a [`CircuitSim::run_reference`] run observes, for
-/// comparison against the compiled loop's accessors.
-pub struct ReferenceRun {
-    /// Settled-or-active outcome, as [`CircuitSim::run`] would return.
-    pub outcome: RunOutcome,
-    /// Final level of every wire.
-    pub values: Vec<bool>,
-    /// Probe traces in probe insertion order.
-    pub traces: Vec<Vec<(Fs, bool)>>,
-    /// Events executed by the kernel.
-    pub events: u64,
-}
-
 /// Result of a circuit run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunOutcome {
@@ -825,69 +680,6 @@ impl CircuitSim {
         };
         self.sim = Some(sim);
         outcome
-    }
-
-    /// Runs a copy of the circuit (same probes and staged drives) on the
-    /// retained pre-optimization [`ReferenceModel`] and returns what it
-    /// observed. Does not consume or disturb the staged [`CircuitSim::run`],
-    /// so both can execute on one `CircuitSim` and be compared — that is
-    /// exactly what the equivalence tests and the `tl_loop` perf baseline
-    /// benchmark do.
-    pub fn run_reference(&self, horizon: Fs) -> ReferenceRun {
-        let netlist = self.netlist.clone().expect("netlist present");
-        let fanout = netlist.fanout();
-        let values = netlist.initial.clone();
-        let pending = vec![None; netlist.comps.len()];
-        let mut probes = BTreeMap::new();
-        for &w in &self.probes {
-            probes.insert(w, Vec::new());
-        }
-        let n = netlist.comps.len();
-        let model = ReferenceModel {
-            netlist,
-            fanout,
-            values,
-            pending,
-            next_seq: 0,
-            probes,
-        };
-        let mut sim = Simulation::new(model);
-        {
-            let (model, sched) = sim.split();
-            for i in 0..n {
-                model.touch(Time::ZERO, CompId(i as u32), sched);
-            }
-        }
-        for (wire, wave) in &self.staged_drives {
-            let sched = sim.scheduler_mut();
-            for (i, &t) in wave.transitions().iter().enumerate() {
-                sched.schedule_at(
-                    Time::from_ps(t),
-                    CircuitEvent::Drive {
-                        wire: *wire,
-                        value: i % 2 == 0,
-                    },
-                );
-            }
-        }
-        let outcome = match sim.run_until(Time::from_ps(horizon), u64::MAX) {
-            baldur_sim::engine::StopReason::Drained => RunOutcome::Settled {
-                at: sim.scheduler().now().as_ps(),
-            },
-            _ => RunOutcome::ActiveAtHorizon,
-        };
-        let events = sim.scheduler().events_executed();
-        let mut model = sim.into_model();
-        ReferenceRun {
-            outcome,
-            values: std::mem::take(&mut model.values),
-            traces: self
-                .probes
-                .iter()
-                .map(|w| model.probes.remove(w).expect("probe trace present"))
-                .collect(),
-            events,
-        }
     }
 
     fn model(&self) -> &CircuitModel {
@@ -1042,71 +834,6 @@ mod tests {
         assert_eq!(trs.len(), 2, "one set and one reset: {trs:?}");
         assert!(trs[0] > 50_000 && trs[0] < 60_000, "{trs:?}");
         assert!(trs[1] > 150_000 && trs[1] < 160_000, "{trs:?}");
-    }
-
-    /// Asserts the compiled loop and the retained reference loop observe
-    /// the same run: outcome, executed-event count (the perf harness ops
-    /// counter), every wire level, and every probe trace byte-for-byte.
-    fn assert_matches_reference(mut sim: CircuitSim, probes: &[WireId], horizon: Fs) {
-        let reference = sim.run_reference(horizon);
-        let outcome = sim.run(horizon);
-        assert_eq!(outcome, reference.outcome);
-        assert_eq!(sim.events_executed(), reference.events);
-        for w in 0..sim.netlist().wire_count() {
-            assert_eq!(
-                sim.level(WireId(w as u32)),
-                reference.values[w],
-                "wire {w} level"
-            );
-        }
-        for (slot, &w) in probes.iter().enumerate() {
-            assert_eq!(
-                sim.probe_trace(w),
-                reference.traces[slot].as_slice(),
-                "probe {slot} trace"
-            );
-        }
-    }
-
-    #[test]
-    fn compiled_loop_matches_reference_on_latch() {
-        let mut n = Netlist::new();
-        let s = n.wire();
-        let r = n.wire();
-        let q = n.wire_with(false);
-        let qb = n.wire_with(true);
-        n.gate_into(GateKind::Nor2, r, Some(qb), q, 1_930);
-        n.gate_into(GateKind::Nor2, s, Some(q), qb, 1_990);
-        let dq = n.waveguide(q, 132_000);
-        let c = n.combiner(&[dq, s]);
-        let mut sim = CircuitSim::new(n);
-        sim.probe(q);
-        sim.probe(c);
-        sim.drive(s, &Waveform::from_pulses([(50_000, 60_000)]));
-        sim.drive(r, &Waveform::from_pulses([(150_000, 160_000)]));
-        assert_matches_reference(sim, &[q, c], 1_000_000);
-    }
-
-    #[test]
-    fn compiled_loop_matches_reference_on_switch_packets() {
-        use crate::switch::{build_switch, SwitchParams};
-        use baldur_phy::length_code::LengthCode;
-        use baldur_phy::packet_wave::assemble;
-        use baldur_phy::waveform::BIT_PERIOD_FS;
-
-        let code = LengthCode::paper();
-        let mut n = Netlist::new();
-        let sw = build_switch(&mut n, SwitchParams::paper());
-        let mut sim = CircuitSim::new(n);
-        sim.probe(sw.outputs[0]);
-        sim.probe(sw.outputs[1]);
-        let p0 = assemble(&code, &[false, true], b"REF", 10 * BIT_PERIOD_FS);
-        let p1 = assemble(&code, &[false, false], b"EQV", 12 * BIT_PERIOD_FS);
-        sim.drive(sw.inputs[0], &p0.wave);
-        sim.drive(sw.inputs[1], &p1.wave);
-        let horizon = p0.end.max(p1.end) + 3_000_000;
-        let probes = [sw.outputs[0], sw.outputs[1]];
-        assert_matches_reference(sim, &probes, horizon);
     }
 
     #[test]

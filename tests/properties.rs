@@ -5,13 +5,19 @@
 //! provides the case inputs, `CASES` iterations per property, and every
 //! assertion message carries the case index so failures reproduce exactly.
 
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
+
 use baldur::phy::eightbtenb::{
     max_run_length, Code10, Decoder, Disparity, Encoder, Symbol, VALID_CONTROL,
 };
 use baldur::phy::length_code::LengthCode;
-use baldur::phy::waveform::Waveform;
+use baldur::phy::packet_wave::assemble;
+use baldur::phy::waveform::{Fs, Waveform, BIT_PERIOD_FS};
 use baldur::sim::rng::StreamRng;
 use baldur::sim::stats::{Reservoir, Streaming};
+use baldur::tl::netlist::{CircuitSim, GateKind, Netlist, RunOutcome, WireId};
+use baldur::tl::switch::{build_switch, SwitchParams};
 use baldur::topo::graph::NodeId;
 use baldur::topo::multibutterfly::MultiButterfly;
 
@@ -54,6 +60,7 @@ fn pair_at(rd: Disparity) -> (Encoder, Decoder) {
         assert_eq!(dec.decode(c), Ok(Symbol::Data(0x0B)));
     }
     assert_eq!(enc.disparity(), rd);
+    assert_eq!(dec.disparity(), rd);
     (enc, dec)
 }
 
@@ -551,7 +558,6 @@ fn soa_models_match_retired_baselines_byte_identically() {
     use baldur::net::config::{BaldurParams, RouterParams};
     use baldur::net::runner::{run, NetworkKind, RunConfig, Workload};
     use baldur::net::traffic::Pattern;
-    use std::collections::BTreeMap;
 
     let fingerprint = |cfg: &RunConfig| {
         let report = run(cfg);
@@ -603,28 +609,134 @@ fn soa_models_match_retired_baselines_byte_identically() {
             got.insert(format!("case{case:02}/{label}/n{nodes}"), digest);
         }
     }
+    assert_fingerprints(FINGERPRINTS, &got);
+}
 
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(FINGERPRINTS);
+/// Checks `got` (entry id → hex SHA-256) against the committed table at
+/// the repo-relative `golden`, or re-records the table when
+/// `BALDUR_BLESS` is set. Both the key set and every digest must match.
+fn assert_fingerprints(golden: &str, got: &BTreeMap<String, String>) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(golden);
     if std::env::var_os("BALDUR_BLESS").is_some() {
-        let text = serde_json::to_string_pretty(&got).expect("the vendored renderer never fails");
-        std::fs::write(&path, text + "\n").unwrap_or_else(|e| panic!("bless {FINGERPRINTS}: {e}"));
+        let text = serde_json::to_string_pretty(got).expect("the vendored renderer never fails");
+        std::fs::write(&path, text + "\n").unwrap_or_else(|e| panic!("bless {golden}: {e}"));
         return;
     }
-    let text =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {FINGERPRINTS}: {e}"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {golden}: {e}"));
     let want: BTreeMap<String, String> =
-        serde_json::from_str(&text).unwrap_or_else(|e| panic!("parse {FINGERPRINTS}: {e}"));
+        serde_json::from_str(&text).unwrap_or_else(|e| panic!("parse {golden}: {e}"));
     assert_eq!(
         got.keys().collect::<Vec<_>>(),
         want.keys().collect::<Vec<_>>(),
-        "the case matrix drifted from {FINGERPRINTS}"
+        "the entry set drifted from {golden}"
     );
-    for (id, digest) in &got {
+    for (id, digest) in got {
         assert_eq!(
             digest, &want[id],
-            "{id}: the report diverged from the retired model's fingerprint"
+            "{id}: the output diverged from its fingerprint in {golden}"
         );
     }
+}
+
+/// Repo-relative path of the pinned codec tables and circuit runs.
+const REFERENCE_FINGERPRINTS: &str = "results/golden/reference_fingerprints.json";
+
+/// A NOR latch set then reset, its output through a waveguide and a
+/// combiner (both transport elements), with two probes.
+fn latch_circuit() -> (CircuitSim, Fs) {
+    let mut n = Netlist::new();
+    let s = n.wire();
+    let r = n.wire();
+    let q = n.wire_with(false);
+    let qb = n.wire_with(true);
+    n.gate_into(GateKind::Nor2, r, Some(qb), q, 1_930);
+    n.gate_into(GateKind::Nor2, s, Some(q), qb, 1_990);
+    let dq = n.waveguide(q, 132_000);
+    let c = n.combiner(&[dq, s]);
+    let mut sim = CircuitSim::new(n);
+    sim.probe(q);
+    sim.probe(c);
+    sim.drive(s, &Waveform::from_pulses([(50_000, 60_000)]));
+    sim.drive(r, &Waveform::from_pulses([(150_000, 160_000)]));
+    (sim, 1_000_000)
+}
+
+/// The paper's 2x2 switch with a packet on each input (the contention
+/// case), probing both outputs.
+fn switch_circuit() -> (CircuitSim, Fs) {
+    let code = LengthCode::paper();
+    let mut n = Netlist::new();
+    let sw = build_switch(&mut n, SwitchParams::paper());
+    let mut sim = CircuitSim::new(n);
+    sim.probe(sw.outputs[0]);
+    sim.probe(sw.outputs[1]);
+    let p0 = assemble(&code, &[false, true], b"REF", 10 * BIT_PERIOD_FS);
+    let p1 = assemble(&code, &[false, false], b"EQV", 12 * BIT_PERIOD_FS);
+    sim.drive(sw.inputs[0], &p0.wave);
+    sim.drive(sw.inputs[1], &p1.wave);
+    (sim, p0.end.max(p1.end) + 3_000_000)
+}
+
+/// Runs a prepared circuit and renders what it observed: the outcome,
+/// the executed-event count, every wire's final level, and every probe
+/// trace.
+fn circuit_run((mut sim, horizon): (CircuitSim, Fs)) -> String {
+    let outcome = sim.run(horizon);
+    assert!(matches!(outcome, RunOutcome::Settled { .. }), "{outcome:?}");
+    let mut text = format!("{outcome:?}\nevents {}\nlevels ", sim.events_executed());
+    text.extend((0..sim.netlist().wire_count()).map(|w| {
+        if sim.level(WireId(w as u32)) {
+            '1'
+        } else {
+            '0'
+        }
+    }));
+    for (slot, (_, trace)) in sim.probe_iter().enumerate() {
+        let _ = write!(text, "\nprobe{slot} {trace:?}");
+    }
+    text
+}
+
+/// The 8b/10b lookup tables and the compiled gate-level event loop each
+/// replaced a branchy reference implementation, which was deleted once
+/// its output was pinned in [`REFERENCE_FINGERPRINTS`]:
+///
+/// * `codec/encode`: all 2×256 `(RD, byte) → (code group, exit RD)`
+///   encoder cells;
+/// * `codec/decode`: all 2×1024 `(RD, code) → (symbol or error, exit RD)`
+///   decoder cells, so error precedence is pinned too;
+/// * `tl/latch` and `tl/switch_packets`: two circuit runs, covering the
+///   outcome, the event count, every wire level, and every probe trace.
+///
+/// Both codec tables cover every input, so they pin the whole function.
+/// Re-record with `BALDUR_BLESS=1 cargo test -q --test properties
+/// codec_and_gate_loop`.
+#[test]
+fn codec_and_gate_loop_match_retired_references() {
+    let mut encode = String::new();
+    let mut decode = String::new();
+    for rd in [Disparity::Negative, Disparity::Positive] {
+        for byte in 0..=u8::MAX {
+            let (mut enc, _) = pair_at(rd);
+            let code = enc.encode_data(byte);
+            let _ = writeln!(encode, "{rd:?} {byte:#04x} {code} {:?}", enc.disparity());
+        }
+        for raw in 0u16..1024 {
+            let (_, mut dec) = pair_at(rd);
+            let out = dec.decode(Code10(raw));
+            let _ = writeln!(decode, "{rd:?} {raw:#05x} {out:?} {:?}", dec.disparity());
+        }
+    }
+    let got: BTreeMap<String, String> = [
+        ("codec/encode", encode),
+        ("codec/decode", decode),
+        ("tl/latch", circuit_run(latch_circuit())),
+        ("tl/switch_packets", circuit_run(switch_circuit())),
+    ]
+    .into_iter()
+    .map(|(id, text)| (id.to_string(), baldur::hash::hex_digest(text.as_bytes())))
+    .collect();
+    assert_fingerprints(REFERENCE_FINGERPRINTS, &got);
 }
 
 /// The two scheduler backends (binary heap and calendar queue) deliver

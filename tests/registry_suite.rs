@@ -39,8 +39,15 @@ const GOLDEN_EXEMPT: &[&str] = &[
 /// registered experiment. Each must be pinned by its own freshness test
 /// (the lint report by `tests/lint_wall.rs::lint_json_snapshot_is_fresh`,
 /// the packet-model fingerprints by
-/// `tests/properties.rs::soa_models_match_retired_baselines_byte_identically`).
-const TOOL_GOLDENS: &[&str] = &["lint.json", "perf_ops.json", "soa_fingerprints.json"];
+/// `tests/properties.rs::soa_models_match_retired_baselines_byte_identically`,
+/// the codec and circuit fingerprints by
+/// `tests/properties.rs::codec_and_gate_loop_match_retired_references`).
+const TOOL_GOLDENS: &[&str] = &[
+    "lint.json",
+    "perf_ops.json",
+    "reference_fingerprints.json",
+    "soa_fingerprints.json",
+];
 
 fn repo_path(rel: &str) -> std::path::PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join(rel)
