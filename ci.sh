@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Golden gate for this repository. Fully offline: formatting, the
+# Golden gate for this repository. Fully offline: formatting, clippy, the
 # baldur-lint static-analysis wall, a release build, the test suite (with
 # and without the `validate` runtime-invariant feature), and a timestamped
 # JSON summary under results/. Exits nonzero on the first failure.
@@ -69,6 +69,9 @@ write_summary() {
 }
 
 run_step fmt cargo fmt --all --check
+# The workspace's deny-level clippy classes (correctness, suspicious, and
+# the named lints in Cargo.toml) over every target, tests included.
+run_step clippy cargo clippy --workspace --all-targets -q
 run_step lint cargo run --release -p baldur-lint
 # The lint crate holds itself to the strictest bar: every rule, zero
 # allowlist entries. A machine-readable report lands in results/lint.json
@@ -93,8 +96,9 @@ run_step registry-completeness cargo test -q --test registry_suite
 # Fault-injection smoke: small topology, 5% failures, fixed seed; asserts
 # packet conservation and run-to-run byte-identity, exits nonzero on drift.
 run_step fault-smoke cargo run --release -p baldur-bench --bin faults -- --smoke
-# Crash-recovery smoke: SIGKILL a sweep subprocess mid-run, resume it from
-# the completion journal, and require byte-identical figure output.
+# Crash-recovery smoke: SIGKILL a sweep subprocess mid-run, rerun it
+# against the same cache, and require every finished job to replay and the
+# figure output to be byte-identical.
 run_step crash-recovery-smoke cargo test -q --test crash_recovery
 # Chaos smoke: seeded fail/repair schedules with the runtime invariant
 # oracle on; asserts zero violations, byte-identical repeat runs, and the

@@ -21,7 +21,6 @@ pub fn usage() -> String {
      --json PATH          also write structured results as JSON\n\
      --cache-dir DIR      run-cache directory (default results/cache)\n\
      --no-cache           recompute every run\n\
-     --resume             replay journal-confirmed jobs after a crash\n\
      --job-timeout SECS   per-attempt watchdog deadline (default off)\n\
      --timeout-retries N  extra attempts for a timed-out job (default 2)\n\
      --fail-budget N      tolerated failures before aborting the sweep\n\
@@ -97,25 +96,6 @@ impl Args {
         }
     }
 
-    /// Parses `--name` as a comma-separated list of floats (e.g.
-    /// `--loads 0.1,0.3,0.5`), or returns `default`. A malformed entry
-    /// is a usage error (exit 2) naming the offending piece.
-    pub fn get_f64_list(&self, name: &str, default: &[f64]) -> Vec<f64> {
-        match self.get(name) {
-            None => default.to_vec(),
-            Some(raw) => raw
-                .split(',')
-                .map(|piece| {
-                    piece.trim().parse::<f64>().unwrap_or_else(|_| {
-                        usage_error(&format!(
-                            "--{name}: `{piece}` is not a number (expected e.g. 0.1,0.3,0.5)"
-                        ))
-                    })
-                })
-                .collect(),
-        }
-    }
-
     /// Builds an [`EvalConfig`] from the common flags.
     pub fn eval_config(&self) -> EvalConfig {
         let base = if self.flag("paper") {
@@ -163,35 +143,16 @@ impl Args {
     /// `--cache-dir` (default [`DEFAULT_CACHE_DIR`]) unless `--no-cache`
     /// was passed; worker count follows `--threads` / `BALDUR_THREADS`;
     /// supervision follows `--job-timeout` / `--timeout-retries` /
-    /// `--fail-budget`; `--resume` replays the completion journal.
+    /// `--fail-budget`. After a killed run, the same command replays
+    /// every finished job from the cache.
     pub fn sweep(&self, cfg: &EvalConfig) -> Sweep {
-        let sw = Sweep::new(cfg.threads)
-            .with_policy(self.policy())
-            .with_resume(self.flag("resume"));
+        let sw = Sweep::new(cfg.threads).with_policy(self.policy());
         if self.flag("no-cache") {
             sw
         } else {
             sw.with_cache_dir(self.get("cache-dir").unwrap_or(DEFAULT_CACHE_DIR))
         }
     }
-
-    /// Writes `value` as JSON to the `--json` path, if given.
-    ///
-    /// # Panics
-    ///
-    /// Panics if serialization or the write fails.
-    pub fn maybe_write_json<T: serde::Serialize>(&self, value: &T) {
-        if let Some(path) = self.get("json") {
-            let s = serde_json::to_string_pretty(value).expect("serialize results");
-            std::fs::write(path, s).unwrap_or_else(|e| panic!("write {path}: {e}"));
-            eprintln!("wrote {path}");
-        }
-    }
-}
-
-/// Prints a section header.
-pub fn header(title: &str) {
-    println!("\n=== {title} ===");
 }
 
 /// Prints the per-sweep wall-clock and cache-hit counters to stderr, so
@@ -242,6 +203,5 @@ mod tests {
         let args = Args::default();
         let p = args.policy();
         assert_eq!(p, Policy::default());
-        assert_eq!(args.get_f64_list("loads", &[0.1, 0.9]), vec![0.1, 0.9]);
     }
 }

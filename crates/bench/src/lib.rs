@@ -16,9 +16,8 @@
 //!   all cores),
 //! * `--csv PATH` / `--json PATH` — also write the structured results,
 //! * `--cache-dir DIR` — run-cache directory (default `results/cache`),
-//! * `--no-cache` — recompute every run, bypassing the cache,
-//! * `--resume` — replay jobs the completion journal confirms finished
-//!   (crash recovery after a killed run),
+//! * `--no-cache` — recompute every run, bypassing the cache (with the
+//!   cache on, rerunning a killed command replays every finished job),
 //! * `--job-timeout SECS` — watchdog deadline per job attempt (default
 //!   off); timed-out jobs are retried with jittered backoff, then
 //!   quarantined,
@@ -40,6 +39,5 @@ pub mod cli;
 pub mod perf;
 pub mod runner;
 
-pub use baldur::registry::fmt_ns;
-pub use cli::{finish, header, or_die, print_sweep_summary, usage, usage_error, Args};
+pub use cli::{finish, or_die, print_sweep_summary, usage, usage_error, Args};
 pub use runner::{all_figures_main, registry_main};

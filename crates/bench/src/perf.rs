@@ -6,16 +6,15 @@
 //! clock-free; this module supplies the monotonic nanosecond source via
 //! [`baldur::experiments::install_wall_clock`], validates the
 //! `BALDUR_BENCH_SAMPLES` override (a malformed or zero value is a
-//! usage error, exit 2 — not a silent clamp), and hosts the [`Group`]
-//! micro-harness the `benches/` targets use.
+//! usage error, exit 2 — not a silent clamp).
 
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use baldur::experiments::{WallStats, MIN_SAMPLES};
+use baldur::experiments::MIN_SAMPLES;
 
 /// Default timed samples per benchmark when `BALDUR_BENCH_SAMPLES` is
-/// unset and no `--samples`/`sample_size` override applies.
+/// unset.
 pub const DEFAULT_SAMPLES: usize = 10;
 
 static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -108,92 +107,9 @@ pub fn install_for_registry() {
     }
 }
 
-/// A named benchmark group printing one line per measured function.
-///
-/// The `benches/` targets use this plain harness (the build environment
-/// has no `criterion`): a fixed warmup, `samples` timed runs, and a
-/// robust median/min/MAD report with outlier rejection (shared with the
-/// registry's `perf` experiment via [`WallStats`]).
-pub struct Group {
-    name: String,
-    samples: usize,
-    warmup: usize,
-}
-
-impl Group {
-    /// Creates a group. The sample count comes from
-    /// `BALDUR_BENCH_SAMPLES` when set (malformed or zero values are a
-    /// usage error, exit 2), else [`DEFAULT_SAMPLES`].
-    pub fn new(name: &str) -> Self {
-        let samples = match samples_from_env() {
-            Ok(n) => n.unwrap_or(DEFAULT_SAMPLES),
-            Err(msg) => crate::cli::usage_error(&msg),
-        };
-        Group {
-            name: name.to_string(),
-            samples,
-            warmup: 1,
-        }
-    }
-
-    /// Overrides the per-benchmark sample count (clamped to
-    /// [`MIN_SAMPLES`]). The environment override wins: an explicit
-    /// `BALDUR_BENCH_SAMPLES` is the operator speaking.
-    pub fn sample_size(&mut self, samples: usize) -> &mut Self {
-        match samples_from_env() {
-            Ok(Some(_)) => {} // operator override outranks the harness default
-            Ok(None) => self.samples = samples.max(MIN_SAMPLES),
-            Err(msg) => crate::cli::usage_error(&msg),
-        }
-        self
-    }
-
-    /// Times `f` and prints `group/name: median (min .., mad ..)`. The
-    /// closure's return value is consumed with [`std::hint::black_box`]
-    /// so the work is not optimized away.
-    pub fn bench_function<R>(&mut self, name: &str, mut f: impl FnMut() -> R) -> &mut Self {
-        for _ in 0..self.warmup {
-            std::hint::black_box(f());
-        }
-        let mut times_ns: Vec<f64> = Vec::with_capacity(self.samples);
-        for _ in 0..self.samples {
-            let start = monotonic_ns();
-            std::hint::black_box(f());
-            times_ns.push(monotonic_ns().saturating_sub(start) as f64);
-        }
-        let stats = WallStats::from_samples(&times_ns);
-        println!(
-            "{}/{name}: {} (min {} .. mad {}) over {} samples ({} rejected)",
-            self.name,
-            crate::fmt_ns(stats.median_ns),
-            crate::fmt_ns(stats.min_ns),
-            crate::fmt_ns(stats.mad_ns),
-            stats.samples,
-            stats.rejected
-        );
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_function_runs_and_reports() {
-        let mut g = Group {
-            name: "test".to_string(),
-            samples: DEFAULT_SAMPLES,
-            warmup: 1,
-        };
-        let mut calls = 0u32;
-        g.sample_size(3).bench_function("noop", || {
-            calls += 1;
-            calls
-        });
-        // 1 warmup + 3 samples (no env override in the test harness).
-        assert_eq!(calls, 4);
-    }
 
     #[test]
     fn monotonic_ns_is_nondecreasing() {

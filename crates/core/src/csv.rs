@@ -225,14 +225,16 @@ pub fn scaling(rows: &[ScalingRow]) -> String {
 mod tests {
     use super::*;
     use crate::experiments::{table_v, EvalConfig};
+    use crate::sweep::Sweep;
 
     #[test]
     fn table5_csv_is_well_formed() {
-        let rows = table_v(&EvalConfig {
+        let cfg = EvalConfig {
             nodes: 64,
             packets_per_node: 20,
             ..EvalConfig::tiny()
-        });
+        };
+        let rows = table_v(&Sweep::new(0), &cfg);
         let csv = table5(&rows);
         let lines: Vec<&str> = csv.trim().lines().collect();
         assert_eq!(lines.len(), 6); // header + 5 rows
@@ -244,7 +246,7 @@ mod tests {
 
     #[test]
     fn fig8_csv_has_all_cells() {
-        let sweep = crate::experiments::figure8();
+        let sweep = crate::experiments::figure8(&Sweep::new(0));
         let csv = fig8(&sweep);
         // 4 scales x 4 networks + header.
         assert_eq!(csv.trim().lines().count(), 17);

@@ -25,7 +25,7 @@ pub enum JobErrorKind {
 }
 
 impl JobErrorKind {
-    /// Stable lower-snake name, used in journal records and status tables.
+    /// Stable lower-snake name, used in status tables.
     pub fn as_str(self) -> &'static str {
         match self {
             JobErrorKind::Panicked => "panicked",

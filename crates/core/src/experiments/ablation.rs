@@ -23,8 +23,8 @@ use crate::registry::{
 };
 use crate::sweep::Sweep;
 
-// Starts at the sweep cache-schema baseline so historical keys stay
-// valid; bump on payload-semantics changes.
+// Every historical key was written at version 1; bump on
+// payload-semantics changes.
 const VERSION: u32 = 1;
 
 pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
@@ -63,16 +63,11 @@ pub struct WiringAblation {
 
 /// Runs the randomization ablation (paper Sec. IV-E: expansion makes the
 /// network immune to worst-case permutations; without it, structured
-/// permutations concentrate on a few internal paths).
-pub fn wiring_ablation(cfg: &EvalConfig) -> Result<WiringAblation, BaldurError> {
-    wiring_ablation_on(&cfg.sweep(), cfg)
-}
-
-/// [`wiring_ablation`] on a caller-provided [`Sweep`]: the two burst
+/// permutations concentrate on a few internal paths). The two burst
 /// analyses and the two steady-state runs are four independent cached
 /// jobs. Errs when any of the four fails — the ablation is a paired
 /// comparison, meaningless with a side missing.
-pub fn wiring_ablation_on(sw: &Sweep, cfg: &EvalConfig) -> Result<WiringAblation, BaldurError> {
+pub fn wiring_ablation(sw: &Sweep, cfg: &EvalConfig) -> Result<WiringAblation, BaldurError> {
     use crate::topo::multibutterfly::Wiring;
     let pattern = Pattern::Transpose;
     let nodes = cfg.nodes.next_power_of_two();
@@ -82,7 +77,7 @@ pub fn wiring_ablation_on(sw: &Sweep, cfg: &EvalConfig) -> Result<WiringAblation
         .collect();
     let bursts = all_ok(
         "wiring_burst",
-        sw.try_map_versioned(
+        sw.try_map(
             "wiring_burst",
             VERSION,
             burst_items,
@@ -112,7 +107,7 @@ pub fn wiring_ablation_on(sw: &Sweep, cfg: &EvalConfig) -> Result<WiringAblation
         .collect();
     let mut sims = all_ok(
         "wiring_sim",
-        sw.try_map_versioned("wiring_sim", VERSION, sim_items, run),
+        sw.try_map("wiring_sim", VERSION, sim_items, run),
     )?;
     let (randomized, dilated) = match (sims.pop(), sims.pop()) {
         (Some(d), Some(r)) => (r, d),
@@ -145,15 +140,9 @@ pub struct BackoffAblation {
 /// Runs the binary-exponential-backoff ablation: a congested-but-
 /// completable configuration (multiplicity 2, transpose at 0.9 load)
 /// where retransmission pressure is real and BEB's throttling shows up
-/// as fewer wasted traversals.
-pub fn backoff_ablation(cfg: &EvalConfig) -> Result<BackoffAblation, BaldurError> {
-    backoff_ablation_on(&cfg.sweep(), cfg)
-}
-
-/// [`backoff_ablation`] on a caller-provided [`Sweep`] — the on/off runs
-/// are two independent cached jobs. Errs when either side fails (a
-/// paired comparison).
-pub fn backoff_ablation_on(sw: &Sweep, cfg: &EvalConfig) -> Result<BackoffAblation, BaldurError> {
+/// as fewer wasted traversals. The on/off runs are two independent
+/// cached jobs. Errs when either side fails (a paired comparison).
+pub fn backoff_ablation(sw: &Sweep, cfg: &EvalConfig) -> Result<BackoffAblation, BaldurError> {
     let items: Vec<RunConfig> = [true, false]
         .into_iter()
         .map(|backoff| {
@@ -176,10 +165,7 @@ pub fn backoff_ablation_on(sw: &Sweep, cfg: &EvalConfig) -> Result<BackoffAblati
             }
         })
         .collect();
-    let mut reports = all_ok(
-        "backoff",
-        sw.try_map_versioned("backoff", VERSION, items, run),
-    )?;
+    let mut reports = all_ok("backoff", sw.try_map("backoff", VERSION, items, run))?;
     let (with_backoff, without_backoff) = match (reports.pop(), reports.pop()) {
         (Some(wo), Some(w)) => (w, wo),
         _ => {
@@ -197,7 +183,7 @@ pub fn backoff_ablation_on(sw: &Sweep, cfg: &EvalConfig) -> Result<BackoffAblati
 
 fn run_hook(sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
     let cfg = p.cfg;
-    let w = wiring_ablation_on(sw, &cfg)?;
+    let w = wiring_ablation(sw, &cfg)?;
     let mut out = String::new();
     section(
         &mut out,
@@ -240,7 +226,7 @@ fn run_hook(sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
         "(expansion via randomization is what defuses structured permutations)"
     );
 
-    let b = backoff_ablation_on(sw, &cfg)?;
+    let b = backoff_ablation(sw, &cfg)?;
     section(
         &mut out,
         &format!(

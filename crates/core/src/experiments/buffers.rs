@@ -9,8 +9,8 @@ use crate::registry::{json_of, no_overrides, outln, section, ExperimentSpec, Out
 use crate::sweep::Sweep;
 
 const LABEL: &str = "buffer_sizing";
-// Starts at the sweep cache-schema baseline so historical keys stay
-// valid; bump on payload-semantics changes.
+// Every historical key was written at version 1; bump on
+// payload-semantics changes.
 const VERSION: u32 = 1;
 
 pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
@@ -33,12 +33,7 @@ pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
 
 /// The Sec. IV-E retransmission-buffer sizing study: the high-water
 /// buffer occupancy across the synthetic patterns at 0.7 load.
-pub fn buffer_sizing(cfg: &EvalConfig) -> Vec<(String, u64)> {
-    buffer_sizing_on(&cfg.sweep(), cfg)
-}
-
-/// [`buffer_sizing`] on a caller-provided [`Sweep`].
-pub fn buffer_sizing_on(sw: &Sweep, cfg: &EvalConfig) -> Vec<(String, u64)> {
+pub fn buffer_sizing(sw: &Sweep, cfg: &EvalConfig) -> Vec<(String, u64)> {
     let patterns = [
         Pattern::RandomPermutation,
         Pattern::Transpose,
@@ -64,7 +59,7 @@ pub fn buffer_sizing_on(sw: &Sweep, cfg: &EvalConfig) -> Vec<(String, u64)> {
             (pattern.name().to_string(), rc)
         })
         .collect();
-    sw.map_versioned(LABEL, VERSION, items, |(name, rc)| {
+    sw.map(LABEL, VERSION, items, |(name, rc)| {
         let r = run(rc);
         (name.clone(), r.max_retx_buffer_bytes)
     })
@@ -72,7 +67,7 @@ pub fn buffer_sizing_on(sw: &Sweep, cfg: &EvalConfig) -> Vec<(String, u64)> {
 
 fn run_hook(sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
     let cfg = p.cfg;
-    let rows = buffer_sizing_on(sw, &cfg);
+    let rows = buffer_sizing(sw, &cfg);
     let mut out = String::new();
     section(
         &mut out,

@@ -174,20 +174,10 @@ fn chaos_run_config(cfg: &EvalConfig, net: &NetworkKind, seed: u64, pairs: u32) 
     .with_faults(plan)
 }
 
-/// [`chaos_on`] over the spec's default lineup (Baldur plus the fat-tree
-/// baseline) with a fresh sweep, for the golden suite and library callers
-/// outside the registry.
-pub fn chaos(cfg: &EvalConfig, seeds: u64, pairs: u32) -> Vec<ChaosRow> {
-    let lineup: Vec<(String, NetworkKind)> = ["baldur", "fattree"]
-        .iter()
-        .filter_map(|n| NetworkKind::by_name(n, cfg.nodes).map(|net| (n.to_string(), net)))
-        .collect();
-    chaos_on(&cfg.sweep(), cfg, &lineup, seeds, pairs)
-}
-
-/// Runs `seeds` chaos schedules per (non-ideal) network through the
-/// supervised sweep machinery.
-pub fn chaos_on(
+/// Runs `seeds` chaos schedules per (non-ideal) network of `lineup`
+/// (the registry's `networks` axis) through the supervised sweep
+/// machinery.
+pub fn chaos(
     sw: &Sweep,
     cfg: &EvalConfig,
     lineup: &[(String, NetworkKind)],
@@ -205,7 +195,7 @@ pub fn chaos_on(
             items.push((name.clone(), seed, rc));
         }
     }
-    sw.map_versioned(LABEL, VERSION, items, |(name, seed, rc)| ChaosRow {
+    sw.map(LABEL, VERSION, items, |(name, seed, rc)| ChaosRow {
         network: name.clone(),
         seed: *seed,
         events: rc.faults.as_ref().map_or(0, |p| p.events.len()),
@@ -330,7 +320,7 @@ fn run_sweep(sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
             cfg.nodes
         ),
     );
-    let rows = chaos_on(sw, &cfg, &lineup, seeds, pairs);
+    let rows = chaos(sw, &cfg, &lineup, seeds, pairs);
     print_rows(&mut out, &rows);
     let complaints = gate(&rows);
     if let Some(first) = complaints.first() {
@@ -381,8 +371,8 @@ fn run_smoke(sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
             small.nodes, small.packets_per_node, small.seed
         ),
     );
-    let first = chaos_on(sw, &small, &lineup, seeds, pairs);
-    let second = chaos_on(sw, &small, &lineup, seeds, pairs);
+    let first = chaos(sw, &small, &lineup, seeds, pairs);
+    let second = chaos(sw, &small, &lineup, seeds, pairs);
     let csv_a = crate::csv::chaos(&first);
     let csv_b = crate::csv::chaos(&second);
     print_rows(&mut out, &first);

@@ -13,8 +13,8 @@ use super::EvalConfig;
 
 const LABEL: &str = "droptool";
 const REQ_LABEL: &str = "droptool_req";
-// Starts at the sweep cache-schema baseline so historical keys stay
-// valid; bump on payload-semantics changes.
+// Every historical key was written at version 1; bump on
+// payload-semantics changes.
 const VERSION: u32 = 1;
 
 pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
@@ -63,12 +63,7 @@ pub struct DropRow {
 
 /// The Sec. IV-E "in-house tool" study: worst-case drop rate versus
 /// multiplicity and scale, plus the required multiplicity per scale.
-pub fn droptool_study(scales: &[u32], seed: u64) -> (Vec<DropRow>, Vec<(u32, u32)>) {
-    droptool_study_on(&Sweep::new(0), scales, seed)
-}
-
-/// [`droptool_study`] on a caller-provided [`Sweep`].
-pub fn droptool_study_on(sw: &Sweep, scales: &[u32], seed: u64) -> (Vec<DropRow>, Vec<(u32, u32)>) {
+pub fn droptool_study(sw: &Sweep, scales: &[u32], seed: u64) -> (Vec<DropRow>, Vec<(u32, u32)>) {
     let patterns = [
         Pattern::RandomPermutation,
         Pattern::Transpose,
@@ -82,7 +77,7 @@ pub fn droptool_study_on(sw: &Sweep, scales: &[u32], seed: u64) -> (Vec<DropRow>
             }
         }
     }
-    let rows = sw.map_versioned(LABEL, VERSION, items, |(nodes, pattern, m, seed)| {
+    let rows = sw.map(LABEL, VERSION, items, |(nodes, pattern, m, seed)| {
         let r = crate::net::droptool::worst_case(*nodes, *m, *pattern, *seed);
         DropRow {
             nodes: *nodes,
@@ -92,7 +87,7 @@ pub fn droptool_study_on(sw: &Sweep, scales: &[u32], seed: u64) -> (Vec<DropRow>
         }
     });
     let req_items: Vec<(u32, u64)> = scales.iter().map(|&n| (n, seed)).collect();
-    let required = sw.map_versioned(REQ_LABEL, VERSION, req_items, |(n, seed)| {
+    let required = sw.map(REQ_LABEL, VERSION, req_items, |(n, seed)| {
         (
             *n,
             crate::net::droptool::required_multiplicity(*n, &patterns, 0.01, 3, *seed),
@@ -107,7 +102,7 @@ fn run_hook(sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
     if p.flag("big") {
         scales.push(1 << 20);
     }
-    let (rows, required) = droptool_study_on(sw, &scales, cfg.seed);
+    let (rows, required) = droptool_study(sw, &scales, cfg.seed);
     let mut out = String::new();
     section(&mut out, "Worst-case burst drop rate (%)");
     outln!(

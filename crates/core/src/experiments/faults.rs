@@ -27,8 +27,8 @@ use crate::registry::{
 use crate::sweep::Sweep;
 
 const LABEL: &str = "faults";
-// Starts at the sweep cache-schema baseline so historical keys stay
-// valid; bump on payload-semantics changes.
+// Every historical key was written at version 1; bump on
+// payload-semantics changes.
 const VERSION: u32 = 1;
 
 pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
@@ -102,21 +102,10 @@ pub struct DegradationRow {
 /// baselines (the ideal network has no components to fail) under
 /// uniform-random traffic. Kill sets nest — a higher fraction fails a
 /// strict superset of a lower one — so goodput degrades monotonically in
-/// the fraction by construction, not by luck of the draw.
-pub fn degradation(cfg: &EvalConfig, fractions: &[f64]) -> Vec<DegradationRow> {
-    degradation_on(&cfg.sweep(), cfg, fractions)
-}
-
-/// [`degradation`] on a caller-provided [`Sweep`].
-pub fn degradation_on(sw: &Sweep, cfg: &EvalConfig, fractions: &[f64]) -> Vec<DegradationRow> {
-    degradation_lineup_on(sw, cfg, &NetworkKind::paper_lineup(cfg.nodes), fractions)
-}
-
-/// [`degradation`] on a caller-provided named lineup (the registry's
-/// `networks` axis); the ideal network is skipped wherever it appears.
-/// The paper lineup reproduces [`degradation_on`]'s items — and
-/// therefore its cache keys — exactly.
-pub fn degradation_lineup_on(
+/// the fraction by construction, not by luck of the draw. `lineup` is the
+/// registry's `networks` axis; the ideal network is skipped wherever it
+/// appears.
+pub fn degradation(
     sw: &Sweep,
     cfg: &EvalConfig,
     lineup: &[(String, NetworkKind)],
@@ -145,7 +134,7 @@ pub fn degradation_lineup_on(
             items.push((name.clone(), fraction, rc));
         }
     }
-    sw.map_versioned(LABEL, VERSION, items, |(name, fraction, rc)| {
+    sw.map(LABEL, VERSION, items, |(name, fraction, rc)| {
         DegradationRow {
             network: name.clone(),
             fraction: *fraction,
@@ -197,7 +186,7 @@ fn run_sweep(sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
             cfg.nodes, cfg.packets_per_node
         ),
     );
-    let rows = degradation_lineup_on(sw, &cfg, &lineup, &fracs);
+    let rows = degradation(sw, &cfg, &lineup, &fracs);
     print_rows(&mut out, &rows);
     Ok(Output {
         console: out,
@@ -226,8 +215,10 @@ fn run_smoke(_sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
             small.nodes, small.packets_per_node, small.seed
         ),
     );
-    let first = degradation(&small, &fracs);
-    let second = degradation(&small, &fracs);
+    let uncached = Sweep::new(small.threads);
+    let lineup = NetworkKind::paper_lineup(small.nodes);
+    let first = degradation(&uncached, &small, &lineup, &fracs);
+    let second = degradation(&uncached, &small, &lineup, &fracs);
     let csv_a = crate::csv::faults(&first);
     let csv_b = crate::csv::faults(&second);
     let mut violations: Vec<String> = Vec::new();

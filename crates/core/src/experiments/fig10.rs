@@ -9,8 +9,8 @@ use crate::registry::{json_of, no_overrides, outln, section, ExperimentSpec, Out
 use crate::sweep::Sweep;
 
 const LABEL: &str = "fig10";
-// Starts at the sweep cache-schema baseline so historical keys stay
-// valid; bump on payload-semantics changes.
+// Every historical key was written at version 1; bump on
+// payload-semantics changes.
 const VERSION: u32 = 1;
 
 pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
@@ -51,15 +51,9 @@ pub struct Fig10Row {
     pub breakdown: crate::cost::CostBreakdown,
 }
 
-/// The Figure 10 cost sweep.
-pub fn figure10() -> Vec<Fig10Row> {
-    paper_scales().iter().map(fig10_row).collect()
-}
-
-/// [`figure10`] on a caller-provided [`Sweep`] — one cached job per
-/// scale.
-pub fn figure10_on(sw: &Sweep) -> Vec<Fig10Row> {
-    sw.map_versioned(LABEL, VERSION, paper_scales(), fig10_row)
+/// The Figure 10 cost sweep — one cached job per scale.
+pub fn figure10(sw: &Sweep) -> Vec<Fig10Row> {
+    sw.map(LABEL, VERSION, paper_scales(), fig10_row)
 }
 
 fn fig10_row(item: &(u64, String)) -> Fig10Row {
@@ -72,7 +66,7 @@ fn fig10_row(item: &(u64, String)) -> Fig10Row {
 }
 
 fn run_hook(sw: &Sweep, _p: &Params) -> Result<Output, BaldurError> {
-    let rows = figure10_on(sw);
+    let rows = figure10(sw);
     let mut out = String::new();
     section(&mut out, "Figure 10: cost per node (USD)");
     outln!(

@@ -15,8 +15,8 @@ use crate::registry::{
 use crate::sweep::Sweep;
 
 const LABEL: &str = "fig6";
-// Starts at the sweep cache-schema baseline so historical keys stay
-// valid; bump on payload-semantics changes.
+// Every historical key was written at version 1; bump on
+// payload-semantics changes.
 const VERSION: u32 = 1;
 
 pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
@@ -85,20 +85,9 @@ pub struct Fig6Row {
 }
 
 /// The Figure 6 load sweep: average + tail latency for four patterns on
-/// all five networks.
-pub fn figure6(cfg: &EvalConfig, loads: &[f64]) -> Vec<Fig6Row> {
-    figure6_on(&cfg.sweep(), cfg, loads)
-}
-
-/// [`figure6`] on a caller-provided [`Sweep`].
-pub fn figure6_on(sw: &Sweep, cfg: &EvalConfig, loads: &[f64]) -> Vec<Fig6Row> {
-    figure6_lineup_on(sw, cfg, &NetworkKind::paper_lineup(cfg.nodes), loads)
-}
-
-/// [`figure6`] on a caller-provided named lineup (the registry's
-/// `networks` axis). The paper lineup reproduces [`figure6_on`]'s items
-/// — and therefore its cache keys — exactly.
-pub fn figure6_lineup_on(
+/// every network of `lineup` (the registry's `networks` axis;
+/// [`NetworkKind::paper_lineup`] is the paper's five).
+pub fn figure6(
     sw: &Sweep,
     cfg: &EvalConfig,
     lineup: &[(String, NetworkKind)],
@@ -130,7 +119,7 @@ pub fn figure6_lineup_on(
             }
         }
     }
-    sw.map_versioned(LABEL, VERSION, items, |(pattern, name, load, rc)| Fig6Row {
+    sw.map(LABEL, VERSION, items, |(pattern, name, load, rc)| Fig6Row {
         pattern: pattern.clone(),
         network: name.clone(),
         load: *load,
@@ -142,7 +131,7 @@ fn run_hook(sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
     let cfg = p.cfg;
     let loads = p.f64_list("loads")?;
     let lineup = networks_axis(p, cfg.nodes)?;
-    let rows = figure6_lineup_on(sw, &cfg, &lineup, &loads);
+    let rows = figure6(sw, &cfg, &lineup, &loads);
     let mut out = String::new();
     for pattern in [
         "random_permutation",

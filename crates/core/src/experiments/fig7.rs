@@ -15,8 +15,8 @@ use crate::sim::stats::geometric_mean;
 use crate::sweep::Sweep;
 
 const LABEL: &str = "fig7";
-// Starts at the sweep cache-schema baseline so historical keys stay
-// valid; bump on payload-semantics changes.
+// Every historical key was written at version 1; bump on
+// payload-semantics changes.
 const VERSION: u32 = 1;
 
 pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
@@ -57,12 +57,7 @@ pub struct Fig7Row {
 
 /// The Figure 7 workload set: hotspot, both ping-pongs, and the four HPC
 /// traces, on all five networks.
-pub fn figure7(cfg: &EvalConfig) -> Vec<Fig7Row> {
-    figure7_on(&cfg.sweep(), cfg)
-}
-
-/// [`figure7`] on a caller-provided [`Sweep`].
-pub fn figure7_on(sw: &Sweep, cfg: &EvalConfig) -> Vec<Fig7Row> {
+pub fn figure7(sw: &Sweep, cfg: &EvalConfig) -> Vec<Fig7Row> {
     let mut workloads: Vec<(String, Workload)> = vec![
         (
             "hotspot".into(),
@@ -104,7 +99,7 @@ pub fn figure7_on(sw: &Sweep, cfg: &EvalConfig) -> Vec<Fig7Row> {
             items.push((wname.clone(), nname, rc));
         }
     }
-    sw.map_versioned(LABEL, VERSION, items, |(wname, nname, rc)| Fig7Row {
+    sw.map(LABEL, VERSION, items, |(wname, nname, rc)| Fig7Row {
         workload: wname.clone(),
         network: nname.clone(),
         report: run(rc),
@@ -163,7 +158,7 @@ pub fn fig7_geomeans(rows: &[Fig7Row]) -> Vec<(String, f64, f64)> {
 
 fn run_hook(sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
     let cfg = p.cfg;
-    let rows = figure7_on(sw, &cfg);
+    let rows = figure7(sw, &cfg);
     let workloads = [
         "hotspot",
         "ping_pong1",

@@ -7,8 +7,8 @@ use crate::registry::{json_of, no_overrides, outln, section, ExperimentSpec, Out
 use crate::sweep::Sweep;
 
 const LABEL: &str = "fig8";
-// Starts at the sweep cache-schema baseline so historical keys stay
-// valid; bump on payload-semantics changes.
+// Every historical key was written at version 1; bump on
+// payload-semantics changes.
 const VERSION: u32 = 1;
 
 pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
@@ -48,25 +48,22 @@ plot for [net in "baldur electrical_mb dragonfly fattree"] \
   '< grep ",'.net.'," fig8.csv' using 8:xtic(1) title net
 "#;
 
-/// The Figure 8 power sweep at the paper's four scales.
-pub fn figure8() -> Vec<ScalePoint> {
-    scaling_sweep(&paper_scales())
-}
-
-/// [`figure8`] on a caller-provided [`Sweep`] — one cached job per scale.
-pub fn figure8_on(sw: &Sweep) -> Vec<ScalePoint> {
-    sw.map_versioned(LABEL, VERSION, paper_scales(), |point| match scaling_sweep(
-        std::slice::from_ref(point),
+/// The Figure 8 power sweep at the paper's four scales — one cached job
+/// per scale.
+pub fn figure8(sw: &Sweep) -> Vec<ScalePoint> {
+    sw.map(
+        LABEL,
+        VERSION,
+        paper_scales(),
+        |point| match scaling_sweep(std::slice::from_ref(point)).pop() {
+            Some(row) => row,
+            None => unreachable!("scaling_sweep returns one point per scale"),
+        },
     )
-    .pop()
-    {
-        Some(row) => row,
-        None => unreachable!("scaling_sweep returns one point per scale"),
-    })
 }
 
 fn run_hook(sw: &Sweep, _p: &Params) -> Result<Output, BaldurError> {
-    let sweep = figure8_on(sw);
+    let sweep = figure8(sw);
     let mut out = String::new();
     section(&mut out, "Figure 8: power per node (W)");
     outln!(

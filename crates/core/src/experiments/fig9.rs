@@ -10,8 +10,8 @@ use crate::registry::{json_of, no_overrides, outln, section, ExperimentSpec, Out
 use crate::sweep::Sweep;
 
 const LABEL: &str = "fig9";
-// Starts at the sweep cache-schema baseline so historical keys stay
-// valid; bump on payload-semantics changes.
+// Every historical key was written at version 1; bump on
+// payload-semantics changes.
 const VERSION: u32 = 1;
 
 pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
@@ -41,25 +41,15 @@ pub struct Fig9Row {
     pub entries: Vec<(String, f64, f64)>,
 }
 
-/// The Figure 9 sensitivity analysis at the 1M-1.4M scale.
-pub fn figure9() -> Vec<Fig9Row> {
+/// The Figure 9 sensitivity analysis at the 1M-1.4M scale — one cached
+/// job per scenario.
+pub fn figure9(sw: &Sweep) -> Vec<Fig9Row> {
     let scale = 1_048_576;
     let items: Vec<(String, u64)> = ["baseline", "pessimistic", "optimistic"]
         .into_iter()
         .map(|name| (name.to_string(), scale))
         .collect();
-    items.iter().map(fig9_row).collect()
-}
-
-/// [`figure9`] on a caller-provided [`Sweep`] — one cached job per
-/// scenario.
-pub fn figure9_on(sw: &Sweep) -> Vec<Fig9Row> {
-    let scale = 1_048_576;
-    let items: Vec<(String, u64)> = ["baseline", "pessimistic", "optimistic"]
-        .into_iter()
-        .map(|name| (name.to_string(), scale))
-        .collect();
-    sw.map_versioned(LABEL, VERSION, items, fig9_row)
+    sw.map(LABEL, VERSION, items, fig9_row)
 }
 
 fn fig9_row(item: &(String, u64)) -> Fig9Row {
@@ -85,7 +75,7 @@ fn fig9_row(item: &(String, u64)) -> Fig9Row {
 }
 
 fn run_hook(sw: &Sweep, _p: &Params) -> Result<Output, BaldurError> {
-    let rows = figure9_on(sw);
+    let rows = figure9(sw);
     let mut out = String::new();
     section(
         &mut out,
@@ -119,7 +109,7 @@ mod tests {
 
     #[test]
     fn figure9_pessimistic_still_wins() {
-        let rows = figure9();
+        let rows = figure9(&Sweep::new(0));
         let pess = rows.iter().find(|r| r.scenario == "pessimistic").unwrap();
         for (name, _, improvement) in &pess.entries {
             if name != "baldur" {

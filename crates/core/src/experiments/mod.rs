@@ -1,21 +1,24 @@
 //! One experiment per table/figure of the paper's evaluation.
 //!
 //! This used to be a single thousand-line module; it is now a directory
-//! of per-artifact modules. Each module exports its row types and
-//! experiment functions (re-exported here, so `experiments::figure6`
-//! and friends keep their historical paths) and registers one
-//! [`crate::registry::ExperimentSpec`] with the experiment registry —
-//! the bench binaries, the `all_figures` driver, the docs table, and
-//! the completeness test all enumerate [`crate::registry::all`] instead
-//! of naming modules.
+//! of per-artifact modules. Each module exports its row types and one
+//! experiment function per sweep (re-exported here, so
+//! `experiments::figure6` and friends keep their historical paths) and
+//! registers one [`crate::registry::ExperimentSpec`] with the
+//! experiment registry — the bench binaries, the `all_figures` runner,
+//! the docs table, and the completeness test all enumerate
+//! [`crate::registry::all`] instead of naming modules.
+//!
+//! An experiment function takes the [`crate::sweep::Sweep`] to run on,
+//! the sizing config, and its axis values, and is exactly what the
+//! spec's run hook calls: tests pass an uncached `Sweep::new(0)`, the
+//! bench binaries a cached one, and both exercise the same code path.
 //!
 //! The default parameters are sized to run in seconds-to-minutes — pass
 //! larger [`EvalConfig`] values to approach the paper's full 1,024-node
 //! × 10,000-packet setup.
 
 use serde::{Deserialize, Serialize};
-
-use crate::sweep::Sweep;
 
 pub(crate) mod ablation;
 pub(crate) mod awgr;
@@ -39,32 +42,29 @@ pub(crate) mod table5;
 pub(crate) mod tables34;
 pub(crate) mod topologies;
 
-pub use ablation::{
-    backoff_ablation, backoff_ablation_on, wiring_ablation, wiring_ablation_on, BackoffAblation,
-    WiringAblation,
-};
+pub use ablation::{backoff_ablation, wiring_ablation, BackoffAblation, WiringAblation};
 pub use awgr::{awgr_comparison, AwgrComparison};
-pub use buffers::{buffer_sizing, buffer_sizing_on};
-pub use chaos::{chaos, chaos_on, ChaosRow};
-pub use droptool::{droptool_study, droptool_study_on, DropRow};
-pub use faults::{degradation, degradation_lineup_on, degradation_on, DegradationRow};
-pub use fig10::{figure10, figure10_on, Fig10Row};
+pub use buffers::buffer_sizing;
+pub use chaos::{chaos, ChaosRow};
+pub use droptool::{droptool_study, DropRow};
+pub use faults::{degradation, DegradationRow};
+pub use fig10::{figure10, Fig10Row};
 pub use fig5::{figure5, Fig5Waveform};
-pub use fig6::{figure6, figure6_lineup_on, figure6_on, Fig6Row};
-pub use fig7::{fig7_geomeans, figure7, figure7_on, normalize_fig7, Fig7Row};
-pub use fig8::{figure8, figure8_on};
-pub use fig9::{figure9, figure9_on, Fig9Row};
-pub use overload::{overload, overload_network, overload_on, storm_pattern, OverloadRow};
+pub use fig6::{figure6, Fig6Row};
+pub use fig7::{fig7_geomeans, figure7, normalize_fig7, Fig7Row};
+pub use fig8::figure8;
+pub use fig9::{figure9, Fig9Row};
+pub use overload::{overload, overload_network, storm_pattern, OverloadRow};
 pub use perf::{
     bench_report, install_memory_probe, install_wall_clock, ops_report, override_samples,
     peak_rss_bytes, wall_clock_installed, wall_now_ns, BenchRecord, BenchReport, Counters,
     OpsReport, OpsRow, WallStats, MIN_SAMPLES, SCHEMA as PERF_SCHEMA,
 };
-pub use reliability::{reliability, reliability_on, ReliabilityReport};
-pub use saturation::{saturation, saturation_lineup_on, saturation_on, SaturationRow};
-pub use scaling::{scaling_curves, scaling_curves_on, ScalingRow};
-pub use table5::{table_v, table_v_on, TableVRow};
-pub use topologies::{topology_comparison, topology_comparison_on, TopologyRow};
+pub use reliability::{reliability, ReliabilityReport};
+pub use saturation::{saturation, SaturationRow};
+pub use scaling::{scaling_curves, ScalingRow};
+pub use table5::{table_v, TableVRow};
+pub use topologies::{topology_comparison, TopologyRow};
 
 /// Shared sizing knobs for the simulation-backed experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -114,42 +114,10 @@ impl EvalConfig {
             threads: 0,
         }
     }
-
-    /// A one-shot uncached [`Sweep`] honoring `self.threads` (0 resolves
-    /// through `BALDUR_THREADS`, then the machine's parallelism) — what
-    /// the plain experiment wrappers fan out on.
-    pub fn sweep(&self) -> Sweep {
-        Sweep::new(self.threads)
-    }
 }
 
 impl Default for EvalConfig {
     fn default() -> Self {
         EvalConfig::quick()
-    }
-}
-
-/// Maps `f` over `items` on a thread pool, preserving order.
-///
-/// Retained as a thin shim over [`baldur_sim::par::par_map`] (the
-/// work-stealing pool) for callers that don't need sweep accounting or
-/// caching; the experiment functions themselves go through [`Sweep`].
-pub fn parallel_map<T, R, F>(workers: usize, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    crate::sim::par::par_map(workers, items, f)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let r = parallel_map(4, (0..100).collect::<Vec<i32>>(), |&x| x * 2);
-        assert_eq!(r, (0..100).map(|x| x * 2).collect::<Vec<_>>());
     }
 }

@@ -211,26 +211,11 @@ pub fn storm_pattern(name: &str, nodes: u32) -> Option<Pattern> {
     }
 }
 
-/// [`overload_on`] over the spec's defaults with a fresh sweep, for the
-/// golden suite and library callers outside the registry. `Err` only on
-/// a non-positive load — the default network/pattern lineup always
-/// resolves.
-pub fn overload(cfg: &EvalConfig, loads: &[f64]) -> Result<Vec<OverloadRow>, BaldurError> {
-    let networks: Vec<String> = ["baldur", "fattree"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    let patterns: Vec<String> = ["uniform", "incast", "hotcast"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    overload_on(&cfg.sweep(), cfg, &networks, &patterns, loads)
-}
-
 /// Runs the full (network x pattern x load) storm grid through the
-/// supervised sweep machinery. Errs on unknown network/pattern names so
-/// the registry runner surfaces a usage error instead of panicking.
-pub fn overload_on(
+/// supervised sweep machinery. Errs on unknown network/pattern names and
+/// non-positive loads so the registry runner surfaces a usage error
+/// instead of panicking.
+pub fn overload(
     sw: &Sweep,
     cfg: &EvalConfig,
     networks: &[String],
@@ -284,16 +269,14 @@ pub fn overload_on(
             }
         }
     }
-    Ok(
-        sw.map_versioned(LABEL, VERSION, items, |(name, pname, load, rc)| {
-            OverloadRow {
-                network: name.clone(),
-                pattern: pname.clone(),
-                load: *load,
-                report: run(rc),
-            }
-        }),
-    )
+    Ok(sw.map(LABEL, VERSION, items, |(name, pname, load, rc)| {
+        OverloadRow {
+            network: name.clone(),
+            pattern: pname.clone(),
+            load: *load,
+            report: run(rc),
+        }
+    }))
 }
 
 fn print_rows(out: &mut String, rows: &[OverloadRow]) {
@@ -416,7 +399,7 @@ fn run_sweep(sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
             cfg.nodes
         ),
     );
-    let rows = overload_on(sw, &cfg, &networks, &patterns, &loads)?;
+    let rows = overload(sw, &cfg, &networks, &patterns, &loads)?;
     print_rows(&mut out, &rows);
     let complaints = gate(&rows);
     if let Some(first) = complaints.first() {
@@ -459,8 +442,8 @@ fn run_smoke(sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
             small.nodes, small.packets_per_node, loads
         ),
     );
-    let first = overload_on(sw, &small, &networks, &patterns, &loads)?;
-    let second = overload_on(sw, &small, &networks, &patterns, &loads)?;
+    let first = overload(sw, &small, &networks, &patterns, &loads)?;
+    let second = overload(sw, &small, &networks, &patterns, &loads)?;
     let csv_a = crate::csv::overload(&first);
     let csv_b = crate::csv::overload(&second);
     print_rows(&mut out, &first);
@@ -501,7 +484,16 @@ mod tests {
     /// quiet, conservation is exact, and the controls visibly shed.
     #[test]
     fn smoke_grid_passes_gate() {
-        let rows = overload(&grid_cfg(), &[0.5, 1.0, 4.0]).expect("default lineup resolves");
+        let networks = ["baldur", "fattree"].map(String::from);
+        let patterns = ["uniform", "incast", "hotcast"].map(String::from);
+        let rows = overload(
+            &Sweep::new(0),
+            &grid_cfg(),
+            &networks,
+            &patterns,
+            &[0.5, 1.0, 4.0],
+        )
+        .expect("default lineup resolves");
         assert_eq!(rows.len(), 18, "2 networks x 3 patterns x 3 loads");
         let complaints = gate(&rows);
         assert!(complaints.is_empty(), "gate complaints: {complaints:?}");
@@ -518,8 +510,8 @@ mod tests {
     #[test]
     fn unknown_network_is_a_usage_error() {
         let cfg = grid_cfg();
-        let err = overload_on(
-            &cfg.sweep(),
+        let err = overload(
+            &Sweep::new(0),
             &cfg,
             &["warpdrive".to_string()],
             &["uniform".to_string()],
@@ -532,8 +524,8 @@ mod tests {
     #[test]
     fn unknown_pattern_is_a_usage_error() {
         let cfg = grid_cfg();
-        let err = overload_on(
-            &cfg.sweep(),
+        let err = overload(
+            &Sweep::new(0),
             &cfg,
             &["baldur".to_string()],
             &["omnicast".to_string()],
@@ -547,8 +539,8 @@ mod tests {
     fn non_positive_load_is_a_usage_error() {
         let cfg = grid_cfg();
         for bad in [0.0, -1.0] {
-            let err = overload_on(
-                &cfg.sweep(),
+            let err = overload(
+                &Sweep::new(0),
                 &cfg,
                 &["baldur".to_string()],
                 &["uniform".to_string()],

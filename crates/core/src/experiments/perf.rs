@@ -449,12 +449,11 @@ fn fig6_throughput() -> Counters {
         seed: 0xBA1D,
         threads: 0,
     };
-    let sw = cfg.sweep();
     let lineup = vec![(
         "baldur".to_string(),
         NetworkKind::Baldur(BaldurParams::paper_for(u64::from(cfg.nodes))),
     )];
-    let rows = super::fig6::figure6_lineup_on(&sw, &cfg, &lineup, &[0.5]);
+    let rows = super::fig6::figure6(&Sweep::new(0), &cfg, &lineup, &[0.5]);
     let mut ops = 0u64;
     let mut packets = 0u64;
     for row in &rows {

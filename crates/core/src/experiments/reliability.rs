@@ -9,8 +9,8 @@ use crate::sweep::Sweep;
 use crate::tl::reliability::JitterModel;
 
 const LABEL: &str = "reliability";
-// Starts at the sweep cache-schema baseline so historical keys stay
-// valid; bump on payload-semantics changes.
+// Every historical key was written at version 1; bump on
+// payload-semantics changes.
 const VERSION: u32 = 1;
 
 pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
@@ -73,18 +73,9 @@ pub struct ReliabilityReport {
 
 /// Regenerates the Sec. IV-F reliability analysis. Errs when any Monte
 /// Carlo job fails: a partial threshold table would silently misstate
-/// the tail comparison.
-pub fn reliability(samples: u64, seed: u64) -> Result<ReliabilityReport, BaldurError> {
-    reliability_on(&Sweep::new(0), samples, seed)
-}
-
-/// [`reliability`] on a caller-provided [`Sweep`] — the Monte Carlo
-/// threshold points fan out (and cache) independently.
-pub fn reliability_on(
-    sw: &Sweep,
-    samples: u64,
-    seed: u64,
-) -> Result<ReliabilityReport, BaldurError> {
+/// the tail comparison. The Monte Carlo threshold points fan out (and
+/// cache) independently.
+pub fn reliability(sw: &Sweep, samples: u64, seed: u64) -> Result<ReliabilityReport, BaldurError> {
     let m = JitterModel::paper();
     let items: Vec<(f64, u64, u64)> = [1.0, 2.0, 3.0, 3.5]
         .into_iter()
@@ -92,7 +83,7 @@ pub fn reliability_on(
         .collect();
     let monte_carlo = all_ok(
         LABEL,
-        sw.try_map_versioned(LABEL, VERSION, items, |(thr, samples, seed)| {
+        sw.try_map(LABEL, VERSION, items, |(thr, samples, seed)| {
             let m = JitterModel::paper();
             (
                 *thr,
@@ -113,7 +104,7 @@ pub fn reliability_on(
 fn run_hook(sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
     let samples = p.u64("samples")?;
     let seed = p.u64("seed")?;
-    let r = reliability_on(sw, samples, seed)?;
+    let r = reliability(sw, samples, seed)?;
     let mut out = String::new();
     section(
         &mut out,
@@ -150,7 +141,7 @@ mod tests {
 
     #[test]
     fn reliability_is_1e_minus_9_class() {
-        let r = reliability(100_000, 1).expect("no faults injected here");
+        let r = reliability(&Sweep::new(0), 100_000, 1).expect("no faults injected here");
         assert!(r.analytic_error_probability < 1e-8);
         for (_, mc, an) in &r.monte_carlo {
             if *an > 1e-3 {

@@ -12,8 +12,8 @@ use crate::registry::{
 use crate::sweep::Sweep;
 
 const LABEL: &str = "saturation";
-// Starts at the sweep cache-schema baseline so historical keys stay
-// valid; bump on payload-semantics changes.
+// Every historical key was written at version 1; bump on
+// payload-semantics changes.
 const VERSION: u32 = 1;
 
 pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
@@ -77,20 +77,9 @@ pub struct SaturationRow {
 
 /// Sweeps offered load under uniform-random traffic and reports the
 /// accepted throughput of every network — the classical saturation curve
-/// backing Figure 6's "saturates at higher input loads" observation.
-pub fn saturation(cfg: &EvalConfig, loads: &[f64]) -> Vec<SaturationRow> {
-    saturation_on(&cfg.sweep(), cfg, loads)
-}
-
-/// [`saturation`] on a caller-provided [`Sweep`].
-pub fn saturation_on(sw: &Sweep, cfg: &EvalConfig, loads: &[f64]) -> Vec<SaturationRow> {
-    saturation_lineup_on(sw, cfg, &NetworkKind::paper_lineup(cfg.nodes), loads)
-}
-
-/// [`saturation`] on a caller-provided named lineup (the registry's
-/// `networks` axis). The paper lineup reproduces [`saturation_on`]'s
-/// items — and therefore its cache keys — exactly.
-pub fn saturation_lineup_on(
+/// backing Figure 6's "saturates at higher input loads" observation — on
+/// every network of `lineup` (the registry's `networks` axis).
+pub fn saturation(
     sw: &Sweep,
     cfg: &EvalConfig,
     lineup: &[(String, NetworkKind)],
@@ -115,7 +104,7 @@ pub fn saturation_lineup_on(
         }
     }
     let link = crate::net::config::LinkParams::paper();
-    sw.map_versioned(LABEL, VERSION, items, |(name, load, rc)| {
+    sw.map(LABEL, VERSION, items, |(name, load, rc)| {
         let r = run(rc);
         SaturationRow {
             network: name.clone(),
@@ -130,7 +119,7 @@ fn run_hook(sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
     let cfg = p.cfg;
     let loads = p.f64_list("loads")?;
     let lineup = networks_axis(p, cfg.nodes)?;
-    let rows = saturation_lineup_on(sw, &cfg, &lineup, &loads);
+    let rows = saturation(sw, &cfg, &lineup, &loads);
     let mut out = String::new();
     section(
         &mut out,

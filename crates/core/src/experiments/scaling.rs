@@ -141,12 +141,7 @@ impl ScalingRow {
 /// Sweeps the Baldur model over `endpoints` at a light open-loop
 /// uniform load (`ppn` packets per endpoint at 50% offered load),
 /// measuring kernel throughput and memory footprint per cell.
-pub fn scaling_curves(cfg: &EvalConfig, endpoints: &[u32], ppn: u32) -> Vec<ScalingRow> {
-    scaling_curves_on(&cfg.sweep(), cfg, endpoints, ppn)
-}
-
-/// [`scaling_curves`] on a caller-provided [`Sweep`].
-pub fn scaling_curves_on(
+pub fn scaling_curves(
     sw: &Sweep,
     cfg: &EvalConfig,
     endpoints: &[u32],
@@ -156,7 +151,7 @@ pub fn scaling_curves_on(
         .iter()
         .map(|&n| (n.max(2).next_power_of_two(), ppn, cfg.seed))
         .collect();
-    sw.map_versioned(LABEL, VERSION, items, |&(n, ppn, seed)| {
+    sw.map(LABEL, VERSION, items, |&(n, ppn, seed)| {
         measure(n, ppn, seed)
     })
 }
@@ -234,7 +229,7 @@ fn run_sweep(_sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
         ),
     );
     // Fresh, serial measurement (see the module notes).
-    let rows = scaling_curves_on(&Sweep::new(1), &cfg, &endpoints, ppn);
+    let rows = scaling_curves(&Sweep::new(1), &cfg, &endpoints, ppn);
     print_rows(&mut out, &rows);
     Ok(Output {
         console: out,
@@ -287,9 +282,9 @@ fn run_smoke(_sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
             endpoints, ppn, cfg.seed
         ),
     );
-    let first = scaling_curves_on(&Sweep::new(1), &cfg, &endpoints, ppn);
-    let second = scaling_curves_on(&Sweep::new(1), &cfg, &endpoints, ppn);
-    let wide = scaling_curves_on(&Sweep::new(8), &cfg, &endpoints, ppn);
+    let first = scaling_curves(&Sweep::new(1), &cfg, &endpoints, ppn);
+    let second = scaling_curves(&Sweep::new(1), &cfg, &endpoints, ppn);
+    let wide = scaling_curves(&Sweep::new(8), &cfg, &endpoints, ppn);
     let det_a = deterministic_csv(&first);
     let det_b = deterministic_csv(&second);
     let det_c = deterministic_csv(&wide);
@@ -332,8 +327,8 @@ mod tests {
     #[test]
     fn scaling_rows_are_deterministic_and_accounted() {
         let cfg = EvalConfig::tiny();
-        let a = scaling_curves(&cfg, &[64, 128], 2);
-        let b = scaling_curves(&cfg, &[64, 128], 2);
+        let a = scaling_curves(&Sweep::new(0), &cfg, &[64, 128], 2);
+        let b = scaling_curves(&Sweep::new(0), &cfg, &[64, 128], 2);
         assert_eq!(deterministic_csv(&a), deterministic_csv(&b));
         assert_eq!(a.len(), 2);
         for r in &a {
@@ -348,7 +343,7 @@ mod tests {
     #[test]
     fn endpoint_counts_round_up_to_powers_of_two() {
         let cfg = EvalConfig::tiny();
-        let rows = scaling_curves(&cfg, &[100], 1);
+        let rows = scaling_curves(&Sweep::new(0), &cfg, &[100], 1);
         assert_eq!(rows[0].endpoints, 128);
     }
 }

@@ -12,9 +12,9 @@ use crate::sweep::Sweep;
 use crate::tl::gate_count::{SwitchDesign, TABLE_V_DROP_PCT};
 
 const LABEL: &str = "table_v";
-// Starts at the sweep cache-schema baseline so the keys this experiment
-// has always written stay valid; bump on payload-semantics changes to
-// invalidate exactly this experiment's cache entries.
+// Every historical key was written at version 1; bump on
+// payload-semantics changes to invalidate exactly this experiment's
+// cache entries.
 const VERSION: u32 = 1;
 
 pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
@@ -57,13 +57,7 @@ pub struct TableVRow {
 }
 
 /// Regenerates Table V: design cost and drop rate versus multiplicity.
-pub fn table_v(cfg: &EvalConfig) -> Vec<TableVRow> {
-    table_v_on(&cfg.sweep(), cfg)
-}
-
-/// [`table_v`] on a caller-provided [`Sweep`] (shared thread pool, run
-/// cache, per-sweep counters).
-pub fn table_v_on(sw: &Sweep, cfg: &EvalConfig) -> Vec<TableVRow> {
+pub fn table_v(sw: &Sweep, cfg: &EvalConfig) -> Vec<TableVRow> {
     let items: Vec<(u32, RunConfig)> = (1..=5)
         .map(|m| {
             let design = SwitchDesign::new(m);
@@ -85,7 +79,7 @@ pub fn table_v_on(sw: &Sweep, cfg: &EvalConfig) -> Vec<TableVRow> {
             (m, rc)
         })
         .collect();
-    sw.map_versioned(LABEL, VERSION, items, |(m, rc)| {
+    sw.map(LABEL, VERSION, items, |(m, rc)| {
         let design = SwitchDesign::new(*m);
         let r = run(rc);
         TableVRow {
@@ -100,7 +94,7 @@ pub fn table_v_on(sw: &Sweep, cfg: &EvalConfig) -> Vec<TableVRow> {
 
 fn run_hook(sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
     let cfg = p.cfg;
-    let rows = table_v_on(sw, &cfg);
+    let rows = table_v(sw, &cfg);
     let mut out = String::new();
     section(
         &mut out,
@@ -138,7 +132,7 @@ mod tests {
 
     #[test]
     fn table_v_shape_holds_at_tiny_scale() {
-        let rows = table_v(&EvalConfig::tiny());
+        let rows = table_v(&Sweep::new(0), &EvalConfig::tiny());
         assert_eq!(rows.len(), 5);
         // Drop rate falls monotonically with multiplicity, like the paper.
         for w in rows.windows(2) {

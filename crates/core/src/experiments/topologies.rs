@@ -15,8 +15,8 @@ use crate::registry::{
 use crate::sweep::Sweep;
 
 const LABEL: &str = "topologies";
-// Starts at the sweep cache-schema baseline so historical keys stay
-// valid; bump on payload-semantics changes.
+// Every historical key was written at version 1; bump on
+// payload-semantics changes.
 const VERSION: u32 = 1;
 
 pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
@@ -52,12 +52,7 @@ pub struct TopologyRow {
 /// structured Omega (and the dilated butterfly), testing the paper's
 /// claim that multi-stage topologies behave similarly — and showing where
 /// randomization matters (structured adversarial permutations).
-pub fn topology_comparison(cfg: &EvalConfig) -> Vec<TopologyRow> {
-    topology_comparison_on(&cfg.sweep(), cfg)
-}
-
-/// [`topology_comparison`] on a caller-provided [`Sweep`].
-pub fn topology_comparison_on(sw: &Sweep, cfg: &EvalConfig) -> Vec<TopologyRow> {
+pub fn topology_comparison(sw: &Sweep, cfg: &EvalConfig) -> Vec<TopologyRow> {
     use crate::net::config::{BaldurParams, StagedTopology};
     use crate::topo::multibutterfly::Wiring;
     let variants: [(&str, StagedTopology, Wiring); 3] = [
@@ -97,7 +92,7 @@ pub fn topology_comparison_on(sw: &Sweep, cfg: &EvalConfig) -> Vec<TopologyRow> 
             items.push((name.to_string(), pattern.name().to_string(), rc));
         }
     }
-    sw.map_versioned(LABEL, VERSION, items, |(name, pattern, rc)| TopologyRow {
+    sw.map(LABEL, VERSION, items, |(name, pattern, rc)| TopologyRow {
         topology: name.clone(),
         pattern: pattern.clone(),
         report: run(rc),
@@ -106,7 +101,7 @@ pub fn topology_comparison_on(sw: &Sweep, cfg: &EvalConfig) -> Vec<TopologyRow> 
 
 fn run_hook(sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
     let cfg = p.cfg;
-    let rows = topology_comparison_on(sw, &cfg);
+    let rows = topology_comparison(sw, &cfg);
     let mut out = String::new();
     section(
         &mut out,
@@ -157,11 +152,12 @@ mod tests {
 
     #[test]
     fn topology_rows_cover_all_variant_pattern_pairs() {
-        let rows = topology_comparison(&EvalConfig {
+        let cfg = EvalConfig {
             nodes: 32,
             packets_per_node: 10,
             ..EvalConfig::tiny()
-        });
+        };
+        let rows = topology_comparison(&Sweep::new(0), &cfg);
         assert_eq!(rows.len(), 6);
     }
 }

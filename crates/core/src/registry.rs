@@ -13,11 +13,10 @@
 //! a new binary.
 //!
 //! Cache-key hygiene lives here too: a spec's `version` is hashed into
-//! every job key its sweeps write (via [`Sweep::map_versioned`]), so
-//! bumping one experiment's version invalidates exactly its own cache
-//! entries. All specs start at version [`crate::sweep::CACHE_SCHEMA`],
-//! which reproduces the keys the pre-registry harness wrote —
-//! a warm cache stays 100% warm across the refactor.
+//! every job key its sweeps write (via [`Sweep::map`]), so bumping one
+//! experiment's version invalidates exactly its own cache entries. All
+//! specs start at version 1, the value every key has been written with
+//! since the cache existed, so a warm cache stays 100% warm.
 
 use std::collections::BTreeMap;
 

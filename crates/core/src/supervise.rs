@@ -21,10 +21,10 @@
 //!   (Rust threads are not cancellable), so they run to completion in
 //!   the background; the scope join at the end of the sweep waits for
 //!   them. A *truly* non-terminating job therefore still pins the final
-//!   join — the recovery path for wedged runs is `kill -9` plus
-//!   `--resume`, which the sweep journal makes safe. The watchdog's
-//!   value is that every *other* job completes, is journaled, and is
-//!   reported; timeouts are inherently timing-dependent, so the
+//!   join — the recovery path for wedged runs is `kill -9` and rerun,
+//!   which the sweep's as-it-finishes cache writes make safe. The
+//!   watchdog's value is that every *other* job completes, is cached,
+//!   and is reported; timeouts are inherently timing-dependent, so the
 //!   determinism contract only covers deadline-off runs.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

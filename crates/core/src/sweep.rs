@@ -1,5 +1,5 @@
-//! Sweep orchestration: deterministic parallel fan-out, a
-//! content-addressed run cache, and a crash-safe completion journal.
+//! Sweep orchestration: deterministic parallel fan-out and a
+//! content-addressed run cache.
 //!
 //! Every experiment in [`crate::experiments`] is a sweep — a list of fully
 //! self-describing jobs (each item serializes to JSON and determines its
@@ -13,7 +13,7 @@
 //!   thread count (`BALDUR_THREADS=1` and `=8` produce the same bytes; a
 //!   tier-1 test asserts it).
 //! * **Content-addressed caching.** Each job's cache key is the SHA-256 of
-//!   `label | schema | crate version | exact-JSON(item)`. A hit replays
+//!   `label | version | crate version | exact-JSON(item)`. A hit replays
 //!   the stored result instead of simulating; because results are stored
 //!   with [`serde_json::to_string_exact`] (non-finite floats round-trip)
 //!   and floats render shortest-round-trip, a replayed result is
@@ -21,13 +21,10 @@
 //!   recomputed, overwritten, counted in [`SweepStats::corrupt`], and
 //!   warned about on stderr.
 //! * **Crash safety.** Each completed job's cache entry is persisted *as
-//!   the job finishes* (temp file + rename), then recorded in an fsync'd
-//!   JSONL journal (`journal.jsonl` in the cache directory). A `kill -9`
-//!   mid-sweep loses at most the in-flight jobs: a rerun with
-//!   [`Sweep::with_resume`] replays everything the journal confirms
-//!   (counted in [`SweepStats::resumed`]) and re-executes only the rest.
-//!   A torn final journal line — the signature of dying mid-append — is
-//!   discarded on load, never fatal.
+//!   the job finishes*, via a temp file + rename, so no reader ever sees
+//!   a torn entry. A `kill -9` mid-sweep loses at most the in-flight
+//!   jobs: a plain rerun replays every finished job from the cache and
+//!   re-executes only the rest.
 //!
 //! Failure handling is supervised (see [`crate::supervise`]): panicking
 //! jobs become [`JobError`] slots instead of tearing down the sweep,
@@ -38,14 +35,11 @@
 //! after being warned about, recorded in [`Sweep::failures`], and — when
 //! a budget aborts — reflected in [`Sweep::aborted`]).
 //!
-//! The cache lives under `results/cache/` by default (one `<hex>.json`
-//! per job) and is enabled by the bench binaries, not by unit tests: the
-//! experiment wrappers in [`crate::experiments`] default to an uncached
-//! [`Sweep`] so `cargo test` never touches the filesystem.
+//! The cache is enabled by the bench binaries (under `results/cache/` by
+//! default, one `<hex>.json` per job), not by unit tests: a
+//! [`Sweep::new`] runner is uncached, so `cargo test` never touches the
+//! filesystem.
 
-use std::collections::BTreeSet;
-use std::fs::File;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -56,22 +50,8 @@ use serde::{Deserialize, Serialize};
 use crate::error::JobError;
 use crate::supervise::{self, Policy};
 
-/// Workspace-wide cache-schema baseline, and the default per-experiment
-/// cache version for [`Sweep::map`] / [`Sweep::try_map`].
-///
-/// Experiments registered in [`crate::registry`] carry their own
-/// `version` (hashed into every job key via [`Sweep::map_versioned`]);
-/// bumping a spec's version invalidates only that experiment's entries.
-/// Bump *this* constant only when the meaning of cached payloads changes
-/// globally (e.g. the journal format): every key changes, so stale
-/// entries are never replayed.
-pub const CACHE_SCHEMA: u32 = 1;
-
 /// Default cache directory, relative to the working directory.
 pub const DEFAULT_CACHE_DIR: &str = "results/cache";
-
-/// Completion journal file name, inside the cache directory.
-pub const JOURNAL_FILE: &str = "journal.jsonl";
 
 /// Per-sweep accounting: one entry per [`Sweep::map`] / [`Sweep::try_map`]
 /// call.
@@ -85,9 +65,6 @@ pub struct SweepStats {
     pub cache_hits: usize,
     /// Corrupt cache entries healed by recomputing.
     pub corrupt: usize,
-    /// Cache hits confirmed complete by a prior run's journal (only
-    /// nonzero on [`Sweep::with_resume`] runs).
-    pub resumed: usize,
     /// Jobs that failed: panicked, timed out, or cancelled.
     pub failed: usize,
     /// Wall-clock time for the whole sweep, milliseconds.
@@ -105,122 +82,17 @@ pub struct SweepFailure {
     pub error: JobError,
 }
 
-/// One line of the completion journal.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct JournalRecord {
-    /// The job's content-addressed cache key (hex SHA-256).
-    pub key: String,
-    /// The sweep label.
-    pub label: String,
-    /// `"done"` for completed jobs, else a [`JobError`] kind name
-    /// (`"panicked"` / `"timed_out"` / `"skipped"`).
-    pub status: String,
-    /// Wall-clock milliseconds the job (including retries) took.
-    pub wall_ms: u64,
-}
-
-/// A journal read back from disk, tolerant of a torn tail.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JournalSnapshot {
-    /// Every record that parsed, in append order.
-    pub records: Vec<JournalRecord>,
-    /// Lines that failed to parse — normally 0 or 1 (a half-written
-    /// final line from a crash mid-append). Discarded, never fatal.
-    pub torn_lines: usize,
-}
-
-/// Reads a completion journal. A missing file is an empty journal; an
-/// unparseable line (torn tail from a crash mid-append, or outright
-/// corruption) is skipped and counted, never fatal — at worst the job it
-/// described is re-executed.
-pub fn read_journal(path: &Path) -> JournalSnapshot {
-    let mut snap = JournalSnapshot {
-        records: Vec::new(),
-        torn_lines: 0,
-    };
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return snap;
-    };
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match serde_json::from_str::<JournalRecord>(line) {
-            Ok(rec) => snap.records.push(rec),
-            Err(_) => snap.torn_lines += 1,
-        }
-    }
-    snap
-}
-
-/// The live append side of the journal, opened lazily on first use.
-#[derive(Debug)]
-struct Journal {
-    file: File,
-    /// Keys the prior run's journal confirms as completed (empty unless
-    /// resuming).
-    prior_done: BTreeSet<String>,
-}
-
-impl Journal {
-    /// Opens the journal inside `dir`. Resuming appends to the existing
-    /// file (after harvesting its completed keys); a fresh run truncates
-    /// it, so stale completions can never leak into a later resume.
-    fn open(dir: &Path, resume: bool) -> Option<Journal> {
-        std::fs::create_dir_all(dir).ok()?;
-        let path = dir.join(JOURNAL_FILE);
-        let mut prior_done = BTreeSet::new();
-        let file = if resume {
-            for rec in read_journal(&path).records {
-                if rec.status == "done" {
-                    prior_done.insert(rec.key);
-                }
-            }
-            File::options().create(true).append(true).open(&path).ok()?
-        } else {
-            File::create(&path).ok()?
-        };
-        Some(Journal { file, prior_done })
-    }
-
-    /// Appends one record and syncs it to disk before returning, so a
-    /// record the journal reports is durable even through `kill -9`.
-    /// (Append + fsync per completed job; jobs are seconds-scale
-    /// simulations, so the sync is noise.) I/O failures are swallowed:
-    /// the journal is a resume accelerator, never a correctness
-    /// dependency.
-    fn append(&mut self, rec: &JournalRecord) {
-        let Ok(line) = serde_json::to_string_exact(rec) else {
-            return;
-        };
-        if self.file.write_all(line.as_bytes()).is_ok() && self.file.write_all(b"\n").is_ok() {
-            let _ = self.file.sync_data();
-        }
-    }
-}
-
-/// Lazily-initialised journal cell: `opened` flips on first use so a
-/// cache-less sweep never touches the filesystem.
-#[derive(Debug, Default)]
-struct JournalCell {
-    opened: bool,
-    journal: Option<Journal>,
-}
-
-/// A supervised parallel sweep runner with optional result caching and
-/// crash-safe resume.
+/// A supervised parallel sweep runner with optional result caching.
 ///
-/// Construct once per harness invocation and thread through the
-/// `*_on` experiment variants; [`Sweep::summary`] renders the collected
-/// per-sweep wall-clock and cache counters, and [`Sweep::status_table`]
-/// renders the failure report (if any).
+/// Construct once per harness invocation and pass to the experiment
+/// functions; [`Sweep::summary`] renders the collected per-sweep
+/// wall-clock and cache counters, and [`Sweep::status_table`] renders the
+/// failure report (if any).
 #[derive(Debug)]
 pub struct Sweep {
     threads: usize,
     cache_dir: Option<PathBuf>,
     policy: Policy,
-    resume: bool,
-    journal: Mutex<JournalCell>,
     stats: Mutex<Vec<SweepStats>>,
     failures: Mutex<Vec<SweepFailure>>,
     aborted: AtomicBool,
@@ -234,31 +106,16 @@ impl Sweep {
             threads: crate::sim::par::thread_count(threads),
             cache_dir: None,
             policy: Policy::default(),
-            resume: false,
-            journal: Mutex::new(JournalCell::default()),
             stats: Mutex::new(Vec::new()),
             failures: Mutex::new(Vec::new()),
             aborted: AtomicBool::new(false),
         }
     }
 
-    /// A sweep runner caching into [`DEFAULT_CACHE_DIR`].
-    pub fn cached(threads: usize) -> Self {
-        Sweep::new(threads).with_cache_dir(DEFAULT_CACHE_DIR)
-    }
-
     /// Redirects (and enables) the cache at `dir`.
     #[must_use]
     pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());
-        self
-    }
-
-    /// Disables the cache (jobs always recompute; no journal either).
-    #[must_use]
-    pub fn without_cache(mut self) -> Self {
-        self.cache_dir = None;
-        self.journal = Mutex::new(JournalCell::default());
         self
     }
 
@@ -270,23 +127,9 @@ impl Sweep {
         self
     }
 
-    /// Resume mode: harvest the prior run's journal instead of
-    /// truncating it, and count journal-confirmed cache hits in
-    /// [`SweepStats::resumed`]. Only meaningful with a cache directory.
-    #[must_use]
-    pub fn with_resume(mut self, resume: bool) -> Self {
-        self.resume = resume;
-        self
-    }
-
     /// The resolved worker count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The active supervision policy.
-    pub fn policy(&self) -> &Policy {
-        &self.policy
     }
 
     /// Maps `f` over `items` in parallel, preserving order, replaying
@@ -297,32 +140,20 @@ impl Sweep {
     /// [`Sweep::aborted`]. Use [`Sweep::try_map`] to see every slot.
     ///
     /// Each item must be *self-describing*: its serialized form (plus
-    /// `label`) is the cache key, so everything that influences `f`'s
-    /// result must be part of the item — which is why the experiment
-    /// sweeps carry their full `RunConfig` in the item tuples.
-    pub fn map<T, R, F>(&self, label: &str, items: Vec<T>, f: F) -> Vec<R>
+    /// `label` and `version`) is the cache key, so everything that
+    /// influences `f`'s result must be part of the item — which is why
+    /// the experiment sweeps carry their full `RunConfig` in the item
+    /// tuples. `version` is the experiment's cache version (its
+    /// registry spec's `version`): bumping it invalidates exactly that
+    /// experiment's entries while every other experiment's cache stays
+    /// warm.
+    pub fn map<T, R, F>(&self, label: &str, version: u32, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Serialize + Send + Sync,
         R: Serialize + Deserialize + Send,
         F: Fn(&T) -> R + Sync,
     {
-        self.map_versioned(label, CACHE_SCHEMA, items, f)
-    }
-
-    /// [`Sweep::map`] with an explicit per-experiment cache version.
-    ///
-    /// The version is hashed into every job's content address, so a spec
-    /// that bumps its `version` (because its payload semantics changed)
-    /// invalidates exactly its own entries while every other experiment's
-    /// cache stays warm. `version == CACHE_SCHEMA` reproduces the keys
-    /// [`Sweep::map`] has always written.
-    pub fn map_versioned<T, R, F>(&self, label: &str, version: u32, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Serialize + Send + Sync,
-        R: Serialize + Deserialize + Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        self.try_map_versioned(label, version, items, f)
+        self.try_map(label, version, items, f)
             .into_iter()
             .filter_map(Result::ok)
             .collect()
@@ -331,21 +162,10 @@ impl Sweep {
     /// The supervised primitive under [`Sweep::map`]: one
     /// submission-ordered `Result` per item, failures included.
     ///
-    /// Completed jobs are persisted to the cache and journaled *as they
-    /// finish* (not at the end of the sweep), which is what makes a
-    /// `kill -9` mid-sweep resumable.
-    pub fn try_map<T, R, F>(&self, label: &str, items: Vec<T>, f: F) -> Vec<Result<R, JobError>>
-    where
-        T: Serialize + Send + Sync,
-        R: Serialize + Deserialize + Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        self.try_map_versioned(label, CACHE_SCHEMA, items, f)
-    }
-
-    /// [`Sweep::try_map`] with an explicit per-experiment cache version
-    /// (see [`Sweep::map_versioned`] for the key-derivation contract).
-    pub fn try_map_versioned<T, R, F>(
+    /// Completed jobs are persisted to the cache *as they finish* (not
+    /// at the end of the sweep), which is what lets a rerun after a
+    /// `kill -9` mid-sweep replay every finished job.
+    pub fn try_map<T, R, F>(
         &self,
         label: &str,
         version: u32,
@@ -359,29 +179,21 @@ impl Sweep {
     {
         let start = Instant::now();
         let n = items.len();
-        let hexes: Vec<Option<String>> = match self.cache_dir {
-            Some(_) => items.iter().map(|it| key_hex(label, version, it)).collect(),
-            None => vec![None; n],
-        };
-        let paths: Vec<Option<PathBuf>> = hexes
+        let paths: Vec<Option<PathBuf>> = items
             .iter()
-            .map(|hex| {
-                let (dir, hex) = (self.cache_dir.as_ref()?, hex.as_ref()?);
-                Some(dir.join(format!("{hex}.json")))
+            .map(|it| {
+                let dir = self.cache_dir.as_ref()?;
+                Some(dir.join(format!("{}.json", key_hex(label, version, it)?)))
             })
             .collect();
-        let prior_done = self.journal_prior_done();
 
         let mut results: Vec<Option<Result<R, JobError>>> = Vec::with_capacity(n);
         let mut miss_idx: Vec<usize> = Vec::new();
-        let (mut cache_hits, mut corrupt, mut resumed) = (0usize, 0usize, 0usize);
-        for i in 0..n {
-            match paths[i].as_deref().map_or(CacheRead::Miss, read_entry::<R>) {
+        let (mut cache_hits, mut corrupt) = (0usize, 0usize);
+        for (i, path) in paths.iter().enumerate() {
+            match path.as_deref().map_or(CacheRead::Miss, read_entry::<R>) {
                 CacheRead::Hit(r) => {
                     cache_hits += 1;
-                    if hexes[i].as_ref().is_some_and(|h| prior_done.contains(h)) {
-                        resumed += 1;
-                    }
                     results.push(Some(Ok(r)));
                 }
                 CacheRead::Corrupt => {
@@ -397,21 +209,11 @@ impl Sweep {
         }
 
         let outcome = supervise::run_jobs(self.threads, &self.policy, &miss_idx, |_, &i| {
-            let t0 = Instant::now();
             let r = f(&items[i]);
-            let wall_ms = supervise::elapsed_ms(t0);
-            // Persist + journal as the job completes: this is the
-            // crash-safety point. A kill after this line loses nothing.
+            // Persist as the job completes: this is the crash-safety
+            // point. A kill after this line loses nothing.
             if let Some(path) = &paths[i] {
                 write_entry(path, &r);
-            }
-            if let Some(hex) = &hexes[i] {
-                self.journal_append(JournalRecord {
-                    key: hex.clone(),
-                    label: label.to_string(),
-                    status: "done".to_string(),
-                    wall_ms,
-                });
             }
             r
         });
@@ -423,14 +225,6 @@ impl Sweep {
                 Ok(r) => results[i] = Some(Ok(r)),
                 Err(error) => {
                     failed += 1;
-                    if let Some(hex) = &hexes[i] {
-                        self.journal_append(JournalRecord {
-                            key: hex.clone(),
-                            label: label.to_string(),
-                            status: error.kind.as_str().to_string(),
-                            wall_ms: report.wall_ms,
-                        });
-                    }
                     eprintln!("warning: sweep '{label}': job {i} {error}");
                     self.failures
                         .lock()
@@ -469,7 +263,6 @@ impl Sweep {
                 jobs: n,
                 cache_hits,
                 corrupt,
-                resumed,
                 failed,
                 wall_ms,
             });
@@ -519,8 +312,7 @@ impl Sweep {
             None => "cache=off".to_string(),
         };
         let mut out = format!("sweep summary (threads={}, {cache_note})\n", self.threads);
-        let (mut jobs, mut hits, mut corrupt, mut resumed, mut ms) =
-            (0usize, 0usize, 0usize, 0usize, 0u64);
+        let (mut jobs, mut hits, mut corrupt, mut ms) = (0usize, 0usize, 0usize, 0u64);
         for s in &stats {
             out.push_str(&format!(
                 "  {:<18} {:>5} jobs {:>5} hits {:>3} corrupt {:>8} ms\n",
@@ -529,7 +321,6 @@ impl Sweep {
             jobs += s.jobs;
             hits += s.cache_hits;
             corrupt += s.corrupt;
-            resumed += s.resumed;
             ms += s.wall_ms;
         }
         let pct = if jobs == 0 {
@@ -541,12 +332,6 @@ impl Sweep {
             "  {:<18} {jobs:>5} jobs {hits:>5} hits ({pct:.1}%) {corrupt:>3} corrupt {ms:>4} ms\n",
             "total"
         ));
-        if resumed > 0 {
-            out.push_str(&format!(
-                "  resumed: {resumed} job{} confirmed complete by the journal\n",
-                if resumed == 1 { "" } else { "s" }
-            ));
-        }
         out
     }
 
@@ -602,56 +387,15 @@ impl Sweep {
             stats.iter().map(|s| s.cache_hits).sum(),
         )
     }
-
-    /// Total journal-confirmed resumed jobs across every sweep so far.
-    pub fn resumed_total(&self) -> usize {
-        self.stats().iter().map(|s| s.resumed).sum()
-    }
-
-    /// Appends one record to the journal (opening it on first use).
-    fn journal_append(&self, rec: JournalRecord) {
-        let mut cell = self
-            .journal
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        self.ensure_journal(&mut cell);
-        if let Some(journal) = cell.journal.as_mut() {
-            journal.append(&rec);
-        }
-    }
-
-    /// The prior run's completed keys (empty unless resuming with a
-    /// cache directory).
-    fn journal_prior_done(&self) -> BTreeSet<String> {
-        let mut cell = self
-            .journal
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        self.ensure_journal(&mut cell);
-        cell.journal
-            .as_ref()
-            .map(|j| j.prior_done.clone())
-            .unwrap_or_default()
-    }
-
-    fn ensure_journal(&self, cell: &mut JournalCell) {
-        if cell.opened {
-            return;
-        }
-        cell.opened = true;
-        if let Some(dir) = &self.cache_dir {
-            cell.journal = Journal::open(dir, self.resume);
-        }
-    }
 }
 
 /// The hex cache key for one `(label, version, item)` job, or `None`
 /// when the item fails to serialize — that job simply runs uncached.
 ///
 /// `version` is the experiment's cache version from its
-/// [`crate::registry::ExperimentSpec`] (or [`CACHE_SCHEMA`] for sweeps
-/// run outside the registry); hashing it here is what makes per-spec
-/// invalidation possible without touching other experiments' keys.
+/// [`crate::registry::ExperimentSpec`]; hashing it here is what makes
+/// per-spec invalidation possible without touching other experiments'
+/// keys.
 fn key_hex<T: Serialize>(label: &str, version: u32, item: &T) -> Option<String> {
     let payload = serde_json::to_string_exact(item).ok()?;
     let mut h = crate::hash::Sha256::new();
@@ -737,15 +481,12 @@ mod tests {
     #[test]
     fn uncached_map_preserves_order() {
         let sw = Sweep::new(4);
-        let out = sw.map("square", (0u64..50).collect(), |&x| x * x);
+        let out = sw.map("square", 1, (0u64..50).collect(), |&x| x * x);
         assert_eq!(out, (0u64..50).map(|x| x * x).collect::<Vec<_>>());
         let stats = sw.stats();
         assert_eq!(stats.len(), 1);
         assert_eq!((stats[0].jobs, stats[0].cache_hits), (50, 0));
-        assert_eq!(
-            (stats[0].corrupt, stats[0].resumed, stats[0].failed),
-            (0, 0, 0)
-        );
+        assert_eq!((stats[0].corrupt, stats[0].failed), (0, 0));
     }
 
     #[test]
@@ -757,11 +498,11 @@ mod tests {
             (x, (x as f64).sqrt())
         };
         let sw = Sweep::new(2).with_cache_dir(&dir);
-        let first = sw.map("roots", (0u64..20).collect(), job);
+        let first = sw.map("roots", 1, (0u64..20).collect(), job);
         assert_eq!(calls.load(Ordering::Relaxed), 20);
 
         let sw2 = Sweep::new(2).with_cache_dir(&dir);
-        let second = sw2.map("roots", (0u64..20).collect(), job);
+        let second = sw2.map("roots", 1, (0u64..20).collect(), job);
         assert_eq!(calls.load(Ordering::Relaxed), 20, "all jobs replayed");
         assert_eq!(first, second);
         let stats = sw2.stats();
@@ -773,8 +514,8 @@ mod tests {
     fn label_separates_cache_namespaces() {
         let dir = temp_dir("labels");
         let sw = Sweep::new(1).with_cache_dir(&dir);
-        let a = sw.map("double", vec![21u64], |&x| x * 2);
-        let b = sw.map("triple", vec![21u64], |&x| x * 3);
+        let a = sw.map("double", 1, vec![21u64], |&x| x * 2);
+        let b = sw.map("triple", 1, vec![21u64], |&x| x * 3);
         assert_eq!((a[0], b[0]), (42, 63));
         let (jobs, hits) = sw.totals();
         assert_eq!((jobs, hits), (2, 0), "same item, different label: no hit");
@@ -785,14 +526,14 @@ mod tests {
     fn version_bump_invalidates_only_its_own_label() {
         let dir = temp_dir("versions");
         let sw = Sweep::new(1).with_cache_dir(&dir);
-        sw.map_versioned("fig_a", 1, vec![5u64], |&x| x + 1);
-        sw.map_versioned("fig_b", 1, vec![5u64], |&x| x + 2);
+        sw.map("fig_a", 1, vec![5u64], |&x| x + 1);
+        sw.map("fig_b", 1, vec![5u64], |&x| x + 2);
 
         // fig_a bumps its spec version: its entry goes cold, fig_b's
         // entry (same item, untouched version) stays warm.
         let sw2 = Sweep::new(1).with_cache_dir(&dir);
-        sw2.map_versioned("fig_a", 2, vec![5u64], |&x| x + 1);
-        sw2.map_versioned("fig_b", 1, vec![5u64], |&x| x + 2);
+        sw2.map("fig_a", 2, vec![5u64], |&x| x + 1);
+        sw2.map("fig_b", 1, vec![5u64], |&x| x + 2);
         let stats = sw2.stats();
         assert_eq!(stats[0].cache_hits, 0, "bumped version must miss");
         assert_eq!(stats[1].cache_hits, 1, "other experiment stays warm");
@@ -800,41 +541,61 @@ mod tests {
         // Version 1 of fig_a is still addressable — old entries are
         // orphaned, not destroyed.
         let sw3 = Sweep::new(1).with_cache_dir(&dir);
-        sw3.map_versioned("fig_a", 1, vec![5u64], |&x| x + 1);
+        sw3.map("fig_a", 1, vec![5u64], |&x| x + 1);
         assert_eq!(sw3.stats()[0].cache_hits, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Pins one real Figure 6 job key (the first tiny-config cell) to the
+    /// value the harness has always written, so a refactor of the key
+    /// derivation or of `RunConfig`'s serialized form cannot silently
+    /// orphan every existing `results/cache/` entry.
     #[test]
-    fn default_map_keys_match_versioned_at_schema_baseline() {
-        let dir = temp_dir("baseline-keys");
-        let sw = Sweep::new(1).with_cache_dir(&dir);
-        sw.map("base", vec![9u64], |&x| x * 2);
-        // map_versioned at CACHE_SCHEMA replays the plain-map entry:
-        // the registry's default spec version preserves historical keys.
-        let sw2 = Sweep::new(1).with_cache_dir(&dir);
-        sw2.map_versioned("base", CACHE_SCHEMA, vec![9u64], |&x| x * 2);
-        assert_eq!(sw2.stats()[0].cache_hits, 1);
-        let _ = std::fs::remove_dir_all(&dir);
+    fn fig6_cache_key_is_pinned() {
+        use crate::net::config::BaldurParams;
+        use crate::net::runner::{NetworkKind, RunConfig, Workload};
+        use crate::net::traffic::Pattern;
+        let rc = RunConfig {
+            seed: 0xBA1D,
+            ..RunConfig::new(
+                64,
+                NetworkKind::Baldur(BaldurParams::paper_for(64)),
+                Workload::Synthetic {
+                    pattern: Pattern::RandomPermutation,
+                    load: 0.3,
+                    packets_per_node: 60,
+                },
+            )
+        };
+        let item = (
+            "random_permutation".to_string(),
+            "baldur".to_string(),
+            0.3f64,
+            rc,
+        );
+        assert_eq!(
+            key_hex("fig6", 1, &item).as_deref(),
+            Some("955ab77c5a86afafda8350642537ea809525c9ec9c51d6d4520163cefd3afe41")
+        );
     }
 
     #[test]
     fn corrupt_entries_recompute_and_are_counted() {
         let dir = temp_dir("corrupt");
         let sw = Sweep::new(1).with_cache_dir(&dir);
-        sw.map("c", vec![7u64], |&x| x + 1);
+        sw.map("c", 1, vec![7u64], |&x| x + 1);
         for entry in std::fs::read_dir(&dir).expect("cache dir exists") {
             let path = entry.expect("dir entry").path();
             std::fs::write(&path, "{ not json").expect("overwrite entry");
         }
         let sw2 = Sweep::new(1).with_cache_dir(&dir);
-        let out = sw2.map("c", vec![7u64], |&x| x + 1);
+        let out = sw2.map("c", 1, vec![7u64], |&x| x + 1);
         assert_eq!(out, vec![8]);
         assert_eq!(sw2.stats()[0].cache_hits, 0);
         assert_eq!(sw2.stats()[0].corrupt, 1, "the heal is surfaced");
         // The corrupt entry was healed: a third run hits, heal count 0.
         let sw3 = Sweep::new(1).with_cache_dir(&dir);
-        sw3.map("c", vec![7u64], |&x| x + 1);
+        sw3.map("c", 1, vec![7u64], |&x| x + 1);
         assert_eq!(sw3.stats()[0].cache_hits, 1);
         assert_eq!(sw3.stats()[0].corrupt, 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -850,9 +611,9 @@ mod tests {
             _ => 0.1,
         };
         let sw = Sweep::new(1).with_cache_dir(&dir);
-        sw.map("nf", (0u32..4).collect(), job);
+        sw.map("nf", 1, (0u32..4).collect(), job);
         let sw2 = Sweep::new(1).with_cache_dir(&dir);
-        let replayed = sw2.map("nf", (0u32..4).collect(), job);
+        let replayed = sw2.map("nf", 1, (0u32..4).collect(), job);
         assert_eq!(sw2.stats()[0].cache_hits, 4);
         assert!(replayed[0].is_nan());
         assert_eq!(replayed[1], f64::INFINITY);
@@ -864,8 +625,8 @@ mod tests {
     #[test]
     fn summary_mentions_totals() {
         let sw = Sweep::new(1);
-        sw.map("alpha", vec![1u32, 2], |&x| x);
-        sw.map("beta", vec![3u32], |&x| x);
+        sw.map("alpha", 1, vec![1u32, 2], |&x| x);
+        sw.map("beta", 1, vec![3u32], |&x| x);
         let s = sw.summary();
         assert!(s.contains("alpha"), "{s}");
         assert!(s.contains("beta"), "{s}");
@@ -878,7 +639,7 @@ mod tests {
     fn panicking_job_yields_err_slot_and_siblings_complete() {
         let sw = Sweep::new(4);
         let slots = quietly(|| {
-            sw.try_map("mix", (0u32..10).collect(), |&x| {
+            sw.try_map("mix", 1, (0u32..10).collect(), |&x| {
                 if x == 6 {
                     panic!("job six is cursed");
                 }
@@ -903,7 +664,7 @@ mod tests {
         // map() drops the failed slot but keeps order.
         let sw2 = Sweep::new(2);
         let kept = quietly(|| {
-            sw2.map("mix", (0u32..10).collect(), |&x| {
+            sw2.map("mix", 1, (0u32..10).collect(), |&x| {
                 if x == 6 {
                     panic!("job six is cursed");
                 }
@@ -920,7 +681,7 @@ mod tests {
             ..Policy::default()
         });
         let slots = quietly(|| {
-            sw.try_map("budget", (0u32..10).collect(), |&x| {
+            sw.try_map("budget", 1, (0u32..10).collect(), |&x| {
                 if x == 1 || x == 3 {
                     panic!("bad {x}");
                 }
@@ -940,81 +701,23 @@ mod tests {
     }
 
     #[test]
-    fn journal_records_completions_and_resume_counts_them() {
-        let dir = temp_dir("journal");
-        let sw = Sweep::new(2).with_cache_dir(&dir);
-        sw.map("j", (0u64..5).collect(), |&x| x * 2);
-        let snap = read_journal(&dir.join(JOURNAL_FILE));
-        assert_eq!(snap.records.len(), 5);
-        assert_eq!(snap.torn_lines, 0);
-        assert!(snap.records.iter().all(|r| r.status == "done"));
-        assert!(snap.records.iter().all(|r| r.label == "j"));
-
-        // Resume: all five hits are journal-confirmed.
-        let sw2 = Sweep::new(2).with_cache_dir(&dir).with_resume(true);
-        sw2.map("j", (0u64..5).collect(), |&x| x * 2);
-        let stats = sw2.stats();
-        assert_eq!(stats[0].cache_hits, 5);
-        assert_eq!(stats[0].resumed, 5);
-        assert_eq!(sw2.resumed_total(), 5);
-
-        // A fresh (non-resume) run truncates the journal: hits still
-        // come from the cache, but nothing is journal-confirmed.
-        let sw3 = Sweep::new(2).with_cache_dir(&dir);
-        sw3.map("j", (0u64..5).collect(), |&x| x * 2);
-        assert_eq!(sw3.stats()[0].resumed, 0);
-        assert_eq!(read_journal(&dir.join(JOURNAL_FILE)).records.len(), 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn torn_journal_tail_is_discarded_not_fatal() {
-        let dir = temp_dir("torn");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join(JOURNAL_FILE);
-        let whole = serde_json::to_string_exact(&JournalRecord {
-            key: "aa".to_string(),
-            label: "t".to_string(),
-            status: "done".to_string(),
-            wall_ms: 3,
-        })
-        .expect("serialize record");
-        // Two whole records, then a half-written line with no newline —
-        // exactly what dying mid-append leaves behind.
-        let torn = format!("{whole}\n{whole}\n{{\"key\":\"bb\",\"lab");
-        std::fs::write(&path, torn).expect("write torn journal");
-        let snap = read_journal(&path);
-        assert_eq!(snap.records.len(), 2);
-        assert_eq!(snap.torn_lines, 1);
-
-        // And a resuming sweep over that journal still works.
-        let sw = Sweep::new(1).with_cache_dir(&dir).with_resume(true);
-        let out = sw.map("t", vec![1u64], |&x| x + 1);
-        assert_eq!(out, vec![2]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn failures_are_journaled_with_their_kind() {
+    fn failed_jobs_are_not_cached() {
         let dir = temp_dir("failrec");
         let sw = Sweep::new(1).with_cache_dir(&dir);
         quietly(|| {
-            sw.try_map("f", (0u64..3).collect(), |&x| {
+            sw.try_map("f", 1, (0u64..3).collect(), |&x| {
                 if x == 1 {
                     panic!("no");
                 }
                 x
             })
         });
-        let snap = read_journal(&dir.join(JOURNAL_FILE));
-        let mut statuses: Vec<&str> = snap.records.iter().map(|r| r.status.as_str()).collect();
-        statuses.sort_unstable();
-        assert_eq!(statuses, vec!["done", "done", "panicked"]);
-        // A resume run must NOT treat the panicked job as complete.
-        let sw2 = Sweep::new(1).with_cache_dir(&dir).with_resume(true);
-        let out = sw2.map("f", (0u64..3).collect(), |&x| x); // healed job fn
+        // A rerun replays the two completed jobs and recomputes only the
+        // one that panicked.
+        let sw2 = Sweep::new(1).with_cache_dir(&dir);
+        let out = sw2.map("f", 1, (0u64..3).collect(), |&x| x); // healed job fn
         assert_eq!(out, vec![0, 1, 2]);
-        assert_eq!(sw2.stats()[0].resumed, 2, "only the two 'done' records");
+        assert_eq!(sw2.stats()[0].cache_hits, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

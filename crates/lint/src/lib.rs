@@ -52,8 +52,8 @@ pub mod scope;
 pub const WALL_CRATES: &[&str] = &["sim", "net", "tl", "phy", "topo"];
 
 /// Individual files outside [`WALL_CRATES`] that also sit behind the
-/// determinism wall: the sweep engine produces the cached, journaled
-/// results, so nondeterminism there corrupts the content-addressed cache.
+/// determinism wall: the sweep engine produces the cached results, so
+/// nondeterminism there corrupts the content-addressed cache.
 pub const WALL_FILES: &[&str] = &["crates/core/src/sweep.rs"];
 
 /// The only scanned files allowed to read the wall clock. The
@@ -67,7 +67,7 @@ pub const WALL_FILES: &[&str] = &["crates/core/src/sweep.rs"];
 pub const WALL_CLOCK_EXEMPT_FILES: &[&str] = &["crates/bench/src/perf.rs"];
 
 /// Files on the supervised job path: the code that runs *around* user
-/// jobs (scheduling, isolation, journaling, result plumbing). A panic
+/// jobs (scheduling, isolation, caching, result plumbing). A panic
 /// here defeats panic isolation — the harness would die with the job it
 /// was supposed to contain — so these files get a zero-budget panic rule
 /// of their own, with no allowlist escape hatch. The overload experiment

@@ -1,6 +1,7 @@
-//! Crash recovery: a sweep subprocess is SIGKILLed mid-run, then rerun
-//! with `--resume`; the resumed run must confirm prior completions from
-//! the journal and render byte-identical figure output.
+//! Crash recovery: a sweep subprocess is SIGKILLed mid-run, then the
+//! same sweep is simply rerun against the same cache directory. Every
+//! entry the killed run finished must replay as a cache hit, and the
+//! rerun must render byte-identical figure output.
 //!
 //! The child process is this same test binary re-executed with the
 //! `child_sweep_worker` test selected and `BALDUR_CRASH_RECOVERY_CHILD`
@@ -12,22 +13,23 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::{Duration, Instant};
 
-use baldur::experiments::{figure6_on, EvalConfig};
+use baldur::experiments::{figure6, EvalConfig, Fig6Row};
 use baldur::sweep::Sweep;
+use baldur::NetworkKind;
 
 const CHILD_ENV: &str = "BALDUR_CRASH_RECOVERY_CHILD";
 const CACHE_ENV: &str = "BALDUR_CRASH_CACHE_DIR";
-const RESUME_ENV: &str = "BALDUR_CRASH_RESUME";
 const CSV_ENV: &str = "BALDUR_CRASH_CSV_OUT";
 const STATS_ENV: &str = "BALDUR_CRASH_STATS_OUT";
 
 const LOADS: [f64; 2] = [0.3, 0.7];
 
-fn child_config() -> EvalConfig {
-    EvalConfig {
+fn run_fig6(sw: &Sweep) -> Vec<Fig6Row> {
+    let cfg = EvalConfig {
         threads: 1,
         ..EvalConfig::tiny()
-    }
+    };
+    figure6(sw, &cfg, &NetworkKind::paper_lineup(cfg.nodes), &LOADS)
 }
 
 /// Not a test of its own: the subprocess body. Without the guard env
@@ -38,12 +40,8 @@ fn child_sweep_worker() {
         return;
     }
     let cache_dir = std::env::var(CACHE_ENV).expect("child needs a cache dir");
-    let resume = std::env::var(RESUME_ENV).is_ok_and(|v| v == "1");
-    let cfg = child_config();
-    let sw = Sweep::new(cfg.threads)
-        .with_resume(resume)
-        .with_cache_dir(&cache_dir);
-    let rows = figure6_on(&sw, &cfg, &LOADS);
+    let sw = Sweep::new(1).with_cache_dir(&cache_dir);
+    let rows = run_fig6(&sw);
     let (jobs, hits) = sw.totals();
     std::fs::write(
         std::env::var(CSV_ENV).expect("child needs a CSV path"),
@@ -52,18 +50,17 @@ fn child_sweep_worker() {
     .expect("write child CSV");
     std::fs::write(
         std::env::var(STATS_ENV).expect("child needs a stats path"),
-        format!("jobs={jobs}\nhits={hits}\nresumed={}\n", sw.resumed_total()),
+        format!("jobs={jobs}\nhits={hits}\n"),
     )
     .expect("write child stats");
 }
 
-/// Spawns the child with the given resume flag against `dir`.
-fn spawn_child(dir: &Path, resume: bool) -> std::process::Child {
+/// Spawns the child sweep against `dir`.
+fn spawn_child(dir: &Path) -> std::process::Child {
     Command::new(std::env::current_exe().expect("current test binary"))
         .args(["child_sweep_worker", "--exact"])
         .env(CHILD_ENV, "1")
         .env(CACHE_ENV, dir.join("cache"))
-        .env(RESUME_ENV, if resume { "1" } else { "0" })
         .env(CSV_ENV, dir.join("fig6.csv"))
         .env(STATS_ENV, dir.join("stats.txt"))
         .stdout(std::process::Stdio::null())
@@ -71,9 +68,8 @@ fn spawn_child(dir: &Path, resume: bool) -> std::process::Child {
         .expect("spawn child sweep")
 }
 
-/// Counts completed cache entries (`*.json`; the journal is `.jsonl`
-/// and a torn in-flight temp file has a `.tmp.<pid>` suffix, so neither
-/// is counted).
+/// Counts completed cache entries (`*.json`; a torn in-flight temp file
+/// has a `.tmp.<pid>` suffix, so it is not counted).
 fn cache_entries(cache: &Path) -> usize {
     let Ok(entries) = std::fs::read_dir(cache) else {
         return 0;
@@ -85,7 +81,7 @@ fn cache_entries(cache: &Path) -> usize {
 }
 
 #[test]
-fn sigkill_mid_sweep_then_resume_is_byte_identical() {
+fn sigkill_mid_sweep_then_rerun_is_byte_identical() {
     let dir: PathBuf =
         std::env::temp_dir().join(format!("baldur-crash-recovery-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -94,22 +90,21 @@ fn sigkill_mid_sweep_then_resume_is_byte_identical() {
 
     // Run A: kill it once a few jobs have landed in the cache. If the
     // sweep outruns the poll and finishes first, that's fine too — the
-    // resume run below then confirms *every* job from the journal.
-    let mut a = spawn_child(&dir, false);
+    // rerun below then replays *every* job.
+    let mut a = spawn_child(&dir);
     let deadline = Instant::now() + Duration::from_secs(300);
-    let mut finished_early = false;
-    while cache_entries(&cache) < 3 {
+    let finished_early = loop {
         if let Some(status) = a.try_wait().expect("poll child A") {
             assert!(status.success(), "child A failed: {status}");
-            finished_early = true;
-            break;
+            break true;
         }
-        assert!(
-            Instant::now() < deadline,
-            "child A produced <3 cache entries in 300s"
-        );
+        if cache_entries(&cache) >= 3 || Instant::now() >= deadline {
+            break false;
+        }
         std::thread::sleep(Duration::from_millis(20));
-    }
+    };
+    // Reap A before any assertion can fire, so a failed run never leaks
+    // a live child.
     if !finished_early {
         a.kill().expect("SIGKILL child A");
         a.wait().expect("reap child A");
@@ -117,29 +112,32 @@ fn sigkill_mid_sweep_then_resume_is_byte_identical() {
     let survivors = cache_entries(&cache);
     assert!(
         survivors >= 3 || finished_early,
-        "no progress to resume from"
+        "child A produced <3 cache entries in 300s"
     );
 
-    // Run B resumes: it must succeed, confirm prior completions from
-    // the journal, and render exactly the reference bytes.
-    let status = spawn_child(&dir, true).wait().expect("run child B");
-    assert!(status.success(), "resumed child B failed: {status}");
+    // Run B is a plain rerun: it must succeed, replay every entry run A
+    // finished, and render exactly the reference bytes.
+    let status = spawn_child(&dir).wait().expect("run child B");
+    assert!(status.success(), "rerun child B failed: {status}");
 
     let stats = std::fs::read_to_string(dir.join("stats.txt")).expect("child B stats");
-    let resumed: usize = stats
+    let hits: usize = stats
         .lines()
-        .find_map(|l| l.strip_prefix("resumed="))
-        .expect("resumed= line")
+        .find_map(|l| l.strip_prefix("hits="))
+        .expect("hits= line")
         .parse()
-        .expect("resumed count");
-    assert!(resumed > 0, "resume confirmed no journaled jobs:\n{stats}");
+        .expect("hit count");
+    assert!(hits > 0, "the rerun replayed nothing:\n{stats}");
+    assert_eq!(
+        hits, survivors,
+        "every entry the killed run finished must replay:\n{stats}"
+    );
 
-    let cfg = child_config();
-    let reference = baldur::csv::fig6(&figure6_on(&Sweep::new(1), &cfg, &LOADS));
-    let resumed_csv = std::fs::read_to_string(dir.join("fig6.csv")).expect("child B CSV");
+    let reference = baldur::csv::fig6(&run_fig6(&Sweep::new(1)));
+    let rerun_csv = std::fs::read_to_string(dir.join("fig6.csv")).expect("child B CSV");
     assert!(
-        resumed_csv == reference,
-        "resumed run rendered different CSV bytes than an uncached run"
+        rerun_csv == reference,
+        "rerun rendered different CSV bytes than an uncached run"
     );
 
     let _ = std::fs::remove_dir_all(&dir);

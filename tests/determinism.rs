@@ -84,7 +84,9 @@ fn full_metrics_json_is_bit_identical_across_runs() {
 fn figure_csv_bytes_are_identical_across_runs() {
     let mk = || {
         let cfg = baldur::experiments::EvalConfig::tiny();
-        let rows = baldur::experiments::figure6(&cfg, &[0.3]);
+        let lineup = baldur::NetworkKind::paper_lineup(cfg.nodes);
+        let sw = baldur::sweep::Sweep::new(0);
+        let rows = baldur::experiments::figure6(&sw, &cfg, &lineup, &[0.3]);
         baldur::csv::fig6(&rows).into_bytes()
     };
     let a = mk();

@@ -17,6 +17,8 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use baldur::experiments::{self, EvalConfig};
+use baldur::sweep::Sweep;
+use baldur::NetworkKind;
 
 /// Repo-relative directory holding the snapshots.
 const GOLDEN_DIR: &str = "results/golden";
@@ -71,21 +73,37 @@ fn tiny() -> EvalConfig {
     EvalConfig::tiny()
 }
 
+/// The uncached sweep every golden renders through: the same code path
+/// the bench binaries run, minus the cache.
+fn sweep() -> Sweep {
+    Sweep::new(0)
+}
+
 #[test]
 fn golden_fig6_csv() {
-    let rows = experiments::figure6(&tiny(), &[0.3, 0.7]);
+    let rows = experiments::figure6(
+        &sweep(),
+        &tiny(),
+        &NetworkKind::paper_lineup(tiny().nodes),
+        &[0.3, 0.7],
+    );
     check("fig6.csv", &baldur::csv::fig6(&rows));
 }
 
 #[test]
 fn golden_fig7_csv() {
-    let rows = experiments::figure7(&tiny());
+    let rows = experiments::figure7(&sweep(), &tiny());
     check("fig7.csv", &baldur::csv::fig7(&rows));
 }
 
 #[test]
 fn golden_faults_csv() {
-    let rows = experiments::degradation(&tiny(), &[0.0, 0.05]);
+    let rows = experiments::degradation(
+        &sweep(),
+        &tiny(),
+        &NetworkKind::paper_lineup(tiny().nodes),
+        &[0.0, 0.05],
+    );
     check("faults.csv", &baldur::csv::faults(&rows));
 }
 
@@ -93,7 +111,9 @@ fn golden_faults_csv() {
 fn golden_chaos_csv() {
     // Two seeded fail/repair schedules per network: pins the chaos
     // schedule generator, the oracle summary, and the recovery metrics.
-    let rows = experiments::chaos(&tiny(), 2, 3);
+    let names = ["baldur", "fattree"].map(String::from);
+    let lineup = NetworkKind::lineup_named(tiny().nodes, &names).expect("known networks");
+    let rows = experiments::chaos(&sweep(), &tiny(), &lineup, 2, 3);
     check("chaos.csv", &baldur::csv::chaos(&rows));
 }
 
@@ -102,26 +122,29 @@ fn golden_overload_csv() {
     // Storms at 0.5x/1x/4x with the overload controls on: pins the
     // admission/pacing/deadline dynamics, the per-flow fairness
     // distribution, and the oracle summary.
-    let rows = experiments::overload(&tiny(), &[0.5, 1.0, 4.0]).expect("default storm lineup");
+    let networks = ["baldur", "fattree"].map(String::from);
+    let patterns = ["uniform", "incast", "hotcast"].map(String::from);
+    let rows = experiments::overload(&sweep(), &tiny(), &networks, &patterns, &[0.5, 1.0, 4.0])
+        .expect("default storm lineup");
     check("overload.csv", &baldur::csv::overload(&rows));
 }
 
 #[test]
 fn golden_table5_csv() {
-    let rows = experiments::table_v(&tiny());
+    let rows = experiments::table_v(&sweep(), &tiny());
     check("table5.csv", &baldur::csv::table5(&rows));
 }
 
 #[test]
 fn golden_fig8_csv() {
     // Analytic (no simulation): pins the power model and CSV rendering.
-    let rows = experiments::figure8();
+    let rows = experiments::figure8(&sweep());
     check("fig8.csv", &baldur::csv::fig8(&rows));
 }
 
 #[test]
 fn golden_fig10_csv() {
     // Analytic: pins the cost model and CSV rendering.
-    let rows = experiments::figure10();
+    let rows = experiments::figure10(&sweep());
     check("fig10.csv", &baldur::csv::fig10(&rows));
 }

@@ -3,10 +3,11 @@
 
 use baldur::experiments::{self, EvalConfig};
 use baldur::power::NetworkPower;
+use baldur::sweep::Sweep;
 
 #[test]
 fn table_v_drop_rates_fall_three_orders_with_multiplicity() {
-    let rows = experiments::table_v(&EvalConfig::tiny());
+    let rows = experiments::table_v(&Sweep::new(0), &EvalConfig::tiny());
     assert!(rows[0].measured_drop_pct > 5.0, "{rows:?}");
     assert!(rows[4].measured_drop_pct < 0.3, "{rows:?}");
     // Gate counts and latencies are the paper's exact Table V values.
@@ -18,7 +19,7 @@ fn table_v_drop_rates_fall_three_orders_with_multiplicity() {
 
 #[test]
 fn figure8_improvement_bands() {
-    let sweep = experiments::figure8();
+    let sweep = experiments::figure8(&Sweep::new(0));
     let at_1k = &sweep[0];
     let at_1m = &sweep[3];
     // Paper abstract: 3.2x-26.4x at 1K; 14.6x-31.0x at 1M (we allow our
@@ -32,7 +33,7 @@ fn figure8_improvement_bands() {
 
 #[test]
 fn figure10_cost_anchor() {
-    let rows = experiments::figure10();
+    let rows = experiments::figure10(&Sweep::new(0));
     let at_1k = rows[0].breakdown.total();
     assert!((at_1k / 523.0 - 1.0).abs() < 0.15, "{at_1k}");
     assert_eq!(rows[0].breakdown.dominant(), "interposers");
@@ -57,7 +58,7 @@ fn awgr_power_and_latency_claims() {
 
 #[test]
 fn reliability_error_probability_is_1e9_class() {
-    let r = experiments::reliability(200_000, 42).expect("no faults injected here");
+    let r = experiments::reliability(&Sweep::new(0), 200_000, 42).expect("no faults injected here");
     assert!(r.analytic_error_probability < 1e-8);
     assert!(r.analytic_error_probability > 1e-10);
     assert!((r.margin_sigmas - 5.66).abs() < 0.02);
@@ -65,7 +66,7 @@ fn reliability_error_probability_is_1e9_class() {
 
 #[test]
 fn droptool_multiplicity_schedule() {
-    let (_, required) = experiments::droptool_study(&[1_024], 9);
+    let (_, required) = experiments::droptool_study(&Sweep::new(0), &[1_024], 9);
     assert_eq!(required, vec![(1_024, 4)], "paper: m=4 at 1K nodes");
 }
 
@@ -93,7 +94,7 @@ fn multistage_isomorphism_and_expansion() {
     // other multi-stage topologies (e.g., Benes, Omega)" — true under
     // benign traffic; and the randomized wiring's expansion property is
     // what defuses structured worst-case permutations.
-    let rows = experiments::topology_comparison(&EvalConfig::tiny());
+    let rows = experiments::topology_comparison(&Sweep::new(0), &EvalConfig::tiny());
     let get = |topo: &str, pat: &str| {
         rows.iter()
             .find(|r| r.topology == topo && r.pattern == pat)

@@ -7,9 +7,10 @@
 //! count) render the same CSV and JSON bytes. `ci.sh` runs this suite as
 //! a tier-1 gate.
 
-use baldur::experiments::{figure6_on, EvalConfig};
+use baldur::experiments::{figure6, EvalConfig};
 use baldur::registry::{self, Params};
 use baldur::sweep::Sweep;
+use baldur::NetworkKind;
 
 /// Runs `f` with the default panic hook replaced by a silent one, so
 /// deliberately-panicking jobs don't spray backtraces into test output.
@@ -107,7 +108,7 @@ fn failed_slots_are_submission_ordered_at_any_thread_count() {
     fn slots_debug(threads: usize) -> String {
         let sw = Sweep::new(threads);
         let items: Vec<u64> = (0..24).collect();
-        let slots = sw.try_map("seeded-panics", items, |&x| {
+        let slots = sw.try_map("seeded-panics", 1, items, |&x| {
             assert!(x % 5 != 2, "seeded panic on item {x}");
             x * x
         });
@@ -132,16 +133,17 @@ fn cached_sweep_replays_identically_across_thread_counts() {
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = EvalConfig::tiny();
     let loads = [0.5];
+    let lineup = NetworkKind::paper_lineup(cfg.nodes);
 
     // Cold run at 2 threads populates the cache; a warm run at 8 threads
     // must replay every job and render the same bytes (the cache key
     // deliberately excludes the thread count).
     let cold = Sweep::new(2).with_cache_dir(&dir);
-    let rows_cold = figure6_on(&cold, &cfg, &loads);
+    let rows_cold = figure6(&cold, &cfg, &lineup, &loads);
     assert_eq!(cold.totals().1, 0, "cold run cannot hit");
 
     let warm = Sweep::new(8).with_cache_dir(&dir);
-    let rows_warm = figure6_on(&warm, &cfg, &loads);
+    let rows_warm = figure6(&warm, &cfg, &lineup, &loads);
     let (jobs, hits) = warm.totals();
     assert_eq!(jobs, hits, "warm run must be answered fully from cache");
 
