@@ -85,6 +85,10 @@ run_step test cargo test -q
 # byte-identical output at 1/2/8 workers, and the golden CSV snapshots.
 run_step thread-invariance cargo test -q --test thread_invariance
 run_step golden cargo test -q --test golden_suite
+# Electrical router arbitration: the request-set invariant and grant-order
+# unit tests, then the two-word request sets pinned by report digest.
+run_step router-arbitration cargo test -q -p baldur-net router_net
+run_step router-arbitration-multiword cargo test -q --test router_arbitration
 run_step test-validate cargo test --features validate -q
 run_step test-workspace cargo test --workspace -q
 # Registry gates: the runner must enumerate every registered experiment,

@@ -2,15 +2,14 @@
 //! jittered retries, and per-sweep failure budgets.
 //!
 //! This is the timing-aware layer above [`crate::sim::par`]. The `sim`
-//! crate sits behind the lint wall that bans wall-clock reads, so
-//! everything involving `Instant` — per-job wall times and the
-//! `--job-timeout` watchdog — lives here in `core` instead.
+//! crate sits behind the lint wall that bans wall-clock reads, so the
+//! `--job-timeout` watchdog lives here in `core` instead.
 //!
 //! Two execution paths:
 //!
 //! * **No deadline** (the default): jobs fan out over
 //!   [`par::par_map_isolated`] — fully deterministic, panic-isolated,
-//!   budget-aware — and this layer only adds per-job wall clocks.
+//!   budget-aware — and this layer only maps its slots to reports.
 //! * **Deadline set**: each pool worker doubles as a supervisor. It runs
 //!   the job on a scoped *attempt* thread and waits on a channel with
 //!   [`std::sync::mpsc::Receiver::recv_timeout`]. A timed-out attempt is
@@ -29,7 +28,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::error::{JobError, JobErrorKind};
 use crate::sim::par;
@@ -59,22 +58,13 @@ impl Default for Policy {
     }
 }
 
-/// Outcome of one supervised job.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobReport<R> {
-    /// The result, or a structured failure.
-    pub result: Result<R, JobError>,
-    /// Wall-clock time across all attempts, milliseconds (0 for jobs
-    /// that never ran).
-    pub wall_ms: u64,
-}
-
 /// Outcome of one supervised batch: submission-ordered reports plus
 /// whether the failure budget cancelled the queue.
 #[derive(Debug)]
 pub struct RunOutcome<R> {
-    /// One report per input item, in submission order.
-    pub jobs: Vec<JobReport<R>>,
+    /// One result (or structured failure) per input item, in
+    /// submission order.
+    pub jobs: Vec<Result<R, JobError>>,
     /// True when the failure budget was exhausted and the remaining
     /// queue was cancelled ([`JobErrorKind::Skipped`] slots).
     pub aborted: bool,
@@ -91,7 +81,7 @@ pub fn retry_delay_ms(job: u64, attempt: u32) -> u64 {
 }
 
 /// Runs `f` over `items` under `policy` on up to `threads` workers,
-/// returning submission-ordered [`JobReport`]s. `f` receives the item's
+/// returning submission-ordered results. `f` receives the item's
 /// submission index alongside the item.
 ///
 /// Panics never propagate out of jobs; they become
@@ -110,8 +100,7 @@ where
     }
 }
 
-/// Deadline-off path: delegate to the deterministic isolated pool and
-/// add per-job wall clocks.
+/// Deadline-off path: delegate to the deterministic isolated pool.
 fn run_without_deadline<T, R, F>(
     threads: usize,
     policy: &Policy,
@@ -124,30 +113,18 @@ where
     F: Fn(usize, &T) -> R + Sync,
 {
     let indices: Vec<usize> = (0..items.len()).collect();
-    let (slots, aborted) = par::par_map_isolated(threads, indices, policy.fail_budget, |&i| {
-        let t0 = Instant::now();
-        let r = f(i, &items[i]);
-        (r, elapsed_ms(t0))
-    });
+    let (slots, aborted) =
+        par::par_map_isolated(threads, indices, policy.fail_budget, |&i| f(i, &items[i]));
     let jobs = slots
         .into_iter()
         .map(|slot| match slot {
-            par::JobSlot::Done((r, wall_ms)) => JobReport {
-                result: Ok(r),
-                wall_ms,
-            },
-            par::JobSlot::Panicked(payload) => JobReport {
-                result: Err(JobError {
-                    kind: JobErrorKind::Panicked,
-                    payload,
-                    attempts: 1,
-                }),
-                wall_ms: 0,
-            },
-            par::JobSlot::Skipped => JobReport {
-                result: Err(JobError::skipped()),
-                wall_ms: 0,
-            },
+            par::JobSlot::Done(r) => Ok(r),
+            par::JobSlot::Panicked(payload) => Err(JobError {
+                kind: JobErrorKind::Panicked,
+                payload,
+                attempts: 1,
+            }),
+            par::JobSlot::Skipped => Err(JobError::skipped()),
         })
         .collect();
     RunOutcome { jobs, aborted }
@@ -169,8 +146,9 @@ where
     let n = items.len();
     let workers = threads.clamp(1, n.max(1));
     let queue: Mutex<std::collections::VecDeque<usize>> = Mutex::new((0..n).collect());
-    let mut out: Vec<Option<JobReport<R>>> = (0..n).map(|_| None).collect();
-    let slots: Vec<Mutex<&mut Option<JobReport<R>>>> = out.iter_mut().map(Mutex::new).collect();
+    let mut out: Vec<Option<Result<R, JobError>>> = (0..n).map(|_| None).collect();
+    let slots: Vec<Mutex<&mut Option<Result<R, JobError>>>> =
+        out.iter_mut().map(Mutex::new).collect();
     let failures = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
 
@@ -187,15 +165,12 @@ where
                     .pop_front();
                 let Some(i) = job else { break };
                 let report = if abort.load(Ordering::Relaxed) {
-                    JobReport {
-                        result: Err(JobError::skipped()),
-                        wall_ms: 0,
-                    }
+                    Err(JobError::skipped())
                 } else {
                     supervise_one(scope, policy, deadline, i, items, f)
                 };
                 let failed = matches!(
-                    &report.result,
+                    &report,
                     Err(e) if e.kind != JobErrorKind::Skipped
                 );
                 **slots[i]
@@ -234,13 +209,12 @@ fn supervise_one<'scope, T, R, F>(
     i: usize,
     items: &'scope [T],
     f: &'scope F,
-) -> JobReport<R>
+) -> Result<R, JobError>
 where
     T: Sync,
     R: Send + 'scope,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let t0 = Instant::now();
     let max_attempts = policy.timeout_retries.saturating_add(1);
     for attempt in 1..=max_attempts {
         let (tx, rx) = mpsc::channel();
@@ -251,21 +225,13 @@ where
             let _ = tx.send(out);
         });
         match rx.recv_timeout(deadline) {
-            Ok(Ok(r)) => {
-                return JobReport {
-                    result: Ok(r),
-                    wall_ms: elapsed_ms(t0),
-                }
-            }
+            Ok(Ok(r)) => return Ok(r),
             Ok(Err(payload)) => {
-                return JobReport {
-                    result: Err(JobError {
-                        kind: JobErrorKind::Panicked,
-                        payload: par::panic_message(payload.as_ref()),
-                        attempts: attempt,
-                    }),
-                    wall_ms: elapsed_ms(t0),
-                }
+                return Err(JobError {
+                    kind: JobErrorKind::Panicked,
+                    payload: par::panic_message(payload.as_ref()),
+                    attempts: attempt,
+                })
             }
             Err(_) => {
                 if attempt < max_attempts {
@@ -274,22 +240,14 @@ where
             }
         }
     }
-    JobReport {
-        result: Err(JobError {
-            kind: JobErrorKind::TimedOut,
-            payload: format!(
-                "exceeded the {} ms deadline on all {max_attempts} attempts; quarantined",
-                deadline.as_millis()
-            ),
-            attempts: max_attempts,
-        }),
-        wall_ms: elapsed_ms(t0),
-    }
-}
-
-/// Milliseconds since `t0`, saturating.
-pub(crate) fn elapsed_ms(t0: Instant) -> u64 {
-    u64::try_from(t0.elapsed().as_millis()).unwrap_or(u64::MAX)
+    Err(JobError {
+        kind: JobErrorKind::TimedOut,
+        payload: format!(
+            "exceeded the {} ms deadline on all {max_attempts} attempts; quarantined",
+            deadline.as_millis()
+        ),
+        attempts: max_attempts,
+    })
 }
 
 #[cfg(test)]
@@ -326,11 +284,11 @@ mod tests {
         assert!(!outcome.aborted);
         for (i, job) in outcome.jobs.iter().enumerate() {
             if i == 7 {
-                let err = job.result.as_ref().expect_err("job 7 failed");
+                let err = job.as_ref().expect_err("job 7 failed");
                 assert_eq!(err.kind, JobErrorKind::Panicked);
                 assert_eq!(err.payload, "job 7 died");
             } else {
-                assert_eq!(job.result, Ok(i as u32 * 10));
+                assert_eq!(*job, Ok(i as u32 * 10));
             }
         }
     }
@@ -356,13 +314,12 @@ mod tests {
         });
         assert!(outcome.aborted);
         assert_eq!(
-            outcome.jobs[2].result.as_ref().expect_err("failed").kind,
+            outcome.jobs[2].as_ref().expect_err("failed").kind,
             JobErrorKind::Panicked
         );
-        assert!(outcome.jobs[3..].iter().all(|j| j
-            .result
-            .as_ref()
-            .is_err_and(|e| e.kind == JobErrorKind::Skipped)));
+        assert!(outcome.jobs[3..]
+            .iter()
+            .all(|j| j.as_ref().is_err_and(|e| e.kind == JobErrorKind::Skipped)));
     }
 
     #[test]
@@ -375,21 +332,25 @@ mod tests {
         };
         // Job 3 "hangs" for far longer than the deadline (but finitely,
         // so the final scope join completes); everything else is instant.
+        let t0 = std::time::Instant::now();
         let outcome = run_jobs(2, &policy, &items, |_, &x| {
             if x == 3 {
                 std::thread::sleep(Duration::from_millis(400));
             }
             x + 100
         });
+        assert!(
+            t0.elapsed() >= Duration::from_millis(80),
+            "two deadlines elapsed"
+        );
         assert!(!outcome.aborted);
         for (i, job) in outcome.jobs.iter().enumerate() {
             if i == 3 {
-                let err = job.result.as_ref().expect_err("job 3 quarantined");
+                let err = job.as_ref().expect_err("job 3 quarantined");
                 assert_eq!(err.kind, JobErrorKind::TimedOut);
                 assert_eq!(err.attempts, 2, "one retry before quarantine");
-                assert!(job.wall_ms >= 80, "two deadlines elapsed");
             } else {
-                assert_eq!(job.result, Ok(i as u32 + 100));
+                assert_eq!(*job, Ok(i as u32 + 100));
             }
         }
     }
@@ -411,11 +372,11 @@ mod tests {
         });
         assert!(!outcome.aborted);
         assert_eq!(
-            outcome.jobs[5].result.as_ref().expect_err("panicked").kind,
+            outcome.jobs[5].as_ref().expect_err("panicked").kind,
             JobErrorKind::Panicked,
             "panics are reported, not retried"
         );
-        assert_eq!(outcome.jobs[4].result, Ok(4));
+        assert_eq!(outcome.jobs[4], Ok(4));
     }
 
     #[test]

@@ -221,7 +221,7 @@ impl Sweep {
         let mut failed = 0usize;
         for (slot, report) in miss_idx.iter().zip(outcome.jobs) {
             let i = *slot;
-            match report.result {
+            match report {
                 Ok(r) => results[i] = Some(Ok(r)),
                 Err(error) => {
                     failed += 1;
@@ -254,7 +254,7 @@ impl Sweep {
             );
         }
 
-        let wall_ms = supervise::elapsed_ms(start);
+        let wall_ms = u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX);
         self.stats
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)

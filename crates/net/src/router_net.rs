@@ -16,9 +16,16 @@
 //! per-(input port, VC) (`credits`, queue heads/tails) tables — radix
 //! varies per router, so offsets rather than a fixed stride. Input and
 //! NIC queues are intrusive lists over a per-packet `next` link (a packet
-//! sits in at most one queue at a time). The retired map-based model's
-//! reports are pinned by fingerprint in
-//! `results/golden/soa_fingerprints.json`.
+//! sits in at most one queue at a time). Arbitration reads per-output
+//! request sets instead of scanning every input queue: one bitset of
+//! `ceil(max radix × vcs / 64)` words per (router, output port), where
+//! bit `qi` is set exactly when input queue `qi` is non-empty and its
+//! head is routed to that output. The queue push/pop helpers keep the
+//! bits current, so a pop mid-arbitration exposes the new head to the
+//! later ports of the same round. A grant takes the first set bit
+//! cyclically from the round-robin pointer whose downstream VC has
+//! credit. The retired map-based model's reports are pinned by
+//! fingerprint in `results/golden/soa_fingerprints.json`.
 
 use baldur_sim::rng::StreamRng;
 use baldur_sim::{Duration, Model, Scheduler, Simulation, Time};
@@ -107,6 +114,12 @@ pub struct RouterNet {
     out_busy: Vec<Time>,
     /// Buffered packets routed to each output (adaptive-routing signal).
     out_pending: Vec<u32>,
+    /// Request sets, `req_words` words per output at
+    /// `[(port_off[r] + out) * req_words ..]`: bit `qi` is set exactly
+    /// when input queue `qi` of router `r` is non-empty and its head is
+    /// routed to `out`.
+    requests: Vec<u64>,
+    req_words: usize,
     // ---- per router ----
     arb_scheduled: Vec<bool>,
     rr: Vec<u32>,
@@ -130,7 +143,8 @@ pub struct RouterNet {
     /// terminal loss (counted as abandoned) — the credit it held is
     /// returned upstream so the lossless machinery stays live.
     router_down: Vec<bool>,
-    any_router_down: bool,
+    /// Number of `true` entries in `router_down`.
+    down_count: u32,
     /// The fault schedule this run executes (empty by default). Only
     /// router-granularity kinds apply here ([`FaultKind::FailFraction`],
     /// [`FaultKind::RouterDown`]/[`FaultKind::RouterUp`],
@@ -162,10 +176,13 @@ impl RouterNet {
         let router_count = graph.router_count();
         let mut port_off = Vec::with_capacity(router_count as usize);
         let mut total_ports = 0u32;
+        let mut max_radix = 0;
         for r in 0..router_count {
             port_off.push(total_ports);
             total_ports += graph.radix(r);
+            max_radix = max_radix.max(graph.radix(r));
         }
+        let req_words = (max_radix as usize * vcs).div_ceil(64);
         let nq_total = total_ports as usize * vcs;
         let nodes = driver.nodes() as usize;
         RouterNet {
@@ -181,6 +198,8 @@ impl RouterNet {
             q_len: vec![0; nq_total],
             out_busy: vec![Time::ZERO; total_ports as usize],
             out_pending: vec![0; total_ports as usize],
+            requests: vec![0; total_ports as usize * req_words],
+            req_words,
             arb_scheduled: vec![false; router_count as usize],
             rr: vec![0; router_count as usize],
             nic_head: vec![NONE; nodes],
@@ -195,7 +214,7 @@ impl RouterNet {
             rng: StreamRng::named(seed, "routernt", 0),
             vc_cap,
             router_down: vec![false; router_count as usize],
-            any_router_down: false,
+            down_count: 0,
             plan: FaultPlan::new(seed),
             oracle: Oracle::new(OracleConfig::default()),
             flow_pending: vec![0; nodes],
@@ -212,31 +231,79 @@ impl RouterNet {
         self.port_base(router) * self.rp.vcs as usize
     }
 
-    /// Pushes `pkt` onto the tail of flat queue `flat_qi`.
-    fn rq_push_back(&mut self, flat_qi: usize, pkt: PktId) {
+    /// First word of the request set of output `out` of `router`.
+    fn req_slot(&self, router: u32, out: u32) -> usize {
+        (self.port_base(router) + out as usize) * self.req_words
+    }
+
+    /// Sets or clears bit `qi` in the request set of the output that
+    /// `pkt`, the head of input queue `qi` of `router`, is routed to. A
+    /// decision past the radix names no output and enters no set.
+    fn mark_request(&mut self, router: u32, qi: usize, pkt: PktId, on: bool) {
+        let out = self.packets[pkt as usize].decision.0;
+        if out >= self.graph.radix(router) {
+            return;
+        }
+        let w = self.req_slot(router, out) + qi / 64;
+        let word = &mut self.requests[w];
+        let bit = 1u64 << (qi % 64);
+        if on {
+            *word |= bit;
+        } else {
+            *word &= !bit;
+        }
+    }
+
+    /// First set bit of the request set at `slot` in `from..end`.
+    fn next_request(&self, slot: usize, from: usize, end: usize) -> Option<usize> {
+        let set = &self.requests[slot..slot + self.req_words];
+        let mut w = from / 64;
+        let mut bits = set.get(w)? & (u64::MAX << (from % 64));
+        loop {
+            if bits != 0 {
+                let qi = w * 64 + bits.trailing_zeros() as usize;
+                return (qi < end).then_some(qi);
+            }
+            w += 1;
+            if w * 64 >= end {
+                return None;
+            }
+            bits = set[w];
+        }
+    }
+
+    /// Pushes `pkt` onto the tail of input queue `qi` of `router`.
+    fn rq_push_back(&mut self, router: u32, qi: usize, pkt: PktId) {
+        let flat = self.q_base(router) + qi;
         self.next_in_queue[pkt as usize] = NONE;
-        let tail = self.q_tail[flat_qi];
+        let tail = self.q_tail[flat];
         if tail == NONE {
-            self.q_head[flat_qi] = pkt;
+            self.q_head[flat] = pkt;
+            self.mark_request(router, qi, pkt, true);
         } else {
             self.next_in_queue[tail as usize] = pkt;
         }
-        self.q_tail[flat_qi] = pkt;
-        self.q_len[flat_qi] += 1;
+        self.q_tail[flat] = pkt;
+        self.q_len[flat] += 1;
     }
 
-    /// Pops the head of flat queue `flat_qi`.
-    fn rq_pop_front(&mut self, flat_qi: usize) -> Option<PktId> {
-        let head = self.q_head[flat_qi];
+    /// Pops the head of input queue `qi` of `router`; the new head, if
+    /// any, takes over its request bit at once.
+    fn rq_pop_front(&mut self, router: u32, qi: usize) -> Option<PktId> {
+        let flat = self.q_base(router) + qi;
+        let head = self.q_head[flat];
         if head == NONE {
             return None;
         }
+        self.mark_request(router, qi, head, false);
         let next = self.next_in_queue[head as usize];
-        self.q_head[flat_qi] = next;
+        self.q_head[flat] = next;
         if next == NONE {
-            self.q_tail[flat_qi] = NONE;
+            self.q_tail[flat] = NONE;
+        } else {
+            self.mark_request(router, qi, next, true);
         }
-        self.q_len[flat_qi] -= 1;
+        self.q_len[flat] -= 1;
         Some(head)
     }
 
@@ -276,7 +343,7 @@ impl RouterNet {
 
     #[inline]
     fn is_down(&self, router: u32) -> bool {
-        self.any_router_down && self.router_down[router as usize]
+        self.down_count > 0 && self.router_down[router as usize]
     }
 
     /// Returns (to the upstream feeder of `(router, port, vc)`) the
@@ -320,14 +387,13 @@ impl RouterNet {
             return;
         }
         *down = true;
-        self.any_router_down = true;
+        self.down_count += 1;
         let vcs = self.rp.vcs.max(1);
-        let qb = self.q_base(router);
         let pb = self.port_base(router);
         let nq = (self.graph.radix(router) * self.rp.vcs) as usize;
         for qi in 0..nq {
             loop {
-                let Some(pkt) = self.rq_pop_front(qb + qi) else {
+                let Some(pkt) = self.rq_pop_front(router, qi) else {
                     break;
                 };
                 let out = self.packets.get(pkt as usize).map(|p| p.decision.0);
@@ -362,9 +428,11 @@ impl RouterNet {
     /// the next arrival schedules arbitration as usual.
     fn revive_router(&mut self, router: u32) {
         if let Some(down) = self.router_down.get_mut(router as usize) {
-            *down = false;
+            if *down {
+                *down = false;
+                self.down_count -= 1;
+            }
         }
-        self.any_router_down = self.router_down.iter().any(|&d| d);
     }
 
     /// Applies one fault-plan event. Only router-granularity kinds act on
@@ -383,7 +451,7 @@ impl RouterNet {
             FaultKind::RouterUp { router } => self.revive_router(router),
             FaultKind::ReviveAll => {
                 self.router_down.iter_mut().for_each(|d| *d = false);
-                self.any_router_down = false;
+                self.down_count = 0;
             }
             _ => {}
         }
@@ -485,107 +553,110 @@ impl RouterNet {
                 next_wakeup = Some(next_wakeup.map_or(busy, |t: Time| t.min(busy)));
                 continue;
             }
-            // Round-robin over input queues for fairness.
+            let slot = self.req_slot(router, out_port);
+            if self.requests[slot..slot + self.req_words]
+                .iter()
+                .all(|&w| w == 0)
+            {
+                continue;
+            }
+            // Round-robin for fairness: the first requesting input queue
+            // cyclically from `rr` whose downstream VC has space.
+            let peer = self.graph.peer(router, out_port);
             let start = self.rr[router as usize] as usize;
-            let mut granted = false;
-            for off in 0..nq {
-                let qi = (start + off) % nq;
-                let pkt = self.q_head[qb + qi];
-                if pkt == NONE {
-                    continue;
-                }
-                let (dport, dvc) = self.packets[pkt as usize].decision;
-                if dport != out_port {
-                    continue;
-                }
-                // Downstream space?
-                let peer = self.graph.peer(router, out_port);
-                let has_credit = match peer {
-                    Endpoint::Router { .. } => self.credits[qb + self.qidx(out_port, dvc)] > 0,
-                    Endpoint::Node(_) => true, // nodes always sink
-                    Endpoint::Unused => {
-                        // Can't happen with a correct routing table; record
-                        // instead of panicking and let the stall detector
-                        // surface the wedged flow.
-                        self.oracle.record(
-                            now.as_ps(),
-                            Violation::ResidualState {
-                                what: "route_to_unused_port".into(),
-                                count: u64::from(router),
-                            },
-                        );
-                        false
+            let mut grant = None;
+            'probe: for (lo, hi) in [(start, nq), (0, start)] {
+                let mut from = lo;
+                while let Some(qi) = self.next_request(slot, from, hi) {
+                    from = qi + 1;
+                    let pkt = self.q_head[qb + qi];
+                    let dvc = self.packets[pkt as usize].decision.1;
+                    let has_credit = match peer {
+                        Endpoint::Router { .. } => self.credits[qb + self.qidx(out_port, dvc)] > 0,
+                        Endpoint::Node(_) => true, // nodes always sink
+                        Endpoint::Unused => {
+                            // Can't happen with a correct routing table;
+                            // record instead of panicking and let the
+                            // stall detector surface the wedged flow.
+                            self.oracle.record(
+                                now.as_ps(),
+                                Violation::ResidualState {
+                                    what: "route_to_unused_port".into(),
+                                    count: u64::from(router),
+                                },
+                            );
+                            false
+                        }
+                    };
+                    if has_credit {
+                        grant = Some((qi, pkt, dvc));
+                        break 'probe;
                     }
-                };
-                if !has_credit {
-                    continue;
                 }
-                // Grant.
-                let in_vc = (qi as u32) % vcs;
-                let in_port = (qi as u32) / vcs;
-                self.rq_pop_front(qb + qi);
-                self.out_pending[pb + out_port as usize] -= 1;
-                self.out_busy[pb + out_port as usize] = now + ser;
-                self.rr[router as usize] = (qi as u32 + 1) % nq as u32;
+            }
+            let Some((qi, pkt, dvc)) = grant else {
+                continue;
+            };
+            let in_vc = (qi as u32) % vcs;
+            let in_port = (qi as u32) / vcs;
+            self.rq_pop_front(router, qi);
+            self.out_pending[pb + out_port as usize] -= 1;
+            self.out_busy[pb + out_port as usize] = now + ser;
+            self.rr[router as usize] = (qi as u32 + 1) % nq as u32;
 
-                // Return the freed input slot upstream once the tail passes.
-                match self.graph.peer(router, in_port) {
-                    Endpoint::Router {
+            // Return the freed input slot upstream once the tail passes.
+            match self.graph.peer(router, in_port) {
+                Endpoint::Router {
+                    router: ur,
+                    port: up,
+                } => sched.schedule_at(
+                    now + ser,
+                    Ev::Credit {
                         router: ur,
                         port: up,
-                    } => sched.schedule_at(
-                        now + ser,
-                        Ev::Credit {
-                            router: ur,
-                            port: up,
-                            vc: in_vc,
-                        },
-                    ),
-                    Endpoint::Node(n) => sched.schedule_at(
-                        now + ser,
-                        Ev::Credit {
-                            router: u32::MAX,
-                            port: n.0,
-                            vc: in_vc,
-                        },
-                    ),
-                    Endpoint::Unused => {}
-                }
+                        vc: in_vc,
+                    },
+                ),
+                Endpoint::Node(n) => sched.schedule_at(
+                    now + ser,
+                    Ev::Credit {
+                        router: u32::MAX,
+                        port: n.0,
+                        vc: in_vc,
+                    },
+                ),
+                Endpoint::Unused => {}
+            }
 
-                // Launch downstream.
-                let hop = Duration::from_ps(self.rp.switch_latency_ps)
-                    + Duration::from_ps(self.graph.delay(router, out_port));
-                match peer {
-                    Endpoint::Router {
-                        router: dr,
-                        port: dp,
-                    } => {
-                        let idx = qb + self.qidx(out_port, dvc);
-                        self.credits[idx] -= 1;
-                        sched.schedule_at(
-                            now + hop,
-                            Ev::Arrive {
-                                pkt,
-                                router: dr,
-                                port: dp,
-                                vc: dvc,
-                            },
-                        );
-                    }
-                    Endpoint::Node(n) => {
-                        sched.schedule_at(now + hop + ser, Ev::Deliver { pkt, node: n.0 });
-                    }
-                    Endpoint::Unused => {} // filtered by has_credit above
+            // Launch downstream.
+            let hop = Duration::from_ps(self.rp.switch_latency_ps)
+                + Duration::from_ps(self.graph.delay(router, out_port));
+            match peer {
+                Endpoint::Router {
+                    router: dr,
+                    port: dp,
+                } => {
+                    let idx = qb + self.qidx(out_port, dvc);
+                    self.credits[idx] -= 1;
+                    sched.schedule_at(
+                        now + hop,
+                        Ev::Arrive {
+                            pkt,
+                            router: dr,
+                            port: dp,
+                            vc: dvc,
+                        },
+                    );
                 }
-                granted = true;
-                break;
+                Endpoint::Node(n) => {
+                    sched.schedule_at(now + hop + ser, Ev::Deliver { pkt, node: n.0 });
+                }
+                Endpoint::Unused => {} // filtered by has_credit above
             }
-            if granted {
-                // This output is now busy until now+ser; revisit then if
-                // more traffic waits.
-                let t = now + ser;
-                next_wakeup = Some(next_wakeup.map_or(t, |x: Time| x.min(t)));
-            }
+            // This output is now busy until now+ser; revisit then if
+            // more traffic waits.
+            let t = now + ser;
+            next_wakeup = Some(next_wakeup.map_or(t, |x: Time| x.min(t)));
         }
         if let Some(t) = next_wakeup {
             self.schedule_arb(router, t, sched);
@@ -855,11 +926,11 @@ impl Model for RouterNet {
                 };
                 self.packets[pkt as usize].route = route;
                 self.packets[pkt as usize].decision = decision;
-                let qi = self.q_base(router) + self.qidx(port, vc);
-                self.rq_push_back(qi, pkt);
+                let qi = self.qidx(port, vc);
+                self.rq_push_back(router, qi, pkt);
                 // Credit flow control bounds every input queue by the VC
                 // capacity; growth past it means a credit was minted.
-                let len = u64::from(self.q_len[qi]);
+                let len = u64::from(self.q_len[self.q_base(router) + qi]);
                 if len > u64::from(self.vc_cap) {
                     self.oracle.record(
                         now.as_ps(),
@@ -1200,6 +1271,69 @@ mod tests {
         );
     }
 
+    /// Rebuilds every request set from the queue heads and their
+    /// decisions and checks it against the maintained bits.
+    fn assert_request_sets_match_heads(m: &RouterNet) {
+        let mut rebuilt = vec![0u64; m.requests.len()];
+        for r in 0..m.router_down.len() as u32 {
+            let radix = m.graph.radix(r);
+            let qb = m.q_base(r);
+            for qi in 0..(radix * m.rp.vcs) as usize {
+                let head = m.q_head[qb + qi];
+                if head == NONE {
+                    continue;
+                }
+                let out = m.packets[head as usize].decision.0;
+                if out < radix {
+                    rebuilt[m.req_slot(r, out) + qi / 64] |= 1 << (qi % 64);
+                }
+            }
+        }
+        assert!(
+            m.requests == rebuilt,
+            "request sets diverged from queue heads"
+        );
+    }
+
+    /// Runs `model` to drain under `plan` in slices of `every` events,
+    /// checking the request sets after each slice, and hands back the
+    /// final model with the number of slices that ended with a request
+    /// bit in a set's second or later word.
+    fn drain_checking_requests(
+        mut model: RouterNet,
+        plan: &FaultPlan,
+        every: u64,
+    ) -> (RouterNet, u32) {
+        let initial = model.driver.initial();
+        let mut sim = Simulation::new(model);
+        for (node, t) in initial {
+            sim.scheduler_mut()
+                .schedule_at(Time::from_ps(t), Ev::Wake(node));
+        }
+        for (idx, ev) in plan.events.iter().enumerate() {
+            sim.scheduler_mut()
+                .schedule_at(Time::from_ps(ev.at_ps), Ev::Fault(idx as u32));
+        }
+        let mut high_word_slices = 0;
+        loop {
+            let stop = sim.run_until(Time::from_ns(500_000_000), every);
+            let m = sim.model();
+            assert_request_sets_match_heads(m);
+            if m.requests
+                .chunks(m.req_words)
+                .any(|set| set[1..].iter().any(|&w| w != 0))
+            {
+                high_word_slices += 1;
+            }
+            match stop {
+                baldur_sim::StopReason::Budget => {}
+                baldur_sim::StopReason::Drained => break,
+                other => panic!("load must drain, stopped at {other:?}"),
+            }
+        }
+        (sim.into_model(), high_word_slices)
+    }
+
     /// Runs a fat-tree load to drain under `plan` and hands back the
     /// final model so tests can inspect private credit/queue state.
     fn run_to_drain(plan: &FaultPlan) -> RouterNet {
@@ -1216,19 +1350,47 @@ mod tests {
             4096,
         );
         model.plan = plan.clone();
-        let initial = model.driver.initial();
-        let mut sim = Simulation::new(model);
-        for (node, t) in initial {
-            sim.scheduler_mut()
-                .schedule_at(Time::from_ps(t), Ev::Wake(node));
-        }
-        for (idx, ev) in plan.events.iter().enumerate() {
-            sim.scheduler_mut()
-                .schedule_at(Time::from_ps(ev.at_ps), Ev::Fault(idx as u32));
-        }
-        let stop = sim.run_until(Time::from_ns(500_000_000), u64::MAX);
-        assert_eq!(stop, baldur_sim::StopReason::Drained, "load must drain");
-        sim.into_model()
+        drain_checking_requests(model, plan, 64).0
+    }
+
+    #[test]
+    fn request_sets_track_queue_heads_under_saturation() {
+        // A 4x storm backs every queue up through credits, so heads
+        // change on arrivals, grants and same-Arb pops alike.
+        let mb = MultiButterfly::new(64, 4, 4);
+        let g = build_mb_graph(&mb, 100_000, 10_000);
+        let d = Driver::storm(64, Pattern::UniformRandom, 4.0, 20, &link(), 4);
+        let model = RouterNet::new(
+            g,
+            RoutingAlg::MultiButterfly(mb),
+            link(),
+            RouterParams::paper(),
+            d,
+            4,
+            4096,
+        );
+        let (mb_done, _) = drain_checking_requests(model, &FaultPlan::new(4), 97);
+        assert_eq!(mb_done.metrics.delivered(), 64 * 20);
+
+        // k = 22: 66 input queues per router, so each set spans two words
+        // and the second one must actually carry requests.
+        let ft = FatTree::new(22);
+        let nodes = ft.node_count() as u32;
+        let g = ft.build_graph(10_000, 50_000, 100_000);
+        let d = Driver::storm(nodes, Pattern::UniformRandom, 4.0, 2, &link(), 5);
+        let model = RouterNet::new(
+            g,
+            RoutingAlg::FatTree(ft),
+            link(),
+            RouterParams::paper(),
+            d,
+            5,
+            4096,
+        );
+        assert_eq!(model.req_words, 2);
+        let (ft_done, high_word_slices) = drain_checking_requests(model, &FaultPlan::new(5), 997);
+        assert_eq!(ft_done.metrics.delivered(), 2 * u64::from(nodes));
+        assert!(high_word_slices > 0, "no request ever reached word 1");
     }
 
     #[test]
@@ -1241,7 +1403,7 @@ mod tests {
             .outage(4_000_000, 2_500_000, FaultKind::RouterDown { router: 7 });
         let mut faulted = run_to_drain(&plan);
         let fresh = run_to_drain(&FaultPlan::new(77));
-        assert!(!faulted.any_router_down);
+        assert_eq!(faulted.down_count, 0);
         assert_eq!(faulted.router_down, fresh.router_down);
         assert_eq!(
             faulted.credits, fresh.credits,
@@ -1249,6 +1411,7 @@ mod tests {
         );
         assert!(faulted.q_head.iter().all(|&h| h == NONE));
         assert!(faulted.q_len.iter().all(|&l| l == 0));
+        assert!(faulted.requests.iter().all(|&w| w == 0));
         assert_eq!(faulted.out_pending, fresh.out_pending);
         assert_eq!(
             faulted.nic_credits, fresh.nic_credits,
