@@ -51,6 +51,19 @@ run_step() {
     fi
 }
 
+# Runs a command that must exit with exactly the given code (a plain
+# nonzero exit is not enough: a panic exits 101, a usage error exits 2).
+expect_exit() {
+    local want="$1"
+    shift
+    local rc=0
+    "$@" || rc=$?
+    if [ "${rc}" -ne "${want}" ]; then
+        echo "expected exit ${want}, got ${rc}: $*"
+        return 1
+    fi
+}
+
 write_summary() {
     {
         echo "{"
@@ -113,12 +126,15 @@ run_step chaos-smoke cargo run --release -p baldur-bench --bin chaos -- --smoke
 # floor, a quiet starvation/occupancy oracle, exact packet conservation,
 # and byte-identical repeat runs.
 run_step overload-smoke cargo run --release -p baldur-bench --bin overload -- --smoke
-# Perf smoke: the hot-path benchmark workloads re-run their exact work
-# counters (events popped, symbols coded, packets delivered) and gate
-# them against results/golden/perf_ops.json — byte-identical at one
-# worker thread and at eight; wall-clock numbers stay advisory.
+# Perf smoke: a counters-only gate. The hot-path benchmark workloads
+# re-run their exact work counters (events popped, symbols coded, packets
+# delivered) twice and must match results/golden/perf_ops.json byte for
+# byte, at one worker thread and at eight. No host time is read.
 run_step perf-smoke-1t env BALDUR_THREADS=1 cargo run --release -p baldur-bench --bin perf -- --smoke
 run_step perf-smoke-8t env BALDUR_THREADS=8 cargo run --release -p baldur-bench --bin perf -- --smoke
+# Unknown flags are usage errors (exit 2), never silently ignored: the
+# retired `--samples` knob must not run the defaults.
+run_step perf-rejects-unknown-flag expect_exit 2 cargo run --release -p baldur-bench --bin perf -- --samples 3
 # Scaling smoke: the 1K->4K head of the million-endpoint curve through
 # the SoA kernel; asserts byte-identical repeat runs, 1-vs-8-thread sweep
 # invariance, and packet conservation (wall/RSS columns stay advisory).

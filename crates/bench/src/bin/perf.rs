@@ -1,5 +1,5 @@
-//! Hot-path microbenchmarks: exact work counters, wall-clock
-//! statistics, and the `BENCH_8.json` perf-trajectory artifact.
+//! Hot-path microbenchmarks: exact work counters, gated by `--smoke`
+//! against `results/golden/perf_ops.json`.
 
 fn main() {
     baldur_bench::registry_main("perf")

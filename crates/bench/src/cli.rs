@@ -1,35 +1,55 @@
-//! Shared CLI surface for the bench harness: flag parsing, the usage
-//! text, the supervision-policy and sweep builders, and the process
+//! Shared CLI surface for the bench harness: flag parsing and
+//! validation, the usage text, the sweep builder, and the process
 //! epilogue/exit helpers. Everything that may terminate the process
 //! lives here (see `allowlist.txt`); `runner.rs` stays exit-free.
 
 use std::collections::HashMap;
-use std::time::Duration;
 
 use baldur::experiments::EvalConfig;
-use baldur::supervise::Policy;
 use baldur::sweep::{Sweep, DEFAULT_CACHE_DIR};
+
+/// The flags every bench binary accepts, each with its argument and
+/// help text: the one table behind [`usage`] and [`Args::unknown_keys`].
+const COMMON_FLAGS: &[(&str, &str)] = &[
+    ("nodes N", "active server nodes"),
+    ("packets N", "packets per node (open-loop runs)"),
+    ("rounds N", "ping-pong rounds"),
+    ("seed N", "master seed"),
+    ("threads N", "worker threads (0 = all cores)"),
+    ("json PATH", "also write structured results as JSON"),
+    (
+        "cache-dir DIR",
+        "run-cache directory (default results/cache)",
+    ),
+    ("no-cache", "recompute every run"),
+    (
+        "fail-budget N",
+        "tolerated failures before aborting the sweep",
+    ),
+    ("paper", "full paper scale (slow)"),
+    ("csv PATH", "also write the experiment's CSV table"),
+    ("set axis=VALUES", "override a declared experiment axis"),
+    ("list", "list every registered experiment and exit"),
+    (
+        "describe",
+        "print this experiment's JSON descriptor and exit",
+    ),
+];
+
+/// True when `key` names one of the [`COMMON_FLAGS`].
+fn is_common(key: &str) -> bool {
+    COMMON_FLAGS
+        .iter()
+        .any(|(flag, _)| flag.split(' ').next() == Some(key))
+}
 
 /// Renders the shared flag reference for usage errors.
 pub fn usage() -> String {
-    "common flags:\n\
-     --nodes N            active server nodes\n\
-     --packets N          packets per node (open-loop runs)\n\
-     --rounds N           ping-pong rounds\n\
-     --seed N             master seed\n\
-     --threads N          worker threads (0 = all cores)\n\
-     --json PATH          also write structured results as JSON\n\
-     --cache-dir DIR      run-cache directory (default results/cache)\n\
-     --no-cache           recompute every run\n\
-     --job-timeout SECS   per-attempt watchdog deadline (default off)\n\
-     --timeout-retries N  extra attempts for a timed-out job (default 2)\n\
-     --fail-budget N      tolerated failures before aborting the sweep\n\
-     --paper              full paper scale (slow)\n\
-     --csv PATH           also write the experiment's CSV table\n\
-     --set axis=VALUES    override a declared experiment axis\n\
-     --list               list every registered experiment and exit\n\
-     --describe           print this experiment's JSON descriptor and exit"
-        .to_string()
+    let mut out = String::from("common flags:");
+    for (flag, help) in COMMON_FLAGS {
+        out.push_str(&format!("\n{:<21}{help}", format!("--{flag}")));
+    }
+    out
 }
 
 /// Reports a usage error on stderr and exits with code 2 (the
@@ -52,9 +72,13 @@ impl Args {
     /// Parses the process arguments. An argument that is not
     /// `--key [value]` is a usage error (exit 2), not a panic.
     pub fn parse() -> Self {
+        Args::from_argv(std::env::args().skip(1).collect())
+    }
+
+    /// Parses `argv` (without the program name) like [`Args::parse`].
+    fn from_argv(argv: Vec<String>) -> Self {
         let mut map = HashMap::new();
         let mut flags = Vec::new();
-        let argv: Vec<String> = std::env::args().skip(1).collect();
         let mut i = 0;
         while i < argv.len() {
             let Some(key) = argv[i].strip_prefix("--") else {
@@ -70,6 +94,34 @@ impl Args {
             }
         }
         Args { map, flags }
+    }
+
+    /// Every `--key` passed that is neither a common flag (see [`usage`])
+    /// nor in `extra`, sorted. Empty when the invocation is well-formed.
+    pub fn unknown_keys(&self, extra: &[&str]) -> Vec<String> {
+        let mut unknown: Vec<String> = self
+            .map
+            .keys()
+            .chain(&self.flags)
+            .filter(|k| !is_common(k) && !extra.contains(&k.as_str()))
+            .cloned()
+            .collect();
+        unknown.sort();
+        unknown
+    }
+
+    /// Rejects any `--key` outside the common flags and `extra` with a
+    /// usage error (exit 2), so a stale or misspelt flag never runs the
+    /// defaults silently.
+    pub fn reject_unknown(&self, extra: &[&str]) {
+        let unknown = self.unknown_keys(extra);
+        if !unknown.is_empty() {
+            let list: Vec<String> = unknown.iter().map(|k| format!("`--{k}`")).collect();
+            usage_error(&format!(
+                "unknown flag {} (`--describe` lists this experiment's axes, flags and modes)",
+                list.join(", ")
+            ));
+        }
     }
 
     /// True if `--name` was passed as a flag.
@@ -112,41 +164,20 @@ impl Args {
         }
     }
 
-    /// Builds the supervision [`Policy`] from `--job-timeout` (seconds),
-    /// `--timeout-retries`, and `--fail-budget`.
-    pub fn policy(&self) -> Policy {
-        let job_timeout = self.get("job-timeout").map(|raw| {
-            let secs: f64 = raw.parse().unwrap_or_else(|_| {
-                usage_error(&format!(
-                    "--job-timeout: `{raw}` is not a number of seconds"
-                ))
-            });
-            if !(secs > 0.0 && secs.is_finite()) {
-                usage_error(&format!(
-                    "--job-timeout: `{raw}` must be a positive deadline"
-                ));
-            }
-            Duration::from_secs_f64(secs)
-        });
-        Policy {
-            job_timeout,
-            timeout_retries: self.get_or("timeout-retries", Policy::default().timeout_retries),
-            fail_budget: self.get("fail-budget").map(|raw| {
-                raw.parse().unwrap_or_else(|_| {
-                    usage_error(&format!("--fail-budget: `{raw}` is not a failure count"))
-                })
-            }),
-        }
-    }
-
     /// Builds the [`Sweep`] runner for this invocation: cached into
     /// `--cache-dir` (default [`DEFAULT_CACHE_DIR`]) unless `--no-cache`
     /// was passed; worker count follows `--threads` / `BALDUR_THREADS`;
-    /// supervision follows `--job-timeout` / `--timeout-retries` /
-    /// `--fail-budget`. After a killed run, the same command replays
-    /// every finished job from the cache.
+    /// `--fail-budget N` tolerates N failed jobs per sweep (default:
+    /// unlimited). After a killed run, the same command replays every
+    /// finished job from the cache.
     pub fn sweep(&self, cfg: &EvalConfig) -> Sweep {
-        let sw = Sweep::new(cfg.threads).with_policy(self.policy());
+        let mut sw = Sweep::new(cfg.threads);
+        if let Some(raw) = self.get("fail-budget") {
+            let budget = raw.parse().unwrap_or_else(|_| {
+                usage_error(&format!("--fail-budget: `{raw}` is not a failure count"))
+            });
+            sw = sw.with_fail_budget(budget);
+        }
         if self.flag("no-cache") {
             sw
         } else {
@@ -198,10 +229,41 @@ pub fn or_die<T, E: std::fmt::Display>(sw: &Sweep, result: Result<T, E>) -> T {
 mod tests {
     use super::*;
 
+    fn argv(raw: &[&str]) -> Args {
+        Args::from_argv(raw.iter().map(|s| (*s).to_string()).collect())
+    }
+
     #[test]
-    fn default_policy_flags_are_permissive() {
-        let args = Args::default();
-        let p = args.policy();
-        assert_eq!(p, Policy::default());
+    fn common_and_experiment_keys_pass_validation() {
+        let args = argv(&[
+            "--nodes",
+            "64",
+            "--no-cache",
+            "--fail-budget",
+            "2",
+            "--loads",
+            "0.5",
+            "--smoke",
+        ]);
+        assert!(args
+            .unknown_keys(&["loads", "networks", "smoke"])
+            .is_empty());
+    }
+
+    #[test]
+    fn retired_and_misspelt_keys_are_reported_sorted() {
+        let args = argv(&[
+            "--samples",
+            "5",
+            "--resume",
+            "--node",
+            "64",
+            "--nodes",
+            "64",
+        ]);
+        assert_eq!(args.unknown_keys(&[]), ["node", "resume", "samples"]);
+        // `--out` is an all_figures key only.
+        assert_eq!(argv(&["--out", "dir"]).unknown_keys(&[]), ["out"]);
+        assert!(argv(&["--out", "dir"]).unknown_keys(&["out"]).is_empty());
     }
 }

@@ -18,22 +18,19 @@
 //! * `--cache-dir DIR` — run-cache directory (default `results/cache`),
 //! * `--no-cache` — recompute every run, bypassing the cache (with the
 //!   cache on, rerunning a killed command replays every finished job),
-//! * `--job-timeout SECS` — watchdog deadline per job attempt (default
-//!   off); timed-out jobs are retried with jittered backoff, then
-//!   quarantined,
-//! * `--timeout-retries N` — extra attempts granted to a timed-out job
-//!   (default 2),
 //! * `--fail-budget N` — tolerated job failures per sweep before the
 //!   remaining jobs are cancelled and the binary exits nonzero
 //!   (default: unlimited),
 //! * `--paper` — use the paper's full scale (1,024 nodes × 10,000
 //!   packets; slow).
 //!
-//! Malformed flags and bad axis overrides produce a usage message on
-//! stderr and exit code 2; job failures produce a per-job status table
-//! on stderr and exit code 1 *only* when a failure budget was exhausted
-//! (otherwise the partial tables render and the binary exits 0, matching
-//! the sweep's drop-failed-rows semantics).
+//! `all_figures` also takes `--out DIR` (default `results`).
+//!
+//! Unknown flags, malformed values and bad axis overrides produce a
+//! usage message on stderr and exit code 2; job failures produce a
+//! per-job status table on stderr and exit code 1 *only* when a failure
+//! budget was exhausted (otherwise the partial tables render and the
+//! binary exits 0, matching the sweep's drop-failed-rows semantics).
 
 pub mod cli;
 pub mod perf;

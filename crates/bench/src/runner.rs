@@ -4,11 +4,12 @@
 //!
 //! Control flow per invocation:
 //!
-//! 1. parse the shared flags ([`Args`]),
-//! 2. resolve the spec from `baldur::registry`,
+//! 1. parse the flags ([`Args`]),
+//! 2. resolve the spec from `baldur::registry` and reject any flag that
+//!    is neither common nor one of the spec's axes, flags or modes,
 //! 3. merge axis overrides (`--<axis> VALUES` sugar, then `--set
 //!    axis=VALUES`), enabled flags, and the selected mode,
-//! 4. build the supervised [`Sweep`] and run the spec's hook,
+//! 4. build the [`Sweep`] and run the spec's hook,
 //! 5. emit console output, CSV/JSON/auxiliary files, and the standard
 //!    sweep epilogue.
 //!
@@ -67,6 +68,17 @@ fn apply_overrides(args: &Args, spec: &ExperimentSpec, params: &mut Params) {
     }
 }
 
+/// The experiment-specific `--key`s `spec` accepts: its axes, flags and
+/// mode flags.
+fn spec_keys(spec: &ExperimentSpec) -> Vec<&'static str> {
+    spec.axes
+        .iter()
+        .map(|a| a.name)
+        .chain(spec.flags.iter().map(|f| f.name))
+        .chain(spec.modes.iter().map(|m| m.flag))
+        .collect()
+}
+
 /// Selects the hook to run: the first [`Mode`](registry::Mode) whose
 /// flag was passed, falling back to the spec's default hook. The default
 /// hook is what `all_figures` runs and what the default CSV/JSON paths
@@ -100,12 +112,13 @@ fn run_checked(sw: &Sweep, params: &Params, hook: RunHook) -> Output {
 pub fn registry_main(name: &str) {
     crate::perf::install_for_registry();
     let args = Args::parse();
+    let spec = registry::get(name)
+        .unwrap_or_else(|| panic!("bench binary names unregistered experiment `{name}`"));
+    args.reject_unknown(&spec_keys(spec));
     if args.flag("list") {
         print!("{}", registry::list_table());
         return;
     }
-    let spec = registry::get(name)
-        .unwrap_or_else(|| panic!("bench binary names unregistered experiment `{name}`"));
     if args.flag("describe") {
         let doc = serde_json::to_string_pretty(&registry::describe(spec))
             .unwrap_or_else(|e| panic!("serialize descriptor: {e:?}"));
@@ -153,6 +166,7 @@ pub fn registry_main(name: &str) {
 pub fn all_figures_main() {
     crate::perf::install_for_registry();
     let args = Args::parse();
+    args.reject_unknown(&["out"]);
     if args.flag("list") {
         print!("{}", registry::list_table());
         return;

@@ -2,8 +2,8 @@
 //!
 //! The harness treats worker failure the way Baldur's recovery protocol
 //! treats packet loss: an expected input, not a process-fatal event. A
-//! job that panics, blows its watchdog deadline, or is cancelled by the
-//! failure budget becomes a structured [`JobError`] slot in the sweep's
+//! job that panics or is cancelled by the failure budget becomes a
+//! structured [`JobError`] slot in the sweep's
 //! submission-ordered results; library code that needs *all* results
 //! returns a [`BaldurError`] instead of calling `expect`/`panic!`, so the
 //! bench binaries can render one consistent failure report and choose
@@ -16,9 +16,6 @@ use std::fmt;
 pub enum JobErrorKind {
     /// The job panicked; [`JobError::payload`] carries the panic message.
     Panicked,
-    /// Every attempt exceeded the watchdog deadline; the job was
-    /// quarantined after its retry budget ran out.
-    TimedOut,
     /// The job never ran: the sweep cancelled its queue after the
     /// failure budget was exhausted.
     Skipped,
@@ -29,7 +26,6 @@ impl JobErrorKind {
     pub fn as_str(self) -> &'static str {
         match self {
             JobErrorKind::Panicked => "panicked",
-            JobErrorKind::TimedOut => "timed_out",
             JobErrorKind::Skipped => "skipped",
         }
     }
@@ -46,10 +42,8 @@ impl fmt::Display for JobErrorKind {
 pub struct JobError {
     /// What went wrong.
     pub kind: JobErrorKind,
-    /// Panic message, deadline description, or cancellation note.
+    /// Panic message or cancellation note.
     pub payload: String,
-    /// Attempts made before giving up (0 for jobs that never ran).
-    pub attempts: u32,
 }
 
 impl JobError {
@@ -58,21 +52,13 @@ impl JobError {
         JobError {
             kind: JobErrorKind::Skipped,
             payload: "cancelled: sweep failure budget exhausted".to_string(),
-            attempts: 0,
         }
     }
 }
 
 impl fmt::Display for JobError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} after {} attempt{}: {}",
-            self.kind,
-            self.attempts,
-            if self.attempts == 1 { "" } else { "s" },
-            self.payload
-        )
+        write!(f, "{}: {}", self.kind, self.payload)
     }
 }
 
@@ -185,12 +171,8 @@ mod tests {
         let e = JobError {
             kind: JobErrorKind::Panicked,
             payload: "index out of bounds".to_string(),
-            attempts: 1,
         };
-        assert_eq!(
-            e.to_string(),
-            "panicked after 1 attempt: index out of bounds"
-        );
+        assert_eq!(e.to_string(), "panicked: index out of bounds");
         let b = BaldurError::Job {
             label: "fig6".to_string(),
             index: 3,
@@ -198,7 +180,7 @@ mod tests {
         };
         assert_eq!(
             b.to_string(),
-            "sweep 'fig6': job 3 panicked after 1 attempt: index out of bounds"
+            "sweep 'fig6': job 3 panicked: index out of bounds"
         );
     }
 

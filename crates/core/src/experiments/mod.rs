@@ -55,14 +55,10 @@ pub use fig7::{fig7_geomeans, figure7, normalize_fig7, Fig7Row};
 pub use fig8::figure8;
 pub use fig9::{figure9, Fig9Row};
 pub use overload::{overload, overload_network, storm_pattern, OverloadRow};
-pub use perf::{
-    bench_report, install_memory_probe, install_wall_clock, ops_report, override_samples,
-    peak_rss_bytes, wall_clock_installed, wall_now_ns, BenchRecord, BenchReport, Counters,
-    OpsReport, OpsRow, WallStats, MIN_SAMPLES, SCHEMA as PERF_SCHEMA,
-};
+pub use perf::{ops_report, Counters, OpsReport, OpsRow, SCHEMA as PERF_SCHEMA};
 pub use reliability::{reliability, ReliabilityReport};
 pub use saturation::{saturation, SaturationRow};
-pub use scaling::{scaling_curves, ScalingRow};
+pub use scaling::{install_memory_probe, install_wall_clock, scaling_curves, ScalingRow};
 pub use table5::{table_v, TableVRow};
 pub use topologies::{topology_comparison, TopologyRow};
 

@@ -1,24 +1,17 @@
-//! The `perf` experiment: hot-path microbenchmarks with deterministic
-//! work counters and (injected) wall-clock statistics.
+//! The `perf` experiment: hot-path microbenchmarks with exact,
+//! deterministic work counters.
 //!
 //! Every benchmark is a pure function returning [`Counters`] — exact,
 //! machine-independent work counts (events popped, packets simulated,
-//! bytes encoded). The wall clock is *injected*: this crate never reads
-//! `Instant` (the repo-wide lint bans it outside `bench::perf`), so the
-//! measurement engine calls whatever monotonic nanosecond source the
-//! bench harness installs via [`install_wall_clock`]. Without an
-//! installed clock — e.g. under `cargo test` — all wall statistics are
-//! zero and only the exact counters are checked, which is precisely
-//! what the `--smoke` CI gate wants: wall clock is advisory, ops are
-//! law.
+//! bytes encoded). No host clock is read: host time comes from the
+//! `benchmark/` package's child processes. The `--smoke` CI gate runs
+//! every workload twice and compares both passes with the blessed
+//! `results/golden/perf_ops.json` byte for byte.
 //!
-//! The default hook emits the `BENCH_8.json` trajectory artifact
-//! (schema `baldur-perf/1`): per-benchmark wall statistics
-//! (median/min/MAD with outlier rejection), the exact counters, derived
-//! ops/sec, and the repo git revision.
+//! The default hook prints the same counters as a table (and, with
+//! `--json PATH`, the [`OpsReport`] document, schema `baldur-perf/1`).
 
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
 
 use super::EvalConfig;
 use crate::error::BaldurError;
@@ -30,8 +23,7 @@ use crate::phy::length_code::LengthCode;
 use crate::phy::packet_wave::assemble;
 use crate::phy::waveform::{Fs, BIT_PERIOD_FS};
 use crate::registry::{
-    fmt_bytes, fmt_ns, json_of, outln, section, Axis, AxisKind, ExperimentSpec, Mode, Output,
-    Params,
+    json_of, no_overrides, outln, section, ExperimentSpec, Mode, Output, Params,
 };
 use crate::sim::rng::StreamRng;
 use crate::sim::{Scheduler, Time};
@@ -45,76 +37,17 @@ const VERSION: u32 = 1;
 /// Schema tag stamped into every emitted report.
 pub const SCHEMA: &str = "baldur-perf/1";
 
-/// Floor on timed samples per benchmark (medians of fewer are noise).
-pub const MIN_SAMPLES: usize = 3;
-
-/// Nodes for the network-level benchmarks (small enough for seconds-long
-/// samples, large enough to exercise arbitration and retransmission).
+/// Nodes for the network-level benchmarks (small enough for a
+/// seconds-long run, large enough to exercise arbitration and
+/// retransmission).
 const PERF_NODES: u32 = 64;
 
-/// Passes over the codec working set per sample (amortizes the
+/// Passes over the codec working set per run (amortizes the
 /// deterministic payload generation).
 const CODEC_PASSES: usize = 8;
 
 /// Bytes in the codec working set.
 const CODEC_BYTES: usize = 64 * 1024;
-
-// ---------------------------------------------------------------------------
-// Injected wall clock + sample override (installed by `bench::perf`).
-// ---------------------------------------------------------------------------
-
-static WALL_CLOCK: OnceLock<fn() -> u64> = OnceLock::new();
-static MEMORY_PROBE: OnceLock<fn() -> u64> = OnceLock::new();
-static SAMPLE_OVERRIDE: OnceLock<usize> = OnceLock::new();
-
-/// Installs the monotonic nanosecond source used for wall timing.
-///
-/// `bench::perf` (the only module the wall-clock lint exempts) calls
-/// this before handing control to the registry runner. First install
-/// wins; later calls are ignored. Without an install, every measurement
-/// reports zero wall time and exact counters only.
-pub fn install_wall_clock(clock: fn() -> u64) {
-    let _ = WALL_CLOCK.set(clock);
-}
-
-/// Overrides the sample count (the `BALDUR_BENCH_SAMPLES` escape hatch,
-/// parsed and validated by `bench::perf`). Wins over the `samples`
-/// axis; values below [`MIN_SAMPLES`] are clamped up. First install
-/// wins.
-pub fn override_samples(n: usize) {
-    let _ = SAMPLE_OVERRIDE.set(n);
-}
-
-fn now_ns() -> u64 {
-    WALL_CLOCK.get().map_or(0, |clock| clock())
-}
-
-/// True once a wall-clock source has been installed.
-pub fn wall_clock_installed() -> bool {
-    WALL_CLOCK.get().is_some()
-}
-
-/// The installed monotonic clock, for experiments that time whole runs
-/// (the `scaling` sweep). Zero without an installed clock — wall time is
-/// advisory everywhere; exact counters are what gates.
-pub fn wall_now_ns() -> u64 {
-    now_ns()
-}
-
-/// Installs the peak-RSS probe (bytes of `VmHWM`, read by `bench::perf`
-/// from `/proc/self/status` — the OS boundary stays on the bench side of
-/// the clock lint wall). First install wins. Without an install, every
-/// report carries zero peak RSS and memory stays advisory, exactly like
-/// the wall clock.
-pub fn install_memory_probe(probe: fn() -> u64) {
-    let _ = MEMORY_PROBE.set(probe);
-}
-
-/// Peak resident-set size of the process in bytes, via the installed
-/// probe; zero when none is installed (e.g. under `cargo test`).
-pub fn peak_rss_bytes() -> u64 {
-    MEMORY_PROBE.get().map_or(0, |probe| probe())
-}
 
 // ---------------------------------------------------------------------------
 // Report schema.
@@ -131,106 +64,8 @@ pub struct Counters {
     pub bytes: u64,
 }
 
-/// Robust wall-clock statistics over the timed samples.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct WallStats {
-    /// Median of the surviving samples, ns.
-    pub median_ns: f64,
-    /// Minimum of the surviving samples, ns.
-    pub min_ns: f64,
-    /// Median absolute deviation of the surviving samples, ns.
-    pub mad_ns: f64,
-    /// Timed samples taken.
-    pub samples: u64,
-    /// Samples rejected as outliers (deviation > 8 x MAD).
-    pub rejected: u64,
-}
-
-impl WallStats {
-    /// Computes the statistics from raw per-sample wall times.
-    ///
-    /// Outlier rejection: compute the median and the median absolute
-    /// deviation (MAD); when the MAD is positive, drop samples more
-    /// than `8 x MAD` from the median (a GC pause, a scheduler
-    /// preemption) and recompute on the survivors.
-    pub fn from_samples(samples_ns: &[f64]) -> WallStats {
-        let mut all = samples_ns.to_vec();
-        all.sort_by(f64::total_cmp);
-        let med = median_of(&all);
-        let mad = mad_of(&all, med);
-        let kept: Vec<f64> = if mad > 0.0 {
-            all.iter()
-                .copied()
-                .filter(|x| (x - med).abs() <= 8.0 * mad)
-                .collect()
-        } else {
-            all.clone()
-        };
-        let med2 = median_of(&kept);
-        WallStats {
-            median_ns: med2,
-            min_ns: kept.first().copied().unwrap_or(0.0),
-            mad_ns: mad_of(&kept, med2),
-            samples: all.len() as u64,
-            rejected: (all.len() - kept.len()) as u64,
-        }
-    }
-}
-
-fn median_of(sorted: &[f64]) -> f64 {
-    let n = sorted.len();
-    if n == 0 {
-        0.0
-    } else if n % 2 == 1 {
-        sorted[n / 2]
-    } else {
-        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
-    }
-}
-
-fn mad_of(sorted: &[f64], median: f64) -> f64 {
-    let mut dev: Vec<f64> = sorted.iter().map(|x| (x - median).abs()).collect();
-    dev.sort_by(f64::total_cmp);
-    median_of(&dev)
-}
-
-/// One measured benchmark.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BenchRecord {
-    /// Benchmark name.
-    pub name: String,
-    /// Exact work counters (identical across every sample, by
-    /// construction — the engine errors out otherwise).
-    pub counters: Counters,
-    /// Wall-clock statistics (all-zero when no clock is installed).
-    pub wall: WallStats,
-    /// `ops / median_ns`, in operations per second (zero without a
-    /// clock).
-    pub ops_per_sec: f64,
-}
-
-/// The `BENCH_8.json` document.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BenchReport {
-    /// Schema tag ([`SCHEMA`]).
-    pub schema: String,
-    /// Repo git revision at emission time (`unknown` outside a
-    /// checkout).
-    pub git_rev: String,
-    /// Resolved worker-thread count (`BALDUR_THREADS`-aware).
-    pub threads: usize,
-    /// Timed samples per benchmark.
-    pub samples: usize,
-    /// One record per hot-path benchmark.
-    pub benches: Vec<BenchRecord>,
-    /// Peak resident-set size in bytes at emission time (zero when no
-    /// memory probe is installed; absent in pre-probe artifacts).
-    #[serde(default)]
-    pub peak_rss_bytes: u64,
-}
-
-/// Counters-only view of the benchmark table — the shape the
-/// `results/golden/perf_ops.json` CI gate snapshots.
+/// The benchmark table: one exact-counter row per workload — the shape
+/// the `results/golden/perf_ops.json` CI gate snapshots.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OpsReport {
     /// Schema tag ([`SCHEMA`]).
@@ -244,7 +79,7 @@ pub struct OpsReport {
 pub struct OpsRow {
     /// Benchmark name.
     pub name: String,
-    /// Exact counters from one clock-free run.
+    /// Exact counters from one run.
     pub counters: Counters,
 }
 
@@ -467,47 +302,7 @@ fn fig6_throughput() -> Counters {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The measurement engine.
-// ---------------------------------------------------------------------------
-
-/// Runs `work` once untimed (warmup, capturing the expected counters),
-/// then `samples` timed runs, each checked to reproduce the warmup
-/// counters exactly — a nondeterministic workload is a hard error, not
-/// a noisy number.
-fn measure(name: &str, samples: usize, work: fn() -> Counters) -> Result<BenchRecord, BaldurError> {
-    let expected = work();
-    let mut wall = Vec::with_capacity(samples);
-    for i in 0..samples {
-        let t0 = now_ns();
-        let got = work();
-        let t1 = now_ns();
-        if got != expected {
-            return Err(BaldurError::Experiment {
-                name: "perf".to_string(),
-                message: format!(
-                    "bench `{name}` sample {i}: counters diverged from warmup \
-                     ({got:?} vs {expected:?}) — the workload is not deterministic"
-                ),
-            });
-        }
-        wall.push(t1.saturating_sub(t0) as f64);
-    }
-    let stats = WallStats::from_samples(&wall);
-    let ops_per_sec = if stats.median_ns > 0.0 {
-        expected.ops as f64 / (stats.median_ns * 1e-9)
-    } else {
-        0.0
-    };
-    Ok(BenchRecord {
-        name: name.to_string(),
-        counters: expected,
-        wall: stats,
-        ops_per_sec,
-    })
-}
-
-/// One clock-free pass over every benchmark: the exact-counters view
+/// One pass over every benchmark: the exact-counters view
 /// the CI gate and the freshness test snapshot.
 pub fn ops_report() -> OpsReport {
     OpsReport {
@@ -522,116 +317,32 @@ pub fn ops_report() -> OpsReport {
     }
 }
 
-/// Measures every benchmark at `samples` timed samples each. This is the engine behind the default hook; tests call
-/// it directly (clock-free) to validate the schema.
-pub fn bench_report(samples: usize) -> Result<BenchReport, BaldurError> {
-    let samples = samples.max(MIN_SAMPLES);
-    let mut benches = Vec::with_capacity(BENCHES.len());
-    for b in &BENCHES {
-        benches.push(measure(b.name, samples, b.work)?);
-    }
-    Ok(BenchReport {
-        schema: SCHEMA.to_string(),
-        git_rev: git_rev(),
-        threads: crate::sim::par::thread_count(0),
-        samples,
-        benches,
-        peak_rss_bytes: peak_rss_bytes(),
-    })
-}
-
-/// Resolves the sample count: the validated `BALDUR_BENCH_SAMPLES`
-/// override (installed by the bench harness) wins over the `samples`
-/// axis; zero on the axis is a usage error; 1–2 clamp up to
-/// [`MIN_SAMPLES`].
-fn resolve_samples(p: &Params) -> Result<usize, BaldurError> {
-    if let Some(&n) = SAMPLE_OVERRIDE.get() {
-        return Ok(n.max(MIN_SAMPLES));
-    }
-    let n = p.u64("samples")? as usize;
-    if n == 0 {
-        return Err(BaldurError::InvalidParam {
-            param: "samples".to_string(),
-            message: "must be >= 1 (values below 3 clamp up to 3; 0 would measure nothing)"
-                .to_string(),
-        });
-    }
-    Ok(n.max(MIN_SAMPLES))
-}
-
-/// The repo's current git revision, resolved by hand from `.git` (no
-/// subprocess): `HEAD` directly, through `refs/`, or through
-/// `packed-refs`. `unknown` when any step fails.
-fn git_rev() -> String {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let Ok(head) = std::fs::read_to_string(root.join(".git/HEAD")) else {
-        return "unknown".to_string();
-    };
-    let head = head.trim();
-    let Some(reference) = head.strip_prefix("ref: ") else {
-        return head.to_string();
-    };
-    if let Ok(hash) = std::fs::read_to_string(root.join(".git").join(reference)) {
-        return hash.trim().to_string();
-    }
-    if let Ok(packed) = std::fs::read_to_string(root.join(".git/packed-refs")) {
-        for line in packed.lines() {
-            if let Some((hash, name)) = line.split_once(' ') {
-                if name.trim() == reference {
-                    return hash.to_string();
-                }
-            }
-        }
-    }
-    "unknown".to_string()
-}
-
 // ---------------------------------------------------------------------------
 // Registry hooks.
 // ---------------------------------------------------------------------------
 
-fn run_hook(_sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
-    let samples = resolve_samples(p)?;
-    let report = bench_report(samples)?;
+fn run_hook(_sw: &Sweep, _p: &Params) -> Result<Output, BaldurError> {
+    let report = ops_report();
     let mut console = String::new();
-    section(&mut console, "hot-path benchmarks");
-    if !wall_clock_installed() {
-        outln!(
-            console,
-            "(no wall clock installed: counters exact, times zero)"
-        );
-    }
+    section(&mut console, "hot-path benchmarks (exact work counters)");
     outln!(
         console,
-        "{:<26} {:>14} {:>12} {:>12} {:>12} {:>14}",
+        "{:<26} {:>14} {:>10} {:>10}",
         "bench",
         "ops",
-        "median",
-        "min",
-        "mad",
-        "ops/sec"
+        "packets",
+        "bytes"
     );
     for b in &report.benches {
         outln!(
             console,
-            "{:<26} {:>14} {:>12} {:>12} {:>12} {:>14.3e}",
+            "{:<26} {:>14} {:>10} {:>10}",
             b.name,
             b.counters.ops,
-            fmt_ns(b.wall.median_ns),
-            fmt_ns(b.wall.min_ns),
-            fmt_ns(b.wall.mad_ns),
-            b.ops_per_sec
+            b.counters.packets,
+            b.counters.bytes
         );
     }
-    outln!(console);
-    outln!(
-        console,
-        "git {} | {} threads | {} samples/bench | peak rss {}",
-        report.git_rev,
-        report.threads,
-        report.samples,
-        fmt_bytes(report.peak_rss_bytes)
-    );
     Ok(Output {
         console,
         csv: None,
@@ -721,67 +432,31 @@ fn describe_ops_mismatch(blessed: &OpsReport, fresh: &OpsReport) -> String {
     "formatting drift only (counters identical)".to_string()
 }
 
-fn all_figures_overrides(_cfg: &EvalConfig) -> Vec<(&'static str, String)> {
-    // The full figure set wants the artifact, not tight statistics.
-    vec![("samples", "3".to_string())]
-}
-
 pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
     name: "perf",
-    artifact: "BENCH_8",
-    summary: "hot-path microbenchmarks: exact work counters + wall-clock statistics",
+    artifact: "hot paths",
+    summary: "hot-path microbenchmarks: exact work counters",
     version: VERSION,
     labels: &[LABEL],
-    axes: &[Axis {
-        name: "samples",
-        kind: AxisKind::U64,
-        default: "10",
-        help: "timed samples per benchmark (min 3; BALDUR_BENCH_SAMPLES overrides, 0 rejected)",
-    }],
+    axes: &[],
     flags: &[],
     modes: &[Mode {
         flag: "smoke",
         help: "gate exact work counters against results/golden/perf_ops.json",
         run: smoke_hook,
     }],
-    output_columns: &[
-        "bench",
-        "ops",
-        "packets",
-        "bytes",
-        "median_ns",
-        "min_ns",
-        "mad_ns",
-        "ops_per_sec",
-    ],
+    output_columns: &["bench", "ops", "packets", "bytes"],
     golden: None,
     csv_default: None,
-    json_default: Some("BENCH_8.json"),
+    json_default: None,
     gnuplot: None,
-    all_figures: all_figures_overrides,
+    all_figures: no_overrides,
     run: run_hook,
 };
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn wall_stats_reject_outliers() {
-        let s = WallStats::from_samples(&[100.0, 102.0, 98.0, 101.0, 99.0, 10_000.0]);
-        assert_eq!(s.samples, 6);
-        assert_eq!(s.rejected, 1);
-        assert!((s.median_ns - 100.0).abs() < 1.5, "{}", s.median_ns);
-        assert!((s.min_ns - 98.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn wall_stats_keep_everything_at_zero_mad() {
-        let s = WallStats::from_samples(&[50.0, 50.0, 50.0, 50.0]);
-        assert_eq!(s.rejected, 0);
-        assert!((s.median_ns - 50.0).abs() < 1e-9);
-        assert!((s.mad_ns - 0.0).abs() < 1e-9);
-    }
 
     #[test]
     fn codec_counters_are_exact() {

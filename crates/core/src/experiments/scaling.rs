@@ -6,9 +6,11 @@
 //! Baldur network at `N` endpoints, pushes a light open-loop uniform
 //! load through it, and records
 //!
-//! * wall-clock and events/second (via the bench-side clock probe;
-//!   zero when run without the bench harness, e.g. under `cargo test`),
-//! * peak process RSS (the `VmHWM` probe, same caveat),
+//! * wall-clock and events/second (via the clock the bench harness
+//!   installs with [`install_wall_clock`]; zero without it, e.g. under
+//!   `cargo test`),
+//! * peak process RSS (the `VmHWM` probe installed with
+//!   [`install_memory_probe`], same caveat),
 //! * model state bytes and bytes/endpoint (exact, machine-independent:
 //!   flat-table and queue capacities plus arena slabs),
 //! * arena high-water marks and the scheduler's backend choice.
@@ -24,9 +26,10 @@
 //! `--smoke` (1K→4K, byte-identical repeat, 1/8-thread invariance) and
 //! accepts the full default up to 262,144 on CI-class resources.
 
+use std::sync::OnceLock;
+
 use serde::{Deserialize, Serialize};
 
-use super::perf::{peak_rss_bytes, wall_now_ns};
 use super::EvalConfig;
 use crate::error::BaldurError;
 use crate::net::baldur_net::simulate;
@@ -40,6 +43,36 @@ use crate::sweep::Sweep;
 
 const LABEL: &str = "scaling";
 const VERSION: u32 = 1;
+
+static WALL_CLOCK: OnceLock<fn() -> u64> = OnceLock::new();
+static MEMORY_PROBE: OnceLock<fn() -> u64> = OnceLock::new();
+
+/// Installs the monotonic nanosecond source behind the advisory
+/// `wall_ns` column. `bench::perf` (the only module the wall-clock lint
+/// exempts) calls this before handing control to the registry runner.
+/// First install wins; without one, every cell reports zero wall time.
+pub fn install_wall_clock(clock: fn() -> u64) {
+    let _ = WALL_CLOCK.set(clock);
+}
+
+/// Installs the peak-RSS probe behind the advisory `peak_rss_bytes`
+/// column (bytes of `VmHWM`, read by `bench::perf` from
+/// `/proc/self/status`, so the OS read stays on the bench side of the
+/// clock lint wall). First install wins; without one, every cell
+/// reports zero.
+pub fn install_memory_probe(probe: fn() -> u64) {
+    let _ = MEMORY_PROBE.set(probe);
+}
+
+/// The installed monotonic clock, or zero without one.
+fn wall_now_ns() -> u64 {
+    WALL_CLOCK.get().map_or(0, |clock| clock())
+}
+
+/// Peak process RSS in bytes via the installed probe, or zero without one.
+fn peak_rss_bytes() -> u64 {
+    MEMORY_PROBE.get().map_or(0, |probe| probe())
+}
 
 pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
     name: "scaling",

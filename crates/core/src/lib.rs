@@ -62,7 +62,6 @@ pub mod error;
 pub mod experiments;
 pub mod hash;
 pub mod registry;
-pub mod supervise;
 pub mod sweep;
 
 pub use net::runner::{run, NetworkKind, RunConfig, Workload};

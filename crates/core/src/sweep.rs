@@ -7,11 +7,10 @@
 //! three things at once:
 //!
 //! * **Parallelism without divergence.** Jobs fan out over
-//!   [`crate::supervise::run_jobs`] (and, below it,
-//!   `baldur_sim::par::par_map_isolated`), which returns results in
-//!   submission order, so rendered CSV/JSON is byte-identical at any
-//!   thread count (`BALDUR_THREADS=1` and `=8` produce the same bytes; a
-//!   tier-1 test asserts it).
+//!   [`par::par_map_isolated`], which returns results in submission
+//!   order, so rendered CSV/JSON is byte-identical at any thread count
+//!   (`BALDUR_THREADS=1` and `=8` produce the same bytes; a tier-1 test
+//!   asserts it).
 //! * **Content-addressed caching.** Each job's cache key is the SHA-256 of
 //!   `label | version | crate version | exact-JSON(item)`. A hit replays
 //!   the stored result instead of simulating; because results are stored
@@ -26,14 +25,16 @@
 //!   jobs: a plain rerun replays every finished job from the cache and
 //!   re-executes only the rest.
 //!
-//! Failure handling is supervised (see [`crate::supervise`]): panicking
-//! jobs become [`JobError`] slots instead of tearing down the sweep,
-//! watchdog deadlines quarantine hung jobs, and a failure budget aborts
-//! the sweep cleanly once exceeded. [`Sweep::try_map`] exposes the full
-//! per-slot picture; [`Sweep::map`] keeps the infallible-looking
-//! signature the experiments use (failed jobs are dropped from its output
-//! after being warned about, recorded in [`Sweep::failures`], and — when
-//! a budget aborts — reflected in [`Sweep::aborted`]).
+//! Failure handling is isolated: panicking jobs become [`JobError`]
+//! slots instead of tearing down the sweep, and a failure budget
+//! ([`Sweep::with_fail_budget`]) aborts the sweep cleanly once exceeded.
+//! There is no per-job deadline; the recovery path for a wedged run is
+//! `kill -9` and a rerun, which the as-it-finishes cache writes make
+//! cheap. [`Sweep::try_map`] exposes the full per-slot picture;
+//! [`Sweep::map`] keeps the infallible-looking signature the experiments
+//! use (failed jobs are dropped from its output after being warned
+//! about, recorded in [`Sweep::failures`], and — when a budget aborts —
+//! reflected in [`Sweep::aborted`]).
 //!
 //! The cache is enabled by the bench binaries (under `results/cache/` by
 //! default, one `<hex>.json` per job), not by unit tests: a
@@ -47,8 +48,8 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use crate::error::JobError;
-use crate::supervise::{self, Policy};
+use crate::error::{JobError, JobErrorKind};
+use crate::sim::par::{self, JobSlot};
 
 /// Default cache directory, relative to the working directory.
 pub const DEFAULT_CACHE_DIR: &str = "results/cache";
@@ -65,7 +66,7 @@ pub struct SweepStats {
     pub cache_hits: usize,
     /// Corrupt cache entries healed by recomputing.
     pub corrupt: usize,
-    /// Jobs that failed: panicked, timed out, or cancelled.
+    /// Jobs that failed: panicked or cancelled.
     pub failed: usize,
     /// Wall-clock time for the whole sweep, milliseconds.
     pub wall_ms: u64,
@@ -82,7 +83,7 @@ pub struct SweepFailure {
     pub error: JobError,
 }
 
-/// A supervised parallel sweep runner with optional result caching.
+/// A panic-isolated parallel sweep runner with optional result caching.
 ///
 /// Construct once per harness invocation and pass to the experiment
 /// functions; [`Sweep::summary`] renders the collected per-sweep
@@ -92,7 +93,7 @@ pub struct SweepFailure {
 pub struct Sweep {
     threads: usize,
     cache_dir: Option<PathBuf>,
-    policy: Policy,
+    fail_budget: Option<usize>,
     stats: Mutex<Vec<SweepStats>>,
     failures: Mutex<Vec<SweepFailure>>,
     aborted: AtomicBool,
@@ -105,7 +106,7 @@ impl Sweep {
         Sweep {
             threads: crate::sim::par::thread_count(threads),
             cache_dir: None,
-            policy: Policy::default(),
+            fail_budget: None,
             stats: Mutex::new(Vec::new()),
             failures: Mutex::new(Vec::new()),
             aborted: AtomicBool::new(false),
@@ -119,11 +120,13 @@ impl Sweep {
         self
     }
 
-    /// Sets the supervision policy (watchdog deadline, timeout retries,
-    /// failure budget).
+    /// Tolerates `budget` failed jobs per sweep; the next failure
+    /// cancels the sweep's remaining queue (those jobs come back
+    /// [`JobErrorKind::Skipped`]) and sets [`Sweep::aborted`]. Without a
+    /// budget, every job runs.
     #[must_use]
-    pub fn with_policy(mut self, policy: Policy) -> Self {
-        self.policy = policy;
+    pub fn with_fail_budget(mut self, budget: usize) -> Self {
+        self.fail_budget = Some(budget);
         self
     }
 
@@ -133,8 +136,8 @@ impl Sweep {
     }
 
     /// Maps `f` over `items` in parallel, preserving order, replaying
-    /// cached results where available. Failed jobs (panicked, timed out,
-    /// or cancelled by the failure budget) are **dropped from the
+    /// cached results where available. Failed jobs (panicked, or
+    /// cancelled by the failure budget) are **dropped from the
     /// output** after a stderr warning — they remain visible via
     /// [`Sweep::failures`], [`Sweep::status_table`], and
     /// [`Sweep::aborted`]. Use [`Sweep::try_map`] to see every slot.
@@ -159,7 +162,7 @@ impl Sweep {
             .collect()
     }
 
-    /// The supervised primitive under [`Sweep::map`]: one
+    /// The primitive under [`Sweep::map`]: one
     /// submission-ordered `Result` per item, failures included.
     ///
     /// Completed jobs are persisted to the cache *as they finish* (not
@@ -208,39 +211,44 @@ impl Sweep {
             }
         }
 
-        let outcome = supervise::run_jobs(self.threads, &self.policy, &miss_idx, |_, &i| {
-            let r = f(&items[i]);
-            // Persist as the job completes: this is the crash-safety
-            // point. A kill after this line loses nothing.
-            if let Some(path) = &paths[i] {
-                write_entry(path, &r);
-            }
-            r
-        });
+        let (slots, aborted) =
+            par::par_map_isolated(self.threads, miss_idx.clone(), self.fail_budget, |&i| {
+                let r = f(&items[i]);
+                // Persist as the job completes: this is the crash-safety
+                // point. A kill after this line loses nothing.
+                if let Some(path) = &paths[i] {
+                    write_entry(path, &r);
+                }
+                r
+            });
 
         let mut failed = 0usize;
-        for (slot, report) in miss_idx.iter().zip(outcome.jobs) {
-            let i = *slot;
-            match report {
-                Ok(r) => results[i] = Some(Ok(r)),
-                Err(error) => {
-                    failed += 1;
-                    eprintln!("warning: sweep '{label}': job {i} {error}");
-                    self.failures
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .push(SweepFailure {
-                            label: label.to_string(),
-                            index: i,
-                            error: error.clone(),
-                        });
-                    results[i] = Some(Err(error));
-                }
+        for (i, slot) in miss_idx.into_iter().zip(slots) {
+            let report = match slot {
+                JobSlot::Done(r) => Ok(r),
+                JobSlot::Panicked(payload) => Err(JobError {
+                    kind: JobErrorKind::Panicked,
+                    payload,
+                }),
+                JobSlot::Skipped => Err(JobError::skipped()),
+            };
+            if let Err(error) = &report {
+                failed += 1;
+                eprintln!("warning: sweep '{label}': job {i} {error}");
+                self.failures
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .push(SweepFailure {
+                        label: label.to_string(),
+                        index: i,
+                        error: error.clone(),
+                    });
             }
+            results[i] = Some(report);
         }
-        if outcome.aborted {
+        if aborted {
             self.aborted.store(true, Ordering::Relaxed);
-            let budget = self.policy.fail_budget.unwrap_or(0);
+            let budget = self.fail_budget.unwrap_or(0);
             eprintln!(
                 "error: sweep '{label}': failure budget ({budget}) exhausted after {failed} \
                  failure{}; remaining jobs cancelled",
@@ -340,9 +348,12 @@ impl Sweep {
     ///
     /// ```text
     /// job status (2 failed, sweep aborted: failure budget exhausted)
-    ///   sweep            job  status     attempts  detail
-    ///   fig6               7  panicked          1  index out of bounds...
+    ///   sweep              job  status     detail
+    ///   fig6                 7  panicked   index out of bounds...
     /// ```
+    ///
+    /// `detail` is the failure payload, cut to 57 characters plus `...`
+    /// when longer than 60.
     pub fn status_table(&self) -> Option<String> {
         let failures = self.failures();
         if failures.is_empty() && !self.aborted() {
@@ -358,21 +369,22 @@ impl Sweep {
             }
         );
         out.push_str(&format!(
-            "  {:<16} {:>5}  {:<9} {:>8}  detail\n",
-            "sweep", "job", "status", "attempts"
+            "  {:<16} {:>5}  {:<9}  detail\n",
+            "sweep", "job", "status"
         ));
         for fail in &failures {
             let mut detail = fail.error.payload.clone();
-            if detail.len() > 60 {
-                detail.truncate(57);
+            // Cut by characters: a byte cut can land inside a multi-byte
+            // character (`—`) and panic.
+            if detail.chars().count() > 60 {
+                detail = detail.chars().take(57).collect();
                 detail.push_str("...");
             }
             out.push_str(&format!(
-                "  {:<16} {:>5}  {:<9} {:>8}  {}\n",
+                "  {:<16} {:>5}  {:<9}  {}\n",
                 fail.label,
                 fail.index,
                 fail.error.kind.as_str(),
-                fail.error.attempts,
                 detail
             ));
         }
@@ -460,7 +472,6 @@ fn write_entry<R: Serialize>(path: &Path, value: &R) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::JobErrorKind;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -676,10 +687,7 @@ mod tests {
 
     #[test]
     fn failure_budget_aborts_the_sweep() {
-        let sw = Sweep::new(1).with_policy(Policy {
-            fail_budget: Some(1),
-            ..Policy::default()
-        });
+        let sw = Sweep::new(1).with_fail_budget(1);
         let slots = quietly(|| {
             sw.try_map("budget", 1, (0u32..10).collect(), |&x| {
                 if x == 1 || x == 3 {
@@ -698,6 +706,19 @@ mod tests {
             .all(|s| s.as_ref().is_err_and(|e| e.kind == JobErrorKind::Skipped)));
         let table = sw.status_table().expect("failures to report");
         assert!(table.contains("aborted"), "{table}");
+    }
+
+    #[test]
+    fn status_table_cuts_long_payloads_at_a_character_boundary() {
+        // 103 bytes with a three-byte `—` at bytes 56..59: a byte cut at
+        // 57 would land inside it.
+        let message = format!("{}—{}", "x".repeat(56), "y".repeat(44));
+        assert_eq!((message.len(), message.find('—')), (103, Some(56)));
+        let sw = Sweep::new(1);
+        quietly(|| sw.try_map("dash", 1, vec![0u32], |_| -> u32 { panic!("{message}") }));
+        let table = sw.status_table().expect("one failure to report");
+        let want = format!("  {}—...", "x".repeat(56));
+        assert!(table.lines().any(|l| l.ends_with(&want)), "{table}");
     }
 
     #[test]

@@ -19,9 +19,7 @@
 //! `catch_unwind`, so one panicking job becomes a [`JobSlot::Panicked`]
 //! slot instead of tearing down its siblings. An optional failure budget
 //! cancels the remaining queue once exceeded (the un-run jobs come back
-//! as [`JobSlot::Skipped`]). Watchdog deadlines live a layer up, in
-//! `baldur::supervise`, because this crate sits behind the lint wall that
-//! bans wall-clock reads.
+//! as [`JobSlot::Skipped`]).
 
 use std::any::Any;
 use std::collections::VecDeque;
