@@ -102,6 +102,11 @@ run_step golden cargo test -q --test golden_suite
 # unit tests, then the two-word request sets pinned by report digest.
 run_step router-arbitration cargo test -q -p baldur-net router_net
 run_step router-arbitration-multiword cargo test -q --test router_arbitration
+# Staged-topology wiring pinned by digest (the flat multi-butterfly link
+# table and the computed Omega targets), then the incremental starvation
+# oracle against the slice-scanning reference it replaced.
+run_step topo-wiring-pinned cargo test -q --test topo_wiring
+run_step oracle-starvation-equivalence cargo test -q -p baldur-net oracle
 run_step test-validate cargo test --features validate -q
 run_step test-workspace cargo test --workspace -q
 # Registry gates: the runner must enumerate every registered experiment,

@@ -276,8 +276,8 @@ impl Rule {
                  a panic there crashes the experiment mid-fault"
             }
             Rule::JobPathPanic => {
-                "no .unwrap()/.expect() on the supervised job path (par/sweep/supervise/\
-                 error/runner); a panic there defeats panic isolation"
+                "no .unwrap()/.expect() on the supervised job path (par/sweep/error/runner); \
+                 a panic there defeats panic isolation"
             }
             Rule::ProcessExit => {
                 "no std::process::exit in library code; return an error and let the \

@@ -262,7 +262,8 @@ impl BaldurNet {
             + bytes_of(&self.pending_acks)
             + self.pending_acks.iter().map(bytes_of).sum::<u64>();
         StateStats {
-            state_bytes: bytes_of(&self.ports)
+            state_bytes: self.topo.state_bytes()
+                + bytes_of(&self.ports)
                 + per_nic
                 + bytes_of(&self.next_in_queue)
                 + bytes_of(&self.packets)
@@ -460,6 +461,7 @@ impl BaldurNet {
                 self.metrics.on_generated(now);
                 self.metrics.note_flow_generated(node);
                 self.outstanding[node as usize] += 1;
+                self.oracle.flow_opened(node);
                 self.note_buffer(node);
                 self.enqueue(now, node, pkt, sched);
                 let len = u64::from(self.data_len[node as usize]);
@@ -553,7 +555,10 @@ impl BaldurNet {
     /// with oracle-checked (never wrapping) arithmetic.
     fn release_outstanding(&mut self, now: Time, node: u32) {
         match self.outstanding.get_mut(node as usize) {
-            Some(o) if *o > 0 => *o -= 1,
+            Some(o) if *o > 0 => {
+                *o -= 1;
+                self.oracle.flow_closed(node);
+            }
             _ => self.oracle.record(
                 now.as_ps(),
                 Violation::CounterUnderflow {
@@ -671,13 +676,11 @@ impl BaldurNet {
     /// the stuck-flow detector with the number of packets still owed a
     /// terminal outcome. Returns `true` when the run should abort.
     fn oracle_tick(&mut self, now: Time) -> bool {
-        let per_nic: Vec<u64> = self.outstanding.iter().map(|&o| u64::from(o)).collect();
-        let outstanding: u64 = per_nic.iter().sum::<u64>() + self.in_flight;
         // Each tick is one starvation observation window: a flow (source
         // node) with work outstanding and zero deliveries for N windows
         // while the rest of the machine progresses is starved.
-        self.oracle
-            .check_starvation(now.as_ps(), self.metrics.flow_delivered_counts(), &per_nic);
+        self.oracle.starvation_tick(now.as_ps());
+        let outstanding = self.oracle.outstanding_total() + self.in_flight;
         self.oracle.check_stall(now.as_ps(), outstanding)
     }
 
@@ -1066,6 +1069,7 @@ impl Model for BaldurNet {
                             let latency = now.since(self.packets[pkt as usize].generated_at);
                             self.metrics.on_delivered(latency, now);
                             self.metrics.note_flow_delivered(src.0);
+                            self.oracle.flow_delivered(src.0);
                             self.oracle.note(
                                 now.as_ps(),
                                 "deliver",

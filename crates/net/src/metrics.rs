@@ -354,18 +354,6 @@ impl Collector {
         }
     }
 
-    /// Per-flow delivery tallies observed so far (indexed by source;
-    /// empty unless flow accounting is in use). The starvation oracle
-    /// samples this between observation windows.
-    pub fn flow_delivered_counts(&self) -> &[u64] {
-        &self.flow_delivered
-    }
-
-    /// Per-flow generation tallies observed so far.
-    pub fn flow_generated_counts(&self) -> &[u64] {
-        &self.flow_generated
-    }
-
     /// A packet was corrupted in flight by a bit-error burst (and
     /// dropped; also counted as a drop via [`Collector::on_forward_attempt`]).
     pub fn on_corrupted(&mut self) {

@@ -31,6 +31,7 @@
 
 use baldur_sim::Time;
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Capacity of the recent-event ring carried into a report.
@@ -237,7 +238,9 @@ impl OracleSummary {
 
 /// The live oracle a network model owns. All hot-path operations are
 /// O(1) and allocation-free (the trace ring holds `&'static str` tags;
-/// strings are materialized only when a violation is recorded).
+/// strings are materialized only when a violation is recorded), and the
+/// periodic starvation tick touches only flows that changed since the
+/// previous tick plus the flows it fires on.
 #[derive(Debug, Clone)]
 pub struct Oracle {
     cfg: OracleConfig,
@@ -248,21 +251,78 @@ pub struct Oracle {
     suppressed: u64,
     last_progress_ps: u64,
     stall_latched: bool,
+    /// Per-flow watermark state, indexed by source node; grows on the
+    /// first transition a flow reports.
     flows: Vec<FlowWatch>,
-    starve_total: u64,
+    /// Flows whose delivered or outstanding count changed since the last
+    /// tick (each at most once: see [`FlowWatch::dirty`]).
+    dirty: Vec<u32>,
+    /// Armed contending flows as `(flow, reset_round)`, oldest stamp
+    /// first. An entry is live while its flow is still armed with that
+    /// stamp; stale entries are skipped when they reach the front, or
+    /// dropped by compaction.
+    armed: VecDeque<(u32, u64)>,
+    /// Fair-share rounds observed so far.
+    fair_rounds: u64,
+    /// Deliveries since the last tick.
+    delivered_since_tick: u64,
+    /// Flows with outstanding work right now.
+    contenders: u64,
+    /// Outstanding work summed over all flows.
+    outstanding_total: u64,
+    /// The delivered counts of the last snapshot the slice adapter saw.
+    #[cfg(test)]
+    snapshot_delivered: Vec<u64>,
 }
 
+/// `FlowWatch::queued` of a flow with no [`Oracle::armed`] entry yet.
+const NOT_QUEUED: u64 = u64::MAX;
+
 /// Per-flow starvation-watermark state.
-#[derive(Debug, Clone, Copy, Default)]
+///
+/// A flow's consecutive zero-progress fair-share rounds are
+/// `fair_rounds - reset_round` while it contends, so a tick never has to
+/// touch a flow that did not change.
+#[derive(Debug, Clone, Copy)]
 struct FlowWatch {
-    /// Delivered count at the last observation window.
-    last: u64,
-    /// Consecutive zero-progress fair-share rounds (with work
-    /// outstanding, while the network delivered at least a packet per
-    /// contending flow).
-    stalled: u32,
+    /// Work items the flow has outstanding right now.
+    outstanding: u64,
+    /// The fair round at the flow's last reset (a delivery, or an
+    /// observation with nothing outstanding).
+    reset_round: u64,
+    /// The stamp of the flow's newest entry in [`Oracle::armed`].
+    queued: u64,
+    /// Delivered at least once since the last tick.
+    delivered: bool,
+    /// On the dirty list.
+    dirty: bool,
+    /// Had work outstanding at the last tick that observed it. A flow
+    /// off the dirty list has not changed, so this also holds at every
+    /// tick since.
+    contending: bool,
     /// Fired already; re-arms on the flow's next delivery.
     latched: bool,
+}
+
+impl Default for FlowWatch {
+    fn default() -> Self {
+        FlowWatch {
+            outstanding: 0,
+            reset_round: 0,
+            queued: NOT_QUEUED,
+            delivered: false,
+            dirty: false,
+            contending: false,
+            latched: false,
+        }
+    }
+}
+
+impl FlowWatch {
+    /// Armed and contending: a candidate for the next crossing.
+    fn is_armed(&self) -> bool {
+        self.contending && !self.latched
+    }
 }
 
 impl Oracle {
@@ -278,7 +338,14 @@ impl Oracle {
             last_progress_ps: 0,
             stall_latched: false,
             flows: Vec::new(),
-            starve_total: 0,
+            dirty: Vec::new(),
+            armed: VecDeque::new(),
+            fair_rounds: 0,
+            delivered_since_tick: 0,
+            contenders: 0,
+            outstanding_total: 0,
+            #[cfg(test)]
+            snapshot_delivered: Vec::new(),
         }
     }
 
@@ -350,14 +417,68 @@ impl Oracle {
         true
     }
 
+    /// The flow's watch entry, marked dirty; the table grows to cover
+    /// `flow` on its first transition.
+    fn touch(&mut self, flow: u32) -> Option<&mut FlowWatch> {
+        let idx = flow as usize;
+        if idx >= self.flows.len() {
+            self.flows.resize(idx + 1, FlowWatch::default());
+        }
+        let w = self.flows.get_mut(idx)?;
+        if !w.dirty {
+            w.dirty = true;
+            self.dirty.push(flow);
+        }
+        Some(w)
+    }
+
+    /// One more work item outstanding for `flow` (a packet admitted).
+    #[inline]
+    pub fn flow_opened(&mut self, flow: u32) {
+        let Some(w) = self.touch(flow) else { return };
+        w.outstanding += 1;
+        let first = w.outstanding == 1;
+        self.outstanding_total += 1;
+        self.contenders += u64::from(first);
+    }
+
+    /// One work item of `flow` reached a terminal outcome or released
+    /// its buffer slot. Saturates at zero, like the models' counters.
+    #[inline]
+    pub fn flow_closed(&mut self, flow: u32) {
+        let Some(w) = self.touch(flow) else { return };
+        if w.outstanding == 0 {
+            return;
+        }
+        w.outstanding -= 1;
+        let last = w.outstanding == 0;
+        self.outstanding_total -= 1;
+        self.contenders -= u64::from(last);
+    }
+
+    /// `flow` delivered one packet.
+    #[inline]
+    pub fn flow_delivered(&mut self, flow: u32) {
+        let Some(w) = self.touch(flow) else { return };
+        w.delivered = true;
+        self.delivered_since_tick += 1;
+    }
+
+    /// Outstanding work summed over every flow's
+    /// [`Oracle::flow_opened`]/[`Oracle::flow_closed`] transitions.
+    pub fn outstanding_total(&self) -> u64 {
+        self.outstanding_total
+    }
+
     /// The per-flow starvation watermark. Call once per observation
-    /// window (the models' oracle-tick cadence) with each flow's
-    /// cumulative delivered count and its currently outstanding work. A
-    /// flow that makes zero progress for
+    /// window (the models' oracle-tick cadence); flows report their
+    /// deliveries and outstanding work through [`Oracle::flow_opened`],
+    /// [`Oracle::flow_closed`] and [`Oracle::flow_delivered`] as they
+    /// happen. A flow that makes zero progress for
     /// [`OracleConfig::starvation_windows`] consecutive *fair-share
-    /// rounds* — while it has work outstanding — records a
-    /// [`Violation::Starvation`] once, re-arming on the flow's next
-    /// delivery. A window counts as a round only when the network
+    /// rounds* — while it has work outstanding at each observation —
+    /// records a [`Violation::Starvation`] once, re-arming on the flow's
+    /// next delivery. A window counts as a round only when the network
     /// delivered at least one packet per flow that had work outstanding:
     /// under heavy contention (an incast sink shared by hundreds of
     /// senders) a flow legitimately waits many windows for its fair
@@ -366,53 +487,128 @@ impl Oracle {
     /// starvation either (that is [`Oracle::check_stall`]'s job), so
     /// windows without global progress also leave the counters
     /// untouched.
-    pub fn check_starvation(
+    ///
+    /// Cost is O(changed flows + fired flows): a flow's stall count is
+    /// the fair rounds since its stamp, and armed flows wait in stamp
+    /// order, so crossings are found at the front of that queue.
+    pub fn starvation_tick(&mut self, now_ps: u64) {
+        let fair_round = self.delivered_since_tick >= self.contenders.max(1);
+        self.delivered_since_tick = 0;
+        let before = self.fair_rounds;
+        self.fair_rounds += u64::from(fair_round);
+        let now_round = self.fair_rounds;
+        for &flow in &self.dirty {
+            let Some(w) = self.flows.get_mut(flow as usize) else {
+                continue;
+            };
+            w.dirty = false;
+            if w.delivered {
+                w.delivered = false;
+                w.latched = false;
+                w.reset_round = now_round;
+            } else if w.outstanding == 0 {
+                w.reset_round = now_round;
+            } else if !w.contending {
+                // Idle at the previous observation, so reset then.
+                w.reset_round = before;
+            }
+            w.contending = w.outstanding > 0;
+            if w.is_armed() && w.queued != w.reset_round {
+                w.queued = w.reset_round;
+                if w.reset_round == before {
+                    self.armed.push_back((flow, before));
+                }
+            }
+        }
+        // Flows stamped with this tick's new round queue behind every
+        // older stamp, so the queue stays in stamp order.
+        if fair_round {
+            for &flow in &self.dirty {
+                if self
+                    .flows
+                    .get(flow as usize)
+                    .is_some_and(|w| w.queued == now_round)
+                {
+                    self.armed.push_back((flow, now_round));
+                }
+            }
+        }
+        self.dirty.clear();
+        // Stamps never decrease, so only a flow's newest entry can ever
+        // be live again; keeping just those when the queue reaches twice
+        // the table size bounds it at O(flows), amortized O(1) per push.
+        if self.armed.len() > 2 * self.flows.len() {
+            let flows = &self.flows;
+            self.armed.retain(|&(flow, stamp)| {
+                flows.get(flow as usize).is_some_and(|w| w.queued == stamp)
+            });
+        }
+        let windows = self.cfg.starvation_windows;
+        if windows == 0 || !fair_round {
+            return;
+        }
+        // Stall counts move only on fair rounds, by one, so every
+        // crossing is found the round it happens, at exactly `windows`.
+        let mut fired: Vec<(u32, u64)> = Vec::new();
+        while let Some(&(flow, stamp)) = self.armed.front() {
+            if now_round - stamp < u64::from(windows) {
+                break;
+            }
+            self.armed.pop_front();
+            let Some(w) = self.flows.get_mut(flow as usize) else {
+                continue;
+            };
+            if w.is_armed() && w.reset_round == stamp {
+                w.latched = true;
+                fired.push((flow, w.outstanding));
+            }
+        }
+        fired.sort_unstable();
+        for (flow, outstanding) in fired {
+            self.record(
+                now_ps,
+                Violation::Starvation {
+                    flow,
+                    windows,
+                    outstanding,
+                },
+            );
+        }
+    }
+
+    /// Test adapter for snapshot-style callers: turns each flow's change
+    /// since the previous snapshot into transitions, then ticks.
+    #[cfg(test)]
+    pub(crate) fn check_starvation(
         &mut self,
         now_ps: u64,
         flow_delivered: &[u64],
         flow_outstanding: &[u64],
     ) {
-        let windows = self.cfg.starvation_windows;
-        if windows == 0 {
-            return;
-        }
-        let total: u64 = flow_delivered.iter().sum();
-        let delta = total.saturating_sub(self.starve_total);
-        self.starve_total = total;
-        let contenders = flow_outstanding.iter().filter(|&&o| o > 0).count() as u64;
-        let fair_round = delta >= contenders.max(1);
         let tracked = flow_delivered.len().max(flow_outstanding.len());
-        if self.flows.len() < tracked {
-            self.flows.resize(tracked, FlowWatch::default());
+        if self.snapshot_delivered.len() < tracked {
+            self.snapshot_delivered.resize(tracked, 0);
         }
-        let mut fired: Vec<(u32, u32, u64)> = Vec::new();
-        for (i, w) in self.flows.iter_mut().enumerate() {
+        for i in 0..tracked {
+            let flow = i as u32;
             let d = flow_delivered.get(i).copied().unwrap_or(0);
-            let outstanding = flow_outstanding.get(i).copied().unwrap_or(0);
-            if d > w.last {
-                w.last = d;
-                w.stalled = 0;
-                w.latched = false;
-            } else if outstanding == 0 {
-                w.stalled = 0;
-            } else if fair_round {
-                w.stalled = w.stalled.saturating_add(1);
-                if w.stalled >= windows && !w.latched {
-                    w.latched = true;
-                    fired.push((i as u32, w.stalled, outstanding));
-                }
+            let prev = self.snapshot_delivered.get(i).copied().unwrap_or(0);
+            for _ in prev..d {
+                self.flow_delivered(flow);
+            }
+            if let Some(slot) = self.snapshot_delivered.get_mut(i) {
+                *slot = d;
+            }
+            let o = flow_outstanding.get(i).copied().unwrap_or(0);
+            let cur = self.flows.get(i).map_or(0, |w| w.outstanding);
+            for _ in cur..o {
+                self.flow_opened(flow);
+            }
+            for _ in o..cur {
+                self.flow_closed(flow);
             }
         }
-        for (flow, stalled, outstanding) in fired {
-            self.record(
-                now_ps,
-                Violation::Starvation {
-                    flow,
-                    windows: stalled,
-                    outstanding,
-                },
-            );
-        }
+        self.starvation_tick(now_ps);
     }
 
     /// The bounded-queue occupancy checker: records a violation when an
@@ -465,6 +661,7 @@ impl Default for Oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use baldur_sim::rng::StreamRng;
 
     #[test]
     fn clean_oracle_reports_nothing() {
@@ -671,5 +868,314 @@ mod tests {
             }
             other => panic!("wrong violation: {other:?}"),
         }
+    }
+
+    /// The slice-scanning starvation checker the incremental tick
+    /// replaced, kept as the reference it must match: every tick it sums
+    /// all delivered counts, counts contenders and walks every flow.
+    struct ScanReference {
+        oracle: Oracle,
+        flows: Vec<ScanWatch>,
+        starve_total: u64,
+    }
+
+    #[derive(Debug, Clone, Copy, Default)]
+    struct ScanWatch {
+        last: u64,
+        stalled: u32,
+        latched: bool,
+    }
+
+    impl ScanReference {
+        fn new(cfg: OracleConfig) -> Self {
+            ScanReference {
+                oracle: Oracle::new(cfg),
+                flows: Vec::new(),
+                starve_total: 0,
+            }
+        }
+
+        fn check_starvation(
+            &mut self,
+            now_ps: u64,
+            flow_delivered: &[u64],
+            flow_outstanding: &[u64],
+        ) {
+            let windows = self.oracle.cfg.starvation_windows;
+            if windows == 0 {
+                return;
+            }
+            let total: u64 = flow_delivered.iter().sum();
+            let delta = total.saturating_sub(self.starve_total);
+            self.starve_total = total;
+            let contenders = flow_outstanding.iter().filter(|&&o| o > 0).count() as u64;
+            let fair_round = delta >= contenders.max(1);
+            let tracked = flow_delivered.len().max(flow_outstanding.len());
+            if self.flows.len() < tracked {
+                self.flows.resize(tracked, ScanWatch::default());
+            }
+            let mut fired: Vec<(u32, u32, u64)> = Vec::new();
+            for (i, w) in self.flows.iter_mut().enumerate() {
+                let d = flow_delivered.get(i).copied().unwrap_or(0);
+                let outstanding = flow_outstanding.get(i).copied().unwrap_or(0);
+                if d > w.last {
+                    w.last = d;
+                    w.stalled = 0;
+                    w.latched = false;
+                } else if outstanding == 0 {
+                    w.stalled = 0;
+                } else if fair_round {
+                    w.stalled = w.stalled.saturating_add(1);
+                    if w.stalled >= windows && !w.latched {
+                        w.latched = true;
+                        fired.push((i as u32, w.stalled, outstanding));
+                    }
+                }
+            }
+            for (flow, stalled, outstanding) in fired {
+                self.oracle.record(
+                    now_ps,
+                    Violation::Starvation {
+                        flow,
+                        windows: stalled,
+                        outstanding,
+                    },
+                );
+            }
+        }
+    }
+
+    /// The incremental oracle and the reference scan, fed the same flow
+    /// transitions; every tick must leave both with the same summary.
+    struct Twin {
+        inc: Oracle,
+        reference: ScanReference,
+        delivered: Vec<u64>,
+        outstanding: Vec<u64>,
+    }
+
+    impl Twin {
+        fn new(cfg: OracleConfig, flows: usize) -> Self {
+            let mut inc = Oracle::new(cfg);
+            inc.set_boundaries(vec![20_000, 40_000]);
+            let mut reference = ScanReference::new(cfg);
+            reference.oracle.set_boundaries(vec![20_000, 40_000]);
+            Twin {
+                inc,
+                reference,
+                delivered: vec![0; flows],
+                outstanding: vec![0; flows],
+            }
+        }
+
+        fn open(&mut self, f: usize) {
+            self.outstanding[f] += 1;
+            self.inc.flow_opened(f as u32);
+        }
+
+        /// Closing an idle flow saturates in both.
+        fn close(&mut self, f: usize) {
+            self.outstanding[f] = self.outstanding[f].saturating_sub(1);
+            self.inc.flow_closed(f as u32);
+        }
+
+        fn deliver(&mut self, f: usize) {
+            self.delivered[f] += 1;
+            self.inc.flow_delivered(f as u32);
+        }
+
+        fn tick(&mut self, now_ps: u64, context: &str) {
+            self.reference
+                .check_starvation(now_ps, &self.delivered, &self.outstanding);
+            self.inc.starvation_tick(now_ps);
+            assert_eq!(
+                self.inc.summary(),
+                self.reference.oracle.summary(),
+                "{context}"
+            );
+            assert!(self.inc.dirty.is_empty());
+            assert!(
+                self.inc.armed.len() <= 2 * self.inc.flows.len(),
+                "queue stays O(flows)"
+            );
+            let total: u64 = self.outstanding.iter().sum();
+            assert_eq!(self.inc.outstanding_total(), total);
+        }
+    }
+
+    /// Scenario counters the property test must hit, so a generator
+    /// change cannot quietly stop exercising a case.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        starved: u64,
+        dip_between_ticks: u64,
+        zero_at_tick: u64,
+        latched_idle_and_back: u64,
+        non_fair_windows: u64,
+        suppressed: u64,
+        windows_off: u64,
+        compactions: u64,
+    }
+
+    #[test]
+    fn incremental_tick_matches_the_reference_scan() {
+        let mut cov = Coverage::default();
+        for case in 0..300u64 {
+            let mut rng = StreamRng::named(0xBA1D, "oracleeq", case);
+            let flows = if case % 10 == 9 {
+                40
+            } else {
+                rng.gen_range(1..=8usize)
+            };
+            let windows = [0u32, 1, 2, 3, 5][rng.gen_range(0..5usize)];
+            let cfg = OracleConfig {
+                starvation_windows: windows,
+                max_reports: 3,
+                ..OracleConfig::default()
+            };
+            let mut twin = Twin::new(cfg, flows);
+            // Per-flow delivery odds: some flows never deliver (starve),
+            // some deliver most of the time.
+            let odds: Vec<f64> = (0..flows)
+                .map(|_| [0.0, 0.1, 0.5, 0.9][rng.gen_range(0..4usize)])
+                .collect();
+            let mut prev_outstanding = vec![0u64; flows];
+            let mut prev_total = 0u64;
+            let mut idle_latched = vec![false; flows];
+            for tick in 1..=60u64 {
+                let mut dipped = vec![false; flows];
+                for _ in 0..rng.gen_range(0..=4 * flows) {
+                    let f = rng.gen_range(0..flows);
+                    match rng.gen_range(0..10u32) {
+                        0..=2 => twin.open(f),
+                        3..=4 => {
+                            twin.close(f);
+                            dipped[f] |= twin.outstanding[f] == 0;
+                        }
+                        5 => {
+                            // Dip to zero and back between two ticks.
+                            let n = twin.outstanding[f];
+                            (0..n).for_each(|_| twin.close(f));
+                            (0..n).for_each(|_| twin.open(f));
+                            dipped[f] = true;
+                        }
+                        _ => {
+                            if rng.gen_bool(odds[f]) {
+                                twin.deliver(f);
+                            }
+                        }
+                    }
+                }
+
+                let total: u64 = twin.delivered.iter().sum();
+                let contenders = twin.outstanding.iter().filter(|&&o| o > 0).count() as u64;
+                if contenders > 0 && total - prev_total < contenders {
+                    cov.non_fair_windows += 1;
+                }
+                prev_total = total;
+                for f in 0..flows {
+                    let (was, now) = (prev_outstanding[f], twin.outstanding[f]);
+                    if was > 0 && now > 0 && dipped[f] {
+                        cov.dip_between_ticks += 1;
+                    }
+                    if was > 0 && now == 0 {
+                        cov.zero_at_tick += 1;
+                    }
+                }
+                prev_outstanding.clone_from(&twin.outstanding);
+                if twin.inc.armed.len() + twin.inc.dirty.len() > 2 * twin.inc.flows.len() {
+                    cov.compactions += 1;
+                }
+
+                twin.tick(
+                    tick * 1_000,
+                    &format!("case {case} tick {tick} (flows {flows}, windows {windows})"),
+                );
+
+                for (f, w) in twin.reference.flows.iter().enumerate() {
+                    let busy = twin.outstanding[f] > 0;
+                    if w.latched && !busy {
+                        idle_latched[f] = true;
+                    } else if w.latched && idle_latched[f] {
+                        cov.latched_idle_and_back += 1;
+                        idle_latched[f] = false;
+                    }
+                }
+            }
+            let s = twin.inc.summary();
+            cov.starved += s.total();
+            cov.suppressed += s.suppressed;
+            if windows == 0 {
+                cov.windows_off += 1;
+            }
+        }
+        let Coverage {
+            starved,
+            dip_between_ticks,
+            zero_at_tick,
+            latched_idle_and_back,
+            non_fair_windows,
+            suppressed,
+            windows_off,
+            compactions,
+        } = cov;
+        for (what, n) in [
+            ("starved", starved),
+            ("dip_between_ticks", dip_between_ticks),
+            ("zero_at_tick", zero_at_tick),
+            ("latched_idle_and_back", latched_idle_and_back),
+            ("non_fair_windows", non_fair_windows),
+            ("suppressed", suppressed),
+            ("windows_off", windows_off),
+            ("compactions", compactions),
+        ] {
+            assert!(n > 0, "scenario {what} never exercised");
+        }
+    }
+
+    #[test]
+    fn compaction_keeps_an_idle_flows_entry() {
+        // Flow 0 is stamped at round 4, goes idle on a non-fair tick
+        // whose pushes compact the queue, and contends again before the
+        // next fair round, so it resumes its old stamp and entry. It
+        // must still fire once five fair rounds pass without delivery.
+        let cfg = OracleConfig {
+            starvation_windows: 5,
+            ..OracleConfig::default()
+        };
+        let mut twin = Twin::new(cfg, 3);
+        let mut at = 0;
+        let mut tick = |twin: &mut Twin| {
+            at += 1_000;
+            twin.tick(at, &format!("tick at {at} ps"));
+        };
+        (0..3).for_each(|f| twin.open(f));
+        for _ in 0..4 {
+            // Fair rounds 1-4: flow 0 alone delivers a full round.
+            (0..3).for_each(|_| twin.deliver(0));
+            tick(&mut twin);
+        }
+        twin.close(0);
+        twin.deliver(1); // 1 delivery for 2 contenders: not fair
+        tick(&mut twin);
+        assert!(twin.inc.armed.len() <= twin.inc.flows.len(), "compacted");
+        twin.open(0);
+        tick(&mut twin); // still round 4
+        for _ in 0..5 {
+            // Fair rounds 5-9: flows 1 and 2 deliver, flow 0 starves.
+            (0..2).for_each(|_| twin.deliver(1));
+            twin.deliver(2);
+            tick(&mut twin);
+        }
+        let s = twin.inc.summary();
+        assert_eq!(s.reports.len(), 1);
+        assert_eq!(
+            s.reports[0].violation,
+            Violation::Starvation {
+                flow: 0,
+                windows: 5,
+                outstanding: 1
+            }
+        );
     }
 }

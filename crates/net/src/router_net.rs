@@ -152,12 +152,10 @@ pub struct RouterNet {
     /// and ignored.
     plan: FaultPlan,
     /// Always-on runtime invariant oracle (credit balance, bounded
-    /// queues, stuck-flow, drain conservation).
+    /// queues, stuck-flow, drain conservation). Its starvation
+    /// watermark counts, per source, the packets still owed a terminal
+    /// outcome (admitted, not yet delivered or lost).
     oracle: Oracle,
-    /// Per-source packets still owed a terminal outcome (admitted, not
-    /// yet delivered or lost) — the starvation watermark's outstanding
-    /// signal.
-    flow_pending: Vec<u64>,
 }
 
 impl RouterNet {
@@ -217,7 +215,6 @@ impl RouterNet {
             down_count: 0,
             plan: FaultPlan::new(seed),
             oracle: Oracle::new(OracleConfig::default()),
-            flow_pending: vec![0; nodes],
         }
     }
 
@@ -333,14 +330,6 @@ impl RouterNet {
         Some(head)
     }
 
-    /// One admitted packet of `src` reached a terminal outcome
-    /// (delivered or lost): retire it from the starvation signal.
-    fn flow_done(&mut self, src: u32) {
-        if let Some(p) = self.flow_pending.get_mut(src as usize) {
-            *p = p.saturating_sub(1);
-        }
-    }
-
     #[inline]
     fn is_down(&self, router: u32) -> bool {
         self.down_count > 0 && self.router_down[router as usize]
@@ -409,7 +398,7 @@ impl RouterNet {
                 self.metrics.on_forward_attempt(true);
                 self.metrics.on_abandoned(now);
                 if let Some(src) = self.packets.get(pkt as usize).map(|p| p.src.0) {
-                    self.flow_done(src);
+                    self.oracle.flow_closed(src);
                 }
                 self.oracle
                     .note(now.as_ps(), "drop:kill", u64::from(pkt), u64::from(router));
@@ -505,9 +494,7 @@ impl RouterNet {
                     decision: (0, 0),
                 });
                 self.next_in_queue.push(NONE);
-                if let Some(p) = self.flow_pending.get_mut(node as usize) {
-                    *p += 1;
-                }
+                self.oracle.flow_opened(node);
                 self.nic_push_back(node as usize, pkt);
                 if self.rp.deadline_ps > 0 {
                     // Eager expiry: revisit the queue when this packet's
@@ -681,11 +668,7 @@ impl RouterNet {
             .saturating_sub(self.metrics.abandoned())
             .saturating_sub(self.metrics.expired())
             .saturating_sub(self.metrics.ingress_drops());
-        self.oracle.check_starvation(
-            now.as_ps(),
-            self.metrics.flow_delivered_counts(),
-            &self.flow_pending,
-        );
+        self.oracle.starvation_tick(now.as_ps());
         self.oracle.check_stall(now.as_ps(), outstanding)
     }
 
@@ -805,7 +788,7 @@ impl Model for RouterNet {
                         self.nic_pop_front(n);
                         let src = self.packets[head as usize].src.0;
                         self.metrics.on_expired(now);
-                        self.flow_done(src);
+                        self.oracle.flow_closed(src);
                         self.oracle.note(
                             now.as_ps(),
                             "expire:nic",
@@ -878,7 +861,7 @@ impl Model for RouterNet {
                     self.metrics.on_forward_attempt(true);
                     self.metrics.on_abandoned(now);
                     if let Some(src) = self.packets.get(pkt as usize).map(|p| p.src.0) {
-                        self.flow_done(src);
+                        self.oracle.flow_closed(src);
                     }
                     self.oracle
                         .note(now.as_ps(), "drop:dead", u64::from(pkt), u64::from(router));
@@ -900,7 +883,7 @@ impl Model for RouterNet {
                     self.metrics.on_forward_attempt(true);
                     self.metrics.on_expired(now);
                     if let Some(src) = self.packets.get(pkt as usize).map(|p| p.src.0) {
-                        self.flow_done(src);
+                        self.oracle.flow_closed(src);
                     }
                     self.oracle
                         .note(now.as_ps(), "expire:hop", u64::from(pkt), u64::from(router));
@@ -1029,7 +1012,8 @@ impl Model for RouterNet {
                 self.metrics.on_delivered(latency, now);
                 let src = self.packets[pkt as usize].src.0;
                 self.metrics.note_flow_delivered(src);
-                self.flow_done(src);
+                self.oracle.flow_delivered(src);
+                self.oracle.flow_closed(src);
                 self.oracle.progress(now.as_ps());
                 let out = self.driver.delivered(node, now.as_ps());
                 self.apply_driver_output(now, node, out, sched);

@@ -49,9 +49,11 @@ pub struct MultiButterfly {
     stages: u32,
     multiplicity: u32,
     wiring: Wiring,
-    /// `links[stage][switch][dir][path] = LinkTarget` in stage+1
-    /// (absent for the final stage, whose outputs go to nodes).
-    links: Vec<Vec<[Vec<LinkTarget>; 2]>>,
+    /// One flat table of every inter-stage link: the target in stage+1
+    /// of (`stage`, `switch`, `dir`, `path`) sits at
+    /// `((stage * switches + switch) * 2 + dir) * m + path`. The final
+    /// stage has no entries (its outputs go to nodes).
+    links: Vec<LinkTarget>,
 }
 
 impl MultiButterfly {
@@ -81,13 +83,21 @@ impl MultiButterfly {
         let switches = nodes / 2;
         let m = multiplicity;
 
-        let mut links = Vec::with_capacity(stages as usize - 1);
+        let fanout = 2 * m as usize; // slots per switch: 2 directions × m paths
+        let stride = switches as usize * fanout; // slots per stage
+        let unset = LinkTarget {
+            switch: u32::MAX,
+            port: u32::MAX,
+        };
+        let mut links = vec![unset; (stages as usize - 1) * stride];
+        let slot = |s: u32, switch: u32, dir: u32, path: u32| {
+            s as usize * stride + switch as usize * fanout + (dir * m + path) as usize
+        };
+        let mut slots: Vec<LinkTarget> = Vec::with_capacity(switches as usize);
         for s in 0..stages - 1 {
             let groups = 1u32 << s;
             let group_width = switches / groups; // switches per group at s
             let next_width = group_width / 2; // switches per subgroup at s+1
-            let mut stage_links: Vec<[Vec<LinkTarget>; 2]> =
-                vec![[Vec::new(), Vec::new()]; switches as usize];
 
             for g in 0..groups {
                 for dir in 0..2u32 {
@@ -111,26 +121,24 @@ impl MultiButterfly {
                                 // Each round hands every target switch
                                 // exactly 2 links, on its input ports
                                 // (2*round) and (2*round + 1).
-                                let mut slots: Vec<LinkTarget> = (0..next_width)
-                                    .flat_map(|t| {
-                                        let switch = next_group_base + t;
-                                        [
-                                            LinkTarget {
-                                                switch,
-                                                port: 2 * round,
-                                            },
-                                            LinkTarget {
-                                                switch,
-                                                port: 2 * round + 1,
-                                            },
-                                        ]
-                                    })
-                                    .collect();
+                                slots.clear();
+                                slots.extend((0..next_width).flat_map(|t| {
+                                    let switch = next_group_base + t;
+                                    [
+                                        LinkTarget {
+                                            switch,
+                                            port: 2 * round,
+                                        },
+                                        LinkTarget {
+                                            switch,
+                                            port: 2 * round + 1,
+                                        },
+                                    ]
+                                }));
                                 rng.shuffle(&mut slots);
-                                for src in 0..group_width {
-                                    let switch = g * group_width + src;
-                                    stage_links[switch as usize][dir as usize]
-                                        .push(slots[src as usize]);
+                                for (src, &target) in slots.iter().enumerate() {
+                                    let switch = g * group_width + src as u32;
+                                    links[slot(s, switch, dir, round)] = target;
                                 }
                             }
                         }
@@ -144,17 +152,16 @@ impl MultiButterfly {
                                 let target = next_group_base + src % next_width;
                                 let half = src / next_width; // 0 or 1
                                 for round in 0..m {
-                                    stage_links[switch as usize][dir as usize].push(LinkTarget {
+                                    links[slot(s, switch, dir, round)] = LinkTarget {
                                         switch: target,
                                         port: 2 * round + half,
-                                    });
+                                    };
                                 }
                             }
                         }
                     }
                 }
             }
-            links.push(stage_links);
         }
 
         MultiButterfly {
@@ -219,9 +226,17 @@ impl MultiButterfly {
     /// `dir`). For the final stage this is `None`: the packet exits to
     /// [`MultiButterfly::egress_node`].
     pub fn next_targets(&self, stage: u32, switch: u32, dir: u32) -> Option<&[LinkTarget]> {
-        self.links
-            .get(stage as usize)
-            .map(|stage_links| stage_links[switch as usize][dir as usize].as_slice())
+        let m = self.multiplicity as usize;
+        let at = ((stage as usize * self.switches_per_stage() as usize + switch as usize) * 2
+            + dir as usize)
+            * m;
+        self.links.get(at..at + m)
+    }
+
+    /// Bytes the link table reserves (the topology's share of a model's
+    /// state accounting).
+    pub fn state_bytes(&self) -> u64 {
+        (self.links.capacity() * std::mem::size_of::<LinkTarget>()) as u64
     }
 
     /// The node a final-stage switch's direction-`dir` outputs reach.
@@ -252,45 +267,55 @@ impl MultiButterfly {
     /// Describes the first violated invariant.
     pub fn validate(&self) -> Result<(), String> {
         let switches = self.switches_per_stage();
-        for (s, stage_links) in self.links.iter().enumerate() {
+        let m = self.multiplicity as usize;
+        let stride = switches as usize * 2 * m;
+        if self.links.len() != (self.stages as usize - 1) * stride {
+            return Err(format!("link table holds {} entries", self.links.len()));
+        }
+        // Each target input port must be used exactly once per stage:
+        // `used[switch * 2m + port]`, cleared between stages.
+        let mut used = vec![false; stride];
+        for (s, stage_links) in self.links.chunks_exact(stride).enumerate() {
             let s = s as u32;
             let groups = 1u32 << (s + 1); // target groups at stage s+1
             let next_width = switches / groups;
-            // Each target input port must be used exactly once.
-            let mut used = vec![vec![false; 2 * self.multiplicity as usize]; switches as usize];
-            for (sw, dirs) in stage_links.iter().enumerate() {
-                let sw = sw as u32;
+            used.fill(false);
+            for (i, t) in stage_links.iter().enumerate() {
+                let sw = (i / (2 * m)) as u32;
+                let dir = ((i / m) % 2) as u32;
                 let group = sw / (switches / (1 << s));
-                for (dir, targets) in dirs.iter().enumerate() {
-                    if targets.len() != self.multiplicity as usize {
-                        return Err(format!("stage {s} switch {sw}: wrong fanout"));
-                    }
-                    let want_group = 2 * group + dir as u32;
-                    for t in targets {
-                        let tg = t.switch / next_width;
-                        if tg != want_group {
-                            return Err(format!(
-                                "stage {s} switch {sw} dir {dir}: target {} in group {tg}, want {want_group}",
-                                t.switch
-                            ));
-                        }
-                        let slot = &mut used[t.switch as usize][t.port as usize];
-                        if *slot {
-                            return Err(format!(
-                                "stage {} target {}:{} double-filled",
-                                s + 1,
-                                t.switch,
-                                t.port
-                            ));
-                        }
-                        *slot = true;
-                    }
+                let want_group = 2 * group + dir;
+                let tg = t.switch / next_width;
+                if tg != want_group {
+                    return Err(format!(
+                        "stage {s} switch {sw} dir {dir}: target {} in group {tg}, want {want_group}",
+                        t.switch
+                    ));
                 }
+                if t.port as usize >= 2 * m {
+                    return Err(format!(
+                        "stage {s} switch {sw} dir {dir}: port {} out of range",
+                        t.port
+                    ));
+                }
+                // In range: `tg == want_group` bounds `t.switch`.
+                let slot = &mut used[t.switch as usize * 2 * m + t.port as usize];
+                if *slot {
+                    return Err(format!(
+                        "stage {} target {}:{} double-filled",
+                        s + 1,
+                        t.switch,
+                        t.port
+                    ));
+                }
+                *slot = true;
             }
-            for (sw, ports) in used.iter().enumerate() {
-                if ports.iter().any(|&u| !u) {
-                    return Err(format!("stage {} switch {sw} has unfilled inputs", s + 1));
-                }
+            if let Some(i) = used.iter().position(|&u| !u) {
+                return Err(format!(
+                    "stage {} switch {} has unfilled inputs",
+                    s + 1,
+                    i / (2 * m)
+                ));
             }
         }
         Ok(())

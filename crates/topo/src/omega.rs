@@ -81,24 +81,20 @@ impl Omega {
         (dst.0 >> (self.stages - 1 - stage)) & 1
     }
 
-    /// The m dilated link targets from (`stage`, `switch`, `dir`), or
-    /// `None` at the final stage (the packet exits to a node).
-    pub fn next_targets(&self, stage: u32, switch: u32, dir: u32) -> Option<Vec<LinkTarget>> {
+    /// The `path`-th of the m dilated link targets from (`stage`,
+    /// `switch`, `dir`), or `None` at the final stage (the packet exits to
+    /// a node). All m share one successor switch; `path` picks the port
+    /// within the input half the shuffled wire lands on.
+    pub fn target(&self, stage: u32, switch: u32, dir: u32, path: u32) -> Option<LinkTarget> {
         if stage + 1 >= self.stages {
             return None;
         }
-        let wire = 2 * switch + dir;
-        let next_wire = self.shuffle(wire);
-        let target = next_wire / 2;
+        let next_wire = self.shuffle(2 * switch + dir);
         let side = next_wire % 2; // which half of the target's input ports
-        Some(
-            (0..self.multiplicity)
-                .map(|path| LinkTarget {
-                    switch: target,
-                    port: side * self.multiplicity + path,
-                })
-                .collect(),
-        )
+        Some(LinkTarget {
+            switch: next_wire / 2,
+            port: side * self.multiplicity + path,
+        })
     }
 
     /// The node reached from a final-stage switch's direction-`dir` output.
@@ -155,8 +151,7 @@ mod tests {
     #[test]
     fn dilated_targets_share_one_successor() {
         let o = Omega::new(32, 4);
-        let t = o.next_targets(0, 3, 1).unwrap();
-        assert_eq!(t.len(), 4);
+        let t: Vec<LinkTarget> = (0..4).map(|p| o.target(0, 3, 1, p).unwrap()).collect();
         assert!(t.iter().all(|x| x.switch == t[0].switch));
         // Ports within the chosen input half are distinct.
         let mut ports: Vec<u32> = t.iter().map(|x| x.port).collect();
@@ -168,8 +163,8 @@ mod tests {
     #[test]
     fn final_stage_has_no_targets() {
         let o = Omega::new(16, 2);
-        assert!(o.next_targets(3, 0, 0).is_none());
-        assert!(o.next_targets(2, 0, 0).is_some());
+        assert!(o.target(3, 0, 0, 0).is_none());
+        assert!(o.target(2, 0, 0, 1).is_some());
     }
 
     #[test]

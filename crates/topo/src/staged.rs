@@ -114,9 +114,16 @@ impl Staged {
             Staged::MultiButterfly(t) => t
                 .next_targets(stage, switch, dir)
                 .map(|ts| ts[path as usize]),
-            Staged::Omega(t) => t
-                .next_targets(stage, switch, dir)
-                .map(|ts| ts[path as usize]),
+            Staged::Omega(t) => t.target(stage, switch, dir, path),
+        }
+    }
+
+    /// Bytes the topology's link table reserves: the multi-butterfly's
+    /// flat table; 0 for the Omega, whose wiring is computed.
+    pub fn state_bytes(&self) -> u64 {
+        match self {
+            Staged::MultiButterfly(t) => t.state_bytes(),
+            Staged::Omega(_) => 0,
         }
     }
 
