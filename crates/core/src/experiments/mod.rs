@@ -34,7 +34,6 @@ pub(crate) mod fig8;
 pub(crate) mod fig9;
 pub(crate) mod overload;
 pub(crate) mod packaging;
-pub(crate) mod perf;
 pub(crate) mod reliability;
 pub(crate) mod saturation;
 pub(crate) mod scaling;
@@ -55,7 +54,6 @@ pub use fig7::{fig7_geomeans, figure7, normalize_fig7, Fig7Row};
 pub use fig8::figure8;
 pub use fig9::{figure9, Fig9Row};
 pub use overload::{overload, overload_network, storm_pattern, OverloadRow};
-pub use perf::{ops_report, Counters, OpsReport, OpsRow, SCHEMA as PERF_SCHEMA};
 pub use reliability::{reliability, ReliabilityReport};
 pub use saturation::{saturation, SaturationRow};
 pub use scaling::{install_memory_probe, install_wall_clock, scaling_curves, ScalingRow};

@@ -449,7 +449,7 @@ pub fn describe(spec: &ExperimentSpec) -> Descriptor {
 /// unreachable from the bench binaries, `all_figures`, the docs table,
 /// and the completeness test — which is exactly what the test checks.
 pub fn all() -> &'static [&'static ExperimentSpec] {
-    static ALL: [&ExperimentSpec; 21] = [
+    static ALL: [&ExperimentSpec; 20] = [
         &experiments::table5::SPEC,
         &experiments::fig6::SPEC,
         &experiments::fig7::SPEC,
@@ -469,7 +469,6 @@ pub fn all() -> &'static [&'static ExperimentSpec] {
         &experiments::fig5::SPEC,
         &experiments::tables34::SPEC,
         &experiments::packaging::SPEC,
-        &experiments::perf::SPEC,
         &experiments::scaling::SPEC,
     ];
     &ALL

@@ -266,7 +266,7 @@ mod tests {
 
     #[test]
     fn cfg_not_test_is_not_masked() {
-        let src = "#[cfg(feature = \"validate\")]\nfn v() { x.unwrap(); }\n";
+        let src = "#[cfg(feature = \"extra\")]\nfn v() { x.unwrap(); }\n";
         let (sig, sc) = scopes_of(src);
         assert!(!sc.in_test[idx_of(&sig, "unwrap")]);
     }

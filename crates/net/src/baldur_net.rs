@@ -534,7 +534,6 @@ impl BaldurNet {
     /// recorded as an oracle violation (and the decrement skipped)
     /// instead of wrapping.
     fn dec_in_flight(&mut self, now: Time) {
-        #[cfg(feature = "validate")]
         debug_assert!(
             self.in_flight > 0,
             "in_flight underflow: drop/arrive without inject"
@@ -601,65 +600,6 @@ impl BaldurNet {
         }
     }
 
-    /// Packet-conservation check, valid only once the event queue has
-    /// drained: every generated packet was then delivered, dropped and
-    /// retransmitted to completion, or abandoned — so nothing is in
-    /// flight, no NIC holds queued or unACKed work, and no coalesced ACK
-    /// is still owed.
-    #[cfg(feature = "validate")]
-    fn debug_validate_drained(&self) {
-        debug_assert_eq!(self.in_flight, 0, "packets still in flight after drain");
-        for i in 0..self.active_nodes as usize {
-            debug_assert!(
-                self.nic_is_empty(i),
-                "NIC {i} still has queued packets after drain"
-            );
-            debug_assert_eq!(
-                self.outstanding[i], 0,
-                "NIC {i} still counts unACKed packets after drain"
-            );
-            debug_assert!(
-                self.pending_acks[i].is_empty(),
-                "NIC {i} still owes coalesced ACKs after drain"
-            );
-        }
-        debug_assert!(
-            self.pending.is_empty(),
-            "coalescing batches leaked after drain"
-        );
-        debug_assert!(
-            self.ack_batches.is_empty(),
-            "combined-ACK references leaked after drain"
-        );
-        // Packet conservation: at drain every data packet has reached a
-        // terminal outcome — delivered or GaveUp, never still Pending —
-        // and the metric counters agree exactly (delivered and abandoned
-        // are disjoint, so generated = delivered + abandoned even under
-        // fault plans that killed switches, links, or lasers mid-run).
-        let mut delivered = 0u64;
-        let mut gave_up = 0u64;
-        let mut expired = 0u64;
-        for st in self.packets.iter().filter(|p| p.acks.is_none()) {
-            match st.outcome {
-                DeliveryOutcome::Delivered => delivered += 1,
-                DeliveryOutcome::GaveUp => gave_up += 1,
-                DeliveryOutcome::Expired => expired += 1,
-                DeliveryOutcome::Pending => {
-                    debug_assert!(false, "packet leaked: no terminal outcome at drain")
-                }
-            }
-        }
-        debug_assert_eq!(self.metrics.delivered(), delivered, "delivered count drift");
-        debug_assert_eq!(self.metrics.abandoned(), gave_up, "abandoned count drift");
-        debug_assert_eq!(self.metrics.expired(), expired, "expired count drift");
-        debug_assert_eq!(
-            self.metrics.generated(),
-            delivered + gave_up + expired + self.metrics.ingress_drops(),
-            "conservation violated: generated != delivered + abandoned + \
-             expired + ingress drops"
-        );
-    }
-
     fn note_buffer(&mut self, node: u32) {
         let bytes = u64::from(self.outstanding[node as usize]) * u64::from(self.link.packet_bytes);
         self.metrics.on_retx_buffer(bytes);
@@ -684,10 +624,13 @@ impl BaldurNet {
         self.oracle.check_stall(now.as_ps(), outstanding)
     }
 
-    /// Release-build drain audit mirroring [`Self::debug_validate_drained`]:
-    /// discrepancies become structured oracle violations on the report
-    /// instead of debug assertions, so chaos sweeps catch them in
-    /// `--release` too.
+    /// Packet-conservation audit, valid only once the event queue has
+    /// drained: every generated packet was then delivered, dropped and
+    /// retransmitted to completion, or abandoned, so nothing is in
+    /// flight, no NIC holds queued or unACKed work, no coalesced ACK is
+    /// still owed and no coalescing batch is left. Discrepancies become
+    /// structured oracle violations on the report (chaos sweeps catch
+    /// them in `--release`); debug builds also assert that there are none.
     fn oracle_check_drained(&mut self, end: Time) {
         let at = end.as_ps();
         if self.in_flight > 0 {
@@ -729,6 +672,16 @@ impl BaldurNet {
                 Violation::ResidualState {
                     what: "pending_acks".into(),
                     count: owed,
+                },
+            );
+        }
+        if !self.pending.is_empty() {
+            let count = self.pending.live();
+            self.oracle.record(
+                at,
+                Violation::ResidualState {
+                    what: "pending_batches".into(),
+                    count,
                 },
             );
         }
@@ -1020,7 +973,7 @@ impl Model for BaldurNet {
                         } else {
                             // Inner stages always have targets by
                             // construction; a miss would indicate a wiring
-                            // bug, so under `validate` it trips, and in
+                            // bug, so a debug build trips, and in
                             // release the packet is treated as dropped
                             // (recovered by the source timeout) instead of
                             // aborting the run.
@@ -1256,10 +1209,6 @@ pub fn simulate(
     // look; a latched stall aborts the run so livelocks surface as a
     // violation instead of burning the horizon.
     let stop = sim.run_until_observed(horizon, u64::MAX, 8192, |m, now| !m.oracle_tick(now));
-    #[cfg(feature = "validate")]
-    if stop == baldur_sim::StopReason::Drained {
-        sim.model().debug_validate_drained();
-    }
     let end = sim.scheduler().now();
     let events = sim.scheduler().events_executed();
     let mut stats = sim.model().state_stats();
@@ -1268,7 +1217,14 @@ pub fn simulate(
     stats.calendar_backed = sim.scheduler().calendar_backed();
     let mut model = sim.into_model();
     if stop == baldur_sim::StopReason::Drained {
+        let before = model.oracle.total();
         model.oracle_check_drained(end);
+        debug_assert_eq!(
+            model.oracle.total(),
+            before,
+            "drain audit: {:?}",
+            model.oracle.summary().reports
+        );
     }
     let mut report = model.into_report(end);
     report.events = events;
@@ -1659,6 +1615,25 @@ mod tests {
             r.oracle.is_clean(),
             "no counter may underflow: {:?}",
             r.oracle
+        );
+    }
+
+    #[test]
+    fn drain_audit_reports_a_leaked_coalescing_batch() {
+        // A model that never ran is trivially drained; one batch left in
+        // the coalescing arena must be the audit's only finding.
+        let d = Driver::open_loop(16, Pattern::RandomPermutation, 0.05, 1, &link(), 3);
+        let mut net = BaldurNet::new(16, BaldurParams::paper_for(16), link(), d, 3, 16);
+        net.pending.insert(vec![0]);
+        net.oracle_check_drained(Time::ZERO);
+        let reports = net.oracle.summary().reports;
+        assert_eq!(reports.len(), 1, "{reports:?}");
+        assert_eq!(
+            reports[0].violation,
+            Violation::ResidualState {
+                what: "pending_batches".into(),
+                count: 1,
+            }
         );
     }
 

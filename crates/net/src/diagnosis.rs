@@ -58,20 +58,6 @@ pub fn probe_path(
     path
 }
 
-/// Runs one probe: returns `true` if the probe arrives (no faulty switch
-/// on its path).
-pub fn run_probe(
-    topo: &MultiButterfly,
-    src: NodeId,
-    dst: NodeId,
-    path_config: &[u32],
-    is_faulty: &impl Fn(SwitchLoc) -> bool,
-) -> bool {
-    !probe_path(topo, src, dst, path_config)
-        .into_iter()
-        .any(is_faulty)
-}
-
 /// Locates a single faulty switch by intersecting failing probe paths and
 /// subtracting successful ones.
 ///

@@ -647,11 +647,6 @@ impl FaultState {
         self.dead_switches
     }
 
-    /// How many transmit lasers are currently dead.
-    pub fn dead_laser_count(&self) -> usize {
-        self.dead_lasers
-    }
-
     /// The [`SwitchHealth`] the fault layer implies for `(stage, switch)`
     /// — `Dead` while the switch is down, `Healthy` otherwise. This is
     /// the `tl::health` view of the fault state, and the value

@@ -1,14 +1,15 @@
 //! Always-on runtime invariant oracle for the network models.
 //!
-//! The `validate` feature gates *expensive* invariants (scheduler pop
-//! monotonicity, per-event conservation audits). This module is the
-//! cheap complement that ships in **release** builds: O(1) incremental
-//! checkers on the models' hot paths plus an O(state) drain audit,
-//! recording structured [`OracleReport`]s instead of panicking. A
-//! violated invariant in a chaos run is data — the chaos harness shrinks
-//! the fault plan around it and prints a reproduction — so the oracle
-//! must never tear the process down, and must itself be mechanically
-//! panic-free (it is inside the `fault-path-panic` lint wall).
+//! The oracle ships in **release** builds: O(1) incremental checkers on
+//! the models' hot paths plus an O(state) drain audit, recording
+//! structured [`OracleReport`]s instead of panicking. Debug builds add
+//! `debug_assert!`s on top (scheduler pop order, and a drained run's
+//! audit must record nothing), so a `cargo test` run fails loudly where
+//! a release run only reports. In a release chaos run a violated
+//! invariant is data — the chaos harness shrinks the fault plan around
+//! it and prints a reproduction — so the oracle must never tear the
+//! process down, and must itself be mechanically panic-free (it is
+//! inside the `fault-path-panic` lint wall).
 //!
 //! Checkers (see DESIGN.md "Runtime oracle & chaos convergence" for the
 //! cost budget):
@@ -624,6 +625,11 @@ impl Oracle {
     /// True when nothing has been reported.
     pub fn is_clean(&self) -> bool {
         self.reports.is_empty() && self.suppressed == 0
+    }
+
+    /// Violations recorded so far (kept + suppressed).
+    pub fn total(&self) -> u64 {
+        self.reports.len() as u64 + self.suppressed
     }
 
     /// Snapshot of everything observed so far.

@@ -672,9 +672,9 @@ impl RouterNet {
         self.oracle.check_stall(now.as_ps(), outstanding)
     }
 
-    /// Release-build drain audit: with the event queue empty every packet
-    /// must have a terminal outcome, every queue must be empty, and every
-    /// credit counter must be back at capacity — including after
+    /// Drain audit, run in every build: with the event queue empty every
+    /// packet must have a terminal outcome, every queue must be empty, and
+    /// every credit counter must be back at capacity — including after
     /// kill/revive cycles, because kills flush queues with upstream
     /// refunds and credits keep returning to dead routers.
     fn oracle_check_drained(&mut self, end: Time) {
@@ -1073,7 +1073,14 @@ pub fn simulate(
     let events = sim.scheduler().events_executed();
     let mut model = sim.into_model();
     if stop == baldur_sim::StopReason::Drained {
+        let before = model.oracle.total();
         model.oracle_check_drained(end);
+        debug_assert_eq!(
+            model.oracle.total(),
+            before,
+            "drain audit: {:?}",
+            model.oracle.summary().reports
+        );
     }
     let mut report = model.into_report(end);
     report.events = events;

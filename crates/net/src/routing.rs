@@ -57,11 +57,6 @@ pub enum RoutingAlg {
 const UGAL_THRESHOLD: u32 = 3;
 
 impl RoutingAlg {
-    /// Number of VCs the algorithm requires (all fit the paper's 3).
-    pub fn required_vcs(&self) -> u32 {
-        3
-    }
-
     /// Called once when a packet is injected at its source router: decides
     /// dragonfly minimal-vs-Valiant. `cong` views the *source router*.
     pub fn on_inject(

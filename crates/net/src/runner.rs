@@ -50,32 +50,10 @@ pub enum NetworkKind {
 impl NetworkKind {
     /// All five networks at the paper's defaults for `nodes` servers.
     pub fn paper_lineup(nodes: u32) -> Vec<(String, NetworkKind)> {
-        vec![
-            (
-                "baldur".into(),
-                NetworkKind::Baldur(BaldurParams::paper_for(u64::from(nodes))),
-            ),
-            (
-                "electrical_mb".into(),
-                NetworkKind::ElectricalMultiButterfly {
-                    multiplicity: 4,
-                    router: RouterParams::paper(),
-                },
-            ),
-            (
-                "dragonfly".into(),
-                NetworkKind::Dragonfly {
-                    router: RouterParams::paper(),
-                },
-            ),
-            (
-                "fattree".into(),
-                NetworkKind::FatTree {
-                    router: RouterParams::paper(),
-                },
-            ),
-            ("ideal".into(), NetworkKind::Ideal),
-        ]
+        ["baldur", "electrical_mb", "dragonfly", "fattree", "ideal"]
+            .into_iter()
+            .filter_map(|name| Some((name.to_string(), NetworkKind::by_name(name, nodes)?)))
+            .collect()
     }
 
     /// Resolves one lineup entry from its stable display name (the
@@ -330,8 +308,10 @@ mod tests {
 
     #[test]
     fn by_name_reconstructs_the_paper_lineup() {
-        for (name, net) in NetworkKind::paper_lineup(128) {
-            assert_eq!(NetworkKind::by_name(&name, 128), Some(net), "{name}");
+        let lineup = NetworkKind::paper_lineup(128);
+        assert_eq!(lineup.len(), 5);
+        for (name, net) in lineup {
+            assert_eq!(net.name(), name);
         }
         assert!(NetworkKind::by_name("dragonfly_minimal", 128).is_some());
         assert!(NetworkKind::by_name("token_ring", 128).is_none());

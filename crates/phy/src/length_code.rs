@@ -26,16 +26,6 @@ impl LengthCode {
         }
     }
 
-    /// A code with an explicit bit period (useful for timing-margin tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bit_period` is zero.
-    pub fn with_bit_period(bit_period: Fs) -> Self {
-        assert!(bit_period > 0, "bit period must be positive");
-        LengthCode { bit_period }
-    }
-
     /// Slot length: 3T per routing bit.
     pub fn slot(&self) -> Fs {
         3 * self.bit_period

@@ -110,15 +110,14 @@ pub struct Scheduler<E> {
     executed: u64,
     /// Auto-promote the heap to a calendar queue past [`PROMOTE_PENDING`]
     /// pending events (set by [`Scheduler::new`]; the explicit-backend
-    /// constructors pin their backend for differential tests and the
-    /// scheduler microbenchmarks).
+    /// constructors pin their backend for differential tests).
     auto_promote: bool,
     /// Peak simultaneous pending events over the scheduler's lifetime.
     peak_pending: usize,
-    /// `(time, seq)` of the last popped event, for the `validate`-feature
+    /// `(time, seq)` of the last popped event, for the debug-build
     /// invariant checks (popped times never decrease; same-time pops obey
     /// FIFO order).
-    #[cfg(feature = "validate")]
+    #[cfg(debug_assertions)]
     last_pop: Option<(Time, u64)>,
 }
 
@@ -135,15 +134,14 @@ impl<E> Scheduler<E> {
             executed: 0,
             auto_promote: true,
             peak_pending: 0,
-            #[cfg(feature = "validate")]
+            #[cfg(debug_assertions)]
             last_pop: None,
         }
     }
 
     /// Creates an empty scheduler pinned to the binary heap (never
-    /// promotes). For backend-differential tests and the `sched_heap`
-    /// microbenchmark, which must measure the heap even past the
-    /// promotion threshold.
+    /// promotes). For backend-differential tests, which must exercise
+    /// the heap even past the promotion threshold.
     pub fn new_heap() -> Self {
         Scheduler {
             auto_promote: false,
@@ -160,7 +158,7 @@ impl<E> Scheduler<E> {
             executed: 0,
             auto_promote: false,
             peak_pending: 0,
-            #[cfg(feature = "validate")]
+            #[cfg(debug_assertions)]
             last_pop: None,
         }
     }
@@ -257,12 +255,12 @@ impl<E> Scheduler<E> {
     /// Pops the next event, returning its timestamp, tie-break sequence
     /// number, and payload, and advancing the clock.
     ///
-    /// Exposing the sequence number lets differential tests (and the
-    /// scheduler microbenchmarks) compare the *exact* delivery order of
-    /// the two queue backends rather than just the timestamps.
+    /// Exposing the sequence number lets differential tests compare the
+    /// *exact* delivery order of the two queue backends rather than just
+    /// the timestamps.
     pub fn pop_scheduled(&mut self) -> Option<(Time, u64, E)> {
         let (at, seq, event) = self.queue.pop()?;
-        #[cfg(feature = "validate")]
+        #[cfg(debug_assertions)]
         {
             debug_assert!(
                 at >= self.now,
@@ -335,11 +333,6 @@ impl<M: Model> Simulation<M> {
     /// Shared access to the model.
     pub fn model(&self) -> &M {
         &self.model
-    }
-
-    /// Exclusive access to the model.
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
     }
 
     /// Consumes the simulation, returning the model.

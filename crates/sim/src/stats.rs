@@ -14,8 +14,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::time::Duration;
-
 /// Streaming mean/variance/min/max (Welford's algorithm).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Streaming {
@@ -89,11 +87,6 @@ impl Streaming {
         } else {
             self.m2 / self.count as f64
         }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
     }
 
     /// Smallest observation; `NaN` when empty.
@@ -231,11 +224,6 @@ impl LogHistogram {
         };
         self.buckets[idx] += 1;
         self.count += 1;
-    }
-
-    /// Adds a [`Duration`] observation in picoseconds.
-    pub fn push_duration(&mut self, d: Duration) {
-        self.push(d.as_ps());
     }
 
     /// Number of observations.

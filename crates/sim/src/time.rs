@@ -82,12 +82,6 @@ impl Time {
         self.0 as f64 / 1e3
     }
 
-    /// This instant expressed in (fractional) microseconds.
-    #[inline]
-    pub fn as_us_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// The span from `earlier` to `self`.
     ///
     /// # Panics
@@ -137,13 +131,6 @@ impl Duration {
     #[inline]
     pub const fn from_us(us: u64) -> Self {
         Duration(us * 1_000_000)
-    }
-
-    /// Creates a span from fractional nanoseconds, rounding to the nearest
-    /// picosecond.
-    #[inline]
-    pub fn from_ns_f64(ns: f64) -> Self {
-        Duration((ns * 1e3).round() as u64)
     }
 
     /// The time needed to serialize `bytes` bytes onto a link running at

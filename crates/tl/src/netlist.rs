@@ -107,17 +107,6 @@ impl Netlist {
         }
     }
 
-    /// Overrides the default gate delay (timing-margin experiments).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delay` is zero.
-    pub fn set_gate_delay(&mut self, delay: Fs) -> &mut Self {
-        assert!(delay > 0, "gate delay must be positive");
-        self.gate_delay = delay;
-        self
-    }
-
     /// The default gate delay in femtoseconds.
     pub fn gate_delay(&self) -> Fs {
         self.gate_delay
@@ -228,13 +217,6 @@ impl Netlist {
         self.gate(GateKind::And2, a, Some(b))
     }
 
-    /// Three-input AND as a two-gate cascade (the paper limits TL gates to
-    /// two optical inputs).
-    pub fn and3(&mut self, a: WireId, b: WireId, c: WireId) -> WireId {
-        let ab = self.and2(a, b);
-        self.and2(ab, c)
-    }
-
     /// Two-input OR.
     pub fn or2(&mut self, a: WireId, b: WireId) -> WireId {
         self.gate(GateKind::Or2, a, Some(b))
@@ -243,11 +225,6 @@ impl Netlist {
     /// Two-input NOR.
     pub fn nor2(&mut self, a: WireId, b: WireId) -> WireId {
         self.gate(GateKind::Nor2, a, Some(b))
-    }
-
-    /// Two-input NAND.
-    pub fn nand2(&mut self, a: WireId, b: WireId) -> WireId {
-        self.gate(GateKind::Nand2, a, Some(b))
     }
 
     /// Passive waveguide delay element (transport semantics).
@@ -714,11 +691,6 @@ impl CircuitSim {
     pub fn probed(&self, wire: WireId) -> Waveform {
         let trace = self.trace_of(wire);
         Waveform::from_transitions(trace.iter().map(|&(t, _)| t).collect())
-    }
-
-    /// Raw probe trace: `(time_fs, new_level)` pairs.
-    pub fn probe_trace(&self, wire: WireId) -> &[(Fs, bool)] {
-        self.trace_of(wire)
     }
 
     /// Access to the netlist.

@@ -3,9 +3,9 @@
 //!
 //! Runs on a small topology so the whole file finishes in seconds; the
 //! same checks at sweep scale live in `baldur-bench --bin faults
-//! --smoke`. Under `--features validate` every run here additionally
-//! passes the models' drained-state audits (no packet leaked: each one
-//! delivered, dropped, or GaveUp).
+//! --smoke`. Every run here that drains also passes the models'
+//! drained-state audits, asserted in debug builds (no packet leaked:
+//! each one delivered, dropped, or GaveUp).
 
 use baldur::prelude::*;
 

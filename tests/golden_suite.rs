@@ -1,6 +1,6 @@
 //! Golden-file suite: renders a fixed subset of the figure CSVs at the
-//! tiny config and compares them byte-for-byte against the snapshots in
-//! `results/golden/`.
+//! tiny config, plus the exact work counters of two hot-path runs, and
+//! compares them byte-for-byte against the snapshots in `results/golden/`.
 //!
 //! These snapshots pin the *rendered output*, end to end: simulation
 //! determinism, report field values, float formatting, and CSV layout all
@@ -17,8 +17,10 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use baldur::experiments::{self, EvalConfig};
+use baldur::net::config::BaldurParams;
+use baldur::net::traffic::Pattern;
 use baldur::sweep::Sweep;
-use baldur::NetworkKind;
+use baldur::{run, NetworkKind, RunConfig, Workload};
 
 /// Repo-relative directory holding the snapshots.
 const GOLDEN_DIR: &str = "results/golden";
@@ -147,4 +149,37 @@ fn golden_fig10_csv() {
     // Analytic: pins the cost model and CSV rendering.
     let rows = experiments::figure10(&sweep());
     check("fig10.csv", &baldur::csv::fig10(&rows));
+}
+
+#[test]
+fn golden_hot_paths_csv() {
+    // Exact event and delivery counts of two Baldur hot-path runs at 64
+    // nodes: a random permutation at 0.9 load (arbitration, drops and
+    // backoff retransmission) and a fig6-shaped sweep of all four
+    // patterns through the parallel sweep harness.
+    let nodes = 64;
+    let baldur = NetworkKind::Baldur(BaldurParams::paper_for(u64::from(nodes)));
+    let arb = run(&RunConfig::new(
+        nodes,
+        baldur.clone(),
+        Workload::Synthetic {
+            pattern: Pattern::RandomPermutation,
+            load: 0.9,
+            packets_per_node: 60,
+        },
+    ));
+    let cfg = EvalConfig {
+        nodes,
+        packets_per_node: 40,
+        pingpong_rounds: 10,
+        seed: 0xBA1D,
+        threads: 0,
+    };
+    let rows = experiments::figure6(&sweep(), &cfg, &[("baldur".to_string(), baldur)], &[0.5]);
+    let events: u64 = rows.iter().map(|row| row.report.events).sum();
+    let delivered: u64 = rows.iter().map(|row| row.report.delivered).sum();
+    let mut csv = String::from("bench,events,delivered\n");
+    let _ = writeln!(csv, "baldur_arb_retx,{},{}", arb.events, arb.delivered);
+    let _ = writeln!(csv, "fig6_throughput,{events},{delivered}");
+    check("hot_paths.csv", &csv);
 }

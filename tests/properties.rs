@@ -800,4 +800,32 @@ fn scheduler_backends_pop_identically() {
         assert_eq!(heap.events_executed(), cal.events_executed(), "case {case}");
         assert_eq!(heap.now(), cal.now(), "case {case}");
     }
+
+    // One large bursty workload: ten waves of 10,000 pushes into a 50 ns
+    // window, 5,000 pops after each, then a full drain. It peaks past
+    // `PROMOTE_PENDING`, so the heap side is pinned with `new_heap`.
+    let mut rng = StreamRng::named(0xBA1D, "perfschd", 0);
+    let mut heap = Scheduler::<u64>::new_heap();
+    let mut cal = Scheduler::<u64>::new_calendar();
+    for wave in 0..10u64 {
+        let base = heap.now().as_ps();
+        for i in 0..10_000u64 {
+            let at = Time::from_ps(base + rng.gen_range(0..50_000u64));
+            heap.schedule_at(at, wave * 10_000 + i);
+            cal.schedule_at(at, wave * 10_000 + i);
+        }
+        for _ in 0..5_000 {
+            let h = heap.pop_scheduled();
+            assert!(h.is_some(), "wave {wave}: queue drained mid-wave");
+            assert_eq!(h, cal.pop_scheduled(), "large workload, wave {wave}");
+        }
+    }
+    while let Some(h) = heap.pop_scheduled() {
+        assert_eq!(Some(h), cal.pop_scheduled(), "large workload, drain");
+    }
+    assert_eq!(cal.pop_scheduled(), None, "large workload, drain");
+    for sched in [&heap, &cal] {
+        assert_eq!(sched.events_scheduled() + sched.events_executed(), 200_000);
+    }
+    assert!(!heap.calendar_backed() && cal.calendar_backed());
 }

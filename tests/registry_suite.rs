@@ -28,7 +28,6 @@ const GOLDEN_EXEMPT: &[&str] = &[
     "fig5",
     "tables34",
     "packaging",
-    "perf",
     // Timing/RSS columns are machine measurements; the deterministic
     // projection is gated by the experiment's own `--smoke` mode and
     // unit tests instead of a byte snapshot.
@@ -38,13 +37,15 @@ const GOLDEN_EXEMPT: &[&str] = &[
 /// Snapshots under `results/golden/` owned by repo tooling rather than a
 /// registered experiment. Each must be pinned by its own freshness test
 /// (the lint report by `tests/lint_wall.rs::lint_json_snapshot_is_fresh`,
+/// the hot-path work counters by
+/// `tests/golden_suite.rs::golden_hot_paths_csv`,
 /// the packet-model fingerprints by
 /// `tests/properties.rs::soa_models_match_retired_baselines_byte_identically`,
 /// the codec and circuit fingerprints by
 /// `tests/properties.rs::codec_and_gate_loop_match_retired_references`).
 const TOOL_GOLDENS: &[&str] = &[
+    "hot_paths.csv",
     "lint.json",
-    "perf_ops.json",
     "reference_fingerprints.json",
     "soa_fingerprints.json",
 ];
