@@ -63,6 +63,15 @@ expect_exit() {
     fi
 }
 
+# The calendar queue's unit tests (structural invariants, width rule,
+# bytes bounded by the peak pending population), then the two property
+# tests that hold the scheduler pop for pop against a reference binary
+# heap.
+scheduler_equivalence() {
+    cargo test -q -p baldur-sim calendar &&
+        cargo test -q --test properties -- calendar_queue_matches_heap scheduler_backends_pop_identically
+}
+
 write_summary() {
     {
         echo "{"
@@ -106,6 +115,9 @@ run_step router-arbitration-multiword cargo test -q --test router_arbitration
 # oracle against the slice-scanning reference it replaced.
 run_step topo-wiring-pinned cargo test -q --test topo_wiring
 run_step oracle-starvation-equivalence cargo test -q -p baldur-net oracle
+# The single scheduler backend against its reference heap (see
+# scheduler_equivalence above).
+run_step scheduler-equivalence scheduler_equivalence
 run_step test-workspace cargo test --workspace -q
 # Registry gates: the runner must enumerate every registered experiment,
 # and the completeness suite enforces bin <-> spec bijection, golden (or

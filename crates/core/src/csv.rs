@@ -196,10 +196,10 @@ pub fn overload(rows: &[OverloadRow]) -> String {
     out
 }
 
-/// `endpoints,wall_ms,events,events_per_sec,peak_rss_bytes,state_bytes,bytes_per_endpoint,delivered,generated,peak_pending,calendar`.
+/// `endpoints,wall_ms,events,events_per_sec,peak_rss_bytes,state_bytes,bytes_per_endpoint,delivered,generated,peak_pending,queue_bytes`.
 pub fn scaling(rows: &[ScalingRow]) -> String {
     let mut out = String::from(
-        "endpoints,wall_ms,events,events_per_sec,peak_rss_bytes,state_bytes,bytes_per_endpoint,delivered,generated,peak_pending,calendar\n",
+        "endpoints,wall_ms,events,events_per_sec,peak_rss_bytes,state_bytes,bytes_per_endpoint,delivered,generated,peak_pending,queue_bytes\n",
     );
     for r in rows {
         let _ = writeln!(
@@ -215,7 +215,7 @@ pub fn scaling(rows: &[ScalingRow]) -> String {
             r.delivered,
             r.generated,
             r.peak_pending,
-            r.calendar_backed
+            r.queue_bytes
         );
     }
     out

@@ -13,11 +13,12 @@
 //!   [`install_memory_probe`], same caveat),
 //! * model state bytes and bytes/endpoint (exact, machine-independent:
 //!   flat-table and queue capacities plus arena slabs),
-//! * arena high-water marks and the scheduler's backend choice.
+//! * the scheduler's event-list bytes (calendar slab plus bucket table,
+//!   by capacity) and arena high-water marks.
 //!
 //! The simulation outcome columns (`events`, `delivered`, `generated`,
-//! `state_bytes`) are bit-deterministic for a fixed seed at any thread
-//! count; the timing/RSS columns are measurements. The cells therefore
+//! `state_bytes`, `queue_bytes`) are bit-deterministic for a fixed seed at
+//! any thread count; the timing/RSS columns are measurements. The cells therefore
 //! run on an uncached, single-worker sweep, whatever sweep the caller
 //! passes: a cache hit would replay a stale wall time and peak RSS, and
 //! a parallel neighbour would inflate a cell's process-wide peak RSS.
@@ -42,7 +43,7 @@ use crate::registry::{
 use crate::sweep::Sweep;
 
 const LABEL: &str = "scaling";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 static WALL_CLOCK: OnceLock<fn() -> u64> = OnceLock::new();
 static MEMORY_PROBE: OnceLock<fn() -> u64> = OnceLock::new();
@@ -111,7 +112,7 @@ pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
         "delivered",
         "generated",
         "peak_pending",
-        "calendar",
+        "queue_bytes",
     ],
     golden: None,
     csv_default: Some("results/scaling.csv"),
@@ -142,8 +143,8 @@ pub struct ScalingRow {
     pub events_scheduled: u64,
     /// Peak simultaneous scheduled events.
     pub peak_pending: u64,
-    /// Whether the scheduler self-promoted to the calendar backend.
-    pub calendar_backed: bool,
+    /// Bytes the scheduler's event list reserves (slab plus buckets).
+    pub queue_bytes: u64,
     /// Peak process RSS in bytes at measurement time (0 without probe).
     pub peak_rss_bytes: u64,
     /// Model state bytes (flat tables + queues + arena slabs).
@@ -204,7 +205,7 @@ fn measure(endpoints: u32, ppn: u32, seed: u64) -> ScalingRow {
         events: report.events,
         events_scheduled: stats.events_scheduled,
         peak_pending: stats.peak_pending_events,
-        calendar_backed: stats.calendar_backed,
+        queue_bytes: stats.queue_bytes,
         peak_rss_bytes: peak_rss_bytes(),
         state_bytes: stats.state_bytes,
         arena_high_water: stats
@@ -227,12 +228,12 @@ fn print_rows(out: &mut String, rows: &[ScalingRow]) {
         "peak RSS",
         "state",
         "B/endpt",
-        "sched"
+        "queue"
     );
     for r in rows {
         outln!(
             out,
-            "{:>9} | {:>8.1}ms | {:>11} | {:>11.0} | {:>9} | {:>11} | {:>8.1} | {:>8}",
+            "{:>9} | {:>8.1}ms | {:>11} | {:>11.0} | {:>9} | {:>11} | {:>8.1} | {:>9}",
             r.endpoints,
             r.wall_ns as f64 / 1e6,
             r.events,
@@ -240,11 +241,7 @@ fn print_rows(out: &mut String, rows: &[ScalingRow]) {
             fmt_bytes(r.peak_rss_bytes),
             fmt_bytes(r.state_bytes),
             r.bytes_per_endpoint(),
-            if r.calendar_backed {
-                "calendar"
-            } else {
-                "heap"
-            }
+            fmt_bytes(r.queue_bytes)
         );
     }
 }
@@ -278,7 +275,7 @@ fn run_sweep(_sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
 fn deterministic_csv(rows: &[ScalingRow]) -> String {
     use std::fmt::Write as _;
     let mut out = String::from(
-        "endpoints,ppn,events,events_scheduled,peak_pending,calendar,state_bytes,arena_high_water,delivered,generated\n",
+        "endpoints,ppn,events,events_scheduled,peak_pending,queue_bytes,state_bytes,arena_high_water,delivered,generated\n",
     );
     for r in rows {
         let _ = writeln!(
@@ -289,7 +286,7 @@ fn deterministic_csv(rows: &[ScalingRow]) -> String {
             r.events,
             r.events_scheduled,
             r.peak_pending,
-            r.calendar_backed,
+            r.queue_bytes,
             r.state_bytes,
             r.arena_high_water,
             r.delivered,

@@ -1,63 +1,83 @@
-//! A calendar queue (Brown 1988) — the classic O(1)-amortized future
-//! event list for discrete-event simulation.
+//! The scheduler's future event list: a calendar queue (Brown 1988).
 //!
-//! Events hash into day buckets by timestamp; a dequeue scans from the
-//! current bucket within the current "year". The queue resizes itself
-//! (doubling/halving buckets, re-estimating the bucket width from a
-//! sample of inter-event gaps) to keep ~1 event per bucket. Ties are
-//! broken by sequence number, so it is a drop-in, determinism-preserving
-//! replacement for the binary heap in [`crate::engine::Scheduler`]
-//! (select it with `Scheduler::new_calendar`).
+//! Day `at >> shift` lands in bucket `day & (buckets - 1)`. Every queued
+//! event is one slot (40 bytes for a 16-byte event) of a single
+//! free-listed slab, and each bucket is the `(head, tail)` of a
+//! doubly-linked slot list sorted by `(time, seq)`: insert walks back from
+//! the tail; pop unlinks the head found by scanning at most one "year" of
+//! days from the cursor (then directly searching the heads). The slab
+//! grows by half and reuses freed slots, and there are `len / 2` to
+//! `2 · len` buckets, so the bytes are O(peak pending). The width comes
+//! from the queue head ([`width_shift`]), so far-future timeouts do not
+//! widen near-term buckets. A resize (doubling, halving, or re-estimating
+//! the width when scans and walks average over [`COST_PER_OP`] steps per
+//! operation) sorts the live `(at, seq, slot)` triples and re-links them.
 
 use crate::time::Time;
 
-/// An entry: `(time, seq)` orders the queue; `E` is the payload.
-#[derive(Debug, Clone)]
-struct Entry<E> {
+/// Null slab link.
+const NIL: u32 = u32::MAX;
+
+/// Bucket count the queue never shrinks below.
+const MIN_BUCKETS: usize = 16;
+
+/// Earliest events the bucket width is estimated from.
+const SAMPLE: usize = 256;
+
+/// Average scan-plus-walk steps per operation that trigger a re-estimate.
+const COST_PER_OP: u64 = 8;
+
+/// A queued event and its bucket-list links, or (with `event` empty) a
+/// free slot whose `next` threads the free list.
+struct Slot<E> {
     at: u64,
     seq: u64,
-    event: E,
+    prev: u32,
+    next: u32,
+    event: Option<E>,
 }
 
+/// The ends of a bucket's sorted slot list.
+#[derive(Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY: Bucket = Bucket {
+    head: NIL,
+    tail: NIL,
+};
+
 /// A calendar queue over `(Time, seq)`-ordered events.
-#[derive(Debug, Clone)]
 pub struct CalendarQueue<E> {
-    buckets: Vec<Vec<Entry<E>>>,
-    /// Width of one bucket (picoseconds).
-    width: u64,
-    /// Index of the bucket the next dequeue starts scanning at.
-    cursor: usize,
-    /// Start time of the cursor bucket's current year window.
-    cursor_start: u64,
+    slab: Vec<Slot<E>>,
+    /// First free slot.
+    free: u32,
+    buckets: Vec<Bucket>,
+    /// Bucket width is `2^shift` picoseconds.
+    shift: u32,
+    /// Day the next scan starts at; no queued event is earlier.
+    cursor: u64,
     len: usize,
-    /// Resize thresholds.
-    grow_at: usize,
-    shrink_at: usize,
+    /// Operations, and buckets scanned plus entries walked past, since the
+    /// last resize.
+    ops: u64,
+    cost: u64,
 }
 
 impl<E> CalendarQueue<E> {
-    /// An empty queue with a small initial geometry.
+    /// An empty queue: 16 buckets of 1,024 ps.
     pub fn new() -> Self {
-        Self::with_geometry(16, 1_000)
-    }
-
-    /// An empty queue with explicit bucket count (a power of two) and
-    /// width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buckets` is not a power of two or `width` is zero.
-    pub fn with_geometry(buckets: usize, width: u64) -> Self {
-        assert!(buckets.is_power_of_two(), "bucket count must be 2^k");
-        assert!(width > 0, "bucket width must be positive");
         CalendarQueue {
-            buckets: (0..buckets).map(|_| Vec::new()).collect(),
-            width,
+            slab: Vec::new(),
+            free: NIL,
+            buckets: vec![EMPTY; MIN_BUCKETS],
+            shift: 10,
             cursor: 0,
-            cursor_start: 0,
             len: 0,
-            grow_at: buckets * 2,
-            shrink_at: buckets / 8,
+            ops: 0,
+            cost: 0,
         }
     }
 
@@ -66,165 +86,234 @@ impl<E> CalendarQueue<E> {
         self.len
     }
 
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    /// Bytes reserved: slab capacity plus the bucket table.
+    pub fn state_bytes(&self) -> u64 {
+        let bytes = self.slab.capacity() * std::mem::size_of::<Slot<E>>()
+            + self.buckets.capacity() * std::mem::size_of::<Bucket>();
+        bytes as u64
     }
 
-    fn bucket_of(&self, at: u64) -> usize {
+    fn bucket_of(&self, day: u64) -> usize {
         // Mask in u64 *before* narrowing: the masked value is < the bucket
         // count (a usize), so the cast can never truncate — even on a
-        // 32-bit host where `at / width` alone would not fit.
-        let wheel = (at / self.width) & (self.buckets.len() as u64 - 1);
+        // 32-bit host where `day` alone would not fit.
+        let wheel = day & (self.buckets.len() as u64 - 1);
         wheel as usize
     }
 
-    /// Enqueues an event.
+    fn slot(&self, i: u32) -> &Slot<E> {
+        &self.slab[i as usize]
+    }
+
+    fn slot_mut(&mut self, i: u32) -> &mut Slot<E> {
+        &mut self.slab[i as usize]
+    }
+
+    /// Links `slot` into bucket `b` after `prev` (first when `prev` is
+    /// `NIL`).
+    fn link(&mut self, b: usize, prev: u32, slot: u32) {
+        let next = if prev == NIL {
+            std::mem::replace(&mut self.buckets[b].head, slot)
+        } else {
+            std::mem::replace(&mut self.slot_mut(prev).next, slot)
+        };
+        if next == NIL {
+            self.buckets[b].tail = slot;
+        } else {
+            self.slot_mut(next).prev = slot;
+        }
+        let s = self.slot_mut(slot);
+        s.prev = prev;
+        s.next = next;
+    }
+
+    /// Enqueues an event. Panics if 2^32 − 1 events are already queued.
     pub fn push(&mut self, at: Time, seq: u64, event: E) {
         let at = at.as_ps();
-        // Keep the scan anchor valid: never let an insertion land before
-        // the cursor's notion of "now".
-        if self.len == 0 || at < self.cursor_start {
-            self.cursor_start = at - at % self.width;
-            self.cursor = self.bucket_of(at);
+        let day = at >> self.shift;
+        if self.len == 0 || day < self.cursor {
+            self.cursor = day;
         }
-        let b = self.bucket_of(at);
-        // Insert sorted descending so pop from the tail is the minimum.
-        let bucket = &mut self.buckets[b];
-        let pos = bucket
-            .binary_search_by(|e| (at, seq).cmp(&(e.at, e.seq)))
-            .unwrap_or_else(|p| p);
-        bucket.insert(pos, Entry { at, seq, event });
+        let s = Slot {
+            at,
+            seq,
+            prev: NIL,
+            next: NIL,
+            event: Some(event),
+        };
+        let slot = if self.free == NIL {
+            let slot = match u32::try_from(self.slab.len()) {
+                Ok(slot) if slot != NIL => slot,
+                _ => panic!("calendar queue: over 2^32 - 1 pending events"),
+            };
+            if self.slab.len() == self.slab.capacity() {
+                // Grow by half, not double: at most 1.5x the peak.
+                self.slab.reserve_exact(self.slab.len() / 2 + 16);
+            }
+            self.slab.push(s);
+            slot
+        } else {
+            let slot = self.free;
+            self.free = std::mem::replace(self.slot_mut(slot), s).next;
+            slot
+        };
+        // Walk back from the tail to the last entry that sorts before us.
+        let b = self.bucket_of(day);
+        let mut prev = self.buckets[b].tail;
+        while prev != NIL && (self.slot(prev).at, self.slot(prev).seq) > (at, seq) {
+            prev = self.slot(prev).prev;
+            self.cost += 1;
+        }
+        self.link(b, prev, slot);
         self.len += 1;
-        if self.len > self.grow_at {
+        self.ops += 1;
+        if self.len > 2 * self.buckets.len() {
             self.resize(self.buckets.len() * 2);
+        } else {
+            self.rewidth_if_costly();
         }
+    }
+
+    /// The bucket holding the earliest event, that event's day, and the
+    /// scan cost of finding it; `None` when empty.
+    fn find_min(&self) -> Option<(usize, u64, u64)> {
+        if self.len == 0 {
+            return None;
+        }
+        // Scan one year from the cursor: no event precedes the cursor, so
+        // a head within the year is in the year's first occupied day.
+        let mut day = self.cursor;
+        for scanned in 0..self.buckets.len() as u64 {
+            let b = self.bucket_of(day);
+            let head = self.buckets[b].head;
+            if head != NIL && self.slot(head).at >> self.shift == day {
+                return Some((b, day, scanned));
+            }
+            day = day.wrapping_add(1);
+        }
+        // Sparse case: the earliest head is the global minimum.
+        let (at, _, b) = self
+            .buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, bucket)| bucket.head != NIL)
+            .map(|(b, bucket)| (self.slot(bucket.head).at, self.slot(bucket.head).seq, b))
+            .min()?;
+        Some((b, at >> self.shift, 2 * self.buckets.len() as u64))
     }
 
     /// The `(time, seq)` of the earliest event.
     pub fn peek(&self) -> Option<(Time, u64)> {
-        if self.len == 0 {
-            return None;
-        }
-        // Fast path: scan one year from the cursor.
-        let n = self.buckets.len();
-        let mut start = self.cursor_start;
-        let mut idx = self.cursor;
-        for _ in 0..n {
-            let year_end = start + self.width;
-            if let Some(e) = self.buckets[idx].last() {
-                if e.at < year_end {
-                    return Some((Time::from_ps(e.at), e.seq));
-                }
-            }
-            idx = (idx + 1) & (n - 1);
-            start = year_end;
-        }
-        // Sparse case: direct minimum search.
-        self.buckets
-            .iter()
-            .filter_map(|b| b.last())
-            .min_by_key(|e| (e.at, e.seq))
-            .map(|e| (Time::from_ps(e.at), e.seq))
+        let (b, _, _) = self.find_min()?;
+        let s = self.slot(self.buckets[b].head);
+        Some((Time::from_ps(s.at), s.seq))
     }
 
     /// Dequeues the earliest event.
     pub fn pop(&mut self) -> Option<(Time, u64, E)> {
-        if self.len == 0 {
-            return None;
+        let (b, day, cost) = self.find_min()?;
+        self.cursor = day;
+        self.cost += cost;
+        let slot = self.buckets[b].head;
+        let next = self.slot(slot).next;
+        self.buckets[b].head = next;
+        if next == NIL {
+            self.buckets[b].tail = NIL;
+        } else {
+            self.slot_mut(next).prev = NIL;
         }
-        let n = self.buckets.len();
-        loop {
-            let mut start = self.cursor_start;
-            let mut idx = self.cursor;
-            for _ in 0..n {
-                let year_end = start + self.width;
-                let hit = self.buckets[idx]
-                    .last()
-                    .map(|e| e.at < year_end)
-                    .unwrap_or(false);
-                // `hit` proved `last()` was Some, so the pop succeeds; an
-                // impossible miss just advances the scan instead of
-                // panicking.
-                if let Some(e) = if hit { self.buckets[idx].pop() } else { None } {
-                    self.len -= 1;
-                    self.cursor = idx;
-                    self.cursor_start = start;
-                    if self.len < self.shrink_at && self.buckets.len() > 16 {
-                        self.resize(self.buckets.len() / 2);
-                    }
-                    return Some((Time::from_ps(e.at), e.seq, e.event));
-                }
-                idx = (idx + 1) & (n - 1);
-                start = year_end;
-            }
-            // Nothing within a year of the cursor: jump the cursor to the
-            // global minimum's window and retry (sparse queue). `len > 0`
-            // was checked on entry, so a minimum exists; an empty queue
-            // (impossible) would just report exhaustion.
-            let min_at = self
-                .buckets
-                .iter()
-                .filter_map(|b| b.last())
-                .map(|e| e.at)
-                .min()?;
-            self.cursor_start = min_at - min_at % self.width;
-            self.cursor = self.bucket_of(min_at);
+        let free = std::mem::replace(&mut self.free, slot);
+        let s = self.slot_mut(slot);
+        s.next = free;
+        let (at, seq, event) = (s.at, s.seq, s.event.take());
+        self.len -= 1;
+        self.ops += 1;
+        if self.len < self.buckets.len() / 2 && self.buckets.len() > MIN_BUCKETS {
+            self.resize(self.buckets.len() / 2);
+        } else {
+            self.rewidth_if_costly();
+        }
+        event.map(|e| (Time::from_ps(at), seq, e))
+    }
+
+    /// Re-estimates the width when the cost since the last resize exceeds
+    /// [`COST_PER_OP`] per operation plus one year of slack (one direct
+    /// search never triggers it); a long good stretch restarts the count.
+    fn rewidth_if_costly(&mut self) {
+        let n = self.buckets.len() as u64;
+        if self.cost > COST_PER_OP * (self.ops + n) {
+            self.resize(self.buckets.len());
+        } else if self.ops > 16 * n {
+            (self.ops, self.cost) = (0, 0);
         }
     }
 
-    fn resize(&mut self, new_buckets: usize) {
-        let new_width = self.estimate_width();
-        let mut entries: Vec<Entry<E>> = Vec::with_capacity(self.len);
-        for b in &mut self.buckets {
-            entries.append(b);
-        }
-        let min_at = entries.iter().map(|e| e.at).min().unwrap_or(0);
-        self.buckets = (0..new_buckets).map(|_| Vec::new()).collect();
-        self.width = new_width;
-        self.grow_at = new_buckets * 2;
-        self.shrink_at = new_buckets / 8;
-        self.cursor_start = min_at - min_at % self.width;
-        self.cursor = self.bucket_of(min_at);
-        let count = entries.len();
-        for e in entries {
-            let b = self.bucket_of(e.at);
-            let bucket = &mut self.buckets[b];
-            let pos = bucket
-                .binary_search_by(|x| (e.at, e.seq).cmp(&(x.at, x.seq)))
-                .unwrap_or_else(|p| p);
-            bucket.insert(pos, e);
-        }
-        debug_assert_eq!(self.len, count);
-    }
-
-    /// Estimates a bucket width from the spread of queued timestamps.
-    fn estimate_width(&self) -> u64 {
-        let mut lo = u64::MAX;
-        let mut hi = 0;
-        for b in &self.buckets {
-            for e in b {
-                lo = lo.min(e.at);
-                hi = hi.max(e.at);
+    /// Re-links every queued event into `buckets` buckets with a freshly
+    /// estimated width.
+    fn resize(&mut self, buckets: usize) {
+        let mut live: Vec<(u64, u64, u32)> = Vec::with_capacity(self.len);
+        for (s, slot) in self.slab.iter().zip(0u32..) {
+            if s.event.is_some() {
+                live.push((s.at, s.seq, slot));
             }
         }
-        if self.len < 2 || hi <= lo {
-            return self.width;
+        live.sort_unstable();
+        self.shift = width_shift(&live).unwrap_or(self.shift);
+        self.buckets = vec![EMPTY; buckets];
+        for &(at, _, slot) in &live {
+            let b = self.bucket_of(at >> self.shift);
+            self.link(b, self.buckets[b].tail, slot);
         }
-        // Aim for ~1 event per bucket over the occupied span.
-        ((hi - lo) / self.len as u64).clamp(1, u64::MAX / 4)
+        self.cursor = live.first().map_or(0, |&(at, _, _)| at >> self.shift);
+        (self.ops, self.cost) = (0, 0);
     }
 }
 
-impl<E> Default for CalendarQueue<E> {
-    fn default() -> Self {
-        CalendarQueue::new()
-    }
+/// Brown's width rule over the earliest [`SAMPLE`] sorted events, as a
+/// power-of-two shift: three times the mean separation after dropping
+/// separations over twice the mean (the plain mean if that leaves only
+/// ties). `None` with fewer than two events.
+fn width_shift(sorted: &[(u64, u64, u32)]) -> Option<u32> {
+    let head = &sorted[..sorted.len().min(SAMPLE)];
+    let gaps = (head.len() as u64).checked_sub(1).filter(|&g| g > 0)?;
+    let mean = (head[head.len() - 1].0 - head[0].0) / gaps;
+    let (sum, kept) = head
+        .windows(2)
+        .map(|w| w[1].0 - w[0].0)
+        .filter(|&gap| gap <= mean.saturating_mul(2))
+        .fold((0u64, 0u64), |(sum, kept), gap| (sum + gap, kept + 1));
+    let trimmed = if sum == 0 { mean } else { sum / kept };
+    Some(trimmed.saturating_mul(3).max(1).ilog2())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Structural invariants: every bucket list is linked both ways,
+    /// sorted, and holds only its own days (none before the cursor); live
+    /// plus free slots make up the slab.
+    fn check<E>(q: &CalendarQueue<E>) {
+        let (mut live, mut free) = (0, 0);
+        for (b, bucket) in q.buckets.iter().enumerate() {
+            let (mut prev, mut i) = (NIL, bucket.head);
+            while i != NIL {
+                let s = q.slot(i);
+                let day = s.at >> q.shift;
+                assert!(s.event.is_some() && s.prev == prev && q.bucket_of(day) == b);
+                assert!(day >= q.cursor, "event before the cursor");
+                assert!(prev == NIL || (q.slot(prev).at, q.slot(prev).seq) < (s.at, s.seq));
+                (prev, i, live) = (i, s.next, live + 1);
+            }
+            assert_eq!(bucket.tail, prev, "bucket {b}: stale tail");
+        }
+        let mut i = q.free;
+        while i != NIL {
+            assert!(q.slot(i).event.is_none(), "free list holds a live slot");
+            (i, free) = (q.slot(i).next, free + 1);
+        }
+        assert_eq!((live, live + free), (q.len, q.slab.len()));
+    }
 
     #[test]
     fn pops_in_time_then_seq_order() {
@@ -233,26 +322,14 @@ mod tests {
         q.push(Time::from_ps(10), 2, "a");
         q.push(Time::from_ps(50), 0, "c");
         q.push(Time::from_ps(10_000), 3, "d");
+        check(&q);
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, _, e)| e)).collect();
         assert_eq!(order, vec!["a", "c", "b", "d"]);
     }
 
     #[test]
-    fn peek_matches_pop() {
-        let mut q = CalendarQueue::new();
-        for i in 0..100u64 {
-            q.push(Time::from_ps(i * 37 % 500), i, i);
-        }
-        while let Some((t, s)) = q.peek() {
-            let (pt, ps, _) = q.pop().expect("non-empty");
-            assert_eq!((t, s), (pt, ps));
-        }
-        assert!(q.is_empty());
-    }
-
-    #[test]
     fn survives_resizes_with_mixed_scales() {
-        let mut q = CalendarQueue::with_geometry(16, 10);
+        let mut q = CalendarQueue::new();
         // Mix ps-scale and ms-scale events to force geometry churn.
         let mut expect = Vec::new();
         for i in 0..2_000u64 {
@@ -260,12 +337,16 @@ mod tests {
             q.push(Time::from_ps(t), i, (t, i));
             expect.push((t, i));
         }
+        check(&q);
         expect.sort_unstable();
         let mut got = Vec::new();
-        while let Some((_, _, e)) = q.pop() {
+        while let Some(head) = q.peek() {
+            let (t, seq, e) = q.pop().expect("peeked");
+            assert_eq!(head, (t, seq), "peek disagrees with pop");
             got.push(e);
         }
         assert_eq!(got, expect);
+        check(&q);
     }
 
     #[test]
@@ -275,7 +356,7 @@ mod tests {
         let mut last = 0u64;
         let mut pending = 0usize;
         let mut x: u64 = 0x12345;
-        for _ in 0..5_000 {
+        for step in 0..5_000 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
             if pending == 0 || !x.is_multiple_of(3) {
                 // Push an event at or after the last popped time.
@@ -289,6 +370,62 @@ mod tests {
                 last = t.as_ps();
                 pending -= 1;
             }
+            if step % 500 == 0 {
+                check(&q);
+            }
+        }
+    }
+
+    #[test]
+    fn width_comes_from_the_queue_head_not_far_timeouts() {
+        let mut q = CalendarQueue::new();
+        // 4,000 events one picosecond apart, plus one far-future timeout
+        // per 20: the span-based rule would make buckets ~25,000 ps wide.
+        for i in 0..4_000u64 {
+            q.push(Time::from_ps(i), i, ());
+            if i % 20 == 0 {
+                q.push(
+                    Time::from_ps(1_000_000_000 + i * 100_000),
+                    i + 1_000_000,
+                    (),
+                );
+            }
+        }
+        check(&q);
+        assert!(q.shift <= 2, "bucket width {} ps", 1u64 << q.shift);
+    }
+
+    /// The slab is sized by the peak population, not by any bucket's
+    /// history: push to 200K clustered events, drain to 1K, four times
+    /// over. The per-bucket `Vec` layout this replaced measured about 890
+    /// bytes per pending event on this shape of load.
+    #[test]
+    fn bytes_stay_proportional_to_peak_pending() {
+        let mut q = CalendarQueue::new();
+        let (mut x, mut seq, mut now) = (0xBA1Du64, 0u64, 0u64);
+        for round in 0..4 {
+            while q.len() < 200_000 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                // Most events within 64 ns, one in 20 a far timeout.
+                let ahead = if x.is_multiple_of(20) {
+                    10_000_000 + (x >> 20) % 1_000_000_000
+                } else {
+                    (x >> 20) % 64_000
+                };
+                q.push(Time::from_ps(now + ahead), seq, seq);
+                seq += 1;
+            }
+            while q.len() > 1_000 {
+                now = q.pop().expect("non-empty").0.as_ps();
+            }
+            check(&q);
+            let table = (q.buckets.capacity() * std::mem::size_of::<Bucket>()) as u64;
+            assert!(table <= 16 * 1_000, "round {round}: {table} table bytes");
+            let bytes = q.state_bytes();
+            assert!(
+                bytes <= 64 * 200_000 + table,
+                "round {round}: {bytes} bytes"
+            );
         }
     }
 }

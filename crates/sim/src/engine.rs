@@ -1,12 +1,10 @@
 //! Deterministic event queue and simulation run loop.
 //!
-//! The kernel is intentionally minimal: a binary-heap future event list with
-//! a FIFO tie-break sequence number (so same-timestamp events execute in
-//! scheduling order, which keeps runs bit-reproducible), and a [`Simulation`]
-//! driver that pops events and hands them to the [`Model`].
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! The kernel is intentionally minimal: a calendar-queue future event
+//! list (`calendar.rs`) with a FIFO tie-break sequence number (so
+//! same-timestamp events execute in scheduling order, which keeps runs
+//! bit-reproducible), and a [`Simulation`] driver that pops events and
+//! hands them to the [`Model`].
 
 use crate::calendar::CalendarQueue;
 use crate::time::{Duration, Time};
@@ -24,94 +22,17 @@ pub trait Model {
     fn handle(&mut self, now: Time, event: Self::Event, sched: &mut Scheduler<Self::Event>);
 }
 
-struct Scheduled<E> {
-    at: Time,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so earliest (then lowest seq) pops
-        // first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-enum Queue<E> {
-    Heap(BinaryHeap<Scheduled<E>>),
-    Calendar(CalendarQueue<E>),
-}
-
-/// Pending-event population above which an auto-promoting scheduler
-/// migrates its heap into a calendar queue. Below this the binary heap's
-/// lower constant factors win; above it the calendar queue's O(1)
-/// amortized enqueue/dequeue takes over (big network runs keep hundreds
-/// of thousands of events in flight). Promotion is invisible to results:
-/// both backends pop the exact same `(time, seq)` order.
-pub const PROMOTE_PENDING: usize = 16_384;
-
-impl<E> Queue<E> {
-    fn len(&self) -> usize {
-        match self {
-            Queue::Heap(h) => h.len(),
-            Queue::Calendar(c) => c.len(),
-        }
-    }
-
-    fn push(&mut self, at: Time, seq: u64, event: E) {
-        match self {
-            Queue::Heap(h) => h.push(Scheduled { at, seq, event }),
-            Queue::Calendar(c) => c.push(at, seq, event),
-        }
-    }
-
-    fn peek_time(&self) -> Option<Time> {
-        match self {
-            Queue::Heap(h) => h.peek().map(|s| s.at),
-            Queue::Calendar(c) => c.peek().map(|(t, _)| t),
-        }
-    }
-
-    fn pop(&mut self) -> Option<(Time, u64, E)> {
-        match self {
-            Queue::Heap(h) => h.pop().map(|s| (s.at, s.seq, s.event)),
-            Queue::Calendar(c) => c.pop(),
-        }
-    }
-}
-
 /// The future event list.
 ///
 /// Events at the same timestamp are delivered in the order they were
 /// scheduled, which makes simulations deterministic for a fixed seed.
-/// Two backing structures are available: a binary heap (default) and a
-/// calendar queue ([`Scheduler::new_calendar`]) that is faster for the
-/// large, densely-timed event populations of big network runs. Both
-/// deliver the exact same order.
+/// Backed by one calendar queue at every scale; its bytes stay
+/// proportional to the pending events ([`Scheduler::state_bytes`]).
 pub struct Scheduler<E> {
-    queue: Queue<E>,
+    queue: CalendarQueue<E>,
     now: Time,
     seq: u64,
     executed: u64,
-    /// Auto-promote the heap to a calendar queue past [`PROMOTE_PENDING`]
-    /// pending events (set by [`Scheduler::new`]; the explicit-backend
-    /// constructors pin their backend for differential tests).
-    auto_promote: bool,
     /// Peak simultaneous pending events over the scheduler's lifetime.
     peak_pending: usize,
     /// `(time, seq)` of the last popped event, for the debug-build
@@ -122,41 +43,13 @@ pub struct Scheduler<E> {
 }
 
 impl<E> Scheduler<E> {
-    /// Creates an empty scheduler at time zero. Starts binary-heap backed
-    /// and promotes itself to a calendar queue when the pending population
-    /// crosses [`PROMOTE_PENDING`] — the right default at every scale,
-    /// since both backends deliver identical pop order.
+    /// Creates an empty scheduler at time zero.
     pub fn new() -> Self {
         Scheduler {
-            queue: Queue::Heap(BinaryHeap::new()),
+            queue: CalendarQueue::new(),
             now: Time::ZERO,
             seq: 0,
             executed: 0,
-            auto_promote: true,
-            peak_pending: 0,
-            #[cfg(debug_assertions)]
-            last_pop: None,
-        }
-    }
-
-    /// Creates an empty scheduler pinned to the binary heap (never
-    /// promotes). For backend-differential tests, which must exercise
-    /// the heap even past the promotion threshold.
-    pub fn new_heap() -> Self {
-        Scheduler {
-            auto_promote: false,
-            ..Scheduler::new()
-        }
-    }
-
-    /// Creates an empty calendar-queue-backed scheduler.
-    pub fn new_calendar() -> Self {
-        Scheduler {
-            queue: Queue::Calendar(CalendarQueue::new()),
-            now: Time::ZERO,
-            seq: 0,
-            executed: 0,
-            auto_promote: false,
             peak_pending: 0,
             #[cfg(debug_assertions)]
             last_pop: None,
@@ -195,10 +88,17 @@ impl<E> Scheduler<E> {
         self.seq
     }
 
-    /// True when the event list is currently calendar-queue backed
-    /// (either constructed that way or auto-promoted).
+    /// Always `true`: the calendar queue is the only backend. Kept for
+    /// readers of the old heap/calendar flag, such as the benchmark trace's
+    /// `sim.calendar` metric.
     pub fn calendar_backed(&self) -> bool {
-        matches!(self.queue, Queue::Calendar(_))
+        true
+    }
+
+    /// Bytes the event list reserves (calendar slab plus bucket table),
+    /// by capacity.
+    pub fn state_bytes(&self) -> u64 {
+        self.queue.state_bytes()
     }
 
     /// Schedules `event` at absolute instant `at`.
@@ -211,27 +111,7 @@ impl<E> Scheduler<E> {
         assert!(at >= self.now, "cannot schedule into the past");
         self.queue.push(at, self.seq, event);
         self.seq += 1;
-        let depth = self.queue.len();
-        if depth > self.peak_pending {
-            self.peak_pending = depth;
-        }
-        if self.auto_promote && depth > PROMOTE_PENDING {
-            self.promote();
-        }
-    }
-
-    /// Drains the heap into a calendar queue, preserving every `(time,
-    /// seq)` pair. Pop order is unchanged by construction — the calendar
-    /// queue orders by the same key — so promotion never perturbs a run.
-    fn promote(&mut self) {
-        let Queue::Heap(heap) = &mut self.queue else {
-            return;
-        };
-        let mut cal = CalendarQueue::new();
-        for s in std::mem::take(heap) {
-            cal.push(s.at, s.seq, s.event);
-        }
-        self.queue = Queue::Calendar(cal);
+        self.peak_pending = self.peak_pending.max(self.queue.len());
     }
 
     /// Schedules `event` after `delay` from the current time.
@@ -249,39 +129,29 @@ impl<E> Scheduler<E> {
 
     /// The timestamp of the next pending event, if any.
     pub fn peek_time(&self) -> Option<Time> {
-        self.queue.peek_time()
+        self.queue.peek().map(|(at, _)| at)
     }
 
     /// Pops the next event, returning its timestamp, tie-break sequence
     /// number, and payload, and advancing the clock.
     ///
     /// Exposing the sequence number lets differential tests compare the
-    /// *exact* delivery order of the two queue backends rather than just
-    /// the timestamps.
+    /// *exact* delivery order against a reference priority queue rather
+    /// than just the timestamps.
     pub fn pop_scheduled(&mut self) -> Option<(Time, u64, E)> {
         let (at, seq, event) = self.queue.pop()?;
         #[cfg(debug_assertions)]
         {
             debug_assert!(
-                at >= self.now,
-                "popped event time regressed below the clock"
+                at >= self.now && self.last_pop < Some((at, seq)),
+                "pops must follow (time, seq): times never decrease and \
+                 same-time events pop in FIFO (scheduling) order"
             );
-            if let Some((last_at, last_seq)) = self.last_pop {
-                debug_assert!(at >= last_at, "popped times must be non-decreasing");
-                debug_assert!(
-                    at > last_at || seq > last_seq,
-                    "same-time events must pop in FIFO (scheduling) order"
-                );
-            }
             self.last_pop = Some((at, seq));
         }
         self.now = at;
         self.executed += 1;
         Some((at, seq, event))
-    }
-
-    fn pop(&mut self) -> Option<(Time, E)> {
-        self.pop_scheduled().map(|(at, _seq, event)| (at, event))
     }
 }
 
@@ -322,14 +192,6 @@ impl<M: Model> Simulation<M> {
         }
     }
 
-    /// Like [`Simulation::new`] but with a calendar-queue event list.
-    pub fn new_calendar(model: M) -> Self {
-        Simulation {
-            model,
-            sched: Scheduler::new_calendar(),
-        }
-    }
-
     /// Shared access to the model.
     pub fn model(&self) -> &M {
         &self.model
@@ -359,8 +221,8 @@ impl<M: Model> Simulation<M> {
 
     /// Executes a single event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        match self.sched.pop() {
-            Some((now, ev)) => {
+        match self.sched.pop_scheduled() {
+            Some((now, _, ev)) => {
                 self.model.handle(now, ev, &mut self.sched);
                 true
             }
@@ -389,7 +251,7 @@ impl<M: Model> Simulation<M> {
     /// invariant sweeps) get scheduled without an event-queue presence:
     /// the cadence is in executed events, not simulated time, so the
     /// hook is deterministic — the same run observes at the same points
-    /// regardless of wall clock, thread count, or queue backend.
+    /// regardless of wall clock or thread count.
     pub fn run_until_observed(
         &mut self,
         horizon: Time,
@@ -516,33 +378,29 @@ mod tests {
         let mut sched: Scheduler<()> = Scheduler::new();
         sched.schedule_at(Time::from_ns(5), ());
         // Force time forward.
-        sched.pop();
+        sched.pop_scheduled();
         sched.schedule_at(Time::from_ns(1), ());
     }
 
     #[test]
-    fn auto_promotion_preserves_pop_order_and_counters() {
-        let mut auto = Scheduler::<u64>::new();
-        let mut heap = Scheduler::<u64>::new_heap();
-        let n = (PROMOTE_PENDING + 1_000) as u64;
+    fn counters_track_pushes_pops_and_the_pending_peak() {
+        let mut sched = Scheduler::<u64>::new();
+        let n = 17_384u64;
         // A colliding timestamp pattern so FIFO tie-breaks matter.
         for i in 0..n {
-            let at = Time::from_ps((i * 7919) % 4_096);
-            auto.schedule_at(at, i);
-            heap.schedule_at(at, i);
+            sched.schedule_at(Time::from_ps((i * 7919) % 4_096), i);
         }
-        assert!(auto.calendar_backed(), "population crossed the threshold");
-        assert!(!heap.calendar_backed(), "pinned heap never promotes");
-        assert_eq!(auto.peak_pending(), PROMOTE_PENDING + 1_000);
-        assert_eq!(auto.events_scheduled(), n);
-        loop {
-            let a = auto.pop_scheduled();
-            let h = heap.pop_scheduled();
-            assert_eq!(a, h, "promotion changed delivery order");
-            if a.is_none() {
-                break;
-            }
+        assert!(sched.calendar_backed());
+        assert_eq!(sched.peak_pending(), 17_384);
+        let mut last = None;
+        while let Some((at, seq, _)) = sched.pop_scheduled() {
+            assert!(last < Some((at, seq)), "pop order regressed");
+            last = Some((at, seq));
         }
+        assert_eq!(sched.events_executed(), n);
+        assert_eq!(sched.pending(), 0);
+        assert_eq!(sched.peak_pending(), 17_384, "the peak survives the drain");
+        assert_eq!(sched.events_scheduled(), n);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //!
 //! * [`Time`] / [`Duration`] — integer picosecond simulated time,
 //! * [`Scheduler`] / [`Simulation`] — a deterministic event queue and run
-//!   loop generic over the model's event type (heap-backed, self-promoting
-//!   to a calendar queue at datacenter-scale event populations),
+//!   loop generic over the model's event type, backed by a slab-allocated
+//!   calendar queue whose bytes track the pending events,
 //! * [`Arena`] — generational slab allocation with index [`Handle`]s for
 //!   kernel-side object populations (no per-object boxes on hot paths),
 //! * [`rng`] — reproducible, stream-split random number generation,
@@ -44,7 +44,7 @@
 //! ```
 
 pub mod arena;
-pub mod calendar;
+mod calendar;
 pub mod engine;
 pub mod par;
 pub mod rng;

@@ -5,7 +5,8 @@
 //! provides the case inputs, `CASES` iterations per property, and every
 //! assertion message carries the case index so failures reproduce exactly.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt::Write as _;
 
 use baldur::phy::eightbtenb::{
@@ -369,21 +370,54 @@ struct Recorder {
     log: Vec<(u64, u32)>,
 }
 
+/// The follow-up `Recorder` schedules after executing `ev`: `(delay in
+/// ps, payload)`.
+fn follow_up(ev: u32) -> Option<(u64, u32)> {
+    (ev.is_multiple_of(5) && ev > 0).then(|| (u64::from(ev) * 31 + 1, ev / 2))
+}
+
 impl baldur::sim::Model for Recorder {
     type Event = u32;
     fn handle(&mut self, now: baldur::sim::Time, ev: u32, sched: &mut baldur::sim::Scheduler<u32>) {
         self.log.push((now.as_ps(), ev));
-        if ev.is_multiple_of(5) && ev > 0 {
-            sched.schedule_in(
-                baldur::sim::Duration::from_ps(u64::from(ev) * 31 + 1),
-                ev / 2,
-            );
+        if let Some((delay, next)) = follow_up(ev) {
+            sched.schedule_in(baldur::sim::Duration::from_ps(delay), next);
         }
     }
 }
 
-/// The calendar queue executes the exact event sequence the binary heap
-/// does, including FIFO tie-breaks and re-scheduling mid-run.
+/// The reference future event list: a binary heap over `(time, seq,
+/// payload)` with the scheduler's FIFO sequence numbering.
+struct RefQueue {
+    heap: BinaryHeap<Reverse<(baldur::sim::Time, u64, u64)>>,
+    seq: u64,
+    now: baldur::sim::Time,
+}
+
+impl RefQueue {
+    fn new() -> Self {
+        RefQueue {
+            heap: BinaryHeap::new(),
+            seq: 0,
+            now: baldur::sim::Time::ZERO,
+        }
+    }
+
+    fn schedule_at(&mut self, at: baldur::sim::Time, payload: u64) {
+        self.heap.push(Reverse((at, self.seq, payload)));
+        self.seq += 1;
+    }
+
+    fn pop_scheduled(&mut self) -> Option<(baldur::sim::Time, u64, u64)> {
+        let Reverse(top) = self.heap.pop()?;
+        self.now = top.0;
+        Some(top)
+    }
+}
+
+/// The calendar-backed simulation executes the exact event sequence a
+/// reference binary heap does, including FIFO tie-breaks and
+/// re-scheduling mid-run.
 #[test]
 fn calendar_queue_matches_heap() {
     use baldur::sim::{Simulation, Time};
@@ -393,15 +427,22 @@ fn calendar_queue_matches_heap() {
         let ops: Vec<(u64, u32)> = (0..n)
             .map(|_| (rng.gen_range(0u64..1_000_000), rng.gen_range(0u32..1_000)))
             .collect();
-        let mut heap = Simulation::new(Recorder { log: Vec::new() });
-        let mut cal = Simulation::new_calendar(Recorder { log: Vec::new() });
+        let mut reference = RefQueue::new();
+        let mut sim = Simulation::new(Recorder { log: Vec::new() });
         for &(t, v) in &ops {
-            heap.scheduler_mut().schedule_at(Time::from_ps(t), v);
-            cal.scheduler_mut().schedule_at(Time::from_ps(t), v);
+            reference.schedule_at(Time::from_ps(t), u64::from(v));
+            sim.scheduler_mut().schedule_at(Time::from_ps(t), v);
         }
-        heap.run();
-        cal.run();
-        assert_eq!(&heap.model().log, &cal.model().log, "case {case}");
+        let mut expect = Vec::new();
+        while let Some((now, _, ev)) = reference.pop_scheduled() {
+            let ev = u32::try_from(ev).expect("payloads are u32");
+            expect.push((now.as_ps(), ev));
+            if let Some((delay, next)) = follow_up(ev) {
+                reference.schedule_at(Time::from_ps(now.as_ps() + delay), u64::from(next));
+            }
+        }
+        sim.run();
+        assert_eq!(&sim.model().log, &expect, "case {case}");
     }
 }
 
@@ -739,13 +780,97 @@ fn codec_and_gate_loop_match_retired_references() {
     assert_fingerprints(REFERENCE_FINGERPRINTS, &got);
 }
 
-/// The two scheduler backends (binary heap and calendar queue) deliver
-/// byte-identical `(time, seq, event)` pop sequences on any workload —
-/// including bursty waves, tight same-timestamp clusters, and the
-/// adversarial all-ties case that stresses the FIFO tie-break.
+/// The real scheduler and the reference heap, fed the same pushes.
+struct SchedPair {
+    reference: RefQueue,
+    cal: baldur::sim::Scheduler<u64>,
+    what: String,
+}
+
+impl SchedPair {
+    fn new(what: String) -> Self {
+        SchedPair {
+            reference: RefQueue::new(),
+            cal: baldur::sim::Scheduler::new(),
+            what,
+        }
+    }
+
+    /// Pushes `pushes` events at `now + offset(rng)` into both queues
+    /// (numbered by the reference's sequence counter), then pops `pops`
+    /// from each and compares them.
+    fn wave(
+        &mut self,
+        rng: &mut StreamRng,
+        offset: impl Fn(&mut StreamRng) -> u64,
+        pushes: usize,
+        pops: usize,
+    ) {
+        let base = self.reference.now.as_ps();
+        for _ in 0..pushes {
+            let at = baldur::sim::Time::from_ps(base + offset(rng));
+            let payload = self.reference.seq;
+            self.reference.schedule_at(at, payload);
+            self.cal.schedule_at(at, payload);
+        }
+        for _ in 0..pops {
+            let r = self.reference.pop_scheduled();
+            assert!(r.is_some(), "{}: queue drained mid-wave", self.what);
+            assert_eq!(
+                r,
+                self.cal.pop_scheduled(),
+                "{}: diverged mid-drain",
+                self.what
+            );
+        }
+    }
+
+    fn drain(&mut self) {
+        loop {
+            let r = self.reference.pop_scheduled();
+            assert_eq!(
+                r,
+                self.cal.pop_scheduled(),
+                "{}: diverged at drain",
+                self.what
+            );
+            if r.is_none() {
+                break;
+            }
+        }
+        assert_eq!(self.reference.now, self.cal.now(), "{}", self.what);
+        assert_eq!(
+            self.reference.seq,
+            self.cal.events_scheduled(),
+            "{}",
+            self.what
+        );
+        assert_eq!(
+            self.reference.seq,
+            self.cal.events_executed(),
+            "{}",
+            self.what
+        );
+    }
+}
+
+/// The scheduler delivers the byte-identical `(time, seq, event)` pop
+/// sequence of a reference binary heap on any workload — including
+/// bursty waves, tight same-timestamp clusters, the adversarial all-ties
+/// case that stresses the FIFO tie-break, and dense near-term ties mixed
+/// with far-future timeouts, the shape that defeats a span-based bucket
+/// width.
 #[test]
 fn scheduler_backends_pop_identically() {
-    use baldur::sim::{Scheduler, Time};
+    // Dense near-term ties (eight instants) plus one far-future timeout
+    // in twenty, 10^7 to 10^9 ps out.
+    let timeouts = |rng: &mut StreamRng| {
+        if rng.gen_range(0u32..20) == 0 {
+            rng.gen_range(10_000_000u64..1_000_000_000)
+        } else {
+            rng.gen_range(0u64..8)
+        }
+    };
 
     for case in 0..CASES {
         let mut rng = case_rng("schddiff", case);
@@ -753,79 +878,57 @@ fn scheduler_backends_pop_identically() {
         // random offsets), clustered (tiny offset range, heavy ties),
         // and adversarial (every event at the same instant).
         let shape = case % 3;
-        let mut heap = Scheduler::<u64>::new();
-        let mut cal = Scheduler::<u64>::new_calendar();
-        let mut payload = 0u64;
-        let mut interleave = |heap: &mut Scheduler<u64>,
-                              cal: &mut Scheduler<u64>,
-                              rng: &mut StreamRng,
-                              pops: usize,
-                              pushes: usize| {
-            let base = heap.now().as_ps();
-            for _ in 0..pushes {
-                let offset = match shape {
-                    0 => rng.gen_range(0u64..1_000_000),
-                    1 => rng.gen_range(0u64..8),
-                    _ => 0,
-                };
-                let at = Time::from_ps(base + offset);
-                heap.schedule_at(at, payload);
-                cal.schedule_at(at, payload);
-                payload += 1;
-            }
-            for _ in 0..pops {
-                let h = heap.pop_scheduled();
-                let c = cal.pop_scheduled();
-                assert_eq!(
-                    h, c,
-                    "case {case} shape {shape}: backends diverged mid-drain"
-                );
-            }
+        let offset = |rng: &mut StreamRng| match shape {
+            0 => rng.gen_range(0u64..1_000_000),
+            1 => rng.gen_range(0u64..8),
+            _ => 0,
         };
+        let mut pair = SchedPair::new(format!("case {case} shape {shape}"));
         for wave in 0..4 {
             let pushes = 50 + (case as usize * 7 + wave * 13) % 150;
-            interleave(&mut heap, &mut cal, &mut rng, pushes / 2, pushes);
+            pair.wave(&mut rng, offset, pushes, pushes / 2);
         }
-        loop {
-            let h = heap.pop_scheduled();
-            let c = cal.pop_scheduled();
-            assert_eq!(
-                h, c,
-                "case {case} shape {shape}: backends diverged at drain"
-            );
-            if h.is_none() {
-                break;
-            }
+        pair.drain();
+
+        // The fourth shape, on its own stream so the three above keep
+        // their inputs: ties plus timeouts, growing the bucket table and
+        // draining back through its shrinks.
+        let mut rng = case_rng("schdtout", case);
+        let mut pair = SchedPair::new(format!("case {case} ties+timeouts"));
+        for wave in 0..6 {
+            let pushes = 100 + (case as usize * 11 + wave * 17) % 200;
+            pair.wave(&mut rng, timeouts, pushes, pushes / 3);
         }
-        assert_eq!(heap.events_executed(), cal.events_executed(), "case {case}");
-        assert_eq!(heap.now(), cal.now(), "case {case}");
+        pair.drain();
     }
 
     // One large bursty workload: ten waves of 10,000 pushes into a 50 ns
-    // window, 5,000 pops after each, then a full drain. It peaks past
-    // `PROMOTE_PENDING`, so the heap side is pinned with `new_heap`.
+    // window, 5,000 pops after each, then a full drain.
     let mut rng = StreamRng::named(0xBA1D, "perfschd", 0);
-    let mut heap = Scheduler::<u64>::new_heap();
-    let mut cal = Scheduler::<u64>::new_calendar();
-    for wave in 0..10u64 {
-        let base = heap.now().as_ps();
-        for i in 0..10_000u64 {
-            let at = Time::from_ps(base + rng.gen_range(0..50_000u64));
-            heap.schedule_at(at, wave * 10_000 + i);
-            cal.schedule_at(at, wave * 10_000 + i);
-        }
-        for _ in 0..5_000 {
-            let h = heap.pop_scheduled();
-            assert!(h.is_some(), "wave {wave}: queue drained mid-wave");
-            assert_eq!(h, cal.pop_scheduled(), "large workload, wave {wave}");
-        }
+    let mut pair = SchedPair::new("large workload".to_string());
+    for _ in 0..10 {
+        pair.wave(&mut rng, |rng| rng.gen_range(0..50_000u64), 10_000, 5_000);
     }
-    while let Some(h) = heap.pop_scheduled() {
-        assert_eq!(Some(h), cal.pop_scheduled(), "large workload, drain");
+    pair.drain();
+    assert_eq!(
+        pair.cal.events_scheduled() + pair.cal.events_executed(),
+        200_000
+    );
+
+    // The large ties-plus-timeouts workload: the bucket table grows to
+    // thousands of buckets and the drain shrinks it back, which the
+    // capacity-based byte count shows.
+    let mut rng = StreamRng::named(0xBA1D, "schdtout", 0);
+    let mut pair = SchedPair::new("large ties+timeouts".to_string());
+    let empty = pair.cal.state_bytes();
+    for _ in 0..10 {
+        pair.wave(&mut rng, timeouts, 5_000, 2_500);
     }
-    assert_eq!(cal.pop_scheduled(), None, "large workload, drain");
-    for sched in [&heap, &cal] {
-        assert_eq!(sched.events_scheduled() + sched.events_executed(), 200_000);
-    }
-    assert!(!heap.calendar_backed() && cal.calendar_backed());
+    let peak = pair.cal.state_bytes();
+    assert!(peak > empty, "the calendar grew");
+    pair.drain();
+    assert!(
+        pair.cal.state_bytes() < peak,
+        "the drain shrank the bucket table"
+    );
 }
