@@ -72,6 +72,14 @@ scheduler_equivalence() {
         cargo test -q --test properties -- calendar_queue_matches_heap scheduler_backends_pop_identically
 }
 
+# The packet-model pins: the report fingerprints of both SoA packet models
+# against their retired map-based baselines, then the exact hot-path work
+# counters and the scaling head's state and queue bytes.
+packet_model_pins() {
+    cargo test -q --test properties soa_models &&
+        cargo test -q --test golden_suite -- golden_hot_paths_csv golden_scaling_head_csv
+}
+
 write_summary() {
     {
         echo "{"
@@ -110,6 +118,9 @@ run_step golden cargo test -q --test golden_suite
 # unit tests, then the two-word request sets pinned by report digest.
 run_step router-arbitration cargo test -q -p baldur-net router_net
 run_step router-arbitration-multiword cargo test -q --test router_arbitration
+# What the shared packet-model shell must keep byte-identical (see
+# packet_model_pins above).
+run_step packet-model-pins packet_model_pins
 # Staged-topology wiring pinned by digest (the flat multi-butterfly link
 # table and the computed Omega targets), then the incremental starvation
 # oracle against the slice-scanning reference it replaced.

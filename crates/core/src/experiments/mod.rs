@@ -56,7 +56,9 @@ pub use fig9::{figure9, Fig9Row};
 pub use overload::{overload, overload_network, storm_pattern, OverloadRow};
 pub use reliability::{reliability, ReliabilityReport};
 pub use saturation::{saturation, SaturationRow};
-pub use scaling::{install_memory_probe, install_wall_clock, scaling_curves, ScalingRow};
+pub use scaling::{
+    deterministic_csv, install_memory_probe, install_wall_clock, scaling_curves, ScalingRow,
+};
 pub use table5::{table_v, TableVRow};
 pub use topologies::{topology_comparison, TopologyRow};
 

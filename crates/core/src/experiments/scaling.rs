@@ -22,7 +22,9 @@
 //! run on an uncached, single-worker sweep, whatever sweep the caller
 //! passes: a cache hit would replay a stale wall time and peak RSS, and
 //! a parallel neighbour would inflate a cell's process-wide peak RSS.
-//! There is deliberately no golden snapshot. The default sweep tops out at the
+//! The registry output has no golden snapshot; the deterministic
+//! projection of its 1K->4K head ([`deterministic_csv`]) is pinned as
+//! `results/golden/scaling_head.csv`. The default sweep tops out at the
 //! paper-scale 1,048,576 endpoints; CI exercises the curve through
 //! `--smoke` (1K→4K, byte-identical repeat, 1/8-thread invariance) and
 //! accepts the full default up to 262,144 on CI-class resources.
@@ -271,8 +273,9 @@ fn run_sweep(_sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
 
 /// The deterministic projection of a scaling row: everything except the
 /// wall-clock and RSS measurements. Byte-compared across repeated runs
-/// and across sweep thread counts in `--smoke`.
-fn deterministic_csv(rows: &[ScalingRow]) -> String {
+/// and across sweep thread counts in `--smoke`, and pinned for the
+/// 1K->4K head by `results/golden/scaling_head.csv`.
+pub fn deterministic_csv(rows: &[ScalingRow]) -> String {
     use std::fmt::Write as _;
     let mut out = String::from(
         "endpoints,ppn,events,events_scheduled,peak_pending,queue_bytes,state_bytes,arena_high_water,delivered,generated\n",

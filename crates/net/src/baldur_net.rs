@@ -18,16 +18,19 @@
 //!
 //! Hot state is struct-of-arrays keyed by dense ids: one flat `Vec` per
 //! NIC field indexed by node id, a single flat port table indexed by
-//! `(stage, switch, dir, path)`, and intrusive queue links (a per-packet
-//! `next` pointer) instead of per-node `VecDeque`s. Combined-ACK batches
-//! live in generational [`Arena`]s; the retired map-based model's reports
-//! are pinned by fingerprint in `results/golden/soa_fingerprints.json`.
-//! Invariants the layout relies on: packet ids are sequential
-//! and never reused (the path-rotation hash keys on them), and a packet
-//! sits in at most one NIC queue at a time (one `next` link suffices).
+//! `(stage, switch, dir, path)`, and the NIC queues as one [`FifoSet`]
+//! of intrusive FIFOs over packet ids (node `i`'s ACK queue is `2i`, its
+//! data queue `2i + 1`) instead of per-node `VecDeque`s. Combined-ACK
+//! batches live in generational [`Arena`]s; the retired map-based model's
+//! reports are pinned by fingerprint in
+//! `results/golden/soa_fingerprints.json`. Invariants the layout relies
+//! on: packet ids are sequential and never reused (the path-rotation hash
+//! keys on them), and a packet sits in at most one NIC queue at a time
+//! (one `next` link suffices). The run loop and drain audit protocol is
+//! the shell in [`crate::runner`], shared with the electrical model.
 
 use baldur_sim::rng::StreamRng;
-use baldur_sim::{Arena, ArenaStats, Duration, Handle, Model, Scheduler, Simulation, Time};
+use baldur_sim::{Arena, ArenaStats, Duration, FifoSet, Handle, Model, Scheduler, Time};
 use baldur_topo::graph::NodeId;
 use baldur_topo::staged::Staged;
 
@@ -36,12 +39,20 @@ use crate::driver::Driver;
 use crate::faults::{jittered_timeout_ps, FaultPlan, FaultState};
 use crate::metrics::{Collector, DeliveryOutcome, LatencyReport};
 use crate::oracle::{Oracle, OracleConfig, Violation};
+use crate::runner::{self, PacketModel};
 
 /// Index into the packet table.
 type PktId = u32;
 
-/// Null link in the intrusive NIC queues.
-const NONE: PktId = PktId::MAX;
+/// `node`'s ACK queue in `queues`.
+fn ack_q(node: usize) -> usize {
+    2 * node
+}
+
+/// `node`'s data queue in `queues`.
+fn data_q(node: usize) -> usize {
+    2 * node + 1
+}
 
 #[derive(Debug, Clone, Copy)]
 struct PacketState {
@@ -148,17 +159,12 @@ pub struct BaldurNet {
     /// *first* injections while this reaches
     /// [`BaldurParams::pacing_window`]; maintained only when pacing is on.
     in_window: Vec<u32>,
-    /// ACKs are urgent (they gate the partner's buffer), so the ACK list
-    /// drains ahead of data. Heads/tails of intrusive per-NIC queues.
-    ack_head: Vec<PktId>,
-    ack_tail: Vec<PktId>,
-    data_head: Vec<PktId>,
-    data_tail: Vec<PktId>,
+    /// Every NIC's ACK queue ([`ack_q`]) and data queue ([`data_q`]).
+    /// ACKs are urgent (they gate the partner's buffer), so the ACK queue
+    /// drains ahead of data.
+    queues: FifoSet,
     /// Data-queue occupancy (the admission-control oracle checks it).
     data_len: Vec<u32>,
-    /// Intrusive queue link per packet (a packet is in at most one NIC
-    /// queue at a time).
-    next_in_queue: Vec<PktId>,
     /// ACK coalescing: per receiver, the sources it owes a combined ACK,
     /// each with its batch in the `pending` arena. An entry exists iff
     /// its flush event is scheduled; keys are unique per list, so lookup
@@ -224,12 +230,8 @@ impl BaldurNet {
             outstanding: vec![0; n],
             backoff_exp: vec![0; n],
             in_window: vec![0; n],
-            ack_head: vec![NONE; n],
-            ack_tail: vec![NONE; n],
-            data_head: vec![NONE; n],
-            data_tail: vec![NONE; n],
+            queues: FifoSet::new(2 * n),
             data_len: vec![0; n],
-            next_in_queue: Vec::new(),
             pending_acks: vec![Vec::new(); n],
             pending: Arena::new(),
             ack_batches: Arena::new(),
@@ -256,10 +258,6 @@ impl BaldurNet {
             + bytes_of(&self.outstanding)
             + bytes_of(&self.backoff_exp)
             + bytes_of(&self.in_window)
-            + bytes_of(&self.ack_head)
-            + bytes_of(&self.ack_tail)
-            + bytes_of(&self.data_head)
-            + bytes_of(&self.data_tail)
             + bytes_of(&self.data_len)
             + bytes_of(&self.pending_acks)
             + self.pending_acks.iter().map(bytes_of).sum::<u64>();
@@ -267,16 +265,14 @@ impl BaldurNet {
             state_bytes: self.topo.state_bytes()
                 + bytes_of(&self.ports)
                 + per_nic
-                + bytes_of(&self.next_in_queue)
+                + self.queues.state_bytes()
                 + bytes_of(&self.packets)
                 + self.pending.state_bytes()
                 + self.ack_batches.state_bytes()
                 + bytes_of(&self.batch_pool),
             ack_batches: self.ack_batches.stats(),
             pending_batches: self.pending.stats(),
-            peak_pending_events: 0,
-            events_scheduled: 0,
-            queue_bytes: 0,
+            ..StateStats::default()
         }
     }
 
@@ -297,107 +293,49 @@ impl BaldurNet {
     fn alloc_packet(&mut self, st: PacketState) -> PktId {
         let pkt = self.packets.len() as PktId;
         self.packets.push(st);
-        self.next_in_queue.push(NONE);
+        self.queues.add_id();
         pkt
     }
 
     /// True when `node` has nothing queued (ACK or data).
     fn nic_is_empty(&self, node: usize) -> bool {
-        self.ack_head[node] == NONE && self.data_head[node] == NONE
-    }
-
-    fn ack_push_back(&mut self, node: usize, pkt: PktId) {
-        self.next_in_queue[pkt as usize] = NONE;
-        let tail = self.ack_tail[node];
-        if tail == NONE {
-            self.ack_head[node] = pkt;
-        } else {
-            self.next_in_queue[tail as usize] = pkt;
-        }
-        self.ack_tail[node] = pkt;
-    }
-
-    fn data_push_back(&mut self, node: usize, pkt: PktId) {
-        self.next_in_queue[pkt as usize] = NONE;
-        let tail = self.data_tail[node];
-        if tail == NONE {
-            self.data_head[node] = pkt;
-        } else {
-            self.next_in_queue[tail as usize] = pkt;
-        }
-        self.data_tail[node] = pkt;
-        self.data_len[node] += 1;
+        self.queues.is_empty(ack_q(node)) && self.queues.is_empty(data_q(node))
     }
 
     fn data_push_front(&mut self, node: usize, pkt: PktId) {
-        let head = self.data_head[node];
-        self.next_in_queue[pkt as usize] = head;
-        if head == NONE {
-            self.data_tail[node] = pkt;
-        }
-        self.data_head[node] = pkt;
+        self.queues.push_front(data_q(node), pkt);
         self.data_len[node] += 1;
     }
 
     /// Pops the next packet to transmit: ACKs drain ahead of data.
     fn nic_pop(&mut self, node: usize) -> Option<PktId> {
-        let head = self.ack_head[node];
-        if head != NONE {
-            let next = self.next_in_queue[head as usize];
-            self.ack_head[node] = next;
-            if next == NONE {
-                self.ack_tail[node] = NONE;
-            }
-            return Some(head);
+        let ack = self.queues.pop_front(ack_q(node));
+        if ack.is_some() {
+            return ack;
         }
-        let head = self.data_head[node];
-        if head != NONE {
-            let next = self.next_in_queue[head as usize];
-            self.data_head[node] = next;
-            if next == NONE {
-                self.data_tail[node] = NONE;
-            }
-            self.data_len[node] -= 1;
-            return Some(head);
-        }
-        None
+        let pkt = self.queues.pop_front(data_q(node))?;
+        self.data_len[node] -= 1;
+        Some(pkt)
     }
 
     /// Unlinks and returns the first queued retransmission (attempts > 0)
     /// in `node`'s data queue, if any — the pacing-bypass scan.
     fn data_unlink_first_retx(&mut self, node: usize) -> Option<PktId> {
-        let mut prev = NONE;
-        let mut cur = self.data_head[node];
-        while cur != NONE {
-            if self
-                .packets
-                .get(cur as usize)
-                .is_some_and(|p| p.attempts > 0)
-            {
-                let next = self.next_in_queue[cur as usize];
-                if prev == NONE {
-                    self.data_head[node] = next;
-                } else {
-                    self.next_in_queue[prev as usize] = next;
-                }
-                if next == NONE {
-                    self.data_tail[node] = prev;
-                }
-                self.data_len[node] -= 1;
-                return Some(cur);
-            }
-            prev = cur;
-            cur = self.next_in_queue[cur as usize];
-        }
-        None
+        let packets = &self.packets;
+        let pkt = self.queues.unlink_first(data_q(node), |p| {
+            packets.get(p as usize).is_some_and(|p| p.attempts > 0)
+        })?;
+        self.data_len[node] -= 1;
+        Some(pkt)
     }
 
     fn enqueue(&mut self, now: Time, node: u32, pkt: PktId, sched: &mut Scheduler<Ev>) {
         let n = node as usize;
         if self.packets[pkt as usize].acks.is_some() {
-            self.ack_push_back(n, pkt);
+            self.queues.push_back(ack_q(n), pkt);
         } else {
-            self.data_push_back(n, pkt);
+            self.queues.push_back(data_q(n), pkt);
+            self.data_len[n] += 1;
         }
         if !self.try_scheduled[n] {
             self.try_scheduled[n] = true;
@@ -608,15 +546,26 @@ impl BaldurNet {
     }
 
     /// Finishes the run and reports.
-    pub fn into_report(self, end: Time) -> LatencyReport {
-        let mut r = self.metrics.report(end);
-        r.oracle = self.oracle.summary();
-        r
+    pub fn into_report(mut self, end: Time) -> LatencyReport {
+        self.report(end)
+    }
+}
+
+impl PacketModel for BaldurNet {
+    const WAKE: fn(u32) -> Ev = Ev::Wake;
+    const FAULT: fn(u32) -> Ev = Ev::Fault;
+
+    fn parts(&mut self) -> (&mut Driver, &mut Collector, &mut Oracle, &mut FaultPlan) {
+        (
+            &mut self.driver,
+            &mut self.metrics,
+            &mut self.oracle,
+            &mut self.plan,
+        )
     }
 
-    /// Periodic oracle tick driven by the engine's observer hook: feeds
-    /// the stuck-flow detector with the number of packets still owed a
-    /// terminal outcome. Returns `true` when the run should abort.
+    /// Feeds the stuck-flow detector the number of packets still owed a
+    /// terminal outcome.
     fn oracle_tick(&mut self, now: Time) -> bool {
         // Each tick is one starvation observation window: a flow (source
         // node) with work outstanding and zero deliveries for N windows
@@ -626,81 +575,20 @@ impl BaldurNet {
         self.oracle.check_stall(now.as_ps(), outstanding)
     }
 
-    /// Packet-conservation audit, valid only once the event queue has
-    /// drained: every generated packet was then delivered, dropped and
-    /// retransmitted to completion, or abandoned, so nothing is in
-    /// flight, no NIC holds queued or unACKed work, no coalesced ACK is
-    /// still owed and no coalescing batch is left. Discrepancies become
-    /// structured oracle violations on the report (chaos sweeps catch
-    /// them in `--release`); debug builds also assert that there are none.
+    /// Packet-conservation audit: once the event queue has drained,
+    /// every generated packet was delivered, dropped and retransmitted
+    /// to completion, or abandoned, so nothing is in flight, no NIC holds
+    /// queued or unACKed work, no coalesced ACK is still owed and no
+    /// coalescing batch is left. On top of the shared ledger, the packet
+    /// table must agree with the collector's outcome counters.
     fn oracle_check_drained(&mut self, end: Time) {
         let at = end.as_ps();
-        if self.in_flight > 0 {
-            let count = u64::from(self.in_flight);
-            self.oracle.record(
-                at,
-                Violation::ResidualState {
-                    what: "in_flight".into(),
-                    count,
-                },
-            );
-        }
         let queued = (0..self.active_nodes as usize)
             .filter(|&i| !self.nic_is_empty(i))
             .count() as u64;
-        if queued > 0 {
-            self.oracle.record(
-                at,
-                Violation::ResidualState {
-                    what: "nic_queue".into(),
-                    count: queued,
-                },
-            );
-        }
-        let outstanding: u64 = self.outstanding.iter().map(|&o| u64::from(o)).sum();
-        if outstanding > 0 {
-            self.oracle.record(
-                at,
-                Violation::ResidualState {
-                    what: "outstanding".into(),
-                    count: outstanding,
-                },
-            );
-        }
-        let owed: u64 = self.pending_acks.iter().map(|p| p.len() as u64).sum();
-        if owed > 0 {
-            self.oracle.record(
-                at,
-                Violation::ResidualState {
-                    what: "pending_acks".into(),
-                    count: owed,
-                },
-            );
-        }
-        if !self.pending.is_empty() {
-            let count = self.pending.live();
-            self.oracle.record(
-                at,
-                Violation::ResidualState {
-                    what: "pending_batches".into(),
-                    count,
-                },
-            );
-        }
-        if !self.ack_batches.is_empty() {
-            let count = self.ack_batches.live();
-            self.oracle.record(
-                at,
-                Violation::ResidualState {
-                    what: "ack_refs".into(),
-                    count,
-                },
-            );
-        }
-        let mut delivered = 0u64;
-        let mut gave_up = 0u64;
-        let mut expired = 0u64;
-        let mut pending = 0u64;
+        let outstanding = self.outstanding.iter().map(|&o| u64::from(o)).sum();
+        let owed = self.pending_acks.iter().map(|p| p.len() as u64).sum();
+        let (mut delivered, mut gave_up, mut expired, mut pending) = (0, 0, 0, 0);
         for st in self.packets.iter().filter(|p| p.acks.is_none()) {
             match st.outcome {
                 DeliveryOutcome::Delivered => delivered += 1,
@@ -709,39 +597,36 @@ impl BaldurNet {
                 DeliveryOutcome::Pending => pending += 1,
             }
         }
-        if pending > 0 {
-            self.oracle.record(
-                at,
-                Violation::ResidualState {
-                    what: "pending_packets".into(),
-                    count: pending,
-                },
-            );
-        }
-        // Overload-shed packets (expired + refused at ingress) are part
-        // of the ledger: generated must equal delivered + abandoned +
-        // expired + ingress drops, exactly.
-        let generated = self.metrics.generated();
-        let shed = expired + self.metrics.ingress_drops();
-        if generated != delivered + gave_up + shed
-            || self.metrics.delivered() != delivered
-            || self.metrics.abandoned() != gave_up
-            || self.metrics.expired() != expired
-        {
+        let oracle = &mut self.oracle;
+        oracle.residual(at, "in_flight", self.in_flight);
+        oracle.residual(at, "nic_queue", queued);
+        oracle.residual(at, "outstanding", outstanding);
+        oracle.residual(at, "pending_acks", owed);
+        oracle.residual(at, "pending_batches", self.pending.live());
+        oracle.residual(at, "ack_refs", self.ack_batches.live());
+        oracle.residual(at, "pending_packets", pending);
+        let m = &self.metrics;
+        oracle.ledger(at, m);
+        if m.delivered() != delivered || m.abandoned() != gave_up || m.expired() != expired {
+            let generated = m.generated();
             let stranded = generated
                 .saturating_sub(delivered)
                 .saturating_sub(gave_up)
-                .saturating_sub(shed);
-            self.oracle.record(
+                .saturating_sub(expired + m.ingress_drops());
+            oracle.record(
                 at,
                 Violation::Conservation {
                     generated,
-                    delivered: self.metrics.delivered(),
-                    abandoned: self.metrics.abandoned(),
+                    delivered: m.delivered(),
+                    abandoned: m.abandoned(),
                     stranded,
                 },
             );
         }
+    }
+
+    fn model_stats(&self) -> StateStats {
+        self.state_stats()
     }
 }
 
@@ -1175,62 +1060,18 @@ pub fn simulate(
     driver: Driver,
     spec: &RunSpec,
 ) -> (LatencyReport, StateStats) {
-    let total = driver.total_to_send();
-    let sample_cap = (total.min(2_000_000)) as usize + 16;
-    let mut model = BaldurNet::new(
-        active_nodes,
-        params,
-        spec.link,
-        driver,
-        spec.seed,
-        sample_cap,
-    );
-    model.oracle = Oracle::new(spec.oracle);
-    let plan = &spec.plan;
-    if !plan.is_empty() {
-        model.metrics = Collector::for_plan(sample_cap, plan);
-        model.oracle.set_boundaries(plan.epoch_boundaries());
-        model.plan = plan.clone();
-    }
-    let initial = model.driver.initial();
-    let mut sim = Simulation::new(model);
-    for (node, t) in initial {
-        sim.scheduler_mut()
-            .schedule_at(Time::from_ps(t), Ev::Wake(node));
-    }
-    for (idx, ev) in plan.events.iter().enumerate() {
-        sim.scheduler_mut()
-            .schedule_at(Time::from_ps(ev.at_ps), Ev::Fault(idx as u32));
-    }
-    let horizon = Time::from_ns(spec.horizon_ns.unwrap_or_else(|| {
-        let per_node = total / u64::from(active_nodes.max(1)) + 1;
-        50 * per_node * spec.link.packet_time().as_ps() / 1_000 + 10_000_000
-    }));
-    // Every 8192 executed events (a deterministic cadence, independent of
-    // wall clock and thread count) the oracle's stuck-flow detector gets a
-    // look; a latched stall aborts the run so livelocks surface as a
-    // violation instead of burning the horizon.
-    let stop = sim.run_until_observed(horizon, u64::MAX, 8192, |m, now| !m.oracle_tick(now));
-    let end = sim.scheduler().now();
-    let events = sim.scheduler().events_executed();
-    let mut stats = sim.model().state_stats();
-    stats.peak_pending_events = sim.scheduler().peak_pending() as u64;
-    stats.events_scheduled = sim.scheduler().events_scheduled();
-    stats.queue_bytes = sim.scheduler().state_bytes();
-    let mut model = sim.into_model();
-    if stop == baldur_sim::StopReason::Drained {
-        let before = model.oracle.total();
-        model.oracle_check_drained(end);
-        debug_assert_eq!(
-            model.oracle.total(),
-            before,
-            "drain audit: {:?}",
-            model.oracle.summary().reports
-        );
-    }
-    let mut report = model.into_report(end);
-    report.events = events;
-    (report, stats)
+    let per_node = driver.total_to_send() / u64::from(active_nodes.max(1)) + 1;
+    let horizon_ns = 50 * per_node * spec.link.packet_time().as_ps() / 1_000 + 10_000_000;
+    runner::run_packet_model(driver, spec, horizon_ns, |driver, sample_cap| {
+        BaldurNet::new(
+            active_nodes,
+            params,
+            spec.link,
+            driver,
+            spec.seed,
+            sample_cap,
+        )
+    })
 }
 
 #[cfg(test)]

@@ -15,7 +15,8 @@
 //! cost budget):
 //!
 //! * **packet conservation ledger** — at drain, `generated ==
-//!   delivered + abandoned` and no packet left `Pending`;
+//!   delivered + abandoned + expired + ingress drops` ([`Oracle::ledger`])
+//!   and no packet or queue entry left over ([`Oracle::residual`]);
 //! * **credit-balance accounting** — electrical models: credits never
 //!   exceed the VC cap, and at drain every credit counter is back to the
 //!   cap (a leak means repair did not restore state exactly);
@@ -34,6 +35,8 @@ use baldur_sim::Time;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
+
+use crate::metrics::Collector;
 
 /// Capacity of the recent-event ring carried into a report.
 const TRACE_WINDOW: usize = 32;
@@ -394,6 +397,41 @@ impl Oracle {
         });
     }
 
+    /// Drain audit: records `count` units of `what` left over as a
+    /// [`Violation::ResidualState`]; a zero count records nothing (and
+    /// never renders `what`).
+    pub fn residual(&mut self, at_ps: u64, what: impl fmt::Display, count: u64) {
+        if count > 0 {
+            let what = what.to_string();
+            self.record(at_ps, Violation::ResidualState { what, count });
+        }
+    }
+
+    /// Drain audit: the packet ledger. Every generated packet must have
+    /// exactly one terminal outcome in `m` — delivered, abandoned,
+    /// expired, or refused at ingress — else a [`Violation::Conservation`]
+    /// is recorded.
+    pub fn ledger(&mut self, at_ps: u64, m: &Collector) {
+        let generated = m.generated();
+        let (delivered, abandoned) = (m.delivered(), m.abandoned());
+        let shed = m.expired() + m.ingress_drops();
+        if generated != delivered + abandoned + shed {
+            let stranded = generated
+                .saturating_sub(delivered)
+                .saturating_sub(abandoned)
+                .saturating_sub(shed);
+            self.record(
+                at_ps,
+                Violation::Conservation {
+                    generated,
+                    delivered,
+                    abandoned,
+                    stranded,
+                },
+            );
+        }
+    }
+
     /// The stuck-flow check: with `outstanding > 0` work items and no
     /// progress for more than the stall budget, fires once (re-arms on
     /// the next progress event). Returns true when it fired — callers
@@ -677,6 +715,24 @@ mod tests {
         assert!(o.is_clean());
         assert!(o.summary().is_clean());
         assert_eq!(o.summary().total(), 0);
+    }
+
+    #[test]
+    fn residual_records_only_a_nonzero_count() {
+        let mut o = Oracle::default();
+        o.residual(5, "nic_queue", 0);
+        assert!(o.is_clean(), "a zero count records nothing");
+        o.residual(7, format_args!("router[{}].queues", 3), 4);
+        let reports = o.summary().reports;
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].at_ps, 7);
+        assert_eq!(
+            reports[0].violation,
+            Violation::ResidualState {
+                what: "router[3].queues".into(),
+                count: 4,
+            }
+        );
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //! Router state is struct-of-arrays flattened across the whole machine:
 //! one offset table (`port_off`, cumulative radix) maps a router to its
 //! slice of the flat per-output (`out_busy`, `out_pending`) and
-//! per-(input port, VC) (`credits`, queue heads/tails) tables — radix
-//! varies per router, so offsets rather than a fixed stride. Input and
-//! NIC queues are intrusive lists over a per-packet `next` link (a packet
-//! sits in at most one queue at a time). Arbitration reads per-output
+//! per-(input port, VC) (`credits`, input queues) tables — radix varies
+//! per router, so offsets rather than a fixed stride. Input and NIC
+//! queues are one [`FifoSet`] of intrusive FIFOs over packet ids (a
+//! packet sits in at most one queue at a time): the flat input queues
+//! first, then one queue per NIC. Arbitration reads per-output
 //! request sets instead of scanning every input queue: one bitset of
 //! `ceil(max radix × vcs / 64)` words per (router, output port), where
 //! bit `qi` is set exactly when input queue `qi` is non-empty and its
@@ -25,10 +26,12 @@
 //! later ports of the same round. A grant takes the first set bit
 //! cyclically from the round-robin pointer whose downstream VC has
 //! credit. The retired map-based model's reports are pinned by
-//! fingerprint in `results/golden/soa_fingerprints.json`.
+//! fingerprint in `results/golden/soa_fingerprints.json`. The run loop
+//! and drain audit protocol is the shell in [`crate::runner`], shared
+//! with the Baldur model.
 
 use baldur_sim::rng::StreamRng;
-use baldur_sim::{Duration, Model, Scheduler, Simulation, Time};
+use baldur_sim::{Duration, FifoSet, Model, Scheduler, Time};
 use baldur_topo::graph::{Endpoint, NodeId, RouterGraph};
 
 use crate::config::{LinkParams, RouterParams, RunSpec};
@@ -37,11 +40,9 @@ use crate::faults::{nested_kill_set, FaultKind, FaultPlan};
 use crate::metrics::{Collector, LatencyReport};
 use crate::oracle::{Oracle, OracleConfig, Violation};
 use crate::routing::{RouteState, RoutingAlg};
+use crate::runner::{self, PacketModel};
 
 type PktId = u32;
-
-/// Null link in the intrusive queues.
-const NONE: PktId = PktId::MAX;
 
 #[derive(Debug, Clone, Copy)]
 struct RPacket {
@@ -107,8 +108,8 @@ pub struct RouterNet {
     // ---- per (router, input port, VC), flat ----
     /// Free slots downstream of each output, `[q_base + out*vcs + vc]`.
     credits: Vec<u32>,
-    q_head: Vec<PktId>,
-    q_tail: Vec<PktId>,
+    /// Input-queue occupancy; the input queues are `queues`' first
+    /// `q_len.len()` queues.
     q_len: Vec<u32>,
     // ---- per (router, output port), flat ----
     out_busy: Vec<Time>,
@@ -124,16 +125,15 @@ pub struct RouterNet {
     arb_scheduled: Vec<bool>,
     rr: Vec<u32>,
     // ---- per NIC (node) ----
-    nic_head: Vec<PktId>,
-    nic_tail: Vec<PktId>,
+    /// NIC-queue occupancy ([`RouterNet::nic_q`] names the queue).
     nic_len: Vec<u32>,
     nic_tx_busy: Vec<Time>,
     /// Injection credits, `[node * vcs + vc]`.
     nic_credits: Vec<u32>,
     nic_try_scheduled: Vec<bool>,
-    /// Intrusive queue link per packet (a packet is in at most one input
-    /// or NIC queue at a time).
-    next_in_queue: Vec<PktId>,
+    /// Every input queue (flat, per router, port and VC), then every NIC
+    /// queue.
+    queues: FifoSet,
     packets: Vec<RPacket>,
     metrics: Collector,
     rng: StreamRng,
@@ -191,8 +191,6 @@ impl RouterNet {
             driver,
             port_off,
             credits: vec![vc_cap; nq_total],
-            q_head: vec![NONE; nq_total],
-            q_tail: vec![NONE; nq_total],
             q_len: vec![0; nq_total],
             out_busy: vec![Time::ZERO; total_ports as usize],
             out_pending: vec![0; total_ports as usize],
@@ -200,13 +198,11 @@ impl RouterNet {
             req_words,
             arb_scheduled: vec![false; router_count as usize],
             rr: vec![0; router_count as usize],
-            nic_head: vec![NONE; nodes],
-            nic_tail: vec![NONE; nodes],
             nic_len: vec![0; nodes],
             nic_tx_busy: vec![Time::ZERO; nodes],
             nic_credits: vec![vc_cap; nodes * vcs],
             nic_try_scheduled: vec![false; nodes],
-            next_in_queue: Vec::new(),
+            queues: FifoSet::new(nq_total + nodes),
             packets: Vec::new(),
             metrics: Collector::new(sample_cap),
             rng: StreamRng::named(seed, "routernt", 0),
@@ -272,15 +268,10 @@ impl RouterNet {
     /// Pushes `pkt` onto the tail of input queue `qi` of `router`.
     fn rq_push_back(&mut self, router: u32, qi: usize, pkt: PktId) {
         let flat = self.q_base(router) + qi;
-        self.next_in_queue[pkt as usize] = NONE;
-        let tail = self.q_tail[flat];
-        if tail == NONE {
-            self.q_head[flat] = pkt;
+        if self.queues.is_empty(flat) {
             self.mark_request(router, qi, pkt, true);
-        } else {
-            self.next_in_queue[tail as usize] = pkt;
         }
-        self.q_tail[flat] = pkt;
+        self.queues.push_back(flat, pkt);
         self.q_len[flat] += 1;
     }
 
@@ -288,46 +279,35 @@ impl RouterNet {
     /// any, takes over its request bit at once.
     fn rq_pop_front(&mut self, router: u32, qi: usize) -> Option<PktId> {
         let flat = self.q_base(router) + qi;
-        let head = self.q_head[flat];
-        if head == NONE {
-            return None;
-        }
+        let head = self.queues.pop_front(flat)?;
         self.mark_request(router, qi, head, false);
-        let next = self.next_in_queue[head as usize];
-        self.q_head[flat] = next;
-        if next == NONE {
-            self.q_tail[flat] = NONE;
-        } else {
+        if let Some(next) = self.queues.front(flat) {
             self.mark_request(router, qi, next, true);
         }
         self.q_len[flat] -= 1;
         Some(head)
     }
 
+    /// `node`'s NIC queue in `queues`: the NIC queues follow the input
+    /// queues.
+    fn nic_q(&self, node: usize) -> usize {
+        self.q_len.len() + node
+    }
+
     fn nic_push_back(&mut self, node: usize, pkt: PktId) {
-        self.next_in_queue[pkt as usize] = NONE;
-        let tail = self.nic_tail[node];
-        if tail == NONE {
-            self.nic_head[node] = pkt;
-        } else {
-            self.next_in_queue[tail as usize] = pkt;
-        }
-        self.nic_tail[node] = pkt;
+        self.queues.push_back(self.nic_q(node), pkt);
         self.nic_len[node] += 1;
     }
 
     fn nic_pop_front(&mut self, node: usize) -> Option<PktId> {
-        let head = self.nic_head[node];
-        if head == NONE {
-            return None;
-        }
-        let next = self.next_in_queue[head as usize];
-        self.nic_head[node] = next;
-        if next == NONE {
-            self.nic_tail[node] = NONE;
-        }
+        let pkt = self.queues.pop_front(self.nic_q(node))?;
         self.nic_len[node] -= 1;
-        Some(head)
+        Some(pkt)
+    }
+
+    /// The packet at the head of `node`'s NIC queue, if any.
+    fn nic_front(&self, node: usize) -> Option<PktId> {
+        self.queues.front(self.nic_q(node))
     }
 
     #[inline]
@@ -335,16 +315,17 @@ impl RouterNet {
         self.down_count > 0 && self.router_down[router as usize]
     }
 
-    /// Returns (to the upstream feeder of `(router, port, vc)`) the
-    /// buffer credit a dropped packet held, so drops at dead routers do
-    /// not bleed the credit pool dry.
-    fn refund_credit(&self, now: Time, router: u32, port: u32, vc: u32, sched: &mut Scheduler<Ev>) {
+    /// Returns one buffer credit of `(router, port, vc)` to its upstream
+    /// feeder at `at`: once a granted packet's tail has passed, or at once
+    /// for a dropped packet, so drops at dead routers do not bleed the
+    /// credit pool dry.
+    fn refund_credit(&self, at: Time, router: u32, port: u32, vc: u32, sched: &mut Scheduler<Ev>) {
         match self.graph.peer(router, port) {
             Endpoint::Router {
                 router: ur,
                 port: up,
             } => sched.schedule_at(
-                now,
+                at,
                 Ev::Credit {
                     router: ur,
                     port: up,
@@ -352,7 +333,7 @@ impl RouterNet {
                 },
             ),
             Endpoint::Node(n) => sched.schedule_at(
-                now,
+                at,
                 Ev::Credit {
                     router: u32::MAX,
                     port: n.0,
@@ -493,7 +474,7 @@ impl RouterNet {
                     route: RouteState::default(),
                     decision: (0, 0),
                 });
-                self.next_in_queue.push(NONE);
+                self.queues.add_id();
                 self.oracle.flow_opened(node);
                 self.nic_push_back(node as usize, pkt);
                 if self.rp.deadline_ps > 0 {
@@ -515,7 +496,7 @@ impl RouterNet {
                 );
             }
         }
-        if self.nic_head[node as usize] != NONE {
+        if self.nic_front(node as usize).is_some() {
             self.schedule_nic(node, now, sched);
         }
         if let Some(t) = out.wake_at_ps {
@@ -556,7 +537,11 @@ impl RouterNet {
                 let mut from = lo;
                 while let Some(qi) = self.next_request(slot, from, hi) {
                     from = qi + 1;
-                    let pkt = self.q_head[qb + qi];
+                    // A set bit names a non-empty queue; an empty one is
+                    // skipped rather than trusted.
+                    let Some(pkt) = self.queues.front(qb + qi) else {
+                        continue;
+                    };
                     let dvc = self.packets[pkt as usize].decision.1;
                     let has_credit = match peer {
                         Endpoint::Router { .. } => self.credits[qb + self.qidx(out_port, dvc)] > 0,
@@ -592,28 +577,7 @@ impl RouterNet {
             self.rr[router as usize] = (qi as u32 + 1) % nq as u32;
 
             // Return the freed input slot upstream once the tail passes.
-            match self.graph.peer(router, in_port) {
-                Endpoint::Router {
-                    router: ur,
-                    port: up,
-                } => sched.schedule_at(
-                    now + ser,
-                    Ev::Credit {
-                        router: ur,
-                        port: up,
-                        vc: in_vc,
-                    },
-                ),
-                Endpoint::Node(n) => sched.schedule_at(
-                    now + ser,
-                    Ev::Credit {
-                        router: u32::MAX,
-                        port: n.0,
-                        vc: in_vc,
-                    },
-                ),
-                Endpoint::Unused => {}
-            }
+            self.refund_credit(now + ser, router, in_port, in_vc, sched);
 
             // Launch downstream.
             let hop = Duration::from_ps(self.rp.switch_latency_ps)
@@ -651,15 +615,26 @@ impl RouterNet {
     }
 
     /// Finalizes the run.
-    pub fn into_report(self, end: Time) -> LatencyReport {
-        let mut r = self.metrics.report(end);
-        r.oracle = self.oracle.summary();
-        r
+    pub fn into_report(mut self, end: Time) -> LatencyReport {
+        self.report(end)
+    }
+}
+
+impl PacketModel for RouterNet {
+    const WAKE: fn(u32) -> Ev = Ev::Wake;
+    const FAULT: fn(u32) -> Ev = Ev::Fault;
+
+    fn parts(&mut self) -> (&mut Driver, &mut Collector, &mut Oracle, &mut FaultPlan) {
+        (
+            &mut self.driver,
+            &mut self.metrics,
+            &mut self.oracle,
+            &mut self.plan,
+        )
     }
 
-    /// Periodic oracle tick from the engine's observer hook: the number
-    /// of packets still owed a terminal outcome feeds the stuck-flow
-    /// detector. Returns `true` when the run should abort.
+    /// Feeds the stuck-flow detector the number of packets still owed a
+    /// terminal outcome.
     fn oracle_tick(&mut self, now: Time) -> bool {
         let outstanding = self
             .metrics
@@ -679,39 +654,15 @@ impl RouterNet {
     /// refunds and credits keep returning to dead routers.
     fn oracle_check_drained(&mut self, end: Time) {
         let at = end.as_ps();
-        let generated = self.metrics.generated();
-        let delivered = self.metrics.delivered();
-        let abandoned = self.metrics.abandoned();
-        let shed = self.metrics.expired() + self.metrics.ingress_drops();
-        if generated != delivered + abandoned + shed {
-            self.oracle.record(
-                at,
-                Violation::Conservation {
-                    generated,
-                    delivered,
-                    abandoned,
-                    stranded: generated
-                        .saturating_sub(delivered)
-                        .saturating_sub(abandoned)
-                        .saturating_sub(shed),
-                },
-            );
-        }
+        self.oracle.ledger(at, &self.metrics);
         let cap = self.vc_cap;
         let vcs = self.rp.vcs as usize;
         for r in 0..self.router_down.len() {
             let qb = self.q_base(r as u32);
             let nq = (self.graph.radix(r as u32) as usize) * vcs;
-            let queued: u64 = self.q_len[qb..qb + nq].iter().map(|&l| u64::from(l)).sum();
-            if queued > 0 {
-                self.oracle.record(
-                    at,
-                    Violation::ResidualState {
-                        what: format!("router[{r}].queues"),
-                        count: queued,
-                    },
-                );
-            }
+            let queued = self.q_len[qb..qb + nq].iter().map(|&l| u64::from(l)).sum();
+            self.oracle
+                .residual(at, format_args!("router[{r}].queues"), queued);
             for idx in 0..nq {
                 let c = self.credits[qb + idx];
                 if c != cap {
@@ -728,16 +679,10 @@ impl RouterNet {
                 }
             }
         }
-        for n in 0..self.nic_head.len() {
-            if self.nic_head[n] != NONE {
-                self.oracle.record(
-                    at,
-                    Violation::ResidualState {
-                        what: format!("nic[{n}].queue"),
-                        count: u64::from(self.nic_len[n]),
-                    },
-                );
-            }
+        for n in 0..self.nic_len.len() {
+            let queued = u64::from(self.nic_len[n]);
+            self.oracle
+                .residual(at, format_args!("nic[{n}].queue"), queued);
             for vc in 0..vcs {
                 let c = self.nic_credits[n * vcs + vc];
                 if c != cap {
@@ -776,11 +721,7 @@ impl Model for RouterNet {
                 // from hoarding work nobody is waiting for anymore.
                 let deadline = self.rp.deadline_ps;
                 if deadline > 0 {
-                    loop {
-                        let head = self.nic_head[n];
-                        if head == NONE {
-                            break;
-                        }
+                    while let Some(head) = self.nic_front(n) {
                         let age = now.since(self.packets[head as usize].generated_at);
                         if age.as_ps() < deadline {
                             break;
@@ -798,10 +739,9 @@ impl Model for RouterNet {
                         self.oracle.progress(now.as_ps());
                     }
                 }
-                let pkt = self.nic_head[n];
-                if pkt == NONE {
+                let Some(pkt) = self.nic_front(n) else {
                     return;
-                }
+                };
                 let busy = self.nic_tx_busy[n];
                 if busy > now {
                     self.schedule_nic(node, busy, sched);
@@ -817,7 +757,7 @@ impl Model for RouterNet {
                 self.nic_credits[n * vcs + vc as usize] -= 1;
                 let ser = self.link.packet_time();
                 self.nic_tx_busy[n] = now + ser;
-                if self.nic_head[n] != NONE {
+                if self.nic_front(n).is_some() {
                     self.schedule_nic(node, now + ser, sched);
                 }
                 let (router, port) = self.graph.node_attach[n];
@@ -970,7 +910,7 @@ impl Model for RouterNet {
                             },
                         ),
                     }
-                    if self.nic_head.get(node as usize).is_some_and(|&h| h != NONE) {
+                    if self.nic_len.get(node as usize).is_some_and(|&l| l > 0) {
                         self.schedule_nic(node, now, sched);
                     }
                 } else {
@@ -1041,50 +981,12 @@ pub fn simulate(
     driver: Driver,
     spec: &RunSpec,
 ) -> LatencyReport {
-    let total = driver.total_to_send();
-    let nodes = driver.nodes().max(1);
-    let sample_cap = (total.min(2_000_000)) as usize + 16;
-    let mut model = RouterNet::new(graph, alg, spec.link, rp, driver, spec.seed, sample_cap);
-    model.oracle = Oracle::new(spec.oracle);
-    let plan = &spec.plan;
-    if !plan.is_empty() {
-        model.metrics = Collector::for_plan(sample_cap, plan);
-        model.oracle.set_boundaries(plan.epoch_boundaries());
-        model.plan = plan.clone();
-    }
-    let initial_driver: Vec<(u32, u64)> = model.driver.initial();
-    let mut sim = Simulation::new(model);
-    for (node, t) in initial_driver {
-        sim.scheduler_mut()
-            .schedule_at(Time::from_ps(t), Ev::Wake(node));
-    }
-    for (idx, ev) in plan.events.iter().enumerate() {
-        sim.scheduler_mut()
-            .schedule_at(Time::from_ps(ev.at_ps), Ev::Fault(idx as u32));
-    }
-    let horizon = Time::from_ns(spec.horizon_ns.unwrap_or_else(|| {
-        let per_node = total / u64::from(nodes) + 1;
-        100 * per_node * spec.link.packet_time().as_ps() / 1_000 + 50_000_000
-    }));
-    // Deterministic event-count cadence for the stuck-flow detector; a
-    // latched stall aborts instead of burning the horizon.
-    let stop = sim.run_until_observed(horizon, u64::MAX, 8192, |m, now| !m.oracle_tick(now));
-    let end = sim.scheduler().now();
-    let events = sim.scheduler().events_executed();
-    let mut model = sim.into_model();
-    if stop == baldur_sim::StopReason::Drained {
-        let before = model.oracle.total();
-        model.oracle_check_drained(end);
-        debug_assert_eq!(
-            model.oracle.total(),
-            before,
-            "drain audit: {:?}",
-            model.oracle.summary().reports
-        );
-    }
-    let mut report = model.into_report(end);
-    report.events = events;
-    report
+    let per_node = driver.total_to_send() / u64::from(driver.nodes().max(1)) + 1;
+    let horizon_ns = 100 * per_node * spec.link.packet_time().as_ps() / 1_000 + 50_000_000;
+    runner::run_packet_model(driver, spec, horizon_ns, |driver, sample_cap| {
+        RouterNet::new(graph, alg, spec.link, rp, driver, spec.seed, sample_cap)
+    })
+    .0
 }
 
 #[cfg(test)]
@@ -1270,10 +1172,9 @@ mod tests {
             let radix = m.graph.radix(r);
             let qb = m.q_base(r);
             for qi in 0..(radix * m.rp.vcs) as usize {
-                let head = m.q_head[qb + qi];
-                if head == NONE {
+                let Some(head) = m.queues.front(qb + qi) else {
                     continue;
-                }
+                };
                 let out = m.packets[head as usize].decision.0;
                 if out < radix {
                     rebuilt[m.req_slot(r, out) + qi / 64] |= 1 << (qi % 64);
@@ -1290,21 +1191,12 @@ mod tests {
     /// checking the request sets after each slice, and hands back the
     /// final model with the number of slices that ended with a request
     /// bit in a set's second or later word.
-    fn drain_checking_requests(
-        mut model: RouterNet,
-        plan: &FaultPlan,
-        every: u64,
-    ) -> (RouterNet, u32) {
-        let initial = model.driver.initial();
-        let mut sim = Simulation::new(model);
-        for (node, t) in initial {
-            sim.scheduler_mut()
-                .schedule_at(Time::from_ps(t), Ev::Wake(node));
-        }
-        for (idx, ev) in plan.events.iter().enumerate() {
-            sim.scheduler_mut()
-                .schedule_at(Time::from_ps(ev.at_ps), Ev::Fault(idx as u32));
-        }
+    fn drain_checking_requests(model: RouterNet, plan: &FaultPlan, every: u64) -> (RouterNet, u32) {
+        let spec = RunSpec {
+            plan: plan.clone(),
+            ..RunSpec::new(link(), plan.seed)
+        };
+        let mut sim = runner::install(model, &spec, 4096);
         let mut high_word_slices = 0;
         loop {
             let stop = sim.run_until(Time::from_ns(500_000_000), every);
@@ -1331,7 +1223,7 @@ mod tests {
         let ft = FatTree::new(4);
         let g = ft.build_graph(10_000, 50_000, 100_000);
         let d = Driver::open_loop(16, Pattern::RandomPermutation, 0.3, 30, &link(), 21);
-        let mut model = RouterNet::new(
+        let model = RouterNet::new(
             g,
             RoutingAlg::FatTree(ft),
             link(),
@@ -1340,7 +1232,6 @@ mod tests {
             21,
             4096,
         );
-        model.plan = plan.clone();
         drain_checking_requests(model, plan, 64).0
     }
 
@@ -1400,7 +1291,7 @@ mod tests {
             faulted.credits, fresh.credits,
             "router credit state must match"
         );
-        assert!(faulted.q_head.iter().all(|&h| h == NONE));
+        assert!((0..faulted.q_len.len()).all(|q| faulted.queues.is_empty(q)));
         assert!(faulted.q_len.iter().all(|&l| l == 0));
         assert!(faulted.requests.iter().all(|&w| w == 0));
         assert_eq!(faulted.out_pending, fresh.out_pending);
@@ -1408,7 +1299,7 @@ mod tests {
             faulted.nic_credits, fresh.nic_credits,
             "NIC credit state must match"
         );
-        assert!(faulted.nic_head.iter().all(|&h| h == NONE));
+        assert!((0..faulted.nic_len.len()).all(|n| faulted.queues.is_empty(faulted.nic_q(n))));
         // The release drain audit agrees nothing leaked.
         faulted.oracle_check_drained(Time::from_ns(500_000_000));
         assert!(

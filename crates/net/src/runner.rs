@@ -1,15 +1,22 @@
 //! One entry point for every (network × workload) simulation the paper's
-//! figures need.
+//! figures need, and the one run loop both packet models share: through
+//! the crate-private `PacketModel` trait, [`baldur_net`] and
+//! [`router_net`] get one oracle and fault-plan install, one observed
+//! event loop, one drain audit and one report assembly. [`ideal_net`]
+//! keeps its own loop: it has no oracle, no faults and no horizon.
 
+use baldur_sim::{Model, Simulation, StopReason, Time};
 use baldur_topo::dragonfly::Dragonfly;
 use baldur_topo::fattree::FatTree;
 use baldur_topo::multibutterfly::MultiButterfly;
 use serde::{Deserialize, Serialize};
 
+use crate::baldur_net::StateStats;
 use crate::config::{BaldurParams, LinkParams, RouterParams, RunSpec};
 use crate::driver::Driver;
 use crate::faults::FaultPlan;
-use crate::metrics::LatencyReport;
+use crate::metrics::{Collector, LatencyReport};
+use crate::oracle::Oracle;
 use crate::routing::{build_mb_graph, RoutingAlg};
 use crate::traffic::Pattern;
 use crate::workloads::{self, HpcApp, TraceParams};
@@ -300,6 +307,106 @@ pub fn run(cfg: &RunConfig) -> LatencyReport {
         }
     };
     router_net::simulate(graph, alg, *router, driver, &spec)
+}
+
+/// A packet model the shared run loop can drive.
+pub(crate) trait PacketModel: Model {
+    /// The driver wakeup of a node.
+    const WAKE: fn(u32) -> Self::Event;
+    /// The event that applies a fault-plan entry, by index.
+    const FAULT: fn(u32) -> Self::Event;
+
+    /// The driver, collector, oracle and fault plan the shell installs.
+    fn parts(&mut self) -> (&mut Driver, &mut Collector, &mut Oracle, &mut FaultPlan);
+
+    /// The periodic stuck-flow check; `true` aborts the run.
+    fn oracle_tick(&mut self, now: Time) -> bool;
+
+    /// The drain audit (valid once the event queue has drained).
+    fn oracle_check_drained(&mut self, end: Time);
+
+    /// The model's kernel-state accounting, where it keeps one.
+    fn model_stats(&self) -> StateStats {
+        StateStats::default()
+    }
+
+    /// The report at simulated time `end`, with the oracle's summary.
+    fn report(&mut self, end: Time) -> LatencyReport {
+        let (_, metrics, oracle, _) = self.parts();
+        let mut r = metrics.report(end);
+        r.oracle = oracle.summary();
+        r
+    }
+}
+
+/// Installs `spec`'s oracle and fault plan into a fresh `model` (with
+/// `sample_cap` latency samples) and schedules the driver's first wakeups
+/// and every fault event.
+pub(crate) fn install<M: PacketModel>(
+    mut model: M,
+    spec: &RunSpec,
+    sample_cap: usize,
+) -> Simulation<M> {
+    let (driver, metrics, oracle, plan) = model.parts();
+    *oracle = Oracle::new(spec.oracle);
+    if !spec.plan.is_empty() {
+        *metrics = Collector::for_plan(sample_cap, &spec.plan);
+        oracle.set_boundaries(spec.plan.epoch_boundaries());
+        *plan = spec.plan.clone();
+    }
+    let initial = driver.initial();
+    let mut sim = Simulation::new(model);
+    for (node, t) in initial {
+        sim.scheduler_mut()
+            .schedule_at(Time::from_ps(t), (M::WAKE)(node));
+    }
+    for (idx, ev) in spec.plan.events.iter().enumerate() {
+        sim.scheduler_mut()
+            .schedule_at(Time::from_ps(ev.at_ps), (M::FAULT)(idx as u32));
+    }
+    sim
+}
+
+/// Runs the model `build(driver, sample_cap)` under `spec` to drain or to
+/// the horizon (`spec`'s, else `default_horizon_ns`); returns the report
+/// and the kernel-state accounting.
+pub(crate) fn run_packet_model<M: PacketModel>(
+    driver: Driver,
+    spec: &RunSpec,
+    default_horizon_ns: u64,
+    build: impl FnOnce(Driver, usize) -> M,
+) -> (LatencyReport, StateStats) {
+    let sample_cap = driver.total_to_send().min(2_000_000) as usize + 16;
+    let mut sim = install(build(driver, sample_cap), spec, sample_cap);
+    let horizon = Time::from_ns(spec.horizon_ns.unwrap_or(default_horizon_ns));
+    // Every 8192 executed events (a deterministic cadence, independent of
+    // wall clock and thread count) the oracle's stuck-flow detector gets a
+    // look; a latched stall aborts the run so livelocks surface as a
+    // violation instead of burning the horizon.
+    let stop = sim.run_until_observed(horizon, u64::MAX, 8192, |m, now| !m.oracle_tick(now));
+    let sched = sim.scheduler();
+    let (end, events) = (sched.now(), sched.events_executed());
+    let stats = StateStats {
+        peak_pending_events: sched.peak_pending() as u64,
+        events_scheduled: sched.events_scheduled(),
+        queue_bytes: sched.state_bytes(),
+        ..sim.model().model_stats()
+    };
+    let mut model = sim.into_model();
+    if stop == StopReason::Drained {
+        let before = model.parts().2.total();
+        model.oracle_check_drained(end);
+        let oracle = model.parts().2;
+        debug_assert_eq!(
+            oracle.total(),
+            before,
+            "drain audit: {:?}",
+            oracle.summary().reports
+        );
+    }
+    let mut report = model.report(end);
+    report.events = events;
+    (report, stats)
 }
 
 #[cfg(test)]

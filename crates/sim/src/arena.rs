@@ -1,16 +1,18 @@
-//! Generational arena allocation for kernel-side object populations.
+//! Generational arena allocation and intrusive queues for kernel-side
+//! object populations.
 //!
 //! The datacenter-scale refactor replaces per-object heap allocation
-//! (boxed events, map-of-vec ACK batches) with index handles into flat
-//! slabs. An [`Arena`] hands out [`Handle`]s — a slot index plus a
-//! generation — so a stale handle to a reused slot is detectable instead
-//! of silently aliasing a new tenant. Freed slots go on a free list and
-//! are reused in LIFO order, which keeps the slab dense and the reuse
-//! order deterministic.
+//! (boxed events, map-of-vec ACK batches, per-node `VecDeque`s) with index
+//! handles into flat slabs. An [`Arena`] hands out [`Handle`]s — a slot
+//! index plus a generation — so a stale handle to a reused slot is
+//! detectable instead of silently aliasing a new tenant. Freed slots go on
+//! a free list and are reused in LIFO order, which keeps the slab dense
+//! and the reuse order deterministic. A [`FifoSet`] keeps FIFO queues of
+//! dense ids as links in one flat table.
 //!
-//! The arena also keeps the allocation counters the perf fabric and the
-//! `scaling` experiment report: live population, high-water mark, total
-//! insertions, and slab capacity (see [`ArenaStats`]).
+//! The arena also keeps the allocation counters the `scaling` experiment
+//! reports: live population, high-water mark, total insertions, and slab
+//! capacity (see [`ArenaStats`]).
 
 /// A generational handle into an [`Arena`].
 ///
@@ -38,8 +40,8 @@ struct Slot<T> {
     value: Option<T>,
 }
 
-/// Allocation counters for one arena, in the shape the perf fabric and
-/// the `scaling` experiment report.
+/// Allocation counters for one arena, in the shape the `scaling`
+/// experiment reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ArenaStats {
     /// Currently live entries.
@@ -180,6 +182,123 @@ impl<T> Default for Arena<T> {
     }
 }
 
+/// The null id: an empty queue's head and tail, and the link behind a
+/// queue's tail.
+const NIL: u32 = u32::MAX;
+
+/// A set of intrusive FIFO queues over dense `u32` ids: a head and tail
+/// per queue, and one `next` link per id shared by every queue, so an id
+/// sits in at most one queue at a time. Callers keep any lengths. The
+/// operations are `#[inline]`: the packet models call them per event from
+/// another crate, and the workspace has no LTO.
+#[derive(Debug, Clone)]
+pub struct FifoSet {
+    head: Vec<u32>,
+    tail: Vec<u32>,
+    next: Vec<u32>,
+}
+
+impl FifoSet {
+    /// `queues` empty queues and no ids.
+    pub fn new(queues: usize) -> Self {
+        FifoSet {
+            head: vec![NIL; queues],
+            tail: vec![NIL; queues],
+            next: Vec::new(),
+        }
+    }
+
+    /// Registers the next id (`0`, `1`, … in call order) with the set.
+    #[inline]
+    pub fn add_id(&mut self) {
+        self.next.push(NIL);
+    }
+
+    /// True when queue `q` holds no id.
+    #[inline]
+    pub fn is_empty(&self, q: usize) -> bool {
+        self.head[q] == NIL
+    }
+
+    /// The id at the front of queue `q`, if any.
+    #[inline]
+    pub fn front(&self, q: usize) -> Option<u32> {
+        let head = self.head[q];
+        (head != NIL).then_some(head)
+    }
+
+    /// Appends `id` to the back of queue `q`.
+    #[inline]
+    pub fn push_back(&mut self, q: usize, id: u32) {
+        self.next[id as usize] = NIL;
+        let tail = self.tail[q];
+        if tail == NIL {
+            self.head[q] = id;
+        } else {
+            self.next[tail as usize] = id;
+        }
+        self.tail[q] = id;
+    }
+
+    /// Puts `id` at the front of queue `q`.
+    #[inline]
+    pub fn push_front(&mut self, q: usize, id: u32) {
+        let head = self.head[q];
+        self.next[id as usize] = head;
+        if head == NIL {
+            self.tail[q] = id;
+        }
+        self.head[q] = id;
+    }
+
+    /// Removes and returns the front of queue `q`.
+    #[inline]
+    pub fn pop_front(&mut self, q: usize) -> Option<u32> {
+        let head = self.head[q];
+        if head == NIL {
+            return None;
+        }
+        let next = self.next[head as usize];
+        self.head[q] = next;
+        if next == NIL {
+            self.tail[q] = NIL;
+        }
+        Some(head)
+    }
+
+    /// Unlinks and returns the first id of queue `q`, front to back, for
+    /// which `pred` holds.
+    #[inline]
+    pub fn unlink_first(&mut self, q: usize, mut pred: impl FnMut(u32) -> bool) -> Option<u32> {
+        let mut prev = NIL;
+        let mut cur = self.head[q];
+        while cur != NIL {
+            let next = self.next[cur as usize];
+            if pred(cur) {
+                if prev == NIL {
+                    self.head[q] = next;
+                } else {
+                    self.next[prev as usize] = next;
+                }
+                if next == NIL {
+                    self.tail[q] = prev;
+                }
+                return Some(cur);
+            }
+            prev = cur;
+            cur = next;
+        }
+        None
+    }
+
+    /// Bytes reserved by the head, tail and link tables (capacity, not
+    /// occupancy).
+    pub fn state_bytes(&self) -> u64 {
+        ((self.head.capacity() + self.tail.capacity() + self.next.capacity())
+            * std::mem::size_of::<u32>()) as u64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,5 +354,89 @@ mod tests {
             v.push(2);
         }
         assert_eq!(a.get(h), Some(&vec![1, 2]));
+    }
+
+    /// A set of `queues` queues with ids `0..ids` registered.
+    fn fifo(queues: usize, ids: u32) -> FifoSet {
+        let mut f = FifoSet::new(queues);
+        for _ in 0..ids {
+            f.add_id();
+        }
+        f
+    }
+
+    /// Pops queue `q` to empty, front to back.
+    fn drain(f: &mut FifoSet, q: usize) -> Vec<u32> {
+        std::iter::from_fn(|| f.pop_front(q)).collect()
+    }
+
+    #[test]
+    fn fifo_push_front_onto_an_empty_queue_sets_head_and_tail() {
+        let mut f = fifo(1, 3);
+        f.push_front(0, 2);
+        assert_eq!(f.front(0), Some(2));
+        // The tail was set too: a push_back lands behind the pushed id.
+        f.push_back(0, 0);
+        f.push_front(0, 1);
+        assert_eq!(drain(&mut f, 0), vec![1, 2, 0]);
+    }
+
+    #[test]
+    fn fifo_pops_in_order_to_empty_and_is_reusable() {
+        let mut f = fifo(1, 4);
+        assert!(f.is_empty(0));
+        assert_eq!(f.pop_front(0), None);
+        for id in 0..4 {
+            f.push_back(0, id);
+        }
+        assert!(!f.is_empty(0));
+        assert_eq!(drain(&mut f, 0), vec![0, 1, 2, 3]);
+        assert!(f.is_empty(0));
+        assert_eq!(f.front(0), None);
+        // Emptied by pops, the tail was reset: the next push is the head.
+        f.push_back(0, 3);
+        assert_eq!(f.front(0), Some(3));
+        assert_eq!(drain(&mut f, 0), vec![3]);
+    }
+
+    #[test]
+    fn fifo_unlink_first_at_head_middle_and_tail() {
+        let mut f = fifo(1, 5);
+        for id in 0..5 {
+            f.push_back(0, id);
+        }
+        // Head.
+        assert_eq!(f.unlink_first(0, |id| id == 0), Some(0));
+        assert_eq!(f.front(0), Some(1));
+        // Middle: the first match wins, later matches stay.
+        assert_eq!(f.unlink_first(0, |id| id % 2 == 0), Some(2));
+        // Tail: the tail moves back to its predecessor, so a later push
+        // links behind 3, not behind the unlinked 4.
+        assert_eq!(f.unlink_first(0, |id| id == 4), Some(4));
+        f.push_back(0, 0);
+        assert_eq!(f.unlink_first(0, |id| id > 9), None);
+        assert_eq!(drain(&mut f, 0), vec![1, 3, 0]);
+        // The only element is head and tail at once.
+        f.push_back(0, 2);
+        assert_eq!(f.unlink_first(0, |_| true), Some(2));
+        assert!(f.is_empty(0));
+        f.push_back(0, 1);
+        assert_eq!(drain(&mut f, 0), vec![1]);
+    }
+
+    #[test]
+    fn fifo_interleaved_queues_share_the_link_table() {
+        let mut f = fifo(2, 6);
+        for id in 0..6 {
+            f.push_back((id % 2) as usize, id);
+        }
+        // Moves between the queues rewrite the shared links.
+        assert_eq!(f.pop_front(1), Some(1));
+        f.push_back(0, 1);
+        assert_eq!(f.unlink_first(0, |id| id == 2), Some(2));
+        f.push_front(1, 2);
+        assert_eq!(drain(&mut f, 0), vec![0, 4, 1]);
+        assert_eq!(drain(&mut f, 1), vec![2, 3, 5]);
+        assert!(f.state_bytes() >= 4 * (2 + 2 + 6));
     }
 }

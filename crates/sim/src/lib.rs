@@ -10,6 +10,7 @@
 //!   calendar queue whose bytes track the pending events,
 //! * [`Arena`] — generational slab allocation with index [`Handle`]s for
 //!   kernel-side object populations (no per-object boxes on hot paths),
+//!   and [`FifoSet`], intrusive FIFO queues over dense `u32` ids,
 //! * [`rng`] — reproducible, stream-split random number generation,
 //! * [`par`] — a work-stealing thread pool that fans independent runs
 //!   across workers while keeping output order (and thus bytes) identical
@@ -51,6 +52,6 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use arena::{Arena, ArenaStats, Handle};
+pub use arena::{Arena, ArenaStats, FifoSet, Handle};
 pub use engine::{Model, Scheduler, Simulation, StopReason};
 pub use time::{Duration, Time};

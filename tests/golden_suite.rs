@@ -1,6 +1,7 @@
 //! Golden-file suite: renders a fixed subset of the figure CSVs at the
-//! tiny config, plus the exact work counters of two hot-path runs, and
-//! compares them byte-for-byte against the snapshots in `results/golden/`.
+//! tiny config, plus the exact work counters of two hot-path runs and of
+//! the `scaling` curve's 1K/4K head, and compares them byte-for-byte
+//! against the snapshots in `results/golden/`.
 //!
 //! These snapshots pin the *rendered output*, end to end: simulation
 //! determinism, report field values, float formatting, and CSV layout all
@@ -182,4 +183,18 @@ fn golden_hot_paths_csv() {
     let _ = writeln!(csv, "baldur_arb_retx,{},{}", arb.events, arb.delivered);
     let _ = writeln!(csv, "fig6_throughput,{events},{delivered}");
     check("hot_paths.csv", &csv);
+}
+
+#[test]
+fn golden_scaling_head_csv() {
+    // The deterministic projection (events, scheduler population and
+    // bytes, model state bytes, arena high water, delivery) of the
+    // scaling curve's 1K->4K head: pins what the report fingerprints
+    // miss, such as the state and queue byte accounting.
+    let cfg = EvalConfig {
+        seed: 0xBA1D,
+        ..tiny()
+    };
+    let rows = experiments::scaling_curves(&sweep(), &cfg, &[1_024, 4_096], 2);
+    check("scaling_head.csv", &experiments::deterministic_csv(&rows));
 }

@@ -29,8 +29,8 @@ const GOLDEN_EXEMPT: &[&str] = &[
     "tables34",
     "packaging",
     // Timing/RSS columns are machine measurements; the deterministic
-    // projection is gated by the experiment's own `--smoke` mode and
-    // unit tests instead of a byte snapshot.
+    // projection is gated by the experiment's own `--smoke` mode, unit
+    // tests, and the tool-owned `scaling_head.csv` snapshot of its head.
     "scaling",
 ];
 
@@ -39,6 +39,8 @@ const GOLDEN_EXEMPT: &[&str] = &[
 /// (the lint report by `tests/lint_wall.rs::lint_json_snapshot_is_fresh`,
 /// the hot-path work counters by
 /// `tests/golden_suite.rs::golden_hot_paths_csv`,
+/// the scaling curve's deterministic head by
+/// `tests/golden_suite.rs::golden_scaling_head_csv`,
 /// the packet-model fingerprints by
 /// `tests/properties.rs::soa_models_match_retired_baselines_byte_identically`,
 /// the codec and circuit fingerprints by
@@ -47,6 +49,7 @@ const TOOL_GOLDENS: &[&str] = &[
     "hot_paths.csv",
     "lint.json",
     "reference_fingerprints.json",
+    "scaling_head.csv",
     "soa_fingerprints.json",
 ];
 
