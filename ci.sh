@@ -80,6 +80,18 @@ packet_model_pins() {
         cargo test -q --test golden_suite -- golden_hot_paths_csv golden_scaling_head_csv
 }
 
+# The fabric state layout: the multi-butterfly's one-u32-per-link table
+# against its iterator and the `port == 2 * path + bit` rule (both
+# wirings, m = 1..=5), the double-filled-port mutation check, the 16-byte
+# hop event and 24-byte packet row, the 8-byte optional arena handle,
+# then the state bytes they add up to in the scaling head.
+fabric_layout() {
+    cargo test -q -p baldur-topo -- target_is_the_path_th_candidate validate_reports_a_double_filled_port &&
+        cargo test -q -p baldur-net hop_event_and_packet_row_sizes_are_pinned &&
+        cargo test -q -p baldur-sim option_handle_is_niche_packed &&
+        cargo test -q --test golden_suite -- golden_scaling_head_csv
+}
+
 write_summary() {
     {
         echo "{"
@@ -125,6 +137,7 @@ run_step packet-model-pins packet_model_pins
 # table and the computed Omega targets), then the incremental starvation
 # oracle against the slice-scanning reference it replaced.
 run_step topo-wiring-pinned cargo test -q --test topo_wiring
+run_step fabric-layout fabric_layout
 run_step oracle-starvation-equivalence cargo test -q -p baldur-net oracle
 # The single scheduler backend against its reference heap (see
 # scheduler_equivalence above).

@@ -28,6 +28,14 @@
 //! keys on them), and a packet sits in at most one NIC queue at a time
 //! (one `next` link suffices). The run loop and drain audit protocol is
 //! the shell in [`crate::runner`], shared with the electrical model.
+//!
+//! A packet-table row is 24 bytes: source, destination, and either the
+//! data packet's delivery and retransmission state or the ACK's
+//! acknowledged packet and batch handle, never both. [`Ev::Hop`] carries
+//! the destination and the ACK flag, set from the row at injection, so a
+//! hop reads only the port table and the topology's link table. The one
+//! exception is the off-by-default path rotation, which hashes the
+//! row's attempt count.
 
 use baldur_sim::rng::StreamRng;
 use baldur_sim::{Arena, ArenaStats, Duration, FifoSet, Handle, Model, Scheduler, Time};
@@ -54,10 +62,31 @@ fn data_q(node: usize) -> usize {
     2 * node + 1
 }
 
+/// One packet-table row (24 bytes): the endpoints plus what only a data
+/// packet or only an ACK carries, so an ACK with a delivery outcome is
+/// unrepresentable.
 #[derive(Debug, Clone, Copy)]
 struct PacketState {
     src: NodeId,
     dst: NodeId,
+    kind: PacketKind,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum PacketKind {
+    Data(DataState),
+    /// An ACK for data packet `acks`. A combined ACK also holds the arena
+    /// slot of its whole batch (absent for single ACKs — `acks` already
+    /// names the one packet).
+    Ack {
+        acks: PktId,
+        batch: Option<Handle>,
+    },
+}
+
+/// The delivery and retransmission state of a data packet.
+#[derive(Debug, Clone, Copy)]
+struct DataState {
     generated_at: Time,
     attempts: u32,
     outcome: DeliveryOutcome,
@@ -68,11 +97,26 @@ struct PacketState {
     /// the source already gave up, or after a delivered packet's timers
     /// exhausted) cannot release the same slot twice.
     released: bool,
-    /// For ACK packets, the data packet being acknowledged.
-    acks: Option<PktId>,
-    /// For combined ACK packets, the arena slot holding the whole batch
-    /// (absent for single ACKs — `acks` already names the one packet).
-    batch: Option<Handle>,
+}
+
+impl PacketState {
+    fn is_ack(&self) -> bool {
+        matches!(self.kind, PacketKind::Ack { .. })
+    }
+
+    fn data(&self) -> Option<&DataState> {
+        match &self.kind {
+            PacketKind::Data(d) => Some(d),
+            PacketKind::Ack { .. } => None,
+        }
+    }
+
+    fn data_mut(&mut self) -> Option<&mut DataState> {
+        match &mut self.kind {
+            PacketKind::Data(d) => Some(d),
+            PacketKind::Ack { .. } => None,
+        }
+    }
 }
 
 /// Events of the Baldur model.
@@ -82,14 +126,20 @@ pub enum Ev {
     Wake(u32),
     /// NIC should try to transmit.
     TryInject(u32),
-    /// A packet head arrives at a switch of `stage`.
+    /// A packet head arrives at a switch of `stage`. It carries what the
+    /// hop needs from the packet, so a hop does not read the packet table
+    /// (bar the off-by-default path rotation).
     Hop {
         /// Packet id.
         pkt: PktId,
-        /// Stage index.
-        stage: u32,
+        /// Destination node.
+        dst: u32,
         /// Switch index within the stage.
         switch: u32,
+        /// Stage index.
+        stage: u8,
+        /// An ACK (sized [`LinkParams::ack_time`]) rather than data.
+        ack: bool,
     },
     /// A packet tail arrives at its destination node.
     Arrive {
@@ -276,12 +326,19 @@ impl BaldurNet {
         }
     }
 
-    fn duration_of(&self, pkt: PktId) -> Duration {
-        if self.packets[pkt as usize].acks.is_some() {
+    fn duration(&self, ack: bool) -> Duration {
+        if ack {
             self.link.ack_time()
         } else {
             self.link.packet_time()
         }
+    }
+
+    /// The data state of packet `pkt` (`None` for an ACK).
+    fn data_mut(&mut self, pkt: PktId) -> Option<&mut DataState> {
+        self.packets
+            .get_mut(pkt as usize)
+            .and_then(PacketState::data_mut)
     }
 
     fn port_index(&self, stage: u32, switch: u32, dir: u32, path: u32) -> usize {
@@ -323,7 +380,10 @@ impl BaldurNet {
     fn data_unlink_first_retx(&mut self, node: usize) -> Option<PktId> {
         let packets = &self.packets;
         let pkt = self.queues.unlink_first(data_q(node), |p| {
-            packets.get(p as usize).is_some_and(|p| p.attempts > 0)
+            packets
+                .get(p as usize)
+                .and_then(PacketState::data)
+                .is_some_and(|d| d.attempts > 0)
         })?;
         self.data_len[node] -= 1;
         Some(pkt)
@@ -331,7 +391,7 @@ impl BaldurNet {
 
     fn enqueue(&mut self, now: Time, node: u32, pkt: PktId, sched: &mut Scheduler<Ev>) {
         let n = node as usize;
-        if self.packets[pkt as usize].acks.is_some() {
+        if self.packets[pkt as usize].is_ack() {
             self.queues.push_back(ack_q(n), pkt);
         } else {
             self.queues.push_back(data_q(n), pkt);
@@ -351,8 +411,10 @@ impl BaldurNet {
 
     /// Takes (and retires) the combined-ACK batch of `pkt`, if any.
     fn take_ack_batch(&mut self, pkt: PktId) -> Option<Vec<PktId>> {
-        let handle = self.packets.get_mut(pkt as usize)?.batch.take()?;
-        self.ack_batches.remove(handle)
+        let PacketKind::Ack { batch, .. } = &mut self.packets.get_mut(pkt as usize)?.kind else {
+            return None;
+        };
+        self.ack_batches.remove(batch.take()?)
     }
 
     /// Drops the combined-ACK references of a packet that died in the
@@ -360,6 +422,17 @@ impl BaldurNet {
     fn drop_ack_batch(&mut self, pkt: PktId) {
         if let Some(batch) = self.take_ack_batch(pkt) {
             self.recycle_batch(batch);
+        }
+    }
+
+    /// Takes a packet the fabric dropped out of flight. ACKs are never
+    /// retransmitted, so a dropped combined ACK releases its batch here
+    /// (the only row read); a dropped data packet is recovered by its
+    /// source's timeout.
+    fn lost_in_fabric(&mut self, now: Time, pkt: PktId, ack: bool) {
+        self.dec_in_flight(now);
+        if ack {
+            self.drop_ack_batch(pkt);
         }
     }
 
@@ -390,13 +463,13 @@ impl BaldurNet {
                 let pkt = self.alloc_packet(PacketState {
                     src: NodeId(node),
                     dst: cmd.dst,
-                    generated_at: now,
-                    attempts: 0,
-                    outcome: DeliveryOutcome::Pending,
-                    acked: false,
-                    released: false,
-                    acks: None,
-                    batch: None,
+                    kind: PacketKind::Data(DataState {
+                        generated_at: now,
+                        attempts: 0,
+                        outcome: DeliveryOutcome::Pending,
+                        acked: false,
+                        released: false,
+                    }),
                 });
                 self.metrics.on_generated(now);
                 self.metrics.note_flow_generated(node);
@@ -435,13 +508,10 @@ impl BaldurNet {
         let ack = self.alloc_packet(PacketState {
             src: NodeId(node),
             dst: NodeId(src),
-            generated_at: now,
-            attempts: 0,
-            outcome: DeliveryOutcome::Pending,
-            acked: false,
-            released: false,
-            acks: Some(first),
-            batch: handle,
+            kind: PacketKind::Ack {
+                acks: first,
+                batch: handle,
+            },
         });
         self.enqueue(now, node, ack, sched);
     }
@@ -459,13 +529,10 @@ impl BaldurNet {
         let ack = self.alloc_packet(PacketState {
             src: NodeId(node),
             dst: NodeId(src),
-            generated_at: now,
-            attempts: 0,
-            outcome: DeliveryOutcome::Pending,
-            acked: false,
-            released: false,
-            acks: Some(pkt),
-            batch: None,
+            kind: PacketKind::Ack {
+                acks: pkt,
+                batch: None,
+            },
         });
         self.enqueue(now, node, ack, sched);
     }
@@ -521,7 +588,10 @@ impl BaldurNet {
 
     /// Settles one data packet acknowledged by an arriving ACK.
     fn settle_ack(&mut self, now: Time, data_pkt: PktId, dst: NodeId) {
-        let data = &mut self.packets[data_pkt as usize];
+        let Some(data) = self.data_mut(data_pkt) else {
+            debug_assert!(false, "an ACK names non-data packet {data_pkt}");
+            return;
+        };
         if !data.acked {
             data.acked = true;
             // A slot already given back by retry exhaustion (repair
@@ -589,7 +659,7 @@ impl PacketModel for BaldurNet {
         let outstanding = self.outstanding.iter().map(|&o| u64::from(o)).sum();
         let owed = self.pending_acks.iter().map(|p| p.len() as u64).sum();
         let (mut delivered, mut gave_up, mut expired, mut pending) = (0, 0, 0, 0);
-        for st in self.packets.iter().filter(|p| p.acks.is_none()) {
+        for st in self.packets.iter().filter_map(PacketState::data) {
             match st.outcome {
                 DeliveryOutcome::Delivered => delivered += 1,
                 DeliveryOutcome::GaveUp => gave_up += 1,
@@ -663,20 +733,22 @@ impl Model for BaldurNet {
                 // queue wait is the dominant staleness under overload and
                 // carries no retry timer that could catch it.
                 let deadline = self.params.deadline_ps;
-                if deadline > 0
-                    && self.packets[pkt as usize].acks.is_none()
-                    && self.packets[pkt as usize].outcome == DeliveryOutcome::Pending
-                    && now.since(self.packets[pkt as usize].generated_at).as_ps() >= deadline
-                {
-                    let src = self.packets[pkt as usize].src.0;
-                    let in_window = self.packets[pkt as usize].attempts > 0;
-                    self.packets[pkt as usize].outcome = DeliveryOutcome::Expired;
+                let src = self.packets[pkt as usize].src.0;
+                let expired = self.data_mut(pkt).filter(|d| {
+                    deadline > 0
+                        && d.outcome == DeliveryOutcome::Pending
+                        && now.since(d.generated_at).as_ps() >= deadline
+                });
+                if let Some(d) = expired {
+                    let in_window = d.attempts > 0;
+                    let release = !d.released;
+                    d.outcome = DeliveryOutcome::Expired;
+                    d.released = true;
                     self.metrics.on_expired(now);
                     self.oracle
                         .note(now.as_ps(), "expire", u64::from(pkt), u64::from(src));
                     self.oracle.progress(now.as_ps());
-                    if !self.packets[pkt as usize].released {
-                        self.packets[pkt as usize].released = true;
+                    if release {
                         self.release_outstanding(now, src);
                         if in_window {
                             self.release_window(src);
@@ -695,8 +767,9 @@ impl Model for BaldurNet {
                 // packet carries a timer, so the poll always terminates.
                 let pw = self.params.pacing_window;
                 if pw > 0
-                    && self.packets[pkt as usize].acks.is_none()
-                    && self.packets[pkt as usize].attempts == 0
+                    && self.packets[pkt as usize]
+                        .data()
+                        .is_some_and(|d| d.attempts == 0)
                     && self.in_window[n] >= pw
                 {
                     // A queued retransmission must jump a deferred head:
@@ -715,17 +788,18 @@ impl Model for BaldurNet {
                         }
                     }
                 }
-                let dur = self.duration_of(pkt);
+                let row = self.packets[pkt as usize];
+                let ack = row.is_ack();
+                let dur = self.duration(ack);
                 self.tx_busy_until[n] = now + dur;
                 if !self.nic_is_empty(n) {
                     self.try_scheduled[n] = true;
                     let at = self.tx_busy_until[n];
                     sched.schedule_at(at, Ev::TryInject(node));
                 }
-                let st = &mut self.packets[pkt as usize];
-                if st.acks.is_none() {
-                    st.attempts += 1;
-                    let attempt = st.attempts;
+                if let Some(d) = self.data_mut(pkt) {
+                    d.attempts += 1;
+                    let attempt = d.attempts;
                     if attempt == 1 && self.params.pacing_window > 0 {
                         self.in_window[n] += 1;
                     }
@@ -752,33 +826,38 @@ impl Model for BaldurNet {
                 }
                 // Head reaches the first-stage switch after the ingress
                 // fiber.
-                let switch = self.topo.ingress_switch(self.packets[pkt as usize].src);
+                let switch = self.topo.ingress_switch(row.src);
                 self.metrics.on_injection();
                 self.in_flight += 1;
                 sched.schedule_at(
                     now + Duration::from_ps(self.params.link_delay_ps),
                     Ev::Hop {
                         pkt,
-                        stage: 0,
+                        dst: row.dst.0,
                         switch,
+                        stage: 0,
+                        ack,
                     },
                 );
             }
-            Ev::Hop { pkt, stage, switch } => {
+            Ev::Hop {
+                pkt,
+                dst,
+                switch,
+                stage: stage8,
+                ack,
+            } => {
+                let stage = u32::from(stage8);
                 let healthy = self.fstate.is_all_healthy();
                 if !healthy && self.fstate.switch_is_down(stage, switch) {
                     self.metrics.on_forward_attempt(true);
                     self.oracle
                         .note(now.as_ps(), "drop:switch", u64::from(pkt), u64::from(stage));
-                    self.dec_in_flight(now);
-                    // ACKs are never retransmitted, so a dropped combined
-                    // ACK must release its batch references here.
-                    self.drop_ack_batch(pkt);
+                    self.lost_in_fabric(now, pkt, ack);
                     return; // a dead switch eats the packet
                 }
-                let dst = self.packets[pkt as usize].dst;
-                let dir = self.topo.direction(dst, stage);
-                let dur = self.duration_of(pkt);
+                let dir = self.topo.direction(NodeId(dst), stage);
+                let dur = self.duration(ack);
                 // Sequential path arbitration: first idle port wins. With
                 // the path-rotation extension the scan start varies per
                 // attempt so retries explore all m paths.
@@ -786,8 +865,10 @@ impl Model for BaldurNet {
                 let start = if self.params.path_rotation {
                     // SplitMix-style mixing so every (packet, attempt)
                     // pair explores an independent per-stage path vector.
-                    let st = &self.packets[pkt as usize];
-                    let mut h = (u64::from(pkt) << 32) ^ u64::from(st.attempts);
+                    // The one hop read of the packet table (an ACK's
+                    // attempt is 0); the option is off by default.
+                    let attempts = self.packets[pkt as usize].data().map_or(0, |d| d.attempts);
+                    let mut h = (u64::from(pkt) << 32) ^ u64::from(attempts);
                     h = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
                     h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
                     h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -820,8 +901,7 @@ impl Model for BaldurNet {
                             u64::from(pkt),
                             u64::from(stage),
                         );
-                        self.dec_in_flight(now);
-                        self.drop_ack_batch(pkt);
+                        self.lost_in_fabric(now, pkt, ack);
                         // Dropped: the source's timeout handles recovery.
                     }
                     Some(path) => {
@@ -840,8 +920,7 @@ impl Model for BaldurNet {
                                     u64::from(pkt),
                                     u64::from(stage),
                                 );
-                                self.dec_in_flight(now);
-                                self.drop_ack_batch(pkt);
+                                self.lost_in_fabric(now, pkt, ack);
                                 return;
                             }
                         }
@@ -866,16 +945,17 @@ impl Model for BaldurNet {
                             // aborting the run.
                             let Some(target) = self.topo.target(stage, switch, dir, path) else {
                                 debug_assert!(false, "inner stage {stage} has no target");
-                                self.dec_in_flight(now);
-                                self.drop_ack_batch(pkt);
+                                self.lost_in_fabric(now, pkt, ack);
                                 return;
                             };
                             sched.schedule_at(
                                 now + hop_delay,
                                 Ev::Hop {
                                     pkt,
-                                    stage: stage + 1,
+                                    dst,
                                     switch: target.switch,
+                                    stage: stage8 + 1,
+                                    ack,
                                 },
                             );
                         }
@@ -884,12 +964,9 @@ impl Model for BaldurNet {
             }
             Ev::Arrive { pkt } => {
                 self.dec_in_flight(now);
-                let (is_ack, dst, src) = {
-                    let st = &self.packets[pkt as usize];
-                    (st.acks, st.dst, st.src)
-                };
-                match is_ack {
-                    Some(data_pkt) => {
+                let PacketState { src, dst, kind } = self.packets[pkt as usize];
+                match kind {
+                    PacketKind::Ack { acks, .. } => {
                         // ACK arrived back at the data source; a combined
                         // ACK settles its whole batch.
                         match self.take_ack_batch(pkt) {
@@ -899,14 +976,15 @@ impl Model for BaldurNet {
                                 }
                                 self.recycle_batch(batch);
                             }
-                            None => self.settle_ack(now, data_pkt, dst),
+                            None => self.settle_ack(now, acks, dst),
                         }
                     }
-                    None => {
-                        let first = self.packets[pkt as usize].outcome == DeliveryOutcome::Pending;
-                        if first {
-                            self.packets[pkt as usize].outcome = DeliveryOutcome::Delivered;
-                            let latency = now.since(self.packets[pkt as usize].generated_at);
+                    PacketKind::Data(data) => {
+                        if data.outcome == DeliveryOutcome::Pending {
+                            if let Some(d) = self.data_mut(pkt) {
+                                d.outcome = DeliveryOutcome::Delivered;
+                            }
+                            let latency = now.since(data.generated_at);
                             self.metrics.on_delivered(latency, now);
                             self.metrics.note_flow_delivered(src.0);
                             self.oracle.flow_delivered(src.0);
@@ -969,8 +1047,15 @@ impl Model for BaldurNet {
                 }
             }
             Ev::Timeout { pkt, attempt } => {
-                let st = self.packets[pkt as usize];
-                if st.acked || st.attempts != attempt || st.acks.is_some() {
+                let PacketState {
+                    src,
+                    kind: PacketKind::Data(st),
+                    ..
+                } = self.packets[pkt as usize]
+                else {
+                    return; // ACKs arm no timer
+                };
+                if st.acked || st.attempts != attempt {
                     return; // stale timer
                 }
                 // Deadline-aware retransmission: a retry whose packet has
@@ -981,22 +1066,20 @@ impl Model for BaldurNet {
                 let deadline = self.params.deadline_ps;
                 if deadline > 0 && now.since(st.generated_at).as_ps() >= deadline {
                     if st.outcome != DeliveryOutcome::Delivered {
-                        self.packets[pkt as usize].outcome = DeliveryOutcome::Expired;
+                        if let Some(d) = self.data_mut(pkt) {
+                            d.outcome = DeliveryOutcome::Expired;
+                        }
                         self.metrics.on_expired(now);
-                        self.oracle.note(
-                            now.as_ps(),
-                            "expire",
-                            u64::from(pkt),
-                            u64::from(st.src.0),
-                        );
+                        self.oracle
+                            .note(now.as_ps(), "expire", u64::from(pkt), u64::from(src.0));
                         self.oracle.progress(now.as_ps());
                     }
                     if !st.released {
-                        if let Some(p) = self.packets.get_mut(pkt as usize) {
-                            p.released = true;
+                        if let Some(d) = self.data_mut(pkt) {
+                            d.released = true;
                         }
-                        self.release_outstanding(now, st.src.0);
-                        self.release_window(st.src.0);
+                        self.release_outstanding(now, src.0);
+                        self.release_window(src.0);
                     }
                     return;
                 }
@@ -1006,35 +1089,33 @@ impl Model for BaldurNet {
                 // not a loss, so it must not count as abandoned.
                 if st.attempts > self.params.max_retries {
                     if st.outcome != DeliveryOutcome::Delivered {
-                        self.packets[pkt as usize].outcome = DeliveryOutcome::GaveUp;
+                        if let Some(d) = self.data_mut(pkt) {
+                            d.outcome = DeliveryOutcome::GaveUp;
+                        }
                         self.metrics.on_abandoned(now);
-                        self.oracle.note(
-                            now.as_ps(),
-                            "giveup",
-                            u64::from(pkt),
-                            u64::from(st.src.0),
-                        );
+                        self.oracle
+                            .note(now.as_ps(), "giveup", u64::from(pkt), u64::from(src.0));
                         self.oracle.progress(now.as_ps());
                     }
                     // Give the buffer slot back exactly once: a late ACK
                     // for a delivered-but-timer-exhausted packet must not
                     // release it again (see released in Ev::Arrive).
                     if !st.released {
-                        if let Some(p) = self.packets.get_mut(pkt as usize) {
-                            p.released = true;
+                        if let Some(d) = self.data_mut(pkt) {
+                            d.released = true;
                         }
-                        self.release_outstanding(now, st.src.0);
-                        self.release_window(st.src.0);
+                        self.release_outstanding(now, src.0);
+                        self.release_window(src.0);
                     }
                     return;
                 }
                 self.metrics.on_retransmit();
                 if self.params.backoff {
                     // Binary exponential backoff throttles the transmitter.
-                    let exp = &mut self.backoff_exp[st.src.0 as usize];
+                    let exp = &mut self.backoff_exp[src.0 as usize];
                     *exp = (*exp + 1).min(self.params.max_backoff_exp);
                 }
-                self.enqueue(now, st.src.0, pkt, sched);
+                self.enqueue(now, src.0, pkt, sched);
             }
             Ev::Fault(idx) => {
                 if let Some(ev) = self.plan.events.get(idx as usize).copied() {
@@ -1084,6 +1165,17 @@ mod tests {
 
     fn link() -> LinkParams {
         LinkParams::paper()
+    }
+
+    #[test]
+    fn hop_event_and_packet_row_sizes_are_pinned() {
+        use std::mem::size_of;
+        // `Ev::Hop` carries `dst` and the ACK flag in the 16 bytes a
+        // `{pkt, stage, switch}` hop took; the calendar slab stores
+        // `Option<Ev>`, so its niche matters too.
+        assert_eq!(size_of::<Ev>(), 16);
+        assert_eq!(size_of::<Option<Ev>>(), 16);
+        assert_eq!(size_of::<PacketState>(), 24);
     }
 
     #[test]

@@ -50,9 +50,11 @@ pub fn probe_path(
     let mut path = vec![(0, switch)];
     for s in 0..topo.stages() - 1 {
         let dir = topo.direction(dst, s);
-        let targets = topo.next_targets(s, switch, dir).expect("inner stage");
         let choice = path_config[s as usize] % topo.multiplicity();
-        switch = targets[choice as usize].switch;
+        switch = topo
+            .target(s, switch, dir, choice)
+            .expect("inner stage")
+            .switch;
         path.push((s + 1, switch));
     }
     path

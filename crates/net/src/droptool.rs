@@ -115,11 +115,11 @@ fn worst_case_impl(
                 // Inner stages always have targets by construction; a miss
                 // would be a wiring bug, so count the packet as dropped
                 // rather than aborting the whole analysis.
-                let Some(targets) = topo.next_targets(stage, switch, dir) else {
+                let Some(target) = topo.target(stage, switch, dir, path) else {
                     debug_assert!(false, "inner stage {stage} has no targets");
                     continue;
                 };
-                next.push((targets[path as usize].switch, dst));
+                next.push((target.switch, dst));
             }
         }
         live = next;

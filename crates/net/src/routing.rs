@@ -251,10 +251,10 @@ pub fn build_mb_graph(mb: &MultiButterfly, node_link_ps: u64, stage_link_ps: u64
     for s in 0..mb.stages() - 1 {
         for sw in 0..width {
             for dir in 0..2 {
-                let targets = mb.next_targets(s, sw, dir).expect("inner stage");
-                for (path, t) in targets.iter().enumerate() {
+                for path in 0..m {
+                    let t = mb.target(s, sw, dir, path).expect("inner stage");
                     g.connect(
-                        (s * width + sw, 2 * m + dir * m + path as u32),
+                        (s * width + sw, 2 * m + dir * m + path),
                         ((s + 1) * width + t.switch, t.port),
                         stage_link_ps,
                     );

@@ -10,9 +10,14 @@
 //! and the reuse order deterministic. A [`FifoSet`] keeps FIFO queues of
 //! dense ids as links in one flat table.
 //!
+//! Generations start at 1 (a `NonZeroU32`), so `Option<Handle>` is the
+//! same 8 bytes as a `Handle`.
+//!
 //! The arena also keeps the allocation counters the `scaling` experiment
 //! reports: live population, high-water mark, total insertions, and slab
 //! capacity (see [`ArenaStats`]).
+
+use std::num::NonZeroU32;
 
 /// A generational handle into an [`Arena`].
 ///
@@ -22,7 +27,7 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Handle {
     slot: u32,
-    generation: u32,
+    generation: NonZeroU32,
 }
 
 impl Handle {
@@ -36,7 +41,7 @@ impl Handle {
 /// One slab slot: the current generation plus the tenant, if any.
 #[derive(Debug, Clone)]
 struct Slot<T> {
-    generation: u32,
+    generation: NonZeroU32,
     value: Option<T>,
 }
 
@@ -136,12 +141,12 @@ impl<T> Arena<T> {
         let slot = u32::try_from(self.slots.len()).unwrap_or(u32::MAX);
         debug_assert!(slot < u32::MAX, "arena slab exceeded u32 slots");
         self.slots.push(Slot {
-            generation: 0,
+            generation: NonZeroU32::MIN,
             value: Some(value),
         });
         Handle {
             slot,
-            generation: 0,
+            generation: NonZeroU32::MIN,
         }
     }
 
@@ -169,7 +174,8 @@ impl<T> Arena<T> {
             return None;
         }
         let value = s.value.take()?;
-        s.generation = s.generation.wrapping_add(1);
+        // Wraps from `u32::MAX` back to 1, never to 0.
+        s.generation = s.generation.checked_add(1).unwrap_or(NonZeroU32::MIN);
         self.free.push(h.slot);
         self.live -= 1;
         Some(value)
@@ -328,6 +334,26 @@ mod tests {
         assert_eq!(a.get(h1), None);
         assert_eq!(a.remove(h1), None);
         assert_eq!(a.get(h2), Some(&2));
+    }
+
+    #[test]
+    fn option_handle_is_niche_packed_and_generations_skip_zero() {
+        assert_eq!(std::mem::size_of::<Handle>(), 8);
+        assert_eq!(std::mem::size_of::<Option<Handle>>(), 8);
+        let mut a = Arena::new();
+        let first = a.insert(1u8);
+        // Retire the slot at the last generation: the next tenant wraps
+        // to generation 1 and the retired handle stays dead.
+        a.slots[0].generation = NonZeroU32::MAX;
+        let last = Handle {
+            slot: first.slot,
+            generation: NonZeroU32::MAX,
+        };
+        assert_eq!(a.remove(last), Some(1));
+        let next = a.insert(2u8);
+        assert_eq!(next.generation, NonZeroU32::MIN);
+        assert_eq!(a.get(last), None);
+        assert_eq!(a.get(next), Some(&2));
     }
 
     #[test]

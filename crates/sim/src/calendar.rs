@@ -209,9 +209,16 @@ impl<E> CalendarQueue<E> {
         Some((Time::from_ps(s.at), s.seq))
     }
 
-    /// Dequeues the earliest event.
-    pub fn pop(&mut self) -> Option<(Time, u64, E)> {
-        let (b, day, cost) = self.find_min()?;
+    /// Dequeues the earliest event if it is due by `horizon`, with one
+    /// search (`Time::MAX` dequeues any event). Otherwise the queue is
+    /// untouched: `Err(None)` when it is empty, `Err(Some(at))` when the
+    /// earliest event is at `at`, past `horizon`.
+    pub fn pop_due(&mut self, horizon: Time) -> Result<(Time, u64, E), Option<Time>> {
+        let (b, day, cost) = self.find_min().ok_or(None)?;
+        let at = self.slot(self.buckets[b].head).at;
+        if at > horizon.as_ps() {
+            return Err(Some(Time::from_ps(at)));
+        }
         self.cursor = day;
         self.cost += cost;
         let slot = self.buckets[b].head;
@@ -233,7 +240,7 @@ impl<E> CalendarQueue<E> {
         } else {
             self.rewidth_if_costly();
         }
-        event.map(|e| (Time::from_ps(at), seq, e))
+        event.map(|e| (Time::from_ps(at), seq, e)).ok_or(None)
     }
 
     /// Re-estimates the width when the cost since the last resize exceeds
@@ -315,6 +322,29 @@ mod tests {
         assert_eq!((live, live + free), (q.len, q.slab.len()));
     }
 
+    fn pop<E>(q: &mut CalendarQueue<E>) -> Option<(Time, u64, E)> {
+        q.pop_due(Time::MAX).ok()
+    }
+
+    #[test]
+    fn pop_due_leaves_a_later_head_queued() {
+        let mut q = CalendarQueue::new();
+        assert!(matches!(q.pop_due(Time::MAX), Err(None)));
+        q.push(Time::from_ps(700), 0, "late");
+        q.push(Time::from_ps(300), 1, "early");
+        let Err(next) = q.pop_due(Time::from_ps(299)) else {
+            panic!("nothing is due by 299 ps");
+        };
+        assert_eq!(next, Some(Time::from_ps(300)));
+        check(&q);
+        assert_eq!(q.len(), 2);
+        let popped = q.pop_due(Time::from_ps(300)).ok();
+        assert_eq!(popped, Some((Time::from_ps(300), 1, "early")));
+        assert!(matches!(q.pop_due(Time::from_ps(699)), Err(Some(_))));
+        assert_eq!(pop(&mut q), Some((Time::from_ps(700), 0, "late")));
+        check(&q);
+    }
+
     #[test]
     fn pops_in_time_then_seq_order() {
         let mut q = CalendarQueue::new();
@@ -323,7 +353,7 @@ mod tests {
         q.push(Time::from_ps(50), 0, "c");
         q.push(Time::from_ps(10_000), 3, "d");
         check(&q);
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, _, e)| e)).collect();
+        let order: Vec<&str> = std::iter::from_fn(|| pop(&mut q).map(|(_, _, e)| e)).collect();
         assert_eq!(order, vec!["a", "c", "b", "d"]);
     }
 
@@ -341,7 +371,7 @@ mod tests {
         expect.sort_unstable();
         let mut got = Vec::new();
         while let Some(head) = q.peek() {
-            let (t, seq, e) = q.pop().expect("peeked");
+            let (t, seq, e) = pop(&mut q).expect("peeked");
             assert_eq!(head, (t, seq), "peek disagrees with pop");
             got.push(e);
         }
@@ -365,7 +395,7 @@ mod tests {
                 seq += 1;
                 pending += 1;
             } else {
-                let (t, _, _) = q.pop().expect("pending > 0");
+                let (t, _, _) = pop(&mut q).expect("pending > 0");
                 assert!(t.as_ps() >= last, "{} < {last}", t.as_ps());
                 last = t.as_ps();
                 pending -= 1;
@@ -416,7 +446,7 @@ mod tests {
                 seq += 1;
             }
             while q.len() > 1_000 {
-                now = q.pop().expect("non-empty").0.as_ps();
+                now = pop(&mut q).expect("non-empty").0.as_ps();
             }
             check(&q);
             let table = (q.buckets.capacity() * std::mem::size_of::<Bucket>()) as u64;

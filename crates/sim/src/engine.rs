@@ -139,7 +139,18 @@ impl<E> Scheduler<E> {
     /// *exact* delivery order against a reference priority queue rather
     /// than just the timestamps.
     pub fn pop_scheduled(&mut self) -> Option<(Time, u64, E)> {
-        let (at, seq, event) = self.queue.pop()?;
+        self.pop_due(Time::MAX).ok()
+    }
+
+    /// [`Scheduler::pop_scheduled`] for the next event only if it is due
+    /// by `horizon`, in one calendar search. Otherwise nothing changes and
+    /// the error says why: [`StopReason::Drained`] or
+    /// [`StopReason::Horizon`].
+    fn pop_due(&mut self, horizon: Time) -> Result<(Time, u64, E), StopReason> {
+        let (at, seq, event) = self.queue.pop_due(horizon).map_err(|next| match next {
+            None => StopReason::Drained,
+            Some(_) => StopReason::Horizon,
+        })?;
         #[cfg(debug_assertions)]
         {
             debug_assert!(
@@ -151,7 +162,7 @@ impl<E> Scheduler<E> {
         }
         self.now = at;
         self.executed += 1;
-        Some((at, seq, event))
+        Ok((at, seq, event))
     }
 }
 
@@ -263,16 +274,20 @@ impl<M: Model> Simulation<M> {
         let every = every.max(1);
         let mut until_observe = every;
         loop {
-            match self.sched.peek_time() {
-                None => return StopReason::Drained,
-                Some(t) if t > horizon => return StopReason::Horizon,
-                Some(_) => {}
-            }
+            // A drained queue or a horizon outranks a spent budget.
             if budget == 0 {
-                return StopReason::Budget;
+                return match self.sched.peek_time() {
+                    None => StopReason::Drained,
+                    Some(t) if t > horizon => StopReason::Horizon,
+                    Some(_) => StopReason::Budget,
+                };
             }
+            let (now, _, ev) = match self.sched.pop_due(horizon) {
+                Ok(popped) => popped,
+                Err(stop) => return stop,
+            };
             budget -= 1;
-            self.step();
+            self.model.handle(now, ev, &mut self.sched);
             until_observe -= 1;
             if until_observe == 0 {
                 until_observe = every;
@@ -401,6 +416,48 @@ mod tests {
         assert_eq!(sched.pending(), 0);
         assert_eq!(sched.peak_pending(), 17_384, "the peak survives the drain");
         assert_eq!(sched.events_scheduled(), n);
+    }
+
+    #[test]
+    fn stop_reasons_keep_their_precedence_under_any_budget() {
+        struct Nop;
+        impl Model for Nop {
+            type Event = ();
+            fn handle(&mut self, _n: Time, _e: (), _s: &mut Scheduler<()>) {}
+        }
+        let sim_at = |times: &[u64]| {
+            let mut sim = Simulation::new(Nop);
+            for &t in times {
+                sim.scheduler_mut().schedule_at(Time::from_ps(t), ());
+            }
+            sim
+        };
+        // A zero budget still reports an empty queue or a horizon first,
+        // and executes nothing.
+        assert_eq!(sim_at(&[]).run_until(Time::MAX, 0), StopReason::Drained);
+        let mut past = sim_at(&[50]);
+        assert_eq!(past.run_until(Time::from_ps(49), 0), StopReason::Horizon);
+        let mut due = sim_at(&[50]);
+        assert_eq!(due.run_until(Time::from_ps(50), 0), StopReason::Budget);
+        for sim in [&past, &due] {
+            assert_eq!(sim.scheduler().events_executed(), 0);
+            assert_eq!(sim.scheduler().pending(), 1);
+            assert_eq!(sim.scheduler().now(), Time::ZERO);
+        }
+        // An event exactly at the horizon runs; the next one, past it,
+        // stays queued and the clock stays at the last executed event.
+        let mut sim = sim_at(&[10, 20, 30]);
+        assert_eq!(sim.run_until(Time::from_ps(20), 5), StopReason::Horizon);
+        assert_eq!(sim.scheduler().events_executed(), 2);
+        assert_eq!(sim.scheduler().pending(), 1);
+        assert_eq!(sim.scheduler().now(), Time::from_ps(20));
+        assert_eq!(sim.scheduler().peek_time(), Some(Time::from_ps(30)));
+        // A budget spent on the last event reports the drain; one event
+        // short of it reports the budget.
+        assert_eq!(sim_at(&[1, 2]).run_until(Time::MAX, 2), StopReason::Drained);
+        let mut short = sim_at(&[1, 2]);
+        assert_eq!(short.run_until(Time::MAX, 1), StopReason::Budget);
+        assert_eq!(short.scheduler().pending(), 1);
     }
 
     #[test]

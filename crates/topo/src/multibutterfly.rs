@@ -14,6 +14,14 @@
 //! The same object describes both Baldur (bufferless optical switches) and
 //! the electrical multi-butterfly baseline (buffered routers) — they differ
 //! only in the switch model applied by `baldur-net`.
+//!
+//! Storage: one flat table with one `u32` per link, `switch << 1 | bit`.
+//! Both wirings give round `r` of a direction the target ports `2r` and
+//! `2r + 1`, and round `r` is path `r`, so the input port is always
+//! `2 * path + bit` and is rebuilt on read: [`MultiButterfly::target`]
+//! for one path, [`MultiButterfly::next_targets`] for all `m` in path
+//! order. That is 4 bytes a link instead of a stored `(switch, port)`
+//! pair's 8; about 42 MB at 128K endpoints and m = 5.
 
 use baldur_sim::rng::StreamRng;
 use serde::{Deserialize, Serialize};
@@ -49,11 +57,28 @@ pub struct MultiButterfly {
     stages: u32,
     multiplicity: u32,
     wiring: Wiring,
-    /// One flat table of every inter-stage link: the target in stage+1
-    /// of (`stage`, `switch`, `dir`, `path`) sits at
-    /// `((stage * switches + switch) * 2 + dir) * m + path`. The final
-    /// stage has no entries (its outputs go to nodes).
-    links: Vec<LinkTarget>,
+    /// One flat table of every inter-stage link, one `u32` each: the
+    /// target in stage+1 of (`stage`, `switch`, `dir`, `path`) sits at
+    /// `((stage * switches + switch) * 2 + dir) * m + path` and holds
+    /// `switch << 1 | bit`; the input port `2 * path + bit` is rebuilt by
+    /// [`unpack`]. The final stage has no entries (its outputs go to
+    /// nodes).
+    links: Vec<u32>,
+}
+
+/// The stored form of the link on path `path` to input port
+/// `2 * path + bit` of `switch`.
+fn pack(switch: u32, bit: u32) -> u32 {
+    switch << 1 | bit
+}
+
+/// Rebuilds the [`LinkTarget`] of the link stored as `link` on `path`.
+#[inline]
+fn unpack(link: u32, path: u32) -> LinkTarget {
+    LinkTarget {
+        switch: link >> 1,
+        port: 2 * path + (link & 1),
+    }
 }
 
 impl MultiButterfly {
@@ -85,15 +110,11 @@ impl MultiButterfly {
 
         let fanout = 2 * m as usize; // slots per switch: 2 directions × m paths
         let stride = switches as usize * fanout; // slots per stage
-        let unset = LinkTarget {
-            switch: u32::MAX,
-            port: u32::MAX,
-        };
-        let mut links = vec![unset; (stages as usize - 1) * stride];
+        let mut links = vec![u32::MAX; (stages as usize - 1) * stride];
         let slot = |s: u32, switch: u32, dir: u32, path: u32| {
             s as usize * stride + switch as usize * fanout + (dir * m + path) as usize
         };
-        let mut slots: Vec<LinkTarget> = Vec::with_capacity(switches as usize);
+        let mut slots: Vec<u32> = Vec::with_capacity(switches as usize);
         for s in 0..stages - 1 {
             let groups = 1u32 << s;
             let group_width = switches / groups; // switches per group at s
@@ -124,16 +145,7 @@ impl MultiButterfly {
                                 slots.clear();
                                 slots.extend((0..next_width).flat_map(|t| {
                                     let switch = next_group_base + t;
-                                    [
-                                        LinkTarget {
-                                            switch,
-                                            port: 2 * round,
-                                        },
-                                        LinkTarget {
-                                            switch,
-                                            port: 2 * round + 1,
-                                        },
-                                    ]
+                                    [pack(switch, 0), pack(switch, 1)]
                                 }));
                                 rng.shuffle(&mut slots);
                                 for (src, &target) in slots.iter().enumerate() {
@@ -152,10 +164,7 @@ impl MultiButterfly {
                                 let target = next_group_base + src % next_width;
                                 let half = src / next_width; // 0 or 1
                                 for round in 0..m {
-                                    links[slot(s, switch, dir, round)] = LinkTarget {
-                                        switch: target,
-                                        port: 2 * round + half,
-                                    };
+                                    links[slot(s, switch, dir, round)] = pack(target, half);
                                 }
                             }
                         }
@@ -222,21 +231,45 @@ impl MultiButterfly {
         (dst.0 >> (self.stages - 1 - stage)) & 1
     }
 
-    /// The `m` candidate next-stage targets for (`stage`, `switch`,
-    /// `dir`). For the final stage this is `None`: the packet exits to
-    /// [`MultiButterfly::egress_node`].
-    pub fn next_targets(&self, stage: u32, switch: u32, dir: u32) -> Option<&[LinkTarget]> {
+    /// Index of (`stage`, `switch`, `dir`, `path`) in the link table.
+    #[inline]
+    fn link_index(&self, stage: u32, switch: u32, dir: u32, path: u32) -> usize {
         let m = self.multiplicity as usize;
-        let at = ((stage as usize * self.switches_per_stage() as usize + switch as usize) * 2
-            + dir as usize)
-            * m;
-        self.links.get(at..at + m)
+        ((stage as usize * self.switches_per_stage() as usize + switch as usize) * 2 + dir as usize)
+            * m
+            + path as usize
+    }
+
+    /// The `m` candidate next-stage targets for (`stage`, `switch`,
+    /// `dir`), in path order. For the final stage this is `None`: the
+    /// packet exits to [`MultiButterfly::egress_node`].
+    pub fn next_targets(
+        &self,
+        stage: u32,
+        switch: u32,
+        dir: u32,
+    ) -> Option<impl ExactSizeIterator<Item = LinkTarget> + '_> {
+        let m = self.multiplicity;
+        let at = self.link_index(stage, switch, dir, 0);
+        let links = self.links.get(at..at + m as usize)?;
+        Some(links.iter().zip(0..m).map(|(&l, path)| unpack(l, path)))
+    }
+
+    /// The `path`-th candidate next-stage target from (`stage`,
+    /// `switch`, `dir`); `None` at the final stage or for `path >= m`.
+    #[inline]
+    pub fn target(&self, stage: u32, switch: u32, dir: u32, path: u32) -> Option<LinkTarget> {
+        if path >= self.multiplicity {
+            return None;
+        }
+        let link = *self.links.get(self.link_index(stage, switch, dir, path))?;
+        Some(unpack(link, path))
     }
 
     /// Bytes the link table reserves (the topology's share of a model's
     /// state accounting).
     pub fn state_bytes(&self) -> u64 {
-        (self.links.capacity() * std::mem::size_of::<LinkTarget>()) as u64
+        (self.links.capacity() * std::mem::size_of::<u32>()) as u64
     }
 
     /// The node a final-stage switch's direction-`dir` outputs reach.
@@ -252,8 +285,11 @@ impl MultiButterfly {
         let mut path = vec![switch];
         for s in 0..self.stages - 1 {
             let dir = self.direction(dst, s);
-            let targets = self.next_targets(s, switch, dir).expect("inner stage");
-            switch = targets[(path_choice % self.multiplicity) as usize].switch;
+            let choice = path_choice % self.multiplicity;
+            switch = self
+                .target(s, switch, dir, choice)
+                .expect("inner stage")
+                .switch;
             path.push(switch);
         }
         let dir = self.direction(dst, self.stages - 1);
@@ -280,9 +316,10 @@ impl MultiButterfly {
             let groups = 1u32 << (s + 1); // target groups at stage s+1
             let next_width = switches / groups;
             used.fill(false);
-            for (i, t) in stage_links.iter().enumerate() {
+            for (i, &link) in stage_links.iter().enumerate() {
                 let sw = (i / (2 * m)) as u32;
                 let dir = ((i / m) % 2) as u32;
+                let t = unpack(link, (i % m) as u32);
                 let group = sw / (switches / (1 << s));
                 let want_group = 2 * group + dir;
                 let tg = t.switch / next_width;
@@ -292,13 +329,8 @@ impl MultiButterfly {
                         t.switch
                     ));
                 }
-                if t.port as usize >= 2 * m {
-                    return Err(format!(
-                        "stage {s} switch {sw} dir {dir}: port {} out of range",
-                        t.port
-                    ));
-                }
-                // In range: `tg == want_group` bounds `t.switch`.
+                // In range: `tg == want_group` bounds `t.switch`, and
+                // `t.port = 2 * path + bit < 2m` by construction.
                 let slot = &mut used[t.switch as usize * 2 * m + t.port as usize];
                 if *slot {
                     return Err(format!(
@@ -325,6 +357,12 @@ impl MultiButterfly {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn targets(mb: &MultiButterfly, stage: u32, switch: u32, dir: u32) -> Vec<LinkTarget> {
+        mb.next_targets(stage, switch, dir)
+            .expect("inner stage")
+            .collect()
+    }
 
     #[test]
     fn small_network_dimensions() {
@@ -368,14 +406,64 @@ mod tests {
         for s in 0..a.stages() - 1 {
             for sw in 0..a.switches_per_stage() {
                 for d in 0..2 {
-                    assert_eq!(a.next_targets(s, sw, d), b.next_targets(s, sw, d));
+                    assert_eq!(targets(&a, s, sw, d), targets(&b, s, sw, d));
                 }
             }
         }
         // A different seed rewires at least something.
         let differs = (0..a.switches_per_stage())
-            .any(|sw| (0..2).any(|d| a.next_targets(0, sw, d) != c.next_targets(0, sw, d)));
+            .any(|sw| (0..2).any(|d| targets(&a, 0, sw, d) != targets(&c, 0, sw, d)));
         assert!(differs);
+    }
+
+    #[test]
+    fn target_is_the_path_th_candidate_on_port_two_path_plus_bit() {
+        for wiring in [Wiring::Randomized, Wiring::Dilated] {
+            for m in 1..=5 {
+                for nodes in [8, 64, 1024] {
+                    let mb = MultiButterfly::with_wiring(nodes, m, 0xBA1D, wiring);
+                    let last = mb.stages() - 1;
+                    for s in 0..last {
+                        for sw in 0..mb.switches_per_stage() {
+                            for d in 0..2 {
+                                assert_eq!(
+                                    mb.next_targets(s, sw, d).map(|t| t.len()),
+                                    Some(m as usize)
+                                );
+                                for p in 0..m {
+                                    let t = mb.target(s, sw, d, p).expect("inner stage");
+                                    let nth = mb
+                                        .next_targets(s, sw, d)
+                                        .and_then(|mut t| t.nth(p as usize));
+                                    assert_eq!(Some(t), nth, "{wiring:?} m {m} n {nodes}");
+                                    let link = mb.links[mb.link_index(s, sw, d, p)];
+                                    assert_eq!(t.switch, link >> 1);
+                                    assert_eq!(t.port, 2 * p + (link & 1));
+                                }
+                                assert_eq!(mb.target(s, sw, d, m), None, "path past m");
+                            }
+                        }
+                    }
+                    assert!(mb.next_targets(last, 0, 0).is_none());
+                    assert_eq!(mb.target(last, 0, 0, 0), None);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn validate_reports_a_double_filled_port() {
+        for wiring in [Wiring::Randomized, Wiring::Dilated] {
+            let mut mb = MultiButterfly::with_wiring(16, 2, 1, wiring);
+            assert!(mb.validate().is_ok());
+            // Switches 0 and 1 of stage 0 both feed group 0 in direction
+            // 0: copying one's path-0 link onto the other's fills one
+            // port twice (and leaves another empty).
+            let (from, to) = (mb.link_index(0, 0, 0, 0), mb.link_index(0, 1, 0, 0));
+            mb.links[to] = mb.links[from];
+            let err = mb.validate().expect_err("a double-filled port");
+            assert!(err.contains("double-filled"), "{wiring:?}: {err}");
+        }
     }
 
     #[test]
@@ -385,7 +473,7 @@ mod tests {
         let mb = MultiButterfly::new(256, 4, 3);
         let mut all_same = 0;
         for sw in 0..mb.switches_per_stage() {
-            let t = mb.next_targets(0, sw, 0).unwrap();
+            let t = targets(&mb, 0, sw, 0);
             if t.iter().all(|x| x.switch == t[0].switch) {
                 all_same += 1;
             }
@@ -420,7 +508,7 @@ mod tests {
         for s in 0..a.stages() - 1 {
             for sw in 0..a.switches_per_stage() {
                 for d in 0..2 {
-                    assert_eq!(a.next_targets(s, sw, d), b.next_targets(s, sw, d));
+                    assert_eq!(targets(&a, s, sw, d), targets(&b, s, sw, d));
                 }
             }
         }
@@ -446,7 +534,7 @@ mod tests {
         // structural difference from the randomized multi-butterfly.
         let mb = MultiButterfly::with_wiring(256, 4, 0, Wiring::Dilated);
         for sw in 0..mb.switches_per_stage() {
-            let t = mb.next_targets(0, sw, 0).unwrap();
+            let t = targets(&mb, 0, sw, 0);
             assert!(t.iter().all(|x| x.switch == t[0].switch));
         }
     }

@@ -1,5 +1,9 @@
 //! A uniform view over the staged (multi-stage, radix-2) topologies so
 //! the Baldur network model can run on any of them.
+//!
+//! A hop asks [`Staged::target`] for one `(stage, switch, dir, path)`
+//! link: the multi-butterfly decodes it from its one-`u32`-per-link
+//! table, and the Omega computes it and stores nothing.
 
 use serde::{Deserialize, Serialize};
 
@@ -109,11 +113,10 @@ impl Staged {
 
     /// The `path`-th candidate target from (`stage`, `switch`, `dir`), or
     /// `None` at the final stage.
+    #[inline]
     pub fn target(&self, stage: u32, switch: u32, dir: u32, path: u32) -> Option<LinkTarget> {
         match self {
-            Staged::MultiButterfly(t) => t
-                .next_targets(stage, switch, dir)
-                .map(|ts| ts[path as usize]),
+            Staged::MultiButterfly(t) => t.target(stage, switch, dir, path),
             Staged::Omega(t) => t.target(stage, switch, dir, path),
         }
     }

@@ -24,7 +24,7 @@ fn mb_digest(mb: &MultiButterfly) -> String {
             for dir in 0..2 {
                 let targets = mb.next_targets(stage, switch, dir).expect("inner stage");
                 assert_eq!(targets.len(), m);
-                for &t in targets {
+                for t in targets {
                     push(&mut bytes, t);
                 }
             }
