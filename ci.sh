@@ -72,6 +72,18 @@ scheduler_equivalence() {
         cargo test -q --test properties -- calendar_queue_matches_heap scheduler_backends_pop_identically
 }
 
+# The FIFO lane Baldur's fixed-delay inner hops take: the lane property
+# test (lane and calendar pushes pop for pop against the reference heap),
+# the engine's lane tests and stop-reason precedence, and the calendar's
+# cursor-advancing search; then the SoA packet-model fingerprints and the
+# scaling head, whose queue bytes count the lane's ring.
+hop_lane() {
+    cargo test -q --test properties fifo_lane_pops_like_the_heap &&
+        cargo test -q -p baldur-sim -- lane stop_reasons seek_moves_the_cursor &&
+        cargo test -q --test properties soa_models_match_retired_baselines_byte_identically &&
+        cargo test -q --test golden_suite golden_scaling_head_csv
+}
+
 # The packet-model pins: the report fingerprints of both SoA packet models
 # against their retired map-based baselines, then the exact hot-path work
 # counters and the scaling head's state and queue bytes.
@@ -142,6 +154,7 @@ run_step oracle-starvation-equivalence cargo test -q -p baldur-net oracle
 # The single scheduler backend against its reference heap (see
 # scheduler_equivalence above).
 run_step scheduler-equivalence scheduler_equivalence
+run_step hop-lane hop_lane
 run_step test-workspace cargo test --workspace -q
 # Registry gates: the runner must enumerate every registered experiment,
 # and the completeness suite enforces bin <-> spec bijection, golden (or

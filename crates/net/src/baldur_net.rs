@@ -36,6 +36,18 @@
 //! hop reads only the port table and the topology's link table. The one
 //! exception is the off-by-default path rotation, which hashes the
 //! row's attempt count.
+//!
+//! Every inner hop adds the same `switch_latency_ps + stage_delay_ps`, so
+//! inner hops are scheduled in time order and go on the scheduler's FIFO
+//! lane ([`Scheduler::schedule_lane`]); the first hop (after the ingress
+//! fiber) and the arrival stay in the calendar. At scale those two table
+//! reads are cache misses, one dependent miss per hop, so every
+//! [`TOUCH_AHEAD`]th hop loads the port and link rows of the next
+//! [`TOUCH_AHEAD`] lane entries up front ([`BaldurNet::touch_lane`]):
+//! independent loads the CPU overlaps, which turn the next hops' misses
+//! into hits.
+
+use std::hint::black_box;
 
 use baldur_sim::rng::StreamRng;
 use baldur_sim::{Arena, ArenaStats, Duration, FifoSet, Handle, Model, Scheduler, Time};
@@ -51,6 +63,10 @@ use crate::runner::{self, PacketModel};
 
 /// Index into the packet table.
 type PktId = u32;
+
+/// Lane entries whose port and link rows a hop loads ahead, once every
+/// this many hops.
+const TOUCH_AHEAD: u32 = 16;
 
 /// `node`'s ACK queue in `queues`.
 fn ack_q(node: usize) -> usize {
@@ -243,6 +259,9 @@ pub struct BaldurNet {
     /// The always-on invariant oracle (release builds included); its
     /// summary rides on the run's report.
     oracle: Oracle,
+    /// Hops handled, modulo [`TOUCH_AHEAD`]: the lane read-ahead runs
+    /// when it wraps to 0.
+    hops: u32,
 }
 
 impl BaldurNet {
@@ -294,6 +313,7 @@ impl BaldurNet {
             seed,
             fault_rng: StreamRng::named(seed, "biterror", 0),
             oracle: Oracle::new(OracleConfig::default()),
+            hops: 0,
         }
     }
 
@@ -339,6 +359,27 @@ impl BaldurNet {
         self.packets
             .get_mut(pkt as usize)
             .and_then(PacketState::data_mut)
+    }
+
+    /// Loads the first port and the first link row of the hops next in
+    /// the lane, so their misses overlap now instead of stalling each hop
+    /// in turn. Plain loads kept alive by `black_box`; no state changes.
+    fn touch_lane(&self, sched: &Scheduler<Ev>) {
+        for ev in sched.lane().take(TOUCH_AHEAD as usize) {
+            if let &Ev::Hop {
+                dst, switch, stage, ..
+            } = ev
+            {
+                let stage = u32::from(stage);
+                let dir = self.topo.direction(NodeId(dst), stage);
+                black_box(
+                    self.ports
+                        .get(self.port_index(stage, switch, dir, 0))
+                        .copied(),
+                );
+                black_box(self.topo.target(stage, switch, dir, 0));
+            }
+        }
     }
 
     fn port_index(&self, stage: u32, switch: u32, dir: u32, path: u32) -> usize {
@@ -847,6 +888,10 @@ impl Model for BaldurNet {
                 stage: stage8,
                 ack,
             } => {
+                self.hops = (self.hops + 1) % TOUCH_AHEAD;
+                if self.hops == 0 {
+                    self.touch_lane(sched);
+                }
                 let stage = u32::from(stage8);
                 let healthy = self.fstate.is_all_healthy();
                 if !healthy && self.fstate.switch_is_down(stage, switch) {
@@ -948,7 +993,8 @@ impl Model for BaldurNet {
                                 self.lost_in_fabric(now, pkt, ack);
                                 return;
                             };
-                            sched.schedule_at(
+                            // A fixed delay after `now`: in time order.
+                            sched.schedule_lane(
                                 now + hop_delay,
                                 Ev::Hop {
                                     pkt,

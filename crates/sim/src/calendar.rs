@@ -12,6 +12,12 @@
 //! widen near-term buckets. A resize (doubling, halving, or re-estimating
 //! the width when scans and walks average over [`COST_PER_OP`] steps per
 //! operation) sorts the live `(at, seq, slot)` triples and re-links them.
+//!
+//! A pop is one search, [`CalendarQueue::seek`], then an unlink of the
+//! head it found, [`CalendarQueue::pop_head`]. The search moves the
+//! cursor to the head's day even when the caller pops nothing, as the
+//! scheduler does when its FIFO lane's head comes first; the next search
+//! then starts at that head instead of rescanning the days before it.
 
 use crate::time::Time;
 
@@ -49,6 +55,17 @@ const EMPTY: Bucket = Bucket {
     tail: NIL,
 };
 
+/// The earliest event as [`CalendarQueue::seek`] found it: its
+/// `(time, seq)` and the bucket whose head it is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Head {
+    /// Timestamp.
+    pub at: Time,
+    /// Tie-break sequence number.
+    pub seq: u64,
+    bucket: usize,
+}
+
 /// A calendar queue over `(Time, seq)`-ordered events.
 pub struct CalendarQueue<E> {
     slab: Vec<Slot<E>>,
@@ -60,8 +77,8 @@ pub struct CalendarQueue<E> {
     /// Day the next scan starts at; no queued event is earlier.
     cursor: u64,
     len: usize,
-    /// Operations, and buckets scanned plus entries walked past, since the
-    /// last resize.
+    /// Operations (pushes and searches, a pop being one search), and
+    /// buckets scanned plus entries walked past, since the last resize.
     ops: u64,
     cost: u64,
 }
@@ -209,18 +226,30 @@ impl<E> CalendarQueue<E> {
         Some((Time::from_ps(s.at), s.seq))
     }
 
-    /// Dequeues the earliest event if it is due by `horizon`, with one
-    /// search (`Time::MAX` dequeues any event). Otherwise the queue is
-    /// untouched: `Err(None)` when it is empty, `Err(Some(at))` when the
-    /// earliest event is at `at`, past `horizon`.
-    pub fn pop_due(&mut self, horizon: Time) -> Result<(Time, u64, E), Option<Time>> {
-        let (b, day, cost) = self.find_min().ok_or(None)?;
-        let at = self.slot(self.buckets[b].head).at;
-        if at > horizon.as_ps() {
-            return Err(Some(Time::from_ps(at)));
-        }
+    /// Finds the earliest event with one search and moves the cursor to
+    /// its day (no queued event is earlier, so a later search starts
+    /// there). The [`Head`] pops it with [`CalendarQueue::pop_head`] while
+    /// no push or pop intervenes; `None` when empty.
+    #[inline]
+    pub fn seek(&mut self) -> Option<Head> {
+        let (bucket, day, cost) = self.find_min()?;
         self.cursor = day;
         self.cost += cost;
+        self.ops += 1;
+        let s = self.slot(self.buckets[bucket].head);
+        Some(Head {
+            at: Time::from_ps(s.at),
+            seq: s.seq,
+            bucket,
+        })
+    }
+
+    /// Dequeues the event `head` found, without searching again. `head`
+    /// must come from the last [`CalendarQueue::seek`], with no push or
+    /// pop since; the result is then always `Some`.
+    #[inline]
+    pub fn pop_head(&mut self, head: Head) -> Option<(Time, u64, E)> {
+        let b = head.bucket;
         let slot = self.buckets[b].head;
         let next = self.slot(slot).next;
         self.buckets[b].head = next;
@@ -233,14 +262,30 @@ impl<E> CalendarQueue<E> {
         let s = self.slot_mut(slot);
         s.next = free;
         let (at, seq, event) = (s.at, s.seq, s.event.take());
+        debug_assert!(
+            (Time::from_ps(at), seq) == (head.at, head.seq),
+            "stale head"
+        );
         self.len -= 1;
-        self.ops += 1;
         if self.len < self.buckets.len() / 2 && self.buckets.len() > MIN_BUCKETS {
             self.resize(self.buckets.len() / 2);
         } else {
             self.rewidth_if_costly();
         }
-        event.map(|e| (Time::from_ps(at), seq, e)).ok_or(None)
+        event.map(|e| (Time::from_ps(at), seq, e))
+    }
+
+    /// Dequeues the earliest event if it is due by `horizon`, with one
+    /// search (`Time::MAX` dequeues any event). Otherwise only the cursor
+    /// moves: `Err(None)` when the queue is empty, `Err(Some(at))` when
+    /// the earliest event is at `at`, past `horizon`.
+    #[inline]
+    pub fn pop_due(&mut self, horizon: Time) -> Result<(Time, u64, E), Option<Time>> {
+        let head = self.seek().ok_or(None)?;
+        if head.at > horizon {
+            return Err(Some(head.at));
+        }
+        self.pop_head(head).ok_or(None)
     }
 
     /// Re-estimates the width when the cost since the last resize exceeds
@@ -342,6 +387,44 @@ mod tests {
         assert_eq!(popped, Some((Time::from_ps(300), 1, "early")));
         assert!(matches!(q.pop_due(Time::from_ps(699)), Err(Some(_))));
         assert_eq!(pop(&mut q), Some((Time::from_ps(700), 0, "late")));
+        check(&q);
+    }
+
+    #[test]
+    fn seek_moves_the_cursor_and_leaves_the_head_queued() {
+        let mut q = CalendarQueue::new();
+        assert_eq!(q.seek(), None);
+        // Two events more than a year of days apart: after the first pops,
+        // the year scan from its day misses the second.
+        let year = (q.buckets.len() as u64) << q.shift;
+        q.push(Time::from_ps(100), 0, "near");
+        q.push(Time::from_ps(100 + 3 * year), 1, "far");
+        let Some(near) = q.seek() else {
+            panic!("two events queued");
+        };
+        assert_eq!((near.at, near.seq), (Time::from_ps(100), 0));
+        assert_eq!(q.pop_head(near), Some((Time::from_ps(100), 0, "near")));
+        // The search for the far head moves the cursor to its day and
+        // leaves it queued; the next search finds it at the cursor.
+        let far = q.seek();
+        assert_eq!(
+            far.map(|h| (h.at, h.seq)),
+            Some((Time::from_ps(100 + 3 * year), 1))
+        );
+        assert_eq!(q.cursor, (100 + 3 * year) >> q.shift);
+        assert_eq!(q.len(), 1);
+        check(&q);
+        let cost = q.cost;
+        assert_eq!(q.seek(), far);
+        assert_eq!(q.cost, cost, "a head at the cursor costs no scan");
+        // A push before the cursor moves it back and wins the next search.
+        q.push(Time::from_ps(200), 2, "early");
+        check(&q);
+        let Some(early) = q.seek() else {
+            panic!("two events queued");
+        };
+        assert_eq!(q.pop_head(early), Some((Time::from_ps(200), 2, "early")));
+        assert_eq!(pop(&mut q).map(|(_, _, e)| e), Some("far"));
         check(&q);
     }
 

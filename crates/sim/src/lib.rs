@@ -7,7 +7,8 @@
 //! * [`Time`] / [`Duration`] — integer picosecond simulated time,
 //! * [`Scheduler`] / [`Simulation`] — a deterministic event queue and run
 //!   loop generic over the model's event type, backed by a slab-allocated
-//!   calendar queue whose bytes track the pending events,
+//!   calendar queue whose bytes track the pending events, plus a FIFO lane
+//!   for events a model schedules in time order,
 //! * [`Arena`] — generational slab allocation with index [`Handle`]s for
 //!   kernel-side object populations (no per-object boxes on hot paths),
 //!   and [`FifoSet`], intrusive FIFO queues over dense `u32` ids,

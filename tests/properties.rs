@@ -392,6 +392,8 @@ struct RefQueue {
     heap: BinaryHeap<Reverse<(baldur::sim::Time, u64, u64)>>,
     seq: u64,
     now: baldur::sim::Time,
+    /// Peak simultaneous pending events.
+    peak: usize,
 }
 
 impl RefQueue {
@@ -400,12 +402,18 @@ impl RefQueue {
             heap: BinaryHeap::new(),
             seq: 0,
             now: baldur::sim::Time::ZERO,
+            peak: 0,
         }
     }
 
     fn schedule_at(&mut self, at: baldur::sim::Time, payload: u64) {
         self.heap.push(Reverse((at, self.seq, payload)));
         self.seq += 1;
+        self.peak = self.peak.max(self.heap.len());
+    }
+
+    fn peek_time(&self) -> Option<baldur::sim::Time> {
+        self.heap.peek().map(|Reverse((at, _, _))| *at)
     }
 
     fn pop_scheduled(&mut self) -> Option<(baldur::sim::Time, u64, u64)> {
@@ -825,6 +833,34 @@ impl SchedPair {
         }
     }
 
+    /// Pushes one event at `at` into both queues, on the scheduler's FIFO
+    /// lane when `lane`.
+    fn push(&mut self, at: baldur::sim::Time, lane: bool) {
+        let payload = self.reference.seq;
+        self.reference.schedule_at(at, payload);
+        if lane {
+            self.cal.schedule_lane(at, payload);
+        } else {
+            self.cal.schedule_at(at, payload);
+        }
+    }
+
+    /// Pops one event from each queue and compares them.
+    fn pop(&mut self) {
+        let r = self.reference.pop_scheduled();
+        assert_eq!(r, self.cal.pop_scheduled(), "{}: diverged", self.what);
+    }
+
+    /// The scheduler's counters and next event time against the
+    /// reference's.
+    fn check_counters(&self) {
+        let (r, c) = (&self.reference, &self.cal);
+        assert_eq!(r.heap.len(), c.pending(), "{}: pending", self.what);
+        assert_eq!(r.peak, c.peak_pending(), "{}: peak pending", self.what);
+        assert_eq!(r.seq, c.events_scheduled(), "{}: scheduled", self.what);
+        assert_eq!(r.peek_time(), c.peek_time(), "{}: peek time", self.what);
+    }
+
     fn drain(&mut self) {
         loop {
             let r = self.reference.pop_scheduled();
@@ -931,4 +967,84 @@ fn scheduler_backends_pop_identically() {
         pair.cal.state_bytes() < peak,
         "the drain shrank the bucket table"
     );
+}
+
+/// The fifth scheduler shape, on its own stream: fixed-delay pushes on
+/// the FIFO lane (a bufferless fabric's inner hops) interleaved with
+/// calendar pushes, namely dense near-term ties, far-future timeouts, and
+/// calendar events at the lane's own instant pushed just before or just
+/// after a lane event. Pop for pop against the reference heap, with the
+/// pending count, its peak, the scheduled count and the next event time
+/// checked after every operation.
+#[test]
+fn fifo_lane_pops_like_the_heap() {
+    use baldur::sim::Time;
+    fn run(what: String, rng: &mut StreamRng, delay: u64, ops: usize, pops: usize) -> SchedPair {
+        let mut pair = SchedPair::new(what);
+        for _ in 0..ops {
+            let now = pair.reference.now.as_ps();
+            let hop = Time::from_ps(now + delay);
+            match rng.gen_range(0u32..10) {
+                0..=2 => {
+                    for _ in 0..rng.gen_range(1usize..40) {
+                        pair.push(hop, true);
+                    }
+                }
+                3 => {
+                    pair.push(hop, false);
+                    pair.push(hop, true);
+                }
+                4 => {
+                    pair.push(hop, true);
+                    pair.push(hop, false);
+                }
+                5 => pair.push(Time::from_ps(now + rng.gen_range(0u64..8)), false),
+                6 => {
+                    let far = rng.gen_range(10_000_000u64..1_000_000_000);
+                    pair.push(Time::from_ps(now + far), false);
+                }
+                _ => {
+                    for _ in 0..rng.gen_range(1..pops) {
+                        if pair.reference.heap.is_empty() {
+                            break;
+                        }
+                        pair.pop();
+                    }
+                }
+            }
+            pair.check_counters();
+        }
+        pair.drain();
+        pair.check_counters();
+        pair
+    }
+
+    for case in 0..CASES {
+        let mut rng = case_rng("schdlane", case);
+        // A zero delay puts lane events at the popping instant itself.
+        let delay = if case % 4 == 0 {
+            0
+        } else {
+            rng.gen_range(1u64..5_000)
+        };
+        let ops = 50 + (case as usize * 13) % 250;
+        run(
+            format!("case {case} lane delay {delay}"),
+            &mut rng,
+            delay,
+            ops,
+            60,
+        );
+    }
+
+    // One large run with fewer pops per wave, so the lane grows to
+    // thousands of entries and its ring's capacity shows in the bytes.
+    let mut rng = StreamRng::named(0xBA1D, "schdlane", u64::MAX);
+    let pair = run("large lane".to_string(), &mut rng, 1_500, 20_000, 30);
+    assert!(
+        pair.cal.peak_pending() > 1_000,
+        "{}",
+        pair.cal.peak_pending()
+    );
+    assert!(pair.cal.state_bytes() >= 32 * 1_000);
 }
