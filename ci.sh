@@ -84,6 +84,17 @@ hop_lane() {
         cargo test -q --test golden_suite golden_scaling_head_csv
 }
 
+# The port table's epoch format: the offset table against absolute
+# busy-until times across sixteen epochs (the property test), two 64-node
+# Baldur runs pinned by report digest whose last deliveries pass three
+# epoch boundaries, one through a link outage, then the scaling head's
+# state bytes.
+port_epochs() {
+    cargo test -q --test properties busy_table_matches_absolute_times &&
+        cargo test -q --test port_epochs &&
+        cargo test -q --test golden_suite golden_scaling_head_csv
+}
+
 # The packet-model pins: the report fingerprints of both SoA packet models
 # against their retired map-based baselines, then the exact hot-path work
 # counters and the scaling head's state and queue bytes.
@@ -155,6 +166,7 @@ run_step oracle-starvation-equivalence cargo test -q -p baldur-net oracle
 # scheduler_equivalence above).
 run_step scheduler-equivalence scheduler_equivalence
 run_step hop-lane hop_lane
+run_step port-epochs port_epochs
 run_step test-workspace cargo test --workspace -q
 # Registry gates: the runner must enumerate every registered experiment,
 # and the completeness suite enforces bin <-> spec bijection, golden (or

@@ -2,8 +2,8 @@
 //!
 //! Bufferless, cut-through, drop-and-retransmit:
 //!
-//! * every switch output port is modelled by a `busy_until` time; a packet
-//!   head arriving at a switch checks the `m` ports of its routing
+//! * every switch output port is modelled by the time it is busy until; a
+//!   packet head arriving at a switch checks the `m` ports of its routing
 //!   direction *sequentially* (the paper's arbitration) and claims the
 //!   first idle one, else the packet is **dropped**;
 //! * sources keep unACKed packets in a retransmission buffer; a timeout
@@ -18,7 +18,9 @@
 //!
 //! Hot state is struct-of-arrays keyed by dense ids: one flat `Vec` per
 //! NIC field indexed by node id, a single flat port table indexed by
-//! `(stage, switch, dir, path)`, and the NIC queues as one [`FifoSet`]
+//! `(stage, switch, dir, path)` that holds each port's busy-until time as
+//! a 4-byte offset from a rolling epoch (a [`BusyTable`], half the bytes
+//! of an absolute [`Time`] per port), and the NIC queues as one [`FifoSet`]
 //! of intrusive FIFOs over packet ids (node `i`'s ACK queue is `2i`, its
 //! data queue `2i + 1`) instead of per-node `VecDeque`s. Combined-ACK
 //! batches live in generational [`Arena`]s; the retired map-based model's
@@ -50,7 +52,7 @@
 use std::hint::black_box;
 
 use baldur_sim::rng::StreamRng;
-use baldur_sim::{Arena, ArenaStats, Duration, FifoSet, Handle, Model, Scheduler, Time};
+use baldur_sim::{Arena, ArenaStats, BusyTable, Duration, FifoSet, Handle, Model, Scheduler, Time};
 use baldur_topo::graph::NodeId;
 use baldur_topo::staged::Staged;
 
@@ -186,8 +188,8 @@ pub enum Ev {
 /// Deliberately separate from [`LatencyReport`] (whose shape is golden).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StateStats {
-    /// Bytes of model state reserved: flat table and queue capacities
-    /// plus arena slabs (the scale-dominant terms).
+    /// Bytes of model state reserved: flat table and queue capacities,
+    /// arena slabs and the fault flag tables (the scale-dominant terms).
     pub state_bytes: u64,
     /// Combined-ACK batch arena counters.
     pub ack_batches: ArenaStats,
@@ -210,9 +212,9 @@ pub struct BaldurNet {
     link: LinkParams,
     driver: Driver,
     active_nodes: u32,
-    /// `ports[stage * port_stride + switch * 2m + dir * m + path]` →
-    /// busy-until (one flat table across all stages).
-    ports: Vec<Time>,
+    /// Busy-until time of port `stage * port_stride + switch * 2m +
+    /// dir * m + path` (one flat table across all stages).
+    ports: BusyTable,
     /// Ports per stage (`switches_per_stage * 2m`).
     port_stride: usize,
     // ---- NIC state, struct-of-arrays indexed by node id ----
@@ -266,6 +268,12 @@ pub struct BaldurNet {
 
 impl BaldurNet {
     /// Builds the model over a topology sized for `active_nodes` servers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a packet or an ACK takes longer than
+    /// [`BusyTable::MAX_CLAIM`] (about 4.3 ms) to serialize: the port
+    /// table cannot hold a claim that long.
     pub fn new(
         active_nodes: u32,
         params: BaldurParams,
@@ -278,7 +286,12 @@ impl BaldurNet {
         let topo = Staged::build(params.staged_kind(), topo_nodes, params.multiplicity, seed);
         let m = params.multiplicity as usize;
         let port_stride = topo.switches_per_stage() as usize * 2 * m;
-        let ports = vec![Time::ZERO; topo.stages() as usize * port_stride];
+        assert!(
+            link.packet_time().max(link.ack_time()) <= BusyTable::MAX_CLAIM,
+            "a packet longer than {} cannot claim a port",
+            BusyTable::MAX_CLAIM
+        );
+        let ports = BusyTable::new(topo.stages() as usize * port_stride);
         let n = active_nodes as usize;
         let fstate = FaultState::healthy(
             topo.stages(),
@@ -333,13 +346,14 @@ impl BaldurNet {
             + self.pending_acks.iter().map(bytes_of).sum::<u64>();
         StateStats {
             state_bytes: self.topo.state_bytes()
-                + bytes_of(&self.ports)
+                + self.ports.state_bytes()
                 + per_nic
                 + self.queues.state_bytes()
                 + bytes_of(&self.packets)
                 + self.pending.state_bytes()
                 + self.ack_batches.state_bytes()
-                + bytes_of(&self.batch_pool),
+                + bytes_of(&self.batch_pool)
+                + self.fstate.state_bytes(),
             ack_batches: self.ack_batches.stats(),
             pending_batches: self.pending.stats(),
             ..StateStats::default()
@@ -374,8 +388,7 @@ impl BaldurNet {
                 let dir = self.topo.direction(NodeId(dst), stage);
                 black_box(
                     self.ports
-                        .get(self.port_index(stage, switch, dir, 0))
-                        .copied(),
+                        .busy_until(self.port_index(stage, switch, dir, 0)),
                 );
                 black_box(self.topo.target(stage, switch, dir, 0));
             }
@@ -930,9 +943,10 @@ impl Model for BaldurNet {
                     if !healthy && self.fstate.link_is_down(stage, switch, dir, path) {
                         continue;
                     }
-                    let idx = self.port_index(stage, switch, dir, path);
-                    if self.ports[idx] <= now {
-                        self.ports[idx] = now + dur;
+                    if self
+                        .ports
+                        .claim(self.port_index(stage, switch, dir, path), now, dur)
+                    {
                         claimed = Some(path);
                         break;
                     }
@@ -1222,6 +1236,19 @@ mod tests {
         assert_eq!(size_of::<Ev>(), 16);
         assert_eq!(size_of::<Option<Ev>>(), 16);
         assert_eq!(size_of::<PacketState>(), 24);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot claim a port")]
+    fn a_packet_longer_than_the_port_table_bound_is_rejected() {
+        // 512 B at 0.9 Mb/s take about 4.55 ms, past the 2^32 ps an
+        // offset holds.
+        let slow = LinkParams {
+            gbps: 0.0009,
+            ..link()
+        };
+        let d = Driver::open_loop(4, Pattern::UniformRandom, 0.1, 1, &slow, 1);
+        BaldurNet::new(4, BaldurParams::paper_1k(), slow, d, 1, 0);
     }
 
     #[test]

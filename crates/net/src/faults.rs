@@ -601,6 +601,11 @@ impl FaultState {
         }
     }
 
+    /// Bytes reserved by the switch, link and laser flag tables.
+    pub fn state_bytes(&self) -> u64 {
+        (self.switch_down.capacity() + self.laser_down.capacity()) as u64 + self.links.state_bytes()
+    }
+
     /// True when switch `(stage, switch)` is dead.
     #[inline]
     pub fn switch_is_down(&self, stage: u32, switch: u32) -> bool {

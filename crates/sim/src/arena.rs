@@ -8,7 +8,8 @@
 //! detectable instead of silently aliasing a new tenant. Freed slots go on
 //! a free list and are reused in LIFO order, which keeps the slab dense
 //! and the reuse order deterministic. A [`FifoSet`] keeps FIFO queues of
-//! dense ids as links in one flat table.
+//! dense ids as links in one flat table, and a [`BusyTable`] keeps a
+//! busy-until time per dense id as a 4-byte offset from a rolling epoch.
 //!
 //! Generations start at 1 (a `NonZeroU32`), so `Option<Handle>` is the
 //! same 8 bytes as a `Handle`.
@@ -18,6 +19,8 @@
 //! capacity (see [`ArenaStats`]).
 
 use std::num::NonZeroU32;
+
+use crate::time::{Duration, Time};
 
 /// A generational handle into an [`Arena`].
 ///
@@ -305,6 +308,95 @@ impl FifoSet {
     }
 }
 
+/// Busy-until times for a dense table of resources (Baldur's switch
+/// output ports), stored as 4-byte offsets from one epoch base: entry `i`
+/// is busy until `base + off[i]` ps. Half the bytes of a table of 8-byte
+/// [`Time`]s, and as exact.
+///
+/// A claim whose end does not fit in a `u32` offset first rebases the
+/// table: the base moves to the claim's `now` and every offset drops by
+/// the gap, clamped at zero (all zero when the gap itself exceeds
+/// `u32::MAX` ps). A busy entry keeps its exact time; an entry that was
+/// free stays free, now busy until `now` at the latest. That is exact as
+/// long as claim times never decrease, which holds for claims made at a
+/// simulation's current time. The O(len) sweep runs at most once per
+/// `2^32` ps minus the longest claim (about 4.3 ms of simulated time).
+#[derive(Debug, Clone)]
+pub struct BusyTable {
+    base: Time,
+    off: Vec<u32>,
+}
+
+impl BusyTable {
+    /// The longest claim an offset can hold.
+    pub const MAX_CLAIM: Duration = Duration::from_ps(u32::MAX as u64);
+
+    /// `len` entries, all free from time zero. The zeroed table is a
+    /// lazily zeroed allocation: its pages cost nothing until written.
+    pub fn new(len: usize) -> Self {
+        BusyTable {
+            base: Time::ZERO,
+            off: vec![0; len],
+        }
+    }
+
+    /// The time entry `idx` is busy until (`None` out of range). Exact
+    /// for an entry still busy at the last rebase; an entry free then
+    /// reads no later than that rebase's time.
+    #[inline]
+    pub fn busy_until(&self, idx: usize) -> Option<Time> {
+        let off = *self.off.get(idx)?;
+        Some(self.base + Duration::from_ps(u64::from(off)))
+    }
+
+    /// Claims entry `idx` until `now + dur` if it is free at `now` (busy
+    /// until no later than `now`) and returns true; returns false and
+    /// changes nothing if it is busy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range, or if the claim needs a rebase and
+    /// `dur` exceeds [`BusyTable::MAX_CLAIM`].
+    #[inline]
+    pub fn claim(&mut self, idx: usize, now: Time, dur: Duration) -> bool {
+        // Every offset is at least zero, so nothing is free before `base`.
+        let Some(since) = now.as_ps().checked_sub(self.base.as_ps()) else {
+            return false;
+        };
+        if u64::from(self.off[idx]) > since {
+            return false;
+        }
+        self.off[idx] = match u32::try_from(since.saturating_add(dur.as_ps())) {
+            Ok(end) => end,
+            Err(_) => self.rebase(now, dur),
+        };
+        true
+    }
+
+    /// Moves the base to `now` keeping every busy entry's time, and
+    /// returns `dur` as an offset from the new base.
+    #[cold]
+    fn rebase(&mut self, now: Time, dur: Duration) -> u32 {
+        let Ok(dur) = u32::try_from(dur.as_ps()) else {
+            panic!(
+                "a {dur} claim exceeds the busy table's {} bound",
+                Self::MAX_CLAIM
+            );
+        };
+        match u32::try_from(now.since(self.base).as_ps()) {
+            Ok(gap) => self.off.iter_mut().for_each(|o| *o = o.saturating_sub(gap)),
+            Err(_) => self.off.fill(0),
+        }
+        self.base = now;
+        dur
+    }
+
+    /// Bytes reserved by the offset table (capacity, not occupancy).
+    pub fn state_bytes(&self) -> u64 {
+        (self.off.capacity() * std::mem::size_of::<u32>()) as u64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,5 +556,56 @@ mod tests {
         assert_eq!(drain(&mut f, 0), vec![0, 4, 1]);
         assert_eq!(drain(&mut f, 1), vec![2, 3, 5]);
         assert!(f.state_bytes() >= 4 * (2 + 2 + 6));
+    }
+
+    const EPOCH: u64 = 1 << 32;
+
+    #[test]
+    fn busy_claims_on_the_same_boundary_as_an_absolute_time() {
+        let mut t = BusyTable::new(2);
+        assert!(t.claim(0, Time::from_ps(10), Duration::from_ps(5)));
+        assert_eq!(t.busy_until(0), Some(Time::from_ps(15)));
+        assert!(!t.claim(0, Time::from_ps(14), Duration::from_ps(5)));
+        // Busy until 15 means free at 15; a zero-length claim holds nothing.
+        assert!(t.claim(0, Time::from_ps(15), Duration::ZERO));
+        assert!(t.claim(0, Time::from_ps(15), Duration::from_ps(1)));
+        assert_eq!(t.busy_until(1), Some(Time::ZERO));
+        assert_eq!(t.busy_until(2), None);
+        assert_eq!(t.state_bytes(), 8);
+    }
+
+    #[test]
+    fn a_rebase_keeps_busy_times_exact_and_free_entries_free() {
+        let mut t = BusyTable::new(3);
+        let max = BusyTable::MAX_CLAIM;
+        assert!(t.claim(0, Time::from_ps(EPOCH - 100), Duration::from_ps(99)));
+        assert!(t.claim(1, Time::from_ps(EPOCH - 100), Duration::from_ps(30)));
+        // Entry 2's claim ends past the epoch: the base moves to its start,
+        // when entry 0 is still busy and entry 1 is free.
+        assert!(t.claim(2, Time::from_ps(EPOCH - 60), max));
+        assert_eq!(t.busy_until(0), Some(Time::from_ps(EPOCH - 1)));
+        assert_eq!(t.busy_until(1), Some(Time::from_ps(EPOCH - 60)));
+        assert_eq!(t.busy_until(2), Some(Time::from_ps(EPOCH - 60) + max));
+        assert!(!t.claim(0, Time::from_ps(EPOCH - 2), Duration::ZERO));
+        assert!(t.claim(0, Time::from_ps(EPOCH - 1), Duration::ZERO));
+        assert!(t.claim(1, Time::from_ps(EPOCH - 60), Duration::ZERO));
+    }
+
+    #[test]
+    fn an_idle_gap_past_an_epoch_clears_every_entry() {
+        let mut t = BusyTable::new(2);
+        assert!(t.claim(0, Time::from_ps(7), Duration::from_ps(3)));
+        let later = Time::from_ps(3 * EPOCH);
+        assert!(t.claim(1, later, Duration::from_ps(4)));
+        assert_eq!(t.busy_until(0), Some(later));
+        assert_eq!(t.busy_until(1), Some(later + Duration::from_ps(4)));
+        assert!(t.claim(0, later, Duration::from_ps(1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the busy table's")]
+    fn a_claim_longer_than_an_offset_panics() {
+        let mut t = BusyTable::new(1);
+        t.claim(0, Time::ZERO, BusyTable::MAX_CLAIM + Duration::from_ps(1));
     }
 }

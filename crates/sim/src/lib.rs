@@ -11,7 +11,8 @@
 //!   for events a model schedules in time order,
 //! * [`Arena`] — generational slab allocation with index [`Handle`]s for
 //!   kernel-side object populations (no per-object boxes on hot paths),
-//!   and [`FifoSet`], intrusive FIFO queues over dense `u32` ids,
+//!   [`FifoSet`], intrusive FIFO queues over dense `u32` ids, and
+//!   [`BusyTable`], busy-until times as 4-byte offsets from a rolling epoch,
 //! * [`rng`] — reproducible, stream-split random number generation,
 //! * [`par`] — a work-stealing thread pool that fans independent runs
 //!   across workers while keeping output order (and thus bytes) identical
@@ -53,6 +54,6 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use arena::{Arena, ArenaStats, FifoSet, Handle};
+pub use arena::{Arena, ArenaStats, BusyTable, FifoSet, Handle};
 pub use engine::{Model, Scheduler, Simulation, StopReason};
 pub use time::{Duration, Time};

@@ -87,6 +87,11 @@ impl EdgeMask {
         self.failed.iter_mut().for_each(|f| *f = false);
         self.failed_count = 0;
     }
+
+    /// Bytes reserved by the flag table (capacity, not occupancy).
+    pub fn state_bytes(&self) -> u64 {
+        self.failed.capacity() as u64
+    }
 }
 
 #[cfg(test)]

@@ -1048,3 +1048,75 @@ fn fifo_lane_pops_like_the_heap() {
     );
     assert!(pair.cal.state_bytes() >= 32 * 1_000);
 }
+
+/// The port table's epoch format, on its own stream: a [`BusyTable`] and
+/// a table of absolute busy-until times take the same random claims,
+/// claim for claim, past 2^36 ps (sixteen epochs). Steps mix dense
+/// claims, jumps to an entry's exact busy-until time, jumps of up to an
+/// epoch and idle gaps longer than one (the rebase that clears every
+/// entry); durations include 0 and the `u32::MAX` ps bound. After every
+/// claim each busy entry must read its exact time and each free entry a
+/// time no later than now.
+///
+/// [`BusyTable`]: baldur::sim::BusyTable
+#[test]
+fn busy_table_matches_absolute_times() {
+    use baldur::sim::{BusyTable, Duration, Time};
+    const EPOCH: u64 = 1 << 32;
+    let max = BusyTable::MAX_CLAIM.as_ps();
+    let (mut idle_gaps, mut claims) = (0, 0);
+    for case in 0..CASES {
+        let mut rng = case_rng("busyepch", case);
+        let len = rng.gen_range(1usize..24);
+        let mut table = BusyTable::new(len);
+        let mut reference = vec![Time::ZERO; len];
+        let mut now = Time::ZERO;
+        let mut claim = 0;
+        while now.as_ps() <= 1 << 36 {
+            let idle = rng.gen_range(0u32..100) == 0;
+            now = if idle {
+                idle_gaps += 1;
+                now + Duration::from_ps(rng.gen_range(EPOCH..3 * EPOCH))
+            } else {
+                match rng.gen_range(0u32..20) {
+                    0 => now + Duration::from_ps(rng.gen_range(0..=max)),
+                    1..=6 => reference[rng.gen_range(0..len)].max(now),
+                    7..=10 => now,
+                    _ => now + Duration::from_ps(rng.gen_range(1u64..3)),
+                }
+            };
+            let dur = Duration::from_ps(match rng.gen_range(0u32..6) {
+                0 => 0,
+                1 => max,
+                2 => max - rng.gen_range(1u64..4),
+                3 => rng.gen_range(0..=max),
+                _ => rng.gen_range(1u64..500_000),
+            });
+            let idx = rng.gen_range(0..len);
+            let free = reference[idx] <= now;
+            if free {
+                reference[idx] = now + dur;
+            }
+            assert_eq!(
+                table.claim(idx, now, dur),
+                free,
+                "case {case} claim {claim}: entry {idx} at {now} for {dur}"
+            );
+            for (j, &until) in reference.iter().enumerate() {
+                let got = table.busy_until(j).expect("in range");
+                if until > now {
+                    assert_eq!(got, until, "case {case} claim {claim}: busy entry {j}");
+                } else {
+                    assert!(
+                        got <= now,
+                        "case {case} claim {claim}: free entry {j} reads {got}"
+                    );
+                }
+            }
+            claim += 1;
+        }
+        claims += claim;
+    }
+    assert!(claims > 10_000, "{claims} claims");
+    assert!(idle_gaps > CASES, "{idle_gaps} idle gaps");
+}
