@@ -72,15 +72,19 @@ scheduler_equivalence() {
         cargo test -q --test properties -- calendar_queue_matches_heap scheduler_backends_pop_identically
 }
 
-# The FIFO lane Baldur's fixed-delay inner hops take: the lane property
-# test (lane and calendar pushes pop for pop against the reference heap),
-# the engine's lane tests and stop-reason precedence, and the calendar's
-# cursor-advancing search; then the SoA packet-model fingerprints and the
-# scaling head, whose queue bytes count the lane's ring.
-hop_lane() {
+# The fixed-delay lanes both packet models schedule through: the K-lane
+# property test (up to more delays than there are lanes, ties across lanes
+# and with the calendar, pop for pop against the reference heap), the
+# engine's lane tests and stop-reason precedence, and the calendar's
+# cursor-advancing search and re-width counters; then the electrical
+# router's unit tests and report digests, whose credits, arrivals,
+# deliveries and zero-delay wakeups ride the lanes, and the scaling head,
+# whose queue bytes count the lanes' rings.
+fixed_delay_lanes() {
     cargo test -q --test properties fifo_lane_pops_like_the_heap &&
-        cargo test -q -p baldur-sim -- lane stop_reasons seek_moves_the_cursor &&
-        cargo test -q --test properties soa_models_match_retired_baselines_byte_identically &&
+        cargo test -q -p baldur-sim -- lane stop_reasons seek_moves_the_cursor a_rewidth_that_keeps_the_geometry &&
+        cargo test -q -p baldur-net router_net &&
+        cargo test -q --test router_arbitration &&
         cargo test -q --test golden_suite golden_scaling_head_csv
 }
 
@@ -165,7 +169,7 @@ run_step oracle-starvation-equivalence cargo test -q -p baldur-net oracle
 # The single scheduler backend against its reference heap (see
 # scheduler_equivalence above).
 run_step scheduler-equivalence scheduler_equivalence
-run_step hop-lane hop_lane
+run_step fixed-delay-lanes fixed_delay_lanes
 run_step port-epochs port_epochs
 run_step test-workspace cargo test --workspace -q
 # Registry gates: the runner must enumerate every registered experiment,
@@ -193,6 +197,9 @@ run_step overload-smoke cargo run --release -p baldur-bench --bin overload -- --
 # Unknown flags are usage errors (exit 2), never silently ignored. The
 # probe binary is analytic, so a regression cannot start a long run.
 run_step bench-rejects-unknown-flag expect_exit 2 cargo run --release -p baldur-bench --bin tables34 -- --samples 3
+# `--csv` on an experiment that renders no CSV table is rejected the same
+# way, instead of exiting 0 with no file written.
+run_step bench-rejects-csv-without-table expect_exit 2 cargo run --release -p baldur-bench --bin fig5_waveform -- --csv /dev/null
 # Scaling smoke: the 1K->4K head of the million-endpoint curve through
 # the SoA kernel; asserts byte-identical repeat runs, 1-vs-8-thread sweep
 # invariance, and packet conservation (wall/RSS columns stay advisory).

@@ -6,7 +6,8 @@
 //!
 //! 1. parse the flags ([`Args`]),
 //! 2. resolve the spec from `baldur::registry` and reject any flag that
-//!    is neither common nor one of the spec's axes, flags or modes,
+//!    is neither common nor one of the spec's axes, flags or modes, and
+//!    `--csv` on an experiment that renders no CSV,
 //! 3. merge axis overrides (`--<axis> VALUES` sugar, then `--set
 //!    axis=VALUES`), enabled flags, and the selected mode,
 //! 4. build the [`Sweep`] and run the spec's hook,
@@ -115,6 +116,11 @@ pub fn registry_main(name: &str) {
     let spec = registry::get(name)
         .unwrap_or_else(|| panic!("bench binary names unregistered experiment `{name}`"));
     args.reject_unknown(&spec_keys(spec));
+    if args.get("csv").is_some() || args.flag("csv") {
+        if let Err(e) = spec.check_csv_flag() {
+            usage_error(&e);
+        }
+    }
     if args.flag("list") {
         print!("{}", registry::list_table());
         return;

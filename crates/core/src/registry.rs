@@ -170,6 +170,26 @@ pub struct ExperimentSpec {
     pub run: RunHook,
 }
 
+impl ExperimentSpec {
+    /// Whether `--csv PATH` applies: only an experiment with CSV columns
+    /// renders a CSV table. For one without, the runner rejects the flag
+    /// as a usage error instead of accepting it and writing nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns the usage message when the experiment writes no CSV.
+    pub fn check_csv_flag(&self) -> Result<(), String> {
+        if self.output_columns.is_empty() {
+            Err(format!(
+                "`--csv`: experiment `{}` writes no CSV table (its output is the console text)",
+                self.name
+            ))
+        } else {
+            Ok(())
+        }
+    }
+}
+
 /// The shared "no overrides in `all_figures`" hook.
 pub fn no_overrides(_cfg: &EvalConfig) -> Vec<(&'static str, String)> {
     Vec::new()

@@ -39,15 +39,20 @@
 //! exception is the off-by-default path rotation, which hashes the
 //! row's attempt count.
 //!
-//! Every inner hop adds the same `switch_latency_ps + stage_delay_ps`, so
-//! inner hops are scheduled in time order and go on the scheduler's FIFO
-//! lane ([`Scheduler::schedule_lane`]); the first hop (after the ingress
-//! fiber) and the arrival stay in the calendar. At scale those two table
-//! reads are cache misses, one dependent miss per hop, so every
+//! Most events are scheduled a fixed delay after `now`, so they go through
+//! [`Scheduler::schedule_in`] onto the scheduler's fixed-delay lanes, one
+//! FIFO per delay: the first hop (the ingress fiber), every inner hop (the
+//! same `switch_latency_ps + stage_delay_ps`), the arrival (one offset for
+//! data and one for ACKs), the NIC's next injection attempt once the
+//! frame just sent has serialized (or at once), and the ACK flush. The
+//! jittered retransmission timeouts, driver wakeups, fault events and an
+//! injection attempt deferred to an earlier frame's busy-until time are no
+//! fixed offset from the clock and stay on the calendar. At scale a hop's
+//! two table reads are cache misses, one dependent miss per hop, so every
 //! [`TOUCH_AHEAD`]th hop loads the port and link rows of the next
-//! [`TOUCH_AHEAD`] lane entries up front ([`BaldurNet::touch_lane`]):
-//! independent loads the CPU overlaps, which turn the next hops' misses
-//! into hits.
+//! [`TOUCH_AHEAD`] entries of the inner-hop lane up front
+//! ([`BaldurNet::touch_lane`]): independent loads the CPU overlaps, which
+//! turn the next hops' misses into hits.
 
 use std::hint::black_box;
 
@@ -210,6 +215,10 @@ pub struct BaldurNet {
     topo: Staged,
     params: BaldurParams,
     link: LinkParams,
+    /// Serialization times of a data packet and an ACK (`link`'s, kept
+    /// so hops do not recompute them).
+    data_time: Duration,
+    ack_time: Duration,
     driver: Driver,
     active_nodes: u32,
     /// Busy-until time of port `stage * port_stride + switch * 2m +
@@ -302,6 +311,8 @@ impl BaldurNet {
         BaldurNet {
             topo,
             params,
+            data_time: link.packet_time(),
+            ack_time: link.ack_time(),
             link,
             driver,
             active_nodes,
@@ -362,9 +373,9 @@ impl BaldurNet {
 
     fn duration(&self, ack: bool) -> Duration {
         if ack {
-            self.link.ack_time()
+            self.ack_time
         } else {
-            self.link.packet_time()
+            self.data_time
         }
     }
 
@@ -376,10 +387,15 @@ impl BaldurNet {
     }
 
     /// Loads the first port and the first link row of the hops next in
-    /// the lane, so their misses overlap now instead of stalling each hop
-    /// in turn. Plain loads kept alive by `black_box`; no state changes.
+    /// the inner-hop lane, so their misses overlap now instead of stalling
+    /// each hop in turn. Plain loads kept alive by `black_box`; no state
+    /// changes.
     fn touch_lane(&self, sched: &Scheduler<Ev>) {
-        for ev in sched.lane().take(TOUCH_AHEAD as usize) {
+        let hop_delay = self.params.switch_latency_ps + self.params.stage_delay_ps;
+        for ev in sched
+            .lane(Duration::from_ps(hop_delay))
+            .take(TOUCH_AHEAD as usize)
+        {
             if let &Ev::Hop {
                 dst, switch, stage, ..
             } = ev
@@ -453,7 +469,12 @@ impl BaldurNet {
         }
         if !self.try_scheduled[n] {
             self.try_scheduled[n] = true;
-            sched.schedule_at(now.max(self.tx_busy_until[n]), Ev::TryInject(node));
+            let busy = self.tx_busy_until[n];
+            if busy > now {
+                sched.schedule_at(busy, Ev::TryInject(node));
+            } else {
+                sched.schedule_now(Ev::TryInject(node));
+            }
         }
     }
 
@@ -810,7 +831,7 @@ impl Model for BaldurNet {
                     }
                     if !self.nic_is_empty(n) {
                         self.try_scheduled[n] = true;
-                        sched.schedule_at(now, Ev::TryInject(node));
+                        sched.schedule_now(Ev::TryInject(node));
                     }
                     return;
                 }
@@ -837,7 +858,7 @@ impl Model for BaldurNet {
                         None => {
                             self.data_push_front(n, pkt);
                             self.try_scheduled[n] = true;
-                            sched.schedule_at(now + self.link.packet_time(), Ev::TryInject(node));
+                            sched.schedule_in(self.data_time, Ev::TryInject(node));
                             return;
                         }
                     }
@@ -848,8 +869,7 @@ impl Model for BaldurNet {
                 self.tx_busy_until[n] = now + dur;
                 if !self.nic_is_empty(n) {
                     self.try_scheduled[n] = true;
-                    let at = self.tx_busy_until[n];
-                    sched.schedule_at(at, Ev::TryInject(node));
+                    sched.schedule_in(dur, Ev::TryInject(node));
                 }
                 if let Some(d) = self.data_mut(pkt) {
                     d.attempts += 1;
@@ -883,8 +903,8 @@ impl Model for BaldurNet {
                 let switch = self.topo.ingress_switch(row.src);
                 self.metrics.on_injection();
                 self.in_flight += 1;
-                sched.schedule_at(
-                    now + Duration::from_ps(self.params.link_delay_ps),
+                sched.schedule_in(
+                    Duration::from_ps(self.params.link_delay_ps),
                     Ev::Hop {
                         pkt,
                         dst: row.dst.0,
@@ -990,11 +1010,9 @@ impl Model for BaldurNet {
                         if stage + 1 == self.topo.stages() {
                             // Egress: tail arrives after the fiber plus
                             // serialization.
-                            let at = now
-                                + hop_delay
-                                + Duration::from_ps(self.params.link_delay_ps)
-                                + dur;
-                            sched.schedule_at(at, Ev::Arrive { pkt });
+                            let egress =
+                                hop_delay + Duration::from_ps(self.params.link_delay_ps) + dur;
+                            sched.schedule_in(egress, Ev::Arrive { pkt });
                         } else {
                             // Inner stages always have targets by
                             // construction; a miss would indicate a wiring
@@ -1007,9 +1025,8 @@ impl Model for BaldurNet {
                                 self.lost_in_fabric(now, pkt, ack);
                                 return;
                             };
-                            // A fixed delay after `now`: in time order.
-                            sched.schedule_lane(
-                                now + hop_delay,
+                            sched.schedule_in(
+                                hop_delay,
                                 Ev::Hop {
                                     pkt,
                                     dst,

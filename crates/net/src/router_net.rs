@@ -29,6 +29,15 @@
 //! fingerprint in `results/golden/soa_fingerprints.json`. The run loop
 //! and drain audit protocol is the shell in [`crate::runner`], shared
 //! with the Baldur model.
+//!
+//! Almost every event is scheduled a fixed delay after `now` and goes
+//! through [`Scheduler::schedule_in`] onto the scheduler's fixed-delay
+//! lanes: credit refunds (after the serialization time, or at once for a
+//! drop), arrivals (`switch_latency_ps` plus the link's delay, one lane
+//! per distinct delay), deliveries, and arbitration and injection
+//! wakeups at `now` or at `now` plus the serialization time. Wakeups at
+//! an earlier grant's busy-until time, deadline re-checks, driver
+//! wakeups and faults stay on the calendar.
 
 use baldur_sim::rng::StreamRng;
 use baldur_sim::{Duration, FifoSet, Model, Scheduler, Time};
@@ -98,7 +107,8 @@ pub enum Ev {
 pub struct RouterNet {
     graph: RouterGraph,
     alg: RoutingAlg,
-    link: LinkParams,
+    /// Serialization time of a packet on the run's links.
+    ser: Duration,
     rp: RouterParams,
     driver: Driver,
     /// Cumulative radix per router: router `r` owns output slots
@@ -186,7 +196,7 @@ impl RouterNet {
         RouterNet {
             graph,
             alg,
-            link,
+            ser: link.packet_time(),
             rp,
             driver,
             port_off,
@@ -316,24 +326,31 @@ impl RouterNet {
     }
 
     /// Returns one buffer credit of `(router, port, vc)` to its upstream
-    /// feeder at `at`: once a granted packet's tail has passed, or at once
-    /// for a dropped packet, so drops at dead routers do not bleed the
-    /// credit pool dry.
-    fn refund_credit(&self, at: Time, router: u32, port: u32, vc: u32, sched: &mut Scheduler<Ev>) {
+    /// feeder `delay` from now: once a granted packet's tail has passed
+    /// (the serialization time), or at once for a dropped packet, so drops
+    /// at dead routers do not bleed the credit pool dry.
+    fn refund_credit(
+        &self,
+        delay: Duration,
+        router: u32,
+        port: u32,
+        vc: u32,
+        sched: &mut Scheduler<Ev>,
+    ) {
         match self.graph.peer(router, port) {
             Endpoint::Router {
                 router: ur,
                 port: up,
-            } => sched.schedule_at(
-                at,
+            } => sched.schedule_in(
+                delay,
                 Ev::Credit {
                     router: ur,
                     port: up,
                     vc,
                 },
             ),
-            Endpoint::Node(n) => sched.schedule_at(
-                at,
+            Endpoint::Node(n) => sched.schedule_in(
+                delay,
                 Ev::Credit {
                     router: u32::MAX,
                     port: n.0,
@@ -386,7 +403,7 @@ impl RouterNet {
                 self.oracle.progress(now.as_ps());
                 let in_port = qi as u32 / vcs;
                 let in_vc = qi as u32 % vcs;
-                self.refund_credit(now, router, in_port, in_vc, sched);
+                self.refund_credit(Duration::ZERO, router, in_port, in_vc, sched);
             }
         }
     }
@@ -431,17 +448,33 @@ impl RouterNet {
         (port * self.rp.vcs + vc) as usize
     }
 
+    /// Schedules a wakeup at `at` on the lane of its offset from now
+    /// when that offset is one of the fixed ones (zero, or the
+    /// serialization time after a grant or an injection), else on the
+    /// calendar: a wakeup at an earlier grant's busy-until time is no
+    /// fixed offset from the clock.
+    fn wake_at(&self, at: Time, ev: Ev, sched: &mut Scheduler<Ev>) {
+        let now = sched.now();
+        if at == now {
+            sched.schedule_now(ev);
+        } else if at == now + self.ser {
+            sched.schedule_in(self.ser, ev);
+        } else {
+            sched.schedule_at(at, ev);
+        }
+    }
+
     fn schedule_arb(&mut self, router: u32, at: Time, sched: &mut Scheduler<Ev>) {
         if !self.arb_scheduled[router as usize] {
             self.arb_scheduled[router as usize] = true;
-            sched.schedule_at(at, Ev::Arb(router));
+            self.wake_at(at, Ev::Arb(router), sched);
         }
     }
 
     fn schedule_nic(&mut self, node: u32, at: Time, sched: &mut Scheduler<Ev>) {
         if !self.nic_try_scheduled[node as usize] {
             self.nic_try_scheduled[node as usize] = true;
-            sched.schedule_at(at, Ev::NicTry(node));
+            self.wake_at(at, Ev::NicTry(node), sched);
         }
     }
 
@@ -512,7 +545,7 @@ impl RouterNet {
         let nq = (radix * vcs) as usize;
         let qb = self.q_base(router);
         let pb = self.port_base(router);
-        let ser = self.link.packet_time();
+        let ser = self.ser;
         let mut next_wakeup: Option<Time> = None;
 
         for out_port in 0..radix {
@@ -577,7 +610,7 @@ impl RouterNet {
             self.rr[router as usize] = (qi as u32 + 1) % nq as u32;
 
             // Return the freed input slot upstream once the tail passes.
-            self.refund_credit(now + ser, router, in_port, in_vc, sched);
+            self.refund_credit(ser, router, in_port, in_vc, sched);
 
             // Launch downstream.
             let hop = Duration::from_ps(self.rp.switch_latency_ps)
@@ -589,8 +622,8 @@ impl RouterNet {
                 } => {
                     let idx = qb + self.qidx(out_port, dvc);
                     self.credits[idx] -= 1;
-                    sched.schedule_at(
-                        now + hop,
+                    sched.schedule_in(
+                        hop,
                         Ev::Arrive {
                             pkt,
                             router: dr,
@@ -600,7 +633,7 @@ impl RouterNet {
                     );
                 }
                 Endpoint::Node(n) => {
-                    sched.schedule_at(now + hop + ser, Ev::Deliver { pkt, node: n.0 });
+                    sched.schedule_in(hop + ser, Ev::Deliver { pkt, node: n.0 });
                 }
                 Endpoint::Unused => {} // filtered by has_credit above
             }
@@ -755,7 +788,7 @@ impl Model for RouterNet {
                 }
                 self.nic_pop_front(n);
                 self.nic_credits[n * vcs + vc as usize] -= 1;
-                let ser = self.link.packet_time();
+                let ser = self.ser;
                 self.nic_tx_busy[n] = now + ser;
                 if self.nic_front(n).is_some() {
                     self.schedule_nic(node, now + ser, sched);
@@ -779,8 +812,8 @@ impl Model for RouterNet {
                 self.packets[pkt as usize].route = route;
                 self.metrics.on_injection();
                 let delay = Duration::from_ps(self.graph.delay(router, port));
-                sched.schedule_at(
-                    now + delay,
+                sched.schedule_in(
+                    delay,
                     Ev::Arrive {
                         pkt,
                         router,
@@ -806,7 +839,7 @@ impl Model for RouterNet {
                     self.oracle
                         .note(now.as_ps(), "drop:dead", u64::from(pkt), u64::from(router));
                     self.oracle.progress(now.as_ps());
-                    self.refund_credit(now, router, port, vc, sched);
+                    self.refund_credit(Duration::ZERO, router, port, vc, sched);
                     return;
                 }
                 // Deadline check on arrival: a packet whose age passed
@@ -828,7 +861,7 @@ impl Model for RouterNet {
                     self.oracle
                         .note(now.as_ps(), "expire:hop", u64::from(pkt), u64::from(router));
                     self.oracle.progress(now.as_ps());
-                    self.refund_credit(now, router, port, vc, sched);
+                    self.refund_credit(Duration::ZERO, router, port, vc, sched);
                     return;
                 }
                 // Compute the forwarding decision once, on arrival.

@@ -11,13 +11,19 @@
 //! from the queue head ([`width_shift`]), so far-future timeouts do not
 //! widen near-term buckets. A resize (doubling, halving, or re-estimating
 //! the width when scans and walks average over [`COST_PER_OP`] steps per
-//! operation) sorts the live `(at, seq, slot)` triples and re-links them.
+//! operation) collects the live `(at, seq, slot)` triples from the bucket
+//! lists, selects and sorts the earliest [`SAMPLE`] for the width, and
+//! sorts and re-links the rest only if the bucket count or the width
+//! changed: a re-estimate that keeps both moves nothing. The
+//! [`CalendarQueue::resizes`] and [`CalendarQueue::relinked`] counters
+//! count the re-links.
 //!
 //! A pop is one search, [`CalendarQueue::seek`], then an unlink of the
 //! head it found, [`CalendarQueue::pop_head`]. The search moves the
 //! cursor to the head's day even when the caller pops nothing, as the
-//! scheduler does when its FIFO lane's head comes first; the next search
-//! then starts at that head instead of rescanning the days before it.
+//! scheduler does when a fixed-delay lane's head comes first; the next
+//! search then starts at that head instead of rescanning the days before
+//! it.
 
 use crate::time::Time;
 
@@ -81,6 +87,9 @@ pub struct CalendarQueue<E> {
     /// buckets scanned plus entries walked past, since the last resize.
     ops: u64,
     cost: u64,
+    /// Resizes so far, and the events they re-linked into new buckets.
+    resizes: u64,
+    relinked: u64,
 }
 
 impl<E> CalendarQueue<E> {
@@ -95,12 +104,25 @@ impl<E> CalendarQueue<E> {
             len: 0,
             ops: 0,
             cost: 0,
+            resizes: 0,
+            relinked: 0,
         }
     }
 
     /// Number of queued events.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// Resizes so far that re-linked the queue into new buckets.
+    pub fn resizes(&self) -> u64 {
+        self.resizes
+    }
+
+    /// Events re-linked by all resizes so far.
+    pub fn relinked(&self) -> u64 {
+        self.relinked
     }
 
     /// Bytes reserved: slab capacity plus the bucket table.
@@ -279,7 +301,7 @@ impl<E> CalendarQueue<E> {
     /// search (`Time::MAX` dequeues any event). Otherwise only the cursor
     /// moves: `Err(None)` when the queue is empty, `Err(Some(at))` when
     /// the earliest event is at `at`, past `horizon`.
-    #[inline]
+    #[cfg(test)]
     pub fn pop_due(&mut self, horizon: Time) -> Result<(Time, u64, E), Option<Time>> {
         let head = self.seek().ok_or(None)?;
         if head.at > horizon {
@@ -300,33 +322,50 @@ impl<E> CalendarQueue<E> {
         }
     }
 
-    /// Re-links every queued event into `buckets` buckets with a freshly
-    /// estimated width.
+    /// Re-estimates the width and re-links every queued event into
+    /// `buckets` buckets with it; when neither the count nor the width
+    /// changes, every event is already in its bucket and nothing moves.
+    /// The width needs only the earliest [`SAMPLE`] events in order, so
+    /// they are selected and sorted apart from the rest, which is sorted
+    /// only for a re-link.
     fn resize(&mut self, buckets: usize) {
         let mut live: Vec<(u64, u64, u32)> = Vec::with_capacity(self.len);
-        for (s, slot) in self.slab.iter().zip(0u32..) {
-            if s.event.is_some() {
-                live.push((s.at, s.seq, slot));
+        for bucket in &self.buckets {
+            let mut i = bucket.head;
+            while i != NIL {
+                let s = self.slot(i);
+                live.push((s.at, s.seq, i));
+                i = s.next;
             }
         }
-        live.sort_unstable();
-        self.shift = width_shift(&live).unwrap_or(self.shift);
+        let sample = live.len().min(SAMPLE);
+        if live.len() > sample {
+            live.select_nth_unstable(sample);
+        }
+        live[..sample].sort_unstable();
+        let shift = width_shift(&live[..sample]).unwrap_or(self.shift);
+        (self.ops, self.cost) = (0, 0);
+        self.cursor = live.first().map_or(0, |&(at, _, _)| at >> shift);
+        if shift == self.shift && buckets == self.buckets.len() {
+            return;
+        }
+        live[sample..].sort_unstable();
+        self.shift = shift;
         self.buckets = vec![EMPTY; buckets];
         for &(at, _, slot) in &live {
             let b = self.bucket_of(at >> self.shift);
             self.link(b, self.buckets[b].tail, slot);
         }
-        self.cursor = live.first().map_or(0, |&(at, _, _)| at >> self.shift);
-        (self.ops, self.cost) = (0, 0);
+        self.resizes += 1;
+        self.relinked += live.len() as u64;
     }
 }
 
-/// Brown's width rule over the earliest [`SAMPLE`] sorted events, as a
+/// Brown's width rule over the earliest [`SAMPLE`] events, sorted, as a
 /// power-of-two shift: three times the mean separation after dropping
 /// separations over twice the mean (the plain mean if that leaves only
 /// ties). `None` with fewer than two events.
-fn width_shift(sorted: &[(u64, u64, u32)]) -> Option<u32> {
-    let head = &sorted[..sorted.len().min(SAMPLE)];
+fn width_shift(head: &[(u64, u64, u32)]) -> Option<u32> {
     let gaps = (head.len() as u64).checked_sub(1).filter(|&g| g > 0)?;
     let mean = (head[head.len() - 1].0 - head[0].0) / gaps;
     let (sum, kept) = head
@@ -540,5 +579,42 @@ mod tests {
                 "round {round}: {bytes} bytes"
             );
         }
+    }
+
+    /// The churn a tie-heavy queue used to cause, pinned by the resize
+    /// counters: clusters of 260 events tied at one instant, 100 ns
+    /// apart. The earliest [`SAMPLE`] events are all ties, so the width
+    /// rule picks 1 ps buckets and each cluster change is a direct search
+    /// of the whole table, whose cost keeps triggering re-estimates that
+    /// pick the same width at the same bucket count. When every re-estimate
+    /// re-linked the queue, the 200 cluster changes below made 21 resizes
+    /// that re-linked 109,179 events; now they re-link nothing.
+    #[test]
+    fn a_rewidth_that_keeps_the_geometry_relinks_nothing() {
+        let mut q = CalendarQueue::new();
+        let (cluster, gap) = (260, 100_000u64);
+        let mut seq = 0u64;
+        let mut push_cluster = |q: &mut CalendarQueue<()>, c: u64| {
+            for _ in 0..cluster {
+                q.push(Time::from_ps(c * gap), seq, ());
+                seq += 1;
+            }
+        };
+        for c in 0..20 {
+            push_cluster(&mut q, c);
+        }
+        // Eight doublings from 16 buckets to 4,096 re-link 33 + 65 + ...
+        // + 4,097 events.
+        assert_eq!((q.resizes(), q.relinked()), (8, 8_168));
+        assert_eq!((q.buckets.len(), q.shift), (4_096, 0));
+        for c in 20..220 {
+            for _ in 0..cluster {
+                assert!(pop(&mut q).is_some());
+            }
+            push_cluster(&mut q, c);
+        }
+        check(&q);
+        assert_eq!((q.resizes(), q.relinked()), (8, 8_168));
+        assert_eq!((q.buckets.len(), q.shift), (4_096, 0));
     }
 }

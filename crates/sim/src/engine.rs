@@ -6,17 +6,29 @@
 //! bit-reproducible), and a [`Simulation`] driver that pops events and
 //! hands them to the [`Model`].
 //!
-//! Beside the calendar sits a FIFO lane ([`Scheduler::schedule_lane`])
-//! for events a model schedules in time order anyway, such as a
-//! fixed-delay hop through a bufferless fabric: a push appends to a ring
-//! and a pop compares the two heads, so such events skip the calendar's
-//! bucket walk. Both share one sequence counter, so the pop order is the
-//! exact `(time, seq)` order either way.
+//! Beside the calendar sit up to [`LANES`] fixed-delay lanes, filled by
+//! [`Scheduler::schedule_in`]: one FIFO ring per delay, opened by the
+//! first push at that delay. The clock never runs backwards, so pushes at
+//! `now + delay` for one fixed `delay` arrive in time order and a lane
+//! needs no sorting: a push appends to its ring, and a pop takes the
+//! smallest `(time, seq)` of the lane heads and one calendar search. A
+//! delay that finds every lane taken goes on the calendar. Lanes and
+//! calendar share one sequence counter, so the pop order is the exact
+//! `(time, seq)` order wherever an event was queued.
 
 use std::collections::VecDeque;
 
-use crate::calendar::CalendarQueue;
+use crate::calendar::{CalendarQueue, Head};
 use crate::time::{Duration, Time};
+
+/// The most fixed-delay lanes a scheduler opens; a push at any further
+/// delay goes on the calendar. The router model uses five or six delays
+/// (zero, the serialization time and a few link delays), the Baldur
+/// model five to eight.
+pub const LANES: usize = 8;
+
+/// The head of an empty lane: it sorts after every queued event.
+const NO_HEAD: (Time, u64) = (Time::MAX, u64::MAX);
 
 /// A simulation model: owns all mutable world state and interprets events.
 ///
@@ -31,18 +43,33 @@ pub trait Model {
     fn handle(&mut self, now: Time, event: Self::Event, sched: &mut Scheduler<Self::Event>);
 }
 
+/// The events pushed at one fixed delay from the clock, in `(time, seq)`
+/// order.
+struct Lane<E> {
+    delay: Duration,
+    ring: VecDeque<(Time, u64, E)>,
+}
+
 /// The future event list.
 ///
 /// Events at the same timestamp are delivered in the order they were
 /// scheduled, which makes simulations deterministic for a fixed seed.
-/// Backed by one calendar queue at every scale plus the FIFO lane; their
-/// bytes stay proportional to the pending events
+/// Backed by one calendar queue at every scale plus the fixed-delay
+/// lanes; their bytes stay proportional to the pending events
 /// ([`Scheduler::state_bytes`]).
 pub struct Scheduler<E> {
     queue: CalendarQueue<E>,
-    /// Events pushed by [`Scheduler::schedule_lane`], in `(time, seq)`
-    /// order.
-    lane: VecDeque<(Time, u64, E)>,
+    /// At most [`LANES`], in the order their delays were first pushed.
+    lanes: Vec<Lane<E>>,
+    /// `(time, seq)` of each lane's head, [`NO_HEAD`] when it is empty:
+    /// a pop compares these without touching the rings.
+    heads: [(Time, u64); LANES],
+    /// The calendar's head as its last search found it, kept while no
+    /// calendar push or pop intervenes, so a pop that a lane wins costs
+    /// no calendar search at all.
+    calendar_head: Option<Head>,
+    /// Events queued on the calendar and the lanes together.
+    pending: usize,
     now: Time,
     seq: u64,
     executed: u64,
@@ -60,7 +87,10 @@ impl<E> Scheduler<E> {
     pub fn new() -> Self {
         Scheduler {
             queue: CalendarQueue::new(),
-            lane: VecDeque::new(),
+            lanes: Vec::with_capacity(LANES),
+            heads: [NO_HEAD; LANES],
+            calendar_head: None,
+            pending: 0,
             now: Time::ZERO,
             seq: 0,
             executed: 0,
@@ -83,10 +113,10 @@ impl<E> Scheduler<E> {
         self.executed
     }
 
-    /// Number of events still pending (calendar and lane).
+    /// Number of events still pending (calendar and lanes).
     #[inline]
     pub fn pending(&self) -> usize {
-        self.queue.len() + self.lane.len()
+        self.pending
     }
 
     /// Peak simultaneous pending events over the scheduler's lifetime —
@@ -102,22 +132,37 @@ impl<E> Scheduler<E> {
         self.seq
     }
 
-    /// Always `true`: the calendar queue is the only backend (the FIFO
-    /// lane rides beside it, it does not replace it). Kept for readers of
-    /// the old heap/calendar flag, such as the benchmark trace's
+    /// Always `true`: the calendar queue is the only backend (the lanes
+    /// ride beside it, they do not replace it). Kept for readers of the
+    /// old heap/calendar flag, such as the benchmark trace's
     /// `sim.calendar` metric.
     pub fn calendar_backed(&self) -> bool {
         true
     }
 
-    /// Bytes the event list reserves (calendar slab, bucket table and the
-    /// FIFO lane's ring), by capacity.
-    pub fn state_bytes(&self) -> u64 {
-        let lane = self.lane.capacity() * std::mem::size_of::<(Time, u64, E)>();
-        self.queue.state_bytes() + lane as u64
+    /// The calendar's `(resizes, relinked)` counts: geometry changes so
+    /// far and the events they re-linked into new buckets.
+    pub fn calendar_resizes(&self) -> (u64, u64) {
+        (self.queue.resizes(), self.queue.relinked())
     }
 
-    /// Schedules `event` at absolute instant `at`.
+    /// Bytes the event list reserves (calendar slab, bucket table and the
+    /// lanes' rings), by capacity.
+    pub fn state_bytes(&self) -> u64 {
+        let entry = std::mem::size_of::<(Time, u64, E)>();
+        let lanes: usize = self.lanes.iter().map(|l| l.ring.capacity() * entry).sum();
+        self.queue.state_bytes() + lanes as u64
+    }
+
+    /// Counts one push and its sequence number.
+    #[inline]
+    fn pushed(&mut self) {
+        self.seq += 1;
+        self.pending += 1;
+        self.peak_pending = self.peak_pending.max(self.pending);
+    }
+
+    /// Schedules `event` at absolute instant `at`, on the calendar.
     ///
     /// # Panics
     ///
@@ -125,60 +170,82 @@ impl<E> Scheduler<E> {
     /// causality violations are programming errors.
     pub fn schedule_at(&mut self, at: Time, event: E) {
         assert!(at >= self.now, "cannot schedule into the past");
+        self.calendar_head = None;
         self.queue.push(at, self.seq, event);
-        self.seq += 1;
-        self.peak_pending = self.peak_pending.max(self.pending());
+        self.pushed();
     }
 
-    /// Schedules `event` at `at` on the FIFO lane, which takes pushes in
-    /// time order: a caller that adds one fixed delay to the current time
-    /// gets the calendar's delivery order (`at`, then scheduling order)
-    /// without its bucket walk.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past or earlier than the lane's last
-    /// push; both are programming errors.
-    pub fn schedule_lane(&mut self, at: Time, event: E) {
-        assert!(at >= self.now, "cannot schedule into the past");
-        if let Some(&(tail, _, _)) = self.lane.back() {
-            assert!(at >= tail, "lane pushes must not go back in time");
-        }
-        if self.lane.len() == self.lane.capacity() {
-            // Grow by half, not double, like the calendar's slab, but in
-            // steps of at least 1,024 entries: a 1K-node fabric's lane
-            // then never reallocates, and a run of small reallocations
-            // fragments the allocator's heap (at 16-entry steps it put
-            // 3 MB on a 20 MB storm_1k peak RSS).
-            self.lane.reserve_exact(self.lane.len() / 2 + 1024);
-        }
-        self.lane.push_back((at, self.seq, event));
-        self.seq += 1;
-        self.peak_pending = self.peak_pending.max(self.pending());
-    }
-
-    /// The lane's pending events, next to pop first. A model may read
-    /// ahead through them, e.g. to load the state the next events touch.
-    pub fn lane(&self) -> impl Iterator<Item = &E> + '_ {
-        self.lane.iter().map(|(_, _, event)| event)
-    }
-
-    /// Schedules `event` after `delay` from the current time.
+    /// Schedules `event` after `delay` from the current time, on the lane
+    /// for `delay`: the lane already open for it, else a new one while
+    /// fewer than [`LANES`] are open, else the calendar. Each lane takes
+    /// pushes in time order, so it gives the calendar's delivery order
+    /// (time, then scheduling order) without its bucket walk.
     #[inline]
     pub fn schedule_in(&mut self, delay: Duration, event: E) {
-        self.schedule_at(self.now + delay, event);
+        let at = self.now + delay;
+        let lane = match self.lanes.iter().position(|l| l.delay == delay) {
+            Some(i) => i,
+            None if self.lanes.len() < LANES => {
+                self.lanes.push(Lane {
+                    delay,
+                    ring: VecDeque::new(),
+                });
+                self.lanes.len() - 1
+            }
+            None => return self.schedule_at(at, event),
+        };
+        let ring = &mut self.lanes[lane].ring;
+        if let Some(&(tail, _, _)) = ring.back() {
+            assert!(at >= tail, "lane pushes must not go back in time");
+        }
+        if ring.len() == ring.capacity() {
+            // Grow by half, like the calendar's slab, but in steps of at
+            // least 1,024 entries: a 1K-node fabric's lane then never
+            // reallocates, and a run of small reallocations fragments the
+            // allocator's heap (at 16-entry steps it put 3 MB on a 20 MB
+            // storm_1k peak RSS).
+            ring.reserve_exact((ring.len() / 2).max(1024));
+        }
+        if ring.is_empty() {
+            self.heads[lane] = (at, self.seq);
+        }
+        ring.push_back((at, self.seq, event));
+        self.pushed();
     }
 
     /// Schedules `event` at the current instant (after all events already
-    /// queued for this instant).
+    /// queued for this instant), on the zero-delay lane.
     #[inline]
     pub fn schedule_now(&mut self, event: E) {
-        self.schedule_at(self.now, event);
+        self.schedule_in(Duration::ZERO, event);
+    }
+
+    /// The pending events of the lane for `delay`, next to pop first
+    /// (none if no lane holds that delay). A model may read ahead through
+    /// them, e.g. to load the state the next events touch.
+    pub fn lane(&self, delay: Duration) -> impl Iterator<Item = &E> + '_ {
+        self.lanes
+            .iter()
+            .filter(move |l| l.delay == delay)
+            .flat_map(|l| l.ring.iter().map(|(_, _, event)| event))
+    }
+
+    /// The lane whose head pops first, with that head's `(time, seq)`.
+    #[inline]
+    fn lane_head(&self) -> Option<(usize, Time, u64)> {
+        let mut first = 0;
+        for i in 1..self.lanes.len() {
+            if self.heads[i] < self.heads[first] {
+                first = i;
+            }
+        }
+        let (at, seq) = self.heads[first];
+        (seq != NO_HEAD.1).then_some((first, at, seq))
     }
 
     /// The timestamp of the next pending event, if any.
     pub fn peek_time(&self) -> Option<Time> {
-        let lane = self.lane.front().map(|&(at, _, _)| at);
+        let lane = self.lane_head().map(|(_, at, _)| at);
         let calendar = self.queue.peek().map(|(at, _)| at);
         lane.into_iter().chain(calendar).min()
     }
@@ -194,26 +261,36 @@ impl<E> Scheduler<E> {
     }
 
     /// [`Scheduler::pop_scheduled`] for the next event only if it is due
-    /// by `horizon`, in at most one calendar search. Otherwise no event
+    /// by `horizon`, in at most one calendar search (none while the
+    /// calendar's head is known). Otherwise no event
     /// moves and the error says why: [`StopReason::Drained`] or
     /// [`StopReason::Horizon`].
     #[inline]
     fn pop_due(&mut self, horizon: Time) -> Result<(Time, u64, E), StopReason> {
-        let popped = match self.lane.front() {
-            None => self.queue.pop_due(horizon).map_err(|next| match next {
-                None => StopReason::Drained,
-                Some(_) => StopReason::Horizon,
-            }),
-            Some(&(at, seq, _)) => match self.queue.seek() {
-                Some(head) if (head.at, head.seq) < (at, seq) => {
-                    if head.at > horizon {
-                        Err(StopReason::Horizon)
-                    } else {
-                        self.queue.pop_head(head).ok_or(StopReason::Drained)
-                    }
+        let calendar = match self.calendar_head {
+            Some(head) => Some(head),
+            None => self.queue.seek(),
+        };
+        self.calendar_head = calendar;
+        let lane = self.lane_head();
+        let popped = match calendar {
+            Some(head) if lane.is_none_or(|(_, at, seq)| (head.at, head.seq) < (at, seq)) => {
+                if head.at > horizon {
+                    Err(StopReason::Horizon)
+                } else {
+                    self.calendar_head = None;
+                    self.queue.pop_head(head).ok_or(StopReason::Drained)
                 }
-                _ if at > horizon => Err(StopReason::Horizon),
-                _ => self.lane.pop_front().ok_or(StopReason::Drained),
+            }
+            _ => match lane {
+                None => Err(StopReason::Drained),
+                Some((_, at, _)) if at > horizon => Err(StopReason::Horizon),
+                Some((lane, _, _)) => {
+                    let ring = &mut self.lanes[lane].ring;
+                    let popped = ring.pop_front().ok_or(StopReason::Drained);
+                    self.heads[lane] = ring.front().map_or(NO_HEAD, |&(at, seq, _)| (at, seq));
+                    popped
+                }
             },
         };
         let (at, seq, event) = popped?;
@@ -226,6 +303,7 @@ impl<E> Scheduler<E> {
             );
             self.last_pop = Some((at, seq));
         }
+        self.pending -= 1;
         self.now = at;
         self.executed += 1;
         Ok((at, seq, event))
@@ -473,6 +551,9 @@ mod tests {
         }
         assert!(sched.calendar_backed());
         assert_eq!(sched.peak_pending(), 17_384);
+        // Ten doublings from 16 to 16,384 buckets, each re-linking one
+        // more than twice the old count: 33 + 65 + ... + 16,385 events.
+        assert_eq!(sched.calendar_resizes(), (10, 32_746));
         let mut last = None;
         while let Some((at, seq, _)) = sched.pop_scheduled() {
             assert!(last < Some((at, seq)), "pop order regressed");
@@ -525,12 +606,12 @@ mod tests {
         assert_eq!(short.run_until(Time::MAX, 1), StopReason::Budget);
         assert_eq!(short.scheduler().pending(), 1);
 
-        // The same precedence when the earliest event is on the lane,
-        // with a later calendar event behind it.
+        // The same precedence when the earliest event is on a lane, with a
+        // later calendar event behind it.
         let lane_at = |lane: &[u64], calendar: u64| {
             let mut sim = sim_at(&[calendar]);
             for &t in lane {
-                sim.scheduler_mut().schedule_lane(Time::from_ps(t), ());
+                sim.scheduler_mut().schedule_in(Duration::from_ps(t), ());
             }
             sim
         };
@@ -560,26 +641,32 @@ mod tests {
     }
 
     #[test]
-    fn lane_and_calendar_pop_in_time_then_scheduling_order() {
+    fn lanes_and_calendar_pop_in_time_then_scheduling_order() {
         let mut sched = Scheduler::<&str>::new();
-        sched.schedule_lane(Time::from_ps(10), "lane 10");
+        let ps = Duration::from_ps;
+        sched.schedule_in(ps(10), "lane 10");
         sched.schedule_at(Time::from_ps(10), "calendar 10");
         sched.schedule_at(Time::from_ps(5), "calendar 5");
-        sched.schedule_lane(Time::from_ps(10), "lane 10 again");
-        sched.schedule_lane(Time::from_ps(12), "lane 12");
-        let lane: Vec<&str> = sched.lane().copied().collect();
-        assert_eq!(lane, ["lane 10", "lane 10 again", "lane 12"]);
-        assert_eq!((sched.pending(), sched.peak_pending()), (5, 5));
+        sched.schedule_in(ps(10), "lane 10 again");
+        sched.schedule_in(ps(12), "lane 12");
+        sched.schedule_in(ps(10), "lane 10 third");
+        sched.schedule_now("now");
+        let lane: Vec<&str> = sched.lane(ps(10)).copied().collect();
+        assert_eq!(lane, ["lane 10", "lane 10 again", "lane 10 third"]);
+        assert_eq!(sched.lane(ps(11)).count(), 0);
+        assert_eq!((sched.pending(), sched.peak_pending()), (7, 7));
         let order: Vec<_> = std::iter::from_fn(|| sched.pop_scheduled())
             .map(|(at, seq, ev)| (at.as_ps(), seq, ev))
             .collect();
         assert_eq!(
             order,
             vec![
+                (0, 6, "now"),
                 (5, 2, "calendar 5"),
                 (10, 0, "lane 10"),
                 (10, 1, "calendar 10"),
                 (10, 3, "lane 10 again"),
+                (10, 5, "lane 10 third"),
                 (12, 4, "lane 12"),
             ]
         );
@@ -587,11 +674,52 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "lane pushes must not go back in time")]
-    fn a_lane_push_before_the_lane_tail_panics() {
-        let mut sched: Scheduler<()> = Scheduler::new();
-        sched.schedule_lane(Time::from_ns(5), ());
-        sched.schedule_lane(Time::from_ns(4), ());
+    fn lane_ties_pop_in_scheduling_order_across_lanes() {
+        // Three lanes whose pushes land on the same instants from
+        // different clocks: ties resolve by scheduling order, not by lane.
+        let mut sched = Scheduler::<u64>::new();
+        let ps = Duration::from_ps;
+        sched.schedule_in(ps(30), 0); // t = 30, lane 30
+        sched.schedule_at(Time::from_ps(10), 1);
+        sched.schedule_at(Time::from_ps(20), 2);
+        assert_eq!(sched.pop_scheduled().map(|(at, _, _)| at.as_ps()), Some(10));
+        sched.schedule_in(ps(20), 3); // t = 30, lane 20
+        assert_eq!(sched.pop_scheduled().map(|(at, _, _)| at.as_ps()), Some(20));
+        sched.schedule_in(ps(10), 4); // t = 30, lane 10
+        sched.schedule_in(Duration::ZERO, 5); // t = 20, lane 0
+        let order: Vec<(u64, u64)> = std::iter::from_fn(|| sched.pop_scheduled())
+            .map(|(at, seq, _)| (at.as_ps(), seq))
+            .collect();
+        assert_eq!(order, [(20, 5), (30, 0), (30, 3), (30, 4)]);
+    }
+
+    #[test]
+    fn delays_past_the_lane_cap_go_on_the_calendar() {
+        let mut sched = Scheduler::<u64>::new();
+        // One more distinct delay than there are lanes, twice over, in
+        // descending order so every delay's pushes interleave.
+        let delays: Vec<u64> = (0..=LANES as u64).rev().collect();
+        for round in 0..2 {
+            for &d in &delays {
+                sched.schedule_in(Duration::from_ps(d), round * 100 + d);
+            }
+        }
+        assert_eq!(sched.lanes.len(), LANES);
+        assert_eq!(sched.queue.len(), 2, "the last delay has no lane");
+        assert_eq!(sched.pending(), 2 * delays.len());
+        let lane_bytes = LANES * 1024 * std::mem::size_of::<(Time, u64, u64)>();
+        assert_eq!(
+            sched.state_bytes(),
+            sched.queue.state_bytes() + lane_bytes as u64
+        );
+        let order: Vec<(u64, u64)> = std::iter::from_fn(|| sched.pop_scheduled())
+            .map(|(at, _, ev)| (at.as_ps(), ev))
+            .collect();
+        let mut expect: Vec<(u64, u64)> = (0..=LANES as u64)
+            .flat_map(|d| [(d, d), (d, 100 + d)])
+            .collect();
+        expect.sort_unstable();
+        assert_eq!(order, expect);
     }
 
     #[test]

@@ -32,9 +32,13 @@ pub enum Endpoint {
 pub struct RouterGraph {
     /// `neighbors[router][port]` — what each port connects to.
     pub neighbors: Vec<Vec<Endpoint>>,
-    /// `link_delay_ps[router][port]` — propagation delay of the attached
-    /// link in picoseconds.
-    pub link_delay_ps: Vec<Vec<u64>>,
+    /// Router `r`'s first port in `link_delay_ps` (the radixes of the
+    /// routers before it).
+    port_off: Vec<u32>,
+    /// Propagation delay of the link attached to each port in
+    /// picoseconds, one flat table: port `p` of router `r` is entry
+    /// `port_off[r] + p` ([`RouterGraph::delay`]).
+    link_delay_ps: Vec<u64>,
     /// `node_attach[node] = (router, port)`.
     pub node_attach: Vec<(u32, u32)>,
 }
@@ -44,7 +48,8 @@ impl RouterGraph {
     pub fn new(routers: u32, radix: u32) -> Self {
         RouterGraph {
             neighbors: vec![vec![Endpoint::Unused; radix as usize]; routers as usize],
-            link_delay_ps: vec![vec![0; radix as usize]; routers as usize],
+            port_off: (0..routers).map(|r| r * radix).collect(),
+            link_delay_ps: vec![0; routers as usize * radix as usize],
             node_attach: Vec::new(),
         }
     }
@@ -84,8 +89,8 @@ impl RouterGraph {
             router: a.0,
             port: a.1,
         };
-        self.link_delay_ps[a.0 as usize][a.1 as usize] = delay_ps;
-        self.link_delay_ps[b.0 as usize][b.1 as usize] = delay_ps;
+        *self.delay_mut(a.0, a.1) = delay_ps;
+        *self.delay_mut(b.0, b.1) = delay_ps;
     }
 
     /// Attaches the next node (ids are assigned sequentially) to a router
@@ -104,7 +109,7 @@ impl RouterGraph {
         );
         let node = NodeId(self.node_attach.len() as u32);
         self.neighbors[router as usize][port as usize] = Endpoint::Node(node);
-        self.link_delay_ps[router as usize][port as usize] = delay_ps;
+        *self.delay_mut(router, port) = delay_ps;
         self.node_attach.push((router, port));
         node
     }
@@ -126,7 +131,7 @@ impl RouterGraph {
             "router {router} port {port} already connected"
         );
         self.neighbors[router as usize][port as usize] = Endpoint::Node(node);
-        self.link_delay_ps[router as usize][port as usize] = delay_ps;
+        *self.delay_mut(router, port) = delay_ps;
     }
 
     /// The endpoint a port connects to.
@@ -135,8 +140,17 @@ impl RouterGraph {
     }
 
     /// The link delay of a port.
+    #[inline]
     pub fn delay(&self, router: u32, port: u32) -> u64 {
-        self.link_delay_ps[router as usize][port as usize]
+        self.link_delay_ps[(self.port_off[router as usize] + port) as usize]
+    }
+
+    fn delay_mut(&mut self, router: u32, port: u32) -> &mut u64 {
+        debug_assert!(
+            port < self.radix(router),
+            "router {router} has no port {port}"
+        );
+        &mut self.link_delay_ps[(self.port_off[router as usize] + port) as usize]
     }
 
     /// Checks structural invariants.
@@ -182,6 +196,10 @@ mod tests {
         assert_eq!(n, NodeId(0));
         assert_eq!(g.peer(0, 1), Endpoint::Router { router: 1, port: 2 });
         assert_eq!(g.delay(1, 2), 100_000);
+        assert_eq!(
+            (g.delay(0, 1), g.delay(0, 0), g.delay(1, 1)),
+            (100_000, 10_000, 0)
+        );
         assert!(g.validate().is_ok());
     }
 

@@ -833,16 +833,22 @@ impl SchedPair {
         }
     }
 
-    /// Pushes one event at `at` into both queues, on the scheduler's FIFO
-    /// lane when `lane`.
-    fn push(&mut self, at: baldur::sim::Time, lane: bool) {
+    /// Pushes one event at `at` into both queues, on the scheduler's
+    /// calendar.
+    fn push_at(&mut self, at: baldur::sim::Time) {
         let payload = self.reference.seq;
         self.reference.schedule_at(at, payload);
-        if lane {
-            self.cal.schedule_lane(at, payload);
-        } else {
-            self.cal.schedule_at(at, payload);
-        }
+        self.cal.schedule_at(at, payload);
+    }
+
+    /// Pushes one event `delay` ps from now into both queues, through the
+    /// scheduler's fixed-delay entry point.
+    fn push_in(&mut self, delay: u64) {
+        let payload = self.reference.seq;
+        let at = baldur::sim::Time::from_ps(self.reference.now.as_ps() + delay);
+        self.reference.schedule_at(at, payload);
+        self.cal
+            .schedule_in(baldur::sim::Duration::from_ps(delay), payload);
     }
 
     /// Pops one event from each queue and compares them.
@@ -969,39 +975,60 @@ fn scheduler_backends_pop_identically() {
     );
 }
 
-/// The fifth scheduler shape, on its own stream: fixed-delay pushes on
-/// the FIFO lane (a bufferless fabric's inner hops) interleaved with
-/// calendar pushes, namely dense near-term ties, far-future timeouts, and
-/// calendar events at the lane's own instant pushed just before or just
-/// after a lane event. Pop for pop against the reference heap, with the
-/// pending count, its peak, the scheduled count and the next event time
-/// checked after every operation.
+/// The fifth scheduler shape, on its own stream: fixed-delay pushes
+/// through `schedule_in` on up to K lanes (a bufferless fabric's hops, a
+/// router's credits and arrivals) interleaved with calendar pushes. Every
+/// delay is a multiple of one small unit and the calendar's near pushes
+/// land on the same grid, so lanes tie with each other and with the
+/// calendar at one instant. The cases cover the zero-delay lane, more
+/// delays than [`LANES`] (the rest fall back to the calendar), calendar
+/// events pushed just before and just after a lane event at its instant,
+/// dense near-term ties and far-future timeouts. Pop for pop against the
+/// reference heap, with the pending count, its peak, the scheduled count
+/// and the next event time checked after every operation.
+///
+/// [`LANES`]: baldur::sim::engine::LANES
 #[test]
 fn fifo_lane_pops_like_the_heap() {
+    use baldur::sim::engine::LANES;
     use baldur::sim::Time;
-    fn run(what: String, rng: &mut StreamRng, delay: u64, ops: usize, pops: usize) -> SchedPair {
+    fn run(
+        what: String,
+        rng: &mut StreamRng,
+        delays: &[u64],
+        ops: usize,
+        pops: usize,
+    ) -> SchedPair {
         let mut pair = SchedPair::new(what);
+        let unit = delays.iter().copied().filter(|&d| d > 0).min().unwrap_or(1);
         for _ in 0..ops {
             let now = pair.reference.now.as_ps();
-            let hop = Time::from_ps(now + delay);
-            match rng.gen_range(0u32..10) {
+            let delay = delays[rng.gen_range(0..delays.len())];
+            match rng.gen_range(0u32..12) {
                 0..=2 => {
                     for _ in 0..rng.gen_range(1usize..40) {
-                        pair.push(hop, true);
+                        pair.push_in(delay);
                     }
                 }
                 3 => {
-                    pair.push(hop, false);
-                    pair.push(hop, true);
+                    // One event on every lane: ties wherever two delays
+                    // meet an earlier push's instant.
+                    for &d in delays {
+                        pair.push_in(d);
+                    }
                 }
                 4 => {
-                    pair.push(hop, true);
-                    pair.push(hop, false);
+                    pair.push_at(Time::from_ps(now + delay));
+                    pair.push_in(delay);
                 }
-                5 => pair.push(Time::from_ps(now + rng.gen_range(0u64..8)), false),
-                6 => {
+                5 => {
+                    pair.push_in(delay);
+                    pair.push_at(Time::from_ps(now + delay));
+                }
+                6 => pair.push_at(Time::from_ps(now + unit * rng.gen_range(0u64..8))),
+                7 => {
                     let far = rng.gen_range(10_000_000u64..1_000_000_000);
-                    pair.push(Time::from_ps(now + far), false);
+                    pair.push_at(Time::from_ps(now + far));
                 }
                 _ => {
                     for _ in 0..rng.gen_range(1..pops) {
@@ -1021,26 +1048,41 @@ fn fifo_lane_pops_like_the_heap() {
 
     for case in 0..CASES {
         let mut rng = case_rng("schdlane", case);
-        // A zero delay puts lane events at the popping instant itself.
-        let delay = if case % 4 == 0 {
-            0
-        } else {
-            rng.gen_range(1u64..5_000)
-        };
+        // One to LANES + 2 distinct delays, multiples of one unit; every
+        // fourth case includes the zero delay, whose lane events land at
+        // the popping instant itself.
+        let unit = rng.gen_range(1u64..700);
+        let k = 1 + (case as usize % (LANES + 2));
+        let mut delays: Vec<u64> = Vec::new();
+        if case % 4 == 0 {
+            delays.push(0);
+        }
+        while delays.len() < k {
+            let d = unit * rng.gen_range(1u64..12);
+            if !delays.contains(&d) {
+                delays.push(d);
+            }
+        }
         let ops = 50 + (case as usize * 13) % 250;
         run(
-            format!("case {case} lane delay {delay}"),
+            format!("case {case} lane delays {delays:?}"),
             &mut rng,
-            delay,
+            &delays,
             ops,
             60,
         );
     }
 
-    // One large run with fewer pops per wave, so the lane grows to
-    // thousands of entries and its ring's capacity shows in the bytes.
+    // One large run with fewer pops per wave, so the lanes grow to
+    // thousands of entries and their rings' capacity shows in the bytes.
     let mut rng = StreamRng::named(0xBA1D, "schdlane", u64::MAX);
-    let pair = run("large lane".to_string(), &mut rng, 1_500, 20_000, 30);
+    let pair = run(
+        "large lanes".to_string(),
+        &mut rng,
+        &[0, 500, 1_500, 2_000],
+        20_000,
+        30,
+    );
     assert!(
         pair.cal.peak_pending() > 1_000,
         "{}",

@@ -168,6 +168,41 @@ fn every_spec_is_golden_backed_or_explicitly_exempt() {
     }
 }
 
+/// `--csv PATH` is a usage error (exit 2 from every bench binary) on
+/// each experiment that renders no CSV table, instead of exiting 0 with
+/// no file written; the experiments with CSV columns accept it.
+#[test]
+fn csv_flag_is_rejected_where_no_csv_is_rendered() {
+    let mut rejected: Vec<&str> = Vec::new();
+    for spec in registry::all() {
+        match spec.check_csv_flag() {
+            Ok(()) => assert!(!spec.output_columns.is_empty(), "`{}`", spec.name),
+            Err(e) => {
+                assert!(e.contains(spec.name), "`{}`: {e}", spec.name);
+                assert!(spec.output_columns.is_empty(), "`{}`", spec.name);
+                assert_eq!(spec.csv_default, None, "`{}`", spec.name);
+                rejected.push(spec.name);
+            }
+        }
+    }
+    rejected.sort_unstable();
+    assert_eq!(
+        rejected,
+        [
+            "ablation",
+            "awgr",
+            "buffers",
+            "droptool",
+            "fig5",
+            "fig9",
+            "packaging",
+            "reliability",
+            "tables34",
+            "topologies",
+        ]
+    );
+}
+
 #[test]
 fn every_descriptor_round_trips_through_vendored_serde() {
     for spec in registry::all() {
