@@ -88,6 +88,19 @@ fixed_delay_lanes() {
         cargo test -q --test golden_suite golden_scaling_head_csv
 }
 
+# Router arbitration over requesting outputs: the busy-at-arbitration
+# invariant under saturated and kill/revive plans, the radix-70 router
+# whose requested-output mask spans two words, the request-set and mask
+# rebuild, then the two-word report digests and the engine's lane tests
+# (branch-free lane lookup and lane-head minimum).
+arbitration_over_requests() {
+    cargo test -q -p baldur-net -- no_output_is_busy_when_its_router_arbitrates \
+        a_radix_over_64_router_arbitrates_through_the_masks_second_word \
+        request_sets_track_queue_heads_under_saturation &&
+        cargo test -q --test router_arbitration &&
+        cargo test -q -p baldur-sim lane
+}
+
 # The port table's epoch format: the offset table against absolute
 # busy-until times across sixteen epochs (the property test), two 64-node
 # Baldur runs pinned by report digest whose last deliveries pass three
@@ -170,6 +183,7 @@ run_step oracle-starvation-equivalence cargo test -q -p baldur-net oracle
 # scheduler_equivalence above).
 run_step scheduler-equivalence scheduler_equivalence
 run_step fixed-delay-lanes fixed_delay_lanes
+run_step arbitration-over-requests arbitration_over_requests
 run_step port-epochs port_epochs
 run_step test-workspace cargo test --workspace -q
 # Registry gates: the runner must enumerate every registered experiment,

@@ -208,6 +208,10 @@ pub struct StateStats {
     /// (calendar slab plus bucket table, by capacity). Not part of
     /// `state_bytes`, which counts the model alone.
     pub queue_bytes: u64,
+    /// Packets the driver still owed, never generated, when the run
+    /// stopped at its horizon: the horizon cut the workload short. Zero
+    /// when the run drained, or stopped with every packet generated.
+    pub unsent_at_horizon: u64,
 }
 
 /// The Baldur network simulation model.
@@ -1266,6 +1270,36 @@ mod tests {
         };
         let d = Driver::open_loop(4, Pattern::UniformRandom, 0.1, 1, &slow, 1);
         BaldurNet::new(4, BaldurParams::paper_1k(), slow, d, 1, 0);
+    }
+
+    #[test]
+    fn a_horizon_stop_records_the_packets_never_generated() {
+        // The default horizon (50 packet times per node plus 10 ms)
+        // assumes a load near 1. At load 0.002 a node's 250 packets span
+        // about 20 ms, so the run stops at the horizon with 9,352 of
+        // 16,000 packets generated, and the stop is recorded beside the
+        // report, whose shape is golden.
+        let seed = 0xBA1D;
+        let d = Driver::open_loop(64, Pattern::UniformRandom, 0.002, 250, &link(), seed);
+        let (r, stats) = simulate(
+            64,
+            BaldurParams::paper_for(64),
+            d,
+            &RunSpec::new(link(), seed),
+        );
+        assert_eq!(r.generated, 9_352);
+        assert_eq!(stats.unsent_at_horizon, 16_000 - 9_352);
+
+        // A run that drains owes nothing.
+        let d = Driver::open_loop(16, Pattern::UniformRandom, 0.5, 4, &link(), seed);
+        let (r, stats) = simulate(
+            16,
+            BaldurParams::paper_for(16),
+            d,
+            &RunSpec::new(link(), seed),
+        );
+        assert_eq!(r.delivered, 64);
+        assert_eq!(stats.unsent_at_horizon, 0);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!
 //! Router state is struct-of-arrays flattened across the whole machine:
 //! one offset table (`port_off`, cumulative radix) maps a router to its
-//! slice of the flat per-output (`out_busy`, `out_pending`) and
+//! slice of the flat per-output (`out_pending`, request sets) and
 //! per-(input port, VC) (`credits`, input queues) tables — radix varies
 //! per router, so offsets rather than a fixed stride. Input and NIC
 //! queues are one [`FifoSet`] of intrusive FIFOs over packet ids (a
@@ -21,23 +21,32 @@
 //! request sets instead of scanning every input queue: one bitset of
 //! `ceil(max radix × vcs / 64)` words per (router, output port), where
 //! bit `qi` is set exactly when input queue `qi` is non-empty and its
-//! head is routed to that output. The queue push/pop helpers keep the
-//! bits current, so a pop mid-arbitration exposes the new head to the
-//! later ports of the same round. A grant takes the first set bit
-//! cyclically from the round-robin pointer whose downstream VC has
-//! credit. The retired map-based model's reports are pinned by
-//! fingerprint in `results/golden/soa_fingerprints.json`. The run loop
-//! and drain audit protocol is the shell in [`crate::runner`], shared
-//! with the Baldur model.
+//! head is routed to that output. Beside them, one mask of `ceil(max
+//! radix / 64)` words per router marks the outputs whose request set is
+//! non-empty, so an arbitration round visits only requested outputs, in
+//! ascending port order. The queue push/pop helpers keep both current,
+//! so a pop mid-arbitration exposes the new head to the later ports of
+//! the same round. A grant takes the first set bit cyclically from the
+//! round-robin pointer whose downstream VC has credit; an output whose
+//! downstream VCs all lack credit is passed over without a probe. No
+//! output is busy when its router arbitrates (DESIGN.md, "Arbitration
+//! over requesting outputs"), so a round checks no busy times, and one
+//! busy-until time per router (its last granting round's) is all the
+//! model keeps, for a debug-build check. The retired map-based model's
+//! reports are pinned by fingerprint in
+//! `results/golden/soa_fingerprints.json`. The run loop and drain audit
+//! protocol is the shell in [`crate::runner`], shared with the Baldur
+//! model.
 //!
 //! Almost every event is scheduled a fixed delay after `now` and goes
 //! through [`Scheduler::schedule_in`] onto the scheduler's fixed-delay
 //! lanes: credit refunds (after the serialization time, or at once for a
 //! drop), arrivals (`switch_latency_ps` plus the link's delay, one lane
-//! per distinct delay), deliveries, and arbitration and injection
-//! wakeups at `now` or at `now` plus the serialization time. Wakeups at
-//! an earlier grant's busy-until time, deadline re-checks, driver
-//! wakeups and faults stay on the calendar.
+//! per distinct delay), deliveries, every arbitration wakeup (at `now`,
+//! or at `now` plus the serialization time after a grant) and injection
+//! wakeups at either offset. An injection wakeup at an earlier
+//! transmission's busy-until time, deadline re-checks, driver wakeups
+//! and faults stay on the calendar.
 
 use baldur_sim::rng::StreamRng;
 use baldur_sim::{Duration, FifoSet, Model, Scheduler, Time};
@@ -111,9 +120,10 @@ pub struct RouterNet {
     ser: Duration,
     rp: RouterParams,
     driver: Driver,
-    /// Cumulative radix per router: router `r` owns output slots
-    /// `port_off[r]..port_off[r]+radix(r)` of the flat per-output tables
-    /// and slots `port_off[r]*vcs..` of the flat per-(port, VC) tables.
+    /// Cumulative radix per router, then the total port count: router
+    /// `r` owns output slots `port_off[r]..port_off[r + 1]` of the flat
+    /// per-output tables and slots `port_off[r]*vcs..` of the flat
+    /// per-(port, VC) tables.
     port_off: Vec<u32>,
     // ---- per (router, input port, VC), flat ----
     /// Free slots downstream of each output, `[q_base + out*vcs + vc]`.
@@ -122,7 +132,6 @@ pub struct RouterNet {
     /// `q_len.len()` queues.
     q_len: Vec<u32>,
     // ---- per (router, output port), flat ----
-    out_busy: Vec<Time>,
     /// Buffered packets routed to each output (adaptive-routing signal).
     out_pending: Vec<u32>,
     /// Request sets, `req_words` words per output at
@@ -132,6 +141,16 @@ pub struct RouterNet {
     requests: Vec<u64>,
     req_words: usize,
     // ---- per router ----
+    /// Time until which the outputs granted in the router's last granting
+    /// round are busy (its `now` plus the serialization time): the latest
+    /// busy-until of any of its outputs. Never past the clock when the
+    /// router arbitrates (checked in debug builds).
+    busy_until: Vec<Time>,
+    /// Requested outputs, `act_words` words per router at
+    /// `[router * act_words ..]`: bit `out` is set exactly when the
+    /// request set of output `out` is non-empty.
+    active: Vec<u64>,
+    act_words: usize,
     arb_scheduled: Vec<bool>,
     rr: Vec<u32>,
     // ---- per NIC (node) ----
@@ -182,7 +201,7 @@ impl RouterNet {
         let vc_cap = rp.vc_capacity(link.packet_bytes);
         let vcs = rp.vcs as usize;
         let router_count = graph.router_count();
-        let mut port_off = Vec::with_capacity(router_count as usize);
+        let mut port_off = Vec::with_capacity(router_count as usize + 1);
         let mut total_ports = 0u32;
         let mut max_radix = 0;
         for r in 0..router_count {
@@ -190,7 +209,9 @@ impl RouterNet {
             total_ports += graph.radix(r);
             max_radix = max_radix.max(graph.radix(r));
         }
+        port_off.push(total_ports);
         let req_words = (max_radix as usize * vcs).div_ceil(64);
+        let act_words = (max_radix as usize).div_ceil(64);
         let nq_total = total_ports as usize * vcs;
         let nodes = driver.nodes() as usize;
         RouterNet {
@@ -202,10 +223,12 @@ impl RouterNet {
             port_off,
             credits: vec![vc_cap; nq_total],
             q_len: vec![0; nq_total],
-            out_busy: vec![Time::ZERO; total_ports as usize],
             out_pending: vec![0; total_ports as usize],
             requests: vec![0; total_ports as usize * req_words],
             req_words,
+            busy_until: vec![Time::ZERO; router_count as usize],
+            active: vec![0; router_count as usize * act_words],
+            act_words,
             arb_scheduled: vec![false; router_count as usize],
             rr: vec![0; router_count as usize],
             nic_len: vec![0; nodes],
@@ -229,6 +252,12 @@ impl RouterNet {
         self.port_off[router as usize] as usize
     }
 
+    /// Radix of `router`, from the offset table rather than the graph's
+    /// per-router port lists.
+    fn radix(&self, router: u32) -> u32 {
+        self.port_off[router as usize + 1] - self.port_off[router as usize]
+    }
+
     /// First flat per-(port, VC) slot of `router`.
     fn q_base(&self, router: u32) -> usize {
         self.port_base(router) * self.rp.vcs as usize
@@ -239,40 +268,49 @@ impl RouterNet {
         (self.port_base(router) + out as usize) * self.req_words
     }
 
+    /// First word of the requested-output mask of `router`.
+    fn act_slot(&self, router: u32) -> usize {
+        router as usize * self.act_words
+    }
+
     /// Sets or clears bit `qi` in the request set of the output that
-    /// `pkt`, the head of input queue `qi` of `router`, is routed to. A
+    /// `pkt`, the head of input queue `qi` of `router`, is routed to, and
+    /// the output's bit in the router's requested-output mask with it. A
     /// decision past the radix names no output and enters no set.
     fn mark_request(&mut self, router: u32, qi: usize, pkt: PktId, on: bool) {
         let out = self.packets[pkt as usize].decision.0;
-        if out >= self.graph.radix(router) {
+        if out >= self.radix(router) {
             return;
         }
-        let w = self.req_slot(router, out) + qi / 64;
-        let word = &mut self.requests[w];
+        let slot = self.req_slot(router, out);
         let bit = 1u64 << (qi % 64);
+        let active = self.act_slot(router) + out as usize / 64;
+        let out_bit = 1u64 << (out % 64);
         if on {
-            *word |= bit;
+            self.requests[slot + qi / 64] |= bit;
+            self.active[active] |= out_bit;
         } else {
-            *word &= !bit;
+            self.requests[slot + qi / 64] &= !bit;
+            if self.requests[slot..slot + self.req_words]
+                .iter()
+                .all(|&w| w == 0)
+            {
+                self.active[active] &= !out_bit;
+            }
         }
+    }
+
+    /// First requested output of `router` from `from` on (only outputs
+    /// below the radix are ever marked).
+    fn next_active(&self, router: u32, from: usize) -> Option<usize> {
+        let slot = self.act_slot(router);
+        let words = &self.active[slot..slot + self.act_words];
+        first_set(words, from, words.len() * 64)
     }
 
     /// First set bit of the request set at `slot` in `from..end`.
     fn next_request(&self, slot: usize, from: usize, end: usize) -> Option<usize> {
-        let set = &self.requests[slot..slot + self.req_words];
-        let mut w = from / 64;
-        let mut bits = set.get(w)? & (u64::MAX << (from % 64));
-        loop {
-            if bits != 0 {
-                let qi = w * 64 + bits.trailing_zeros() as usize;
-                return (qi < end).then_some(qi);
-            }
-            w += 1;
-            if w * 64 >= end {
-                return None;
-            }
-            bits = set[w];
-        }
+        first_set(&self.requests[slot..slot + self.req_words], from, end)
     }
 
     /// Pushes `pkt` onto the tail of input queue `qi` of `router`.
@@ -377,7 +415,7 @@ impl RouterNet {
         self.down_count += 1;
         let vcs = self.rp.vcs.max(1);
         let pb = self.port_base(router);
-        let nq = (self.graph.radix(router) * self.rp.vcs) as usize;
+        let nq = (self.radix(router) * self.rp.vcs) as usize;
         for qi in 0..nq {
             loop {
                 let Some(pkt) = self.rq_pop_front(router, qi) else {
@@ -451,8 +489,8 @@ impl RouterNet {
     /// Schedules a wakeup at `at` on the lane of its offset from now
     /// when that offset is one of the fixed ones (zero, or the
     /// serialization time after a grant or an injection), else on the
-    /// calendar: a wakeup at an earlier grant's busy-until time is no
-    /// fixed offset from the clock.
+    /// calendar: an injection retry at an earlier transmission's
+    /// busy-until time is no fixed offset from the clock.
     fn wake_at(&self, at: Time, ev: Ev, sched: &mut Scheduler<Ev>) {
         let now = sched.now();
         if at == now {
@@ -538,32 +576,38 @@ impl RouterNet {
     }
 
     /// Runs the allocation loop of one router; grants as many
-    /// (input, output) matches as possible at `now`.
+    /// (input, output) matches as possible at `now`. It visits only the
+    /// requested outputs, in ascending port order, re-reading the mask
+    /// after each grant, so a head a grant exposes is seen by every later
+    /// output of the same round.
     fn arbitrate(&mut self, now: Time, router: u32, sched: &mut Scheduler<Ev>) {
-        let radix = self.graph.radix(router);
+        debug_assert!(
+            self.busy_until[router as usize] <= now,
+            "router {router} arbitrates at {now:?} with an output still busy"
+        );
         let vcs = self.rp.vcs;
-        let nq = (radix * vcs) as usize;
-        let qb = self.q_base(router);
+        let nq = (self.radix(router) * vcs) as usize;
         let pb = self.port_base(router);
+        let qb = self.q_base(router);
         let ser = self.ser;
-        let mut next_wakeup: Option<Time> = None;
+        let mut granted = false;
+        let mut next = 0;
 
-        for out_port in 0..radix {
-            let busy = self.out_busy[pb + out_port as usize];
-            if busy > now {
-                next_wakeup = Some(next_wakeup.map_or(busy, |t: Time| t.min(busy)));
-                continue;
-            }
-            let slot = self.req_slot(router, out_port);
-            if self.requests[slot..slot + self.req_words]
-                .iter()
-                .all(|&w| w == 0)
+        while let Some(out) = self.next_active(router, next) {
+            next = out + 1;
+            let out_port = out as u32;
+            let peer = self.graph.peer(router, out_port);
+            // No probe can grant towards a router none of whose
+            // downstream VCs has a free slot.
+            let cb = qb + self.qidx(out_port, 0);
+            if matches!(peer, Endpoint::Router { .. })
+                && self.credits[cb..cb + vcs as usize].iter().all(|&c| c == 0)
             {
                 continue;
             }
+            let slot = self.req_slot(router, out_port);
             // Round-robin for fairness: the first requesting input queue
             // cyclically from `rr` whose downstream VC has space.
-            let peer = self.graph.peer(router, out_port);
             let start = self.rr[router as usize] as usize;
             let mut grant = None;
             'probe: for (lo, hi) in [(start, nq), (0, start)] {
@@ -576,6 +620,7 @@ impl RouterNet {
                         continue;
                     };
                     let dvc = self.packets[pkt as usize].decision.1;
+                    debug_assert!(dvc < vcs, "downstream VC {dvc} of {vcs}");
                     let has_credit = match peer {
                         Endpoint::Router { .. } => self.credits[qb + self.qidx(out_port, dvc)] > 0,
                         Endpoint::Node(_) => true, // nodes always sink
@@ -605,9 +650,9 @@ impl RouterNet {
             let in_vc = (qi as u32) % vcs;
             let in_port = (qi as u32) / vcs;
             self.rq_pop_front(router, qi);
-            self.out_pending[pb + out_port as usize] -= 1;
-            self.out_busy[pb + out_port as usize] = now + ser;
+            self.out_pending[pb + out] -= 1;
             self.rr[router as usize] = (qi as u32 + 1) % nq as u32;
+            granted = true;
 
             // Return the freed input slot upstream once the tail passes.
             self.refund_credit(ser, router, in_port, in_vc, sched);
@@ -637,13 +682,14 @@ impl RouterNet {
                 }
                 Endpoint::Unused => {} // filtered by has_credit above
             }
-            // This output is now busy until now+ser; revisit then if
-            // more traffic waits.
-            let t = now + ser;
-            next_wakeup = Some(next_wakeup.map_or(t, |x: Time| x.min(t)));
         }
-        if let Some(t) = next_wakeup {
-            self.schedule_arb(router, t, sched);
+        // Every output granted this round is busy until now+ser; revisit
+        // then. Until that `Arb` runs, `arb_scheduled` holds back any
+        // earlier one, so no output is busy when the router next
+        // arbitrates.
+        if granted {
+            self.busy_until[router as usize] = now + ser;
+            self.schedule_arb(router, now + ser, sched);
         }
     }
 
@@ -651,6 +697,21 @@ impl RouterNet {
     pub fn into_report(mut self, end: Time) -> LatencyReport {
         self.report(end)
     }
+}
+
+/// First set bit of the bitset `words` in `from..end`.
+fn first_set(words: &[u64], from: usize, end: usize) -> Option<usize> {
+    let mut w = from / 64;
+    let mut bits = words.get(w)? & (u64::MAX << (from % 64));
+    while bits == 0 {
+        w += 1;
+        if w * 64 >= end {
+            return None;
+        }
+        bits = *words.get(w)?;
+    }
+    let i = w * 64 + bits.trailing_zeros() as usize;
+    (i < end).then_some(i)
 }
 
 impl PacketModel for RouterNet {
@@ -692,7 +753,7 @@ impl PacketModel for RouterNet {
         let vcs = self.rp.vcs as usize;
         for r in 0..self.router_down.len() {
             let qb = self.q_base(r as u32);
-            let nq = (self.graph.radix(r as u32) as usize) * vcs;
+            let nq = (self.radix(r as u32) as usize) * vcs;
             let queued = self.q_len[qb..qb + nq].iter().map(|&l| u64::from(l)).sum();
             self.oracle
                 .residual(at, format_args!("router[{r}].queues"), queued);
@@ -798,7 +859,7 @@ impl Model for RouterNet {
                 let mut route = RouteState::default();
                 {
                     let pb = self.port_base(router);
-                    let radix = self.graph.radix(router) as usize;
+                    let radix = self.radix(router) as usize;
                     let pending: &[u32] = &self.out_pending[pb..pb + radix];
                     self.alg.on_inject(
                         router,
@@ -869,7 +930,7 @@ impl Model for RouterNet {
                 let mut route = self.packets[pkt as usize].route;
                 let pb = self.port_base(router);
                 let decision = {
-                    let radix = self.graph.radix(router) as usize;
+                    let radix = self.radix(router) as usize;
                     let pending: &[u32] = &self.out_pending[pb..pb + radix];
                     self.alg.route(
                         &self.graph,
@@ -949,7 +1010,7 @@ impl Model for RouterNet {
                 } else {
                     let idx = self.qidx(port, vc);
                     let slot = if (router as usize) < self.router_down.len()
-                        && idx < (self.graph.radix(router) * self.rp.vcs) as usize
+                        && idx < (self.radix(router) * self.rp.vcs) as usize
                     {
                         let flat = self.q_base(router) + idx;
                         self.credits.get_mut(flat)
@@ -1197,12 +1258,14 @@ mod tests {
         );
     }
 
-    /// Rebuilds every request set from the queue heads and their
-    /// decisions and checks it against the maintained bits.
+    /// Rebuilds every request set and requested-output mask from the
+    /// queue heads and their decisions and checks them against the
+    /// maintained bits.
     fn assert_request_sets_match_heads(m: &RouterNet) {
         let mut rebuilt = vec![0u64; m.requests.len()];
+        let mut active = vec![0u64; m.active.len()];
         for r in 0..m.router_down.len() as u32 {
-            let radix = m.graph.radix(r);
+            let radix = m.radix(r);
             let qb = m.q_base(r);
             for qi in 0..(radix * m.rp.vcs) as usize {
                 let Some(head) = m.queues.front(qb + qi) else {
@@ -1211,6 +1274,7 @@ mod tests {
                 let out = m.packets[head as usize].decision.0;
                 if out < radix {
                     rebuilt[m.req_slot(r, out) + qi / 64] |= 1 << (qi % 64);
+                    active[m.act_slot(r) + out as usize / 64] |= 1 << (out % 64);
                 }
             }
         }
@@ -1218,22 +1282,71 @@ mod tests {
             m.requests == rebuilt,
             "request sets diverged from queue heads"
         );
+        assert!(
+            m.active == active,
+            "requested-output masks diverged from the request sets"
+        );
+    }
+
+    /// A [`RouterNet`] that looks at every `Arb` before it runs: it
+    /// counts the arbitrations, and those whose router still has an
+    /// output busy past the clock (none, by the invariant in DESIGN.md,
+    /// "Arbitration over requesting outputs").
+    struct ArbWatch {
+        net: RouterNet,
+        arbs: u64,
+        busy_at_arb: u64,
+    }
+
+    impl Model for ArbWatch {
+        type Event = Ev;
+
+        fn handle(&mut self, now: Time, ev: Ev, sched: &mut Scheduler<Ev>) {
+            if let Ev::Arb(r) = ev {
+                self.arbs += 1;
+                self.busy_at_arb += u64::from(self.net.busy_until[r as usize] > now);
+            }
+            self.net.handle(now, ev, sched);
+        }
+    }
+
+    impl PacketModel for ArbWatch {
+        const WAKE: fn(u32) -> Ev = Ev::Wake;
+        const FAULT: fn(u32) -> Ev = Ev::Fault;
+
+        fn parts(&mut self) -> (&mut Driver, &mut Collector, &mut Oracle, &mut FaultPlan) {
+            self.net.parts()
+        }
+
+        fn oracle_tick(&mut self, now: Time) -> bool {
+            self.net.oracle_tick(now)
+        }
+
+        fn oracle_check_drained(&mut self, end: Time) {
+            self.net.oracle_check_drained(end);
+        }
     }
 
     /// Runs `model` to drain under `plan` in slices of `every` events,
-    /// checking the request sets after each slice, and hands back the
-    /// final model with the number of slices that ended with a request
+    /// checking the request sets after each slice and the output busy
+    /// times at every `Arb`, and hands back the final model (with its
+    /// `Arb` counts) and the number of slices that ended with a request
     /// bit in a set's second or later word.
-    fn drain_checking_requests(model: RouterNet, plan: &FaultPlan, every: u64) -> (RouterNet, u32) {
+    fn drain_checking_requests(model: RouterNet, plan: &FaultPlan, every: u64) -> (ArbWatch, u32) {
         let spec = RunSpec {
             plan: plan.clone(),
             ..RunSpec::new(link(), plan.seed)
         };
-        let mut sim = runner::install(model, &spec, 4096);
+        let watch = ArbWatch {
+            net: model,
+            arbs: 0,
+            busy_at_arb: 0,
+        };
+        let mut sim = runner::install(watch, &spec, 4096);
         let mut high_word_slices = 0;
         loop {
             let stop = sim.run_until(Time::from_ns(500_000_000), every);
-            let m = sim.model();
+            let m = &sim.model().net;
             assert_request_sets_match_heads(m);
             if m.requests
                 .chunks(m.req_words)
@@ -1265,7 +1378,7 @@ mod tests {
             21,
             4096,
         );
-        drain_checking_requests(model, plan, 64).0
+        drain_checking_requests(model, plan, 64).0.net
     }
 
     #[test]
@@ -1285,7 +1398,7 @@ mod tests {
             4096,
         );
         let (mb_done, _) = drain_checking_requests(model, &FaultPlan::new(4), 97);
-        assert_eq!(mb_done.metrics.delivered(), 64 * 20);
+        assert_eq!(mb_done.net.metrics.delivered(), 64 * 20);
 
         // k = 22: 66 input queues per router, so each set spans two words
         // and the second one must actually carry requests.
@@ -1304,8 +1417,136 @@ mod tests {
         );
         assert_eq!(model.req_words, 2);
         let (ft_done, high_word_slices) = drain_checking_requests(model, &FaultPlan::new(5), 997);
-        assert_eq!(ft_done.metrics.delivered(), 2 * u64::from(nodes));
+        assert_eq!(ft_done.net.metrics.delivered(), 2 * u64::from(nodes));
         assert!(high_word_slices > 0, "no request ever reached word 1");
+    }
+
+    #[test]
+    fn no_output_is_busy_when_its_router_arbitrates() {
+        // Saturated: a 4x storm keeps every router granting back to back,
+        // so each grant's follow-up `Arb` lands exactly at its busy-until.
+        let mb = MultiButterfly::new(64, 4, 4);
+        let g = build_mb_graph(&mb, 100_000, 10_000);
+        let d = Driver::storm(64, Pattern::UniformRandom, 4.0, 20, &link(), 4);
+        let model = RouterNet::new(
+            g,
+            RoutingAlg::MultiButterfly(mb),
+            link(),
+            RouterParams::paper(),
+            d,
+            4,
+            4096,
+        );
+        let (saturated, _) = drain_checking_requests(model, &FaultPlan::new(4), 997);
+        assert!(saturated.arbs > 0);
+        assert_eq!(saturated.busy_at_arb, 0, "{} arbitrations", saturated.arbs);
+
+        // Chaos: routers die and come back while their `Arb`s are queued;
+        // an `Arb` that finds its router dead grants nothing and a revived
+        // router waits for its next arrival or credit.
+        use crate::faults::{ChaosProfile, ChaosShape};
+        let shape = ChaosShape {
+            stages: 0,
+            width: 0,
+            m: 0,
+            nodes: 16,
+            routers: 20,
+        };
+        let profile = ChaosProfile {
+            warmup_ps: 1_000_000,
+            last_repair_ps: 20_000_000,
+            pairs: 8,
+        };
+        let plan = FaultPlan::chaos(35, &shape, &profile);
+        let ft = FatTree::new(4);
+        let g = ft.build_graph(10_000, 50_000, 100_000);
+        let d = Driver::open_loop(16, Pattern::RandomPermutation, 0.9, 60, &link(), 35);
+        let model = RouterNet::new(
+            g,
+            RoutingAlg::FatTree(ft),
+            link(),
+            RouterParams::paper(),
+            d,
+            35,
+            4096,
+        );
+        let (chaos, _) = drain_checking_requests(model, &plan, 251);
+        assert!(
+            chaos.net.metrics.abandoned() > 0,
+            "the plan must kill something"
+        );
+        assert!(chaos.arbs > 0);
+        assert_eq!(chaos.busy_at_arb, 0, "{} arbitrations", chaos.arbs);
+    }
+
+    /// Queues a packet routed to `(out, vc 0)` on input queue `qi` of
+    /// router 0, as an arrival does.
+    fn enqueue(m: &mut RouterNet, qi: usize, out: u32) -> PktId {
+        let pkt = m.packets.len() as PktId;
+        m.packets.push(RPacket {
+            src: NodeId(0),
+            dst: NodeId(0),
+            generated_at: Time::ZERO,
+            route: RouteState::default(),
+            decision: (out, 0),
+        });
+        m.queues.add_id();
+        m.rq_push_back(0, qi, pkt);
+        m.out_pending[out as usize] += 1;
+        pkt
+    }
+
+    #[test]
+    fn a_radix_over_64_router_arbitrates_through_the_masks_second_word() {
+        // One router of radix 70 (two mask words, four request-set words)
+        // with a node on every port but the last, which leads to a second
+        // router.
+        let mut g = RouterGraph::new(2, 70);
+        for p in 0..69 {
+            g.attach_node(0, p, 10_000);
+        }
+        g.connect((0, 69), (1, 0), 10_000);
+        let d = Driver::open_loop(69, Pattern::UniformRandom, 0.1, 1, &link(), 1);
+        let mut m = RouterNet::new(
+            g,
+            RoutingAlg::FatTree(FatTree::new(4)),
+            link(),
+            RouterParams::paper(),
+            d,
+            1,
+            16,
+        );
+        assert_eq!((m.act_words, m.req_words), (2, 4));
+        // Queue 206 (port 68, VC 2) holds a packet for output 5, then one
+        // for output 66; queue 3 (port 1) one for output 65, then one for
+        // output 2; queue 6 (port 2) one for output 69, whose downstream
+        // router has no credit left on any VC.
+        let a = enqueue(&mut m, 206, 5);
+        let b = enqueue(&mut m, 206, 66);
+        let c = enqueue(&mut m, 3, 65);
+        let d = enqueue(&mut m, 3, 2);
+        let e = enqueue(&mut m, 6, 69);
+        m.credits[69 * 3..70 * 3].fill(0);
+        assert_request_sets_match_heads(&m);
+        assert_eq!(m.active[..2], [1 << 5, 1 << (65 - 64) | 1 << (69 - 64)]);
+
+        let mut sched = Scheduler::new();
+        m.arbitrate(Time::ZERO, 0, &mut sched);
+        assert_request_sets_match_heads(&m);
+        // Output 5 grants `a`, exposing `b` to output 66 in the same round;
+        // output 65 grants `c`, exposing `d` to output 2, which this round
+        // has passed; output 69 has no credit and grants nothing.
+        let delivered: Vec<PktId> = std::iter::from_fn(|| sched.pop_scheduled())
+            .filter_map(|(_, _, ev)| match ev {
+                Ev::Deliver { pkt, .. } => Some(pkt),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(delivered, [a, c, b]);
+        assert_eq!(m.active[..2], [1 << 2, 1 << (69 - 64)]);
+        assert_eq!(m.queues.front(3), Some(d));
+        assert_eq!(m.queues.front(6), Some(e));
+        assert!(m.arb_scheduled[0], "the next round waits one serialization");
     }
 
     #[test]

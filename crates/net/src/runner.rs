@@ -369,7 +369,8 @@ pub(crate) fn install<M: PacketModel>(
 
 /// Runs the model `build(driver, sample_cap)` under `spec` to drain or to
 /// the horizon (`spec`'s, else `default_horizon_ns`); returns the report
-/// and the kernel-state accounting.
+/// and the kernel-state accounting, which records the packets a horizon
+/// stop left ungenerated ([`StateStats::unsent_at_horizon`]).
 pub(crate) fn run_packet_model<M: PacketModel>(
     driver: Driver,
     spec: &RunSpec,
@@ -386,13 +387,17 @@ pub(crate) fn run_packet_model<M: PacketModel>(
     let stop = sim.run_until_observed(horizon, u64::MAX, 8192, |m, now| !m.oracle_tick(now));
     let sched = sim.scheduler();
     let (end, events) = (sched.now(), sched.events_executed());
-    let stats = StateStats {
+    let mut stats = StateStats {
         peak_pending_events: sched.peak_pending() as u64,
         events_scheduled: sched.events_scheduled(),
         queue_bytes: sched.state_bytes(),
         ..sim.model().model_stats()
     };
     let mut model = sim.into_model();
+    if stop == StopReason::Horizon {
+        let (driver, metrics, _, _) = model.parts();
+        stats.unsent_at_horizon = driver.total_to_send().saturating_sub(metrics.generated());
+    }
     if stop == StopReason::Drained {
         let before = model.parts().2.total();
         model.oracle_check_drained(end);

@@ -364,10 +364,17 @@ impl<E> CalendarQueue<E> {
 /// Brown's width rule over the earliest [`SAMPLE`] events, sorted, as a
 /// power-of-two shift: three times the mean separation after dropping
 /// separations over twice the mean (the plain mean if that leaves only
-/// ties). `None` with fewer than two events.
+/// ties). `None` with fewer than two events, or when they all tie at one
+/// instant: a sample with no separation says nothing about the width, and
+/// 1 ps buckets would make every later change of instant a direct search
+/// of the whole table.
 fn width_shift(head: &[(u64, u64, u32)]) -> Option<u32> {
     let gaps = (head.len() as u64).checked_sub(1).filter(|&g| g > 0)?;
-    let mean = (head[head.len() - 1].0 - head[0].0) / gaps;
+    let span = head[head.len() - 1].0 - head[0].0;
+    if span == 0 {
+        return None;
+    }
+    let mean = span / gaps;
     let (sum, kept) = head
         .windows(2)
         .map(|w| w[1].0 - w[0].0)
@@ -582,13 +589,15 @@ mod tests {
     }
 
     /// The churn a tie-heavy queue used to cause, pinned by the resize
-    /// counters: clusters of 260 events tied at one instant, 100 ns
-    /// apart. The earliest [`SAMPLE`] events are all ties, so the width
-    /// rule picks 1 ps buckets and each cluster change is a direct search
-    /// of the whole table, whose cost keeps triggering re-estimates that
-    /// pick the same width at the same bucket count. When every re-estimate
-    /// re-linked the queue, the 200 cluster changes below made 21 resizes
-    /// that re-linked 109,179 events; now they re-link nothing.
+    /// counters and the scan cost: clusters of 260 events tied at one
+    /// instant, 100 ns apart. The earliest [`SAMPLE`] events are all ties,
+    /// so the width rule keeps the current 1,024 ps buckets: a cluster
+    /// change then scans the 97 or 98 days to the next cluster, 19,433
+    /// steps over the 200 changes below. When the rule picked 1 ps buckets
+    /// for such a sample, each change was a direct search of the whole
+    /// 4,096-bucket table, 1,630,208 steps in all; and when every
+    /// re-estimate re-linked the queue, those changes made 21 resizes that
+    /// re-linked 109,179 events. Now they re-link nothing.
     #[test]
     fn a_rewidth_that_keeps_the_geometry_relinks_nothing() {
         let mut q = CalendarQueue::new();
@@ -606,15 +615,20 @@ mod tests {
         // Eight doublings from 16 buckets to 4,096 re-link 33 + 65 + ...
         // + 4,097 events.
         assert_eq!((q.resizes(), q.relinked()), (8, 8_168));
-        assert_eq!((q.buckets.len(), q.shift), (4_096, 0));
+        assert_eq!((q.buckets.len(), q.shift), (4_096, 10));
+        let mut scanned = 0;
         for c in 20..220 {
             for _ in 0..cluster {
-                assert!(pop(&mut q).is_some());
+                let cost = q.cost;
+                let head = q.seek().expect("a cluster is queued");
+                scanned += q.cost - cost;
+                assert!(q.pop_head(head).is_some());
             }
             push_cluster(&mut q, c);
         }
         check(&q);
         assert_eq!((q.resizes(), q.relinked()), (8, 8_168));
-        assert_eq!((q.buckets.len(), q.shift), (4_096, 0));
+        assert_eq!((q.buckets.len(), q.shift), (4_096, 10));
+        assert_eq!(scanned, 19_433, "scan cost of the 200 cluster changes");
     }
 }

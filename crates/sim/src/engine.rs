@@ -14,7 +14,10 @@
 //! smallest `(time, seq)` of the lane heads and one calendar search. A
 //! delay that finds every lane taken goes on the calendar. Lanes and
 //! calendar share one sequence counter, so the pop order is the exact
-//! `(time, seq)` order wherever an event was queued.
+//! `(time, seq)` order wherever an event was queued. Both lane lookups are
+//! branch-free over fixed arrays: a push compares its delay with every
+//! open lane's at once, and a pop takes the minimum of the lane heads as
+//! `u128` keys (time in the high word, sequence number in the low).
 
 use std::collections::VecDeque;
 
@@ -27,8 +30,21 @@ use crate::time::{Duration, Time};
 /// model five to eight.
 pub const LANES: usize = 8;
 
-/// The head of an empty lane: it sorts after every queued event.
-const NO_HEAD: (Time, u64) = (Time::MAX, u64::MAX);
+/// The head key of an empty or unopened lane: it sorts after every
+/// queued event.
+const NO_HEAD: u128 = u128::MAX;
+
+/// `(at, seq)` as one key that sorts like the pair.
+#[inline]
+fn key(at: Time, seq: u64) -> u128 {
+    (u128::from(at.as_ps()) << 64) | u128::from(seq)
+}
+
+/// The time half of a [`key`].
+#[inline]
+fn key_time(key: u128) -> Time {
+    Time((key >> 64) as u64)
+}
 
 /// A simulation model: owns all mutable world state and interprets events.
 ///
@@ -43,13 +59,6 @@ pub trait Model {
     fn handle(&mut self, now: Time, event: Self::Event, sched: &mut Scheduler<Self::Event>);
 }
 
-/// The events pushed at one fixed delay from the clock, in `(time, seq)`
-/// order.
-struct Lane<E> {
-    delay: Duration,
-    ring: VecDeque<(Time, u64, E)>,
-}
-
 /// The future event list.
 ///
 /// Events at the same timestamp are delivered in the order they were
@@ -59,11 +68,16 @@ struct Lane<E> {
 /// ([`Scheduler::state_bytes`]).
 pub struct Scheduler<E> {
     queue: CalendarQueue<E>,
-    /// At most [`LANES`], in the order their delays were first pushed.
-    lanes: Vec<Lane<E>>,
-    /// `(time, seq)` of each lane's head, [`NO_HEAD`] when it is empty:
-    /// a pop compares these without touching the rings.
-    heads: [(Time, u64); LANES],
+    /// The events pushed at one fixed delay from the clock, in `(time,
+    /// seq)` order: one ring per open lane, at most [`LANES`], in the
+    /// order their delays were first pushed.
+    lanes: Vec<VecDeque<(Time, u64, E)>>,
+    /// The delay of each open lane in picoseconds; the entries from
+    /// `lanes.len()` on belong to no lane and are never matched.
+    delays: [u64; LANES],
+    /// The [`key`] of each lane's head, [`NO_HEAD`] when it is empty or
+    /// unopened: a pop compares these without touching the rings.
+    heads: [u128; LANES],
     /// The calendar's head as its last search found it, kept while no
     /// calendar push or pop intervenes, so a pop that a lane wins costs
     /// no calendar search at all.
@@ -88,6 +102,7 @@ impl<E> Scheduler<E> {
         Scheduler {
             queue: CalendarQueue::new(),
             lanes: Vec::with_capacity(LANES),
+            delays: [0; LANES],
             heads: [NO_HEAD; LANES],
             calendar_head: None,
             pending: 0,
@@ -150,7 +165,7 @@ impl<E> Scheduler<E> {
     /// lanes' rings), by capacity.
     pub fn state_bytes(&self) -> u64 {
         let entry = std::mem::size_of::<(Time, u64, E)>();
-        let lanes: usize = self.lanes.iter().map(|l| l.ring.capacity() * entry).sum();
+        let lanes: usize = self.lanes.iter().map(|ring| ring.capacity() * entry).sum();
         self.queue.state_bytes() + lanes as u64
     }
 
@@ -183,18 +198,16 @@ impl<E> Scheduler<E> {
     #[inline]
     pub fn schedule_in(&mut self, delay: Duration, event: E) {
         let at = self.now + delay;
-        let lane = match self.lanes.iter().position(|l| l.delay == delay) {
+        let lane = match self.find_lane(delay) {
             Some(i) => i,
             None if self.lanes.len() < LANES => {
-                self.lanes.push(Lane {
-                    delay,
-                    ring: VecDeque::new(),
-                });
+                self.delays[self.lanes.len()] = delay.as_ps();
+                self.lanes.push(VecDeque::new());
                 self.lanes.len() - 1
             }
             None => return self.schedule_at(at, event),
         };
-        let ring = &mut self.lanes[lane].ring;
+        let ring = &mut self.lanes[lane];
         if let Some(&(tail, _, _)) = ring.back() {
             assert!(at >= tail, "lane pushes must not go back in time");
         }
@@ -207,7 +220,7 @@ impl<E> Scheduler<E> {
             ring.reserve_exact((ring.len() / 2).max(1024));
         }
         if ring.is_empty() {
-            self.heads[lane] = (at, self.seq);
+            self.heads[lane] = key(at, self.seq);
         }
         ring.push_back((at, self.seq, event));
         self.pushed();
@@ -224,28 +237,39 @@ impl<E> Scheduler<E> {
     /// (none if no lane holds that delay). A model may read ahead through
     /// them, e.g. to load the state the next events touch.
     pub fn lane(&self, delay: Duration) -> impl Iterator<Item = &E> + '_ {
-        self.lanes
-            .iter()
-            .filter(move |l| l.delay == delay)
-            .flat_map(|l| l.ring.iter().map(|(_, _, event)| event))
+        self.find_lane(delay)
+            .into_iter()
+            .flat_map(|lane| self.lanes[lane].iter().map(|(_, _, event)| event))
     }
 
-    /// The lane whose head pops first, with that head's `(time, seq)`.
+    /// The open lane for `delay`: every delay is compared at once, and the
+    /// entries past the open lanes are masked off.
     #[inline]
-    fn lane_head(&self) -> Option<(usize, Time, u64)> {
-        let mut first = 0;
-        for i in 1..self.lanes.len() {
-            if self.heads[i] < self.heads[first] {
-                first = i;
-            }
+    fn find_lane(&self, delay: Duration) -> Option<usize> {
+        let mut hits = 0u32;
+        for (i, &d) in self.delays.iter().enumerate() {
+            hits |= u32::from(d == delay.as_ps()) << i;
         }
-        let (at, seq) = self.heads[first];
-        (seq != NO_HEAD.1).then_some((first, at, seq))
+        hits &= (1u32 << self.lanes.len()) - 1;
+        (hits != 0).then(|| hits.trailing_zeros() as usize)
+    }
+
+    /// The lane whose head pops first, with that head's [`key`]: a
+    /// minimum over every slot of `heads`, selected without branches.
+    #[inline]
+    fn lane_head(&self) -> Option<(usize, u128)> {
+        let (mut first, mut best) = (0, self.heads[0]);
+        for (i, &head) in self.heads.iter().enumerate().skip(1) {
+            let less = head < best;
+            best = if less { head } else { best };
+            first = if less { i } else { first };
+        }
+        (best != NO_HEAD).then_some((first, best))
     }
 
     /// The timestamp of the next pending event, if any.
     pub fn peek_time(&self) -> Option<Time> {
-        let lane = self.lane_head().map(|(_, at, _)| at);
+        let lane = self.lane_head().map(|(_, head)| key_time(head));
         let calendar = self.queue.peek().map(|(at, _)| at);
         lane.into_iter().chain(calendar).min()
     }
@@ -274,7 +298,7 @@ impl<E> Scheduler<E> {
         self.calendar_head = calendar;
         let lane = self.lane_head();
         let popped = match calendar {
-            Some(head) if lane.is_none_or(|(_, at, seq)| (head.at, head.seq) < (at, seq)) => {
+            Some(head) if lane.is_none_or(|(_, first)| key(head.at, head.seq) < first) => {
                 if head.at > horizon {
                     Err(StopReason::Horizon)
                 } else {
@@ -284,11 +308,11 @@ impl<E> Scheduler<E> {
             }
             _ => match lane {
                 None => Err(StopReason::Drained),
-                Some((_, at, _)) if at > horizon => Err(StopReason::Horizon),
-                Some((lane, _, _)) => {
-                    let ring = &mut self.lanes[lane].ring;
+                Some((_, first)) if key_time(first) > horizon => Err(StopReason::Horizon),
+                Some((lane, _)) => {
+                    let ring = &mut self.lanes[lane];
                     let popped = ring.pop_front().ok_or(StopReason::Drained);
-                    self.heads[lane] = ring.front().map_or(NO_HEAD, |&(at, seq, _)| (at, seq));
+                    self.heads[lane] = ring.front().map_or(NO_HEAD, |&(at, seq, _)| key(at, seq));
                     popped
                 }
             },
@@ -720,6 +744,28 @@ mod tests {
             .collect();
         expect.sort_unstable();
         assert_eq!(order, expect);
+    }
+
+    #[test]
+    fn lanes_open_in_first_push_order_and_unopened_slots_match_nothing() {
+        let mut sched = Scheduler::<u64>::new();
+        let ps = Duration::from_ps;
+        // Every unopened slot holds delay 0, and none of them is a lane.
+        assert_eq!(sched.find_lane(Duration::ZERO), None);
+        assert_eq!(sched.lane(Duration::ZERO).count(), 0);
+        assert_eq!(sched.lane_head(), None);
+        sched.schedule_in(ps(7), 0);
+        sched.schedule_in(ps(3), 1);
+        sched.schedule_now(2);
+        sched.schedule_in(ps(7), 3);
+        assert_eq!(sched.delays[..sched.lanes.len()], [7, 3, 0]);
+        assert_eq!(
+            [ps(7), ps(3), Duration::ZERO, ps(5)].map(|d| sched.find_lane(d)),
+            [Some(0), Some(1), Some(2), None]
+        );
+        assert_eq!(sched.lane(ps(7)).copied().collect::<Vec<_>>(), [0, 3]);
+        // The head of lane 2 (t = 0, seq 2) sorts first.
+        assert_eq!(sched.lane_head(), Some((2, key(Time::ZERO, 2))));
     }
 
     #[test]
