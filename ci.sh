@@ -63,13 +63,34 @@ expect_exit() {
     fi
 }
 
+# `filtered_test <cargo test args> -- <filter>...` runs the tests the
+# filters match, after checking that each filter matches at least one:
+# `--list` must print some `<name>: test` line for it. A renamed or deleted
+# test then fails its step instead of turning it into a silent pass.
+filtered_test() {
+    local args=() f listed
+    while [ "$#" -gt 0 ] && [ "$1" != "--" ]; do
+        args+=("$1")
+        shift
+    done
+    shift
+    for f in "$@"; do
+        listed="$(cargo test -q "${args[@]}" -- "${f}" --list 2>/dev/null)" || return 1
+        if ! grep -q ': test$' <<<"${listed}"; then
+            echo "no test matches filter '${f}': cargo test ${args[*]}"
+            return 1
+        fi
+    done
+    cargo test -q "${args[@]}" -- "$@"
+}
+
 # The calendar queue's unit tests (structural invariants, width rule,
 # bytes bounded by the peak pending population), then the two property
 # tests that hold the scheduler pop for pop against a reference binary
 # heap.
 scheduler_equivalence() {
-    cargo test -q -p baldur-sim calendar &&
-        cargo test -q --test properties -- calendar_queue_matches_heap scheduler_backends_pop_identically
+    filtered_test -p baldur-sim -- calendar &&
+        filtered_test --test properties -- calendar_queue_matches_heap scheduler_backends_pop_identically
 }
 
 # The fixed-delay lanes both packet models schedule through: the K-lane
@@ -81,11 +102,11 @@ scheduler_equivalence() {
 # deliveries and zero-delay wakeups ride the lanes, and the scaling head,
 # whose queue bytes count the lanes' rings.
 fixed_delay_lanes() {
-    cargo test -q --test properties fifo_lane_pops_like_the_heap &&
-        cargo test -q -p baldur-sim -- lane stop_reasons seek_moves_the_cursor a_rewidth_that_keeps_the_geometry &&
-        cargo test -q -p baldur-net router_net &&
+    filtered_test --test properties -- fifo_lane_pops_like_the_heap &&
+        filtered_test -p baldur-sim -- lane stop_reasons seek_moves_the_cursor a_rewidth_that_keeps_the_geometry &&
+        filtered_test -p baldur-net -- router_net &&
         cargo test -q --test router_arbitration &&
-        cargo test -q --test golden_suite golden_scaling_head_csv
+        filtered_test --test golden_suite -- golden_scaling_head_csv
 }
 
 # Router arbitration over requesting outputs: the busy-at-arbitration
@@ -94,11 +115,11 @@ fixed_delay_lanes() {
 # rebuild, then the two-word report digests and the engine's lane tests
 # (branch-free lane lookup and lane-head minimum).
 arbitration_over_requests() {
-    cargo test -q -p baldur-net -- no_output_is_busy_when_its_router_arbitrates \
+    filtered_test -p baldur-net -- no_output_is_busy_when_its_router_arbitrates \
         a_radix_over_64_router_arbitrates_through_the_masks_second_word \
         request_sets_track_queue_heads_under_saturation &&
         cargo test -q --test router_arbitration &&
-        cargo test -q -p baldur-sim lane
+        filtered_test -p baldur-sim -- lane
 }
 
 # The port table's epoch format: the offset table against absolute
@@ -107,17 +128,17 @@ arbitration_over_requests() {
 # epoch boundaries, one through a link outage, then the scaling head's
 # state bytes.
 port_epochs() {
-    cargo test -q --test properties busy_table_matches_absolute_times &&
+    filtered_test --test properties -- busy_table_matches_absolute_times &&
         cargo test -q --test port_epochs &&
-        cargo test -q --test golden_suite golden_scaling_head_csv
+        filtered_test --test golden_suite -- golden_scaling_head_csv
 }
 
 # The packet-model pins: the report fingerprints of both SoA packet models
 # against their retired map-based baselines, then the exact hot-path work
 # counters and the scaling head's state and queue bytes.
 packet_model_pins() {
-    cargo test -q --test properties soa_models &&
-        cargo test -q --test golden_suite -- golden_hot_paths_csv golden_scaling_head_csv
+    filtered_test --test properties -- soa_models &&
+        filtered_test --test golden_suite -- golden_hot_paths_csv golden_scaling_head_csv
 }
 
 # The fabric state layout: the multi-butterfly's one-u32-per-link table
@@ -126,10 +147,10 @@ packet_model_pins() {
 # hop event and 24-byte packet row, the 8-byte optional arena handle,
 # then the state bytes they add up to in the scaling head.
 fabric_layout() {
-    cargo test -q -p baldur-topo -- target_is_the_path_th_candidate validate_reports_a_double_filled_port &&
-        cargo test -q -p baldur-net hop_event_and_packet_row_sizes_are_pinned &&
-        cargo test -q -p baldur-sim option_handle_is_niche_packed &&
-        cargo test -q --test golden_suite -- golden_scaling_head_csv
+    filtered_test -p baldur-topo -- target_is_the_path_th_candidate validate_reports_a_double_filled_port &&
+        filtered_test -p baldur-net -- hop_event_and_packet_row_sizes_are_pinned &&
+        filtered_test -p baldur-sim -- option_handle_is_niche_packed &&
+        filtered_test --test golden_suite -- golden_scaling_head_csv
 }
 
 write_summary() {

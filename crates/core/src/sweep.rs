@@ -27,7 +27,9 @@
 //!
 //! Failure handling is isolated: panicking jobs become [`JobError`]
 //! slots instead of tearing down the sweep, and a failure budget
-//! ([`Sweep::with_fail_budget`]) aborts the sweep cleanly once exceeded.
+//! ([`Sweep::with_fail_budget`]) aborts the sweep cleanly once exceeded
+//! (the jobs it cancels are a suffix of the sweep's cache misses, in
+//! submission order).
 //! There is no per-job deadline; the recovery path for a wedged run is
 //! `kill -9` and a rerun, which the as-it-finishes cache writes make
 //! cheap. [`Sweep::try_map`] exposes the full per-slot picture;
@@ -40,11 +42,15 @@
 //! default, one `<hex>.json` per job), not by unit tests: a
 //! [`Sweep::new`] runner is uncached, so `cargo test` never touches the
 //! filesystem.
+//!
+//! A sweep reads no host clock: [`SweepStats`] counts jobs, cache hits
+//! and failures, and [`Sweep::summary`] prints those counts only. Host
+//! time is measured outside the simulator, by the repo benchmark, which
+//! times each run in a child process.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
@@ -68,8 +74,6 @@ pub struct SweepStats {
     pub corrupt: usize,
     /// Jobs that failed: panicked or cancelled.
     pub failed: usize,
-    /// Wall-clock time for the whole sweep, milliseconds.
-    pub wall_ms: u64,
 }
 
 /// One failed job, kept for the end-of-run status table.
@@ -87,7 +91,7 @@ pub struct SweepFailure {
 ///
 /// Construct once per harness invocation and pass to the experiment
 /// functions; [`Sweep::summary`] renders the collected per-sweep
-/// wall-clock and cache counters, and [`Sweep::status_table`] renders the
+/// job and cache counters, and [`Sweep::status_table`] renders the
 /// failure report (if any).
 #[derive(Debug)]
 pub struct Sweep {
@@ -121,7 +125,7 @@ impl Sweep {
     }
 
     /// Tolerates `budget` failed jobs per sweep; the next failure
-    /// cancels the sweep's remaining queue (those jobs come back
+    /// cancels the sweep's unclaimed jobs (those jobs come back
     /// [`JobErrorKind::Skipped`]) and sets [`Sweep::aborted`]. Without a
     /// budget, every job runs.
     #[must_use]
@@ -180,7 +184,6 @@ impl Sweep {
         R: Serialize + Deserialize + Send,
         F: Fn(&T) -> R + Sync,
     {
-        let start = Instant::now();
         let n = items.len();
         let paths: Vec<Option<PathBuf>> = items
             .iter()
@@ -262,7 +265,6 @@ impl Sweep {
             );
         }
 
-        let wall_ms = u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX);
         self.stats
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -272,7 +274,6 @@ impl Sweep {
                 cache_hits,
                 corrupt,
                 failed,
-                wall_ms,
             });
 
         results
@@ -310,8 +311,8 @@ impl Sweep {
     ///
     /// ```text
     /// sweep summary (threads=8, cache=results/cache)
-    ///   fig6            48 jobs    48 hits   0 corrupt      213 ms
-    ///   total           48 jobs    48 hits (100.0%)   0 corrupt   213 ms
+    ///   fig6                  48 jobs    48 hits   0 corrupt
+    ///   total                 48 jobs    48 hits (100.0%)   0 corrupt
     /// ```
     pub fn summary(&self) -> String {
         let stats = self.stats();
@@ -320,16 +321,15 @@ impl Sweep {
             None => "cache=off".to_string(),
         };
         let mut out = format!("sweep summary (threads={}, {cache_note})\n", self.threads);
-        let (mut jobs, mut hits, mut corrupt, mut ms) = (0usize, 0usize, 0usize, 0u64);
+        let (mut jobs, mut hits, mut corrupt) = (0usize, 0usize, 0usize);
         for s in &stats {
             out.push_str(&format!(
-                "  {:<18} {:>5} jobs {:>5} hits {:>3} corrupt {:>8} ms\n",
-                s.label, s.jobs, s.cache_hits, s.corrupt, s.wall_ms
+                "  {:<18} {:>5} jobs {:>5} hits {:>3} corrupt\n",
+                s.label, s.jobs, s.cache_hits, s.corrupt
             ));
             jobs += s.jobs;
             hits += s.cache_hits;
             corrupt += s.corrupt;
-            ms += s.wall_ms;
         }
         let pct = if jobs == 0 {
             0.0
@@ -337,7 +337,7 @@ impl Sweep {
             100.0 * hits as f64 / jobs as f64
         };
         out.push_str(&format!(
-            "  {:<18} {jobs:>5} jobs {hits:>5} hits ({pct:.1}%) {corrupt:>3} corrupt {ms:>4} ms\n",
+            "  {:<18} {jobs:>5} jobs {hits:>5} hits ({pct:.1}%) {corrupt:>3} corrupt\n",
             "total"
         ));
         out

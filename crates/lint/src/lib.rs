@@ -61,9 +61,8 @@ pub const WALL_FILES: &[&str] = &["crates/core/src/sweep.rs"];
 /// family, which walls off the result-producing crates): gated results
 /// are exact counters and reports, never host time. `bench::perf` hosts
 /// the single `Instant` read and installs it into the clock-free core,
-/// where it feeds only `scaling`'s advisory `wall_ns` column; everything
-/// else goes through an allowlist budget (the sweep summary's `wall_ms`)
-/// or not at all.
+/// where it feeds only `scaling`'s advisory `wall_ns` column; no other
+/// scanned file reads a clock, and no allowlist entry budgets one.
 pub const WALL_CLOCK_EXEMPT_FILES: &[&str] = &["crates/bench/src/perf.rs"];
 
 /// Files on the supervised job path: the code that runs *around* user

@@ -52,6 +52,7 @@ use baldur_sim::rng::StreamRng;
 use baldur_sim::{Duration, FifoSet, Model, Scheduler, Time};
 use baldur_topo::graph::{Endpoint, NodeId, RouterGraph};
 
+use crate::baldur_net::StateStats;
 use crate::config::{LinkParams, RouterParams, RunSpec};
 use crate::driver::Driver;
 use crate::faults::{nested_kill_set, FaultKind, FaultPlan};
@@ -1067,20 +1068,20 @@ impl Model for RouterNet {
 /// kinds ([`FaultKind::FailFraction`], [`FaultKind::RouterDown`],
 /// [`FaultKind::ReviveAll`]); packets reaching a dead router are terminal
 /// losses (`abandoned` in the report) since these baselines have no
-/// retransmission layer.
+/// retransmission layer. Returns the report and the kernel-state
+/// accounting, as [`crate::baldur_net::simulate`] does.
 pub fn simulate(
     graph: RouterGraph,
     alg: RoutingAlg,
     rp: RouterParams,
     driver: Driver,
     spec: &RunSpec,
-) -> LatencyReport {
+) -> (LatencyReport, StateStats) {
     let per_node = driver.total_to_send() / u64::from(driver.nodes().max(1)) + 1;
     let horizon_ns = 100 * per_node * spec.link.packet_time().as_ps() / 1_000 + 50_000_000;
     runner::run_packet_model(driver, spec, horizon_ns, |driver, sample_cap| {
         RouterNet::new(graph, alg, spec.link, rp, driver, spec.seed, sample_cap)
     })
-    .0
 }
 
 #[cfg(test)]
@@ -1108,11 +1109,41 @@ mod tests {
             RouterParams::paper(),
             d,
             &RunSpec::new(link(), 2),
-        );
+        )
+        .0;
         assert_eq!(r.delivered, r.generated);
         // Unloaded floor: up to 4 router hops x 90 ns + links + one
         // serialization >= ~500 ns.
         assert!(r.avg_ns > 400.0 && r.avg_ns < 2_000.0, "avg {}", r.avg_ns);
+    }
+
+    #[test]
+    fn a_horizon_stop_records_the_packets_never_generated() {
+        // 64 nodes on a k = 8 fat-tree at load 0.5: a node's 50 packets
+        // span about 16 us, so a 5 us horizon stops the run with most
+        // packets never generated, and the stop is recorded beside the
+        // report, whose shape is golden.
+        let seed = 0xBA1D;
+        let run = |horizon_ns| {
+            let ft = FatTree::at_least(64);
+            let g = ft.build_graph(10_000, 50_000, 100_000);
+            let d = Driver::open_loop(64, Pattern::UniformRandom, 0.5, 50, &link(), seed);
+            let spec = RunSpec {
+                horizon_ns,
+                ..RunSpec::new(link(), seed)
+            };
+            simulate(g, RoutingAlg::FatTree(ft), RouterParams::paper(), d, &spec)
+        };
+        let (r, stats) = run(Some(5_000));
+        assert!(r.generated < 64 * 50, "generated {}", r.generated);
+        assert!(stats.unsent_at_horizon > 0);
+        assert_eq!(stats.unsent_at_horizon, 64 * 50 - r.generated);
+        assert!(stats.peak_pending_events > 0 && stats.queue_bytes > 0);
+
+        // A run that drains owes nothing.
+        let (r, stats) = run(None);
+        assert_eq!(r.delivered, 64 * 50);
+        assert_eq!(stats.unsent_at_horizon, 0);
     }
 
     #[test]
@@ -1126,7 +1157,8 @@ mod tests {
             RouterParams::paper(),
             d,
             &RunSpec::new(link(), 3),
-        );
+        )
+        .0;
         assert_eq!(r.delivered, r.generated);
         assert!(r.avg_ns > 250.0 && r.avg_ns < 2_000.0, "avg {}", r.avg_ns);
     }
@@ -1142,7 +1174,8 @@ mod tests {
             RouterParams::paper(),
             d,
             &RunSpec::new(link(), 4),
-        );
+        )
+        .0;
         assert_eq!(r.delivered, r.generated);
         // 6 stages x 90 ns + 2 x 100 ns fiber + serialization ~ 0.9 us.
         assert!(r.avg_ns > 600.0 && r.avg_ns < 3_000.0, "avg {}", r.avg_ns);
@@ -1161,6 +1194,7 @@ mod tests {
                 d,
                 &RunSpec::new(link(), 5),
             )
+            .0
         };
         let hi = {
             let d = Driver::open_loop(16, Pattern::Hotspot, 0.9, 30, &link(), 5);
@@ -1171,6 +1205,7 @@ mod tests {
                 d,
                 &RunSpec::new(link(), 5),
             )
+            .0
         };
         assert!(
             hi.avg_ns > 2.0 * lo.avg_ns,
@@ -1192,7 +1227,8 @@ mod tests {
             RouterParams::paper(),
             d,
             &RunSpec::new(link(), 1),
-        );
+        )
+        .0;
         assert_eq!(r.delivered, r.generated);
         assert_eq!(r.delivered, 16 / 2 * 2 * 5);
     }
@@ -1205,7 +1241,7 @@ mod tests {
         let run_with = |alg: RoutingAlg| {
             let g = df.build_graph(10_000, 100_000);
             let d = Driver::open_loop(72, Pattern::GroupPermutation, 0.6, 40, &link(), 8);
-            simulate(g, alg, RouterParams::paper(), d, &RunSpec::new(link(), 8))
+            simulate(g, alg, RouterParams::paper(), d, &RunSpec::new(link(), 8)).0
         };
         let adaptive = run_with(RoutingAlg::Dragonfly(df.clone()));
         let minimal = run_with(RoutingAlg::DragonflyMinimal(df.clone()));
@@ -1231,7 +1267,8 @@ mod tests {
             RouterParams::paper(),
             d,
             &RunSpec::new(link(), 6),
-        );
+        )
+        .0;
         assert_eq!(r.delivered, r.generated, "lossless under backpressure");
         assert_eq!(r.drop_attempts, 0);
     }
@@ -1248,7 +1285,7 @@ mod tests {
             plan: FaultPlan::degradation(12, 0.15),
             ..RunSpec::new(link(), 12)
         };
-        let r = simulate(g, RoutingAlg::FatTree(ft), RouterParams::paper(), d, &spec);
+        let r = simulate(g, RoutingAlg::FatTree(ft), RouterParams::paper(), d, &spec).0;
         assert!(r.abandoned > 0, "dead routers must eat something");
         assert!(r.delivered > 0, "the rest of the fabric must still work");
         assert_eq!(
@@ -1606,7 +1643,7 @@ mod tests {
             plan,
             ..RunSpec::new(link(), 33)
         };
-        let r = simulate(g, RoutingAlg::FatTree(ft), RouterParams::paper(), d, &spec);
+        let r = simulate(g, RoutingAlg::FatTree(ft), RouterParams::paper(), d, &spec).0;
         assert!(r.oracle.is_clean(), "oracle: {:?}", r.oracle);
         assert_eq!(r.delivered + r.abandoned, r.generated, "conservation");
         assert_eq!(
@@ -1629,7 +1666,7 @@ mod tests {
             nic_queue_cap: 4,
             ..RouterParams::paper()
         };
-        let r = simulate(g, RoutingAlg::FatTree(ft), rp, d, &RunSpec::new(link(), 9));
+        let r = simulate(g, RoutingAlg::FatTree(ft), rp, d, &RunSpec::new(link(), 9)).0;
         assert_eq!(r.generated, 4 * 40);
         assert!(r.ingress_drops > 0, "storm must overflow the capped queue");
         assert_eq!(r.delivered + r.ingress_drops, r.generated);
@@ -1653,7 +1690,7 @@ mod tests {
             deadline_ps: 2_000_000, // 2 us age budget
             ..RouterParams::paper()
         };
-        let r = simulate(g, RoutingAlg::FatTree(ft), rp, d, &RunSpec::new(link(), 11));
+        let r = simulate(g, RoutingAlg::FatTree(ft), rp, d, &RunSpec::new(link(), 11)).0;
         assert_eq!(r.generated, 8 * 60);
         assert!(r.expired > 0, "queue wait past the deadline must shed");
         assert_eq!(
@@ -1678,7 +1715,8 @@ mod tests {
             rp2,
             d2,
             &RunSpec::new(link(), 11),
-        );
+        )
+        .0;
         assert_eq!(r2.expired, 0, "deadline 0 never expires");
         assert_eq!(r2.delivered + r2.ingress_drops, r2.generated);
     }
@@ -1696,6 +1734,7 @@ mod tests {
                 d,
                 &RunSpec::new(link(), 9),
             )
+            .0
         };
         let a = run();
         let b = run();

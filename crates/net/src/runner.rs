@@ -306,7 +306,7 @@ pub fn run(cfg: &RunConfig) -> LatencyReport {
             (graph, RoutingAlg::FatTree(ft), router)
         }
     };
-    router_net::simulate(graph, alg, *router, driver, &spec)
+    router_net::simulate(graph, alg, *router, driver, &spec).0
 }
 
 /// A packet model the shared run loop can drive.

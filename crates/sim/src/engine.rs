@@ -398,20 +398,9 @@ impl<M: Model> Simulation<M> {
         (&mut self.model, &mut self.sched)
     }
 
-    /// Executes a single event. Returns `false` when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        match self.sched.pop_scheduled() {
-            Some((now, _, ev)) => {
-                self.model.handle(now, ev, &mut self.sched);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Runs until the event queue drains. Returns the final simulated time.
     pub fn run(&mut self) -> Time {
-        while self.step() {}
+        self.run_until(Time::MAX, u64::MAX);
         self.sched.now()
     }
 

@@ -14,11 +14,11 @@
 //!   [`FifoSet`], intrusive FIFO queues over dense `u32` ids, and
 //!   [`BusyTable`], busy-until times as 4-byte offsets from a rolling epoch,
 //! * [`rng`] — reproducible, stream-split random number generation,
-//! * [`par`] — a work-stealing thread pool that fans independent runs
-//!   across workers while keeping output order (and thus bytes) identical
-//!   to the serial path,
-//! * [`stats`] — streaming summary statistics, exact percentiles, and
-//!   logarithmic histograms used for latency reporting.
+//! * [`par`] — a thread pool that fans independent runs across workers
+//!   while keeping output order (and thus bytes) identical at any worker
+//!   count,
+//! * [`stats`] — streaming summary statistics and exact percentiles used
+//!   for latency reporting.
 //!
 //! # Example
 //!

@@ -1,31 +1,31 @@
-//! Work-stealing thread pool for independent simulation jobs.
+//! Thread pool for independent simulation jobs.
 //!
 //! The reproduction's sweeps (one simulation per load point, topology, or
 //! fault scenario) are embarrassingly parallel: every run is a pure
 //! function of its `RunConfig`, so fanning runs across threads cannot
 //! change any result — only the wall clock. This module provides the
 //! fan-out: a std-only pool (the workspace is offline-vendored, so rayon
-//! is unavailable) where each worker owns a deque of job indices and
-//! steals from its neighbours when it runs dry.
+//! is unavailable) of one job loop. Every worker, the caller's thread
+//! among them, claims the next job index from a shared cursor, runs the
+//! job, and writes the result into that job's own slot; one worker and
+//! many run the same code.
 //!
 //! Determinism contract: [`par_map`] returns results **in submission
 //! order** regardless of which worker executed which job, so downstream
-//! CSV/JSON rendering is byte-identical at any thread count — including
-//! the serial `threads == 1` path, which runs inline without spawning.
+//! CSV/JSON rendering is byte-identical at any thread count.
 //! `baldur-lint` keeps wall-clock reads out of this crate; the pool never
 //! consults a timer.
 //!
 //! Fault tolerance: [`par_map_isolated`] runs every job under
 //! `catch_unwind`, so one panicking job becomes a [`JobSlot::Panicked`]
 //! slot instead of tearing down its siblings. An optional failure budget
-//! cancels the remaining queue once exceeded (the un-run jobs come back
-//! as [`JobSlot::Skipped`]).
+//! stops the workers claiming jobs once exceeded (the unclaimed jobs, a
+//! suffix of submission order, come back as [`JobSlot::Skipped`]).
 
 use std::any::Any;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::thread;
 
 /// Environment variable overriding the worker count for sweeps
@@ -63,8 +63,8 @@ pub enum JobSlot<R> {
     /// The job panicked; the string is the panic payload (or a
     /// placeholder for non-string payloads).
     Panicked(String),
-    /// The job never ran: the pool cancelled the remaining queue after
-    /// the failure budget was exceeded.
+    /// The job never ran: the workers stopped claiming jobs after the
+    /// failure budget was exceeded.
     Skipped,
 }
 
@@ -95,12 +95,9 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// Maps `f` over `items` on up to `threads` workers, returning results in
 /// submission order.
 ///
-/// Jobs are dealt round-robin into per-worker deques; a worker pops its
-/// own jobs from the front and, when dry, steals from the *back* of a
-/// neighbour's deque (classic Chase–Lev shape, mutex-based since the
-/// workspace forbids `unsafe`). With `threads <= 1` (or a single item)
-/// the map runs inline on the caller's thread — no pool, no overhead —
-/// and produces the identical result vector.
+/// The caller's thread is one of the workers, so with `threads <= 1` (or
+/// a single item) the map spawns no thread and runs every job inline, in
+/// order, producing the identical result vector.
 ///
 /// # Panics
 ///
@@ -134,12 +131,13 @@ where
 /// [`JobSlot::Panicked`], so no broken invariant can leak). A panicking
 /// job therefore yields a structured slot instead of killing siblings.
 ///
-/// `fail_budget` is the number of *tolerated* failures: `Some(b)` cancels
-/// the remaining queue once strictly more than `b` jobs have panicked
-/// (cancelled jobs come back [`JobSlot::Skipped`] and the returned flag
-/// is `true`); `None` never cancels. Note that with `Some(_)` on a
-/// multi-worker pool, *which* jobs are skipped depends on scheduling —
-/// only the unlimited-budget mode is thread-count deterministic.
+/// `fail_budget` is the number of *tolerated* failures: `Some(b)` stops
+/// claiming jobs once strictly more than `b` jobs have panicked
+/// (unclaimed jobs come back [`JobSlot::Skipped`] and the returned flag
+/// is `true`); `None` never cancels. Jobs are claimed in submission
+/// order, so the skipped jobs are always a suffix of it; with
+/// `Some(_)` on several workers, only that suffix's length depends on
+/// scheduling (jobs already claimed when the budget trips still run).
 pub fn par_map_isolated<T, R, F>(
     threads: usize,
     items: Vec<T>,
@@ -151,101 +149,48 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let n = items.len();
-    let workers = threads.clamp(1, n.max(1));
-    let run_one = |item: &T| match catch_unwind(AssertUnwindSafe(|| f(item))) {
-        Ok(r) => JobSlot::Done(r),
-        Err(payload) => JobSlot::Panicked(panic_message(payload.as_ref())),
-    };
-
-    if workers <= 1 {
-        // Serial path: run inline, in order, honouring the budget exactly
-        // like the pool does (failures counted as they occur).
-        let mut out = Vec::with_capacity(n);
-        let mut failures = 0usize;
-        let mut aborted = false;
-        for item in &items {
-            if aborted {
-                out.push(JobSlot::Skipped);
-                continue;
-            }
-            let slot = run_one(item);
-            if matches!(slot, JobSlot::Panicked(_)) {
-                failures += 1;
-                aborted = fail_budget.is_some_and(|b| failures > b);
-            }
-            out.push(slot);
-        }
-        return (out, aborted);
-    }
-
-    // Deal job indices round-robin so early (often heavier) points spread
-    // across workers; stealing rebalances whatever the deal got wrong.
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| Mutex::new((w..n).step_by(workers).collect()))
-        .collect();
-    let mut out: Vec<Option<JobSlot<R>>> = (0..n).map(|_| None).collect();
-    let slots: Vec<Mutex<&mut Option<JobSlot<R>>>> = out.iter_mut().map(Mutex::new).collect();
+    let workers = threads.clamp(1, items.len().max(1));
+    let slots: Vec<Mutex<JobSlot<R>>> =
+        items.iter().map(|_| Mutex::new(JobSlot::Skipped)).collect();
+    let next = AtomicUsize::new(0);
     let failures = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
 
-    thread::scope(|scope| {
-        for w in 0..workers {
-            let queues = &queues;
-            let slots = &slots;
-            let items = &items;
-            let run_one = &run_one;
-            let failures = &failures;
-            let abort = &abort;
-            scope.spawn(move || loop {
-                // Stop dealing new work once the budget tripped; whatever
-                // is left in the queues becomes `Skipped` after the join.
-                if abort.load(Ordering::Relaxed) {
-                    break;
-                }
-                // Locks cannot be poisoned here: `run_one` catches every
-                // job panic, so no thread ever unwinds while holding one.
-                // `into_inner` recovery is kept as a cheap belt-and-braces.
-                let mine = queues[w]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .pop_front();
-                let job = mine.or_else(|| {
-                    (1..workers).find_map(|off| {
-                        queues[(w + off) % workers]
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .pop_back()
-                    })
-                });
-                // No job anywhere: every queue was empty at inspection, and
-                // jobs are never re-enqueued, so this worker is done.
-                let Some(i) = job else { break };
-                let slot = run_one(&items[i]);
-                if matches!(slot, JobSlot::Panicked(_)) {
+    // Every worker, the caller's thread included, runs this loop: claim
+    // the next job index, run the job, store its slot. Locks cannot be
+    // poisoned here: `catch_unwind` contains every job panic, so no
+    // thread ever unwinds while holding one.
+    let work = || {
+        while !abort.load(Ordering::Relaxed) {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let (Some(item), Some(slot)) = (items.get(i), slots.get(i)) else {
+                break;
+            };
+            let done = match catch_unwind(AssertUnwindSafe(|| f(item))) {
+                Ok(r) => JobSlot::Done(r),
+                Err(payload) => {
                     let seen = failures.fetch_add(1, Ordering::Relaxed) + 1;
                     if fail_budget.is_some_and(|b| seen > b) {
                         abort.store(true, Ordering::Relaxed);
                     }
+                    JobSlot::Panicked(panic_message(payload.as_ref()))
                 }
-                **slots[i]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(slot);
-            });
+            };
+            *slot.lock().unwrap_or_else(PoisonError::into_inner) = done;
         }
+    };
+    thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
+        work();
     });
 
-    drop(slots);
-    let aborted = abort.load(Ordering::Relaxed);
-    let out = out
+    let out = slots
         .into_iter()
-        .map(|slot| match slot {
-            Some(s) => s,
-            // Left in a queue when the pool cancelled: never ran.
-            None => JobSlot::Skipped,
-        })
+        .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
         .collect();
-    (out, aborted)
+    (out, abort.load(Ordering::Relaxed))
 }
 
 #[cfg(test)]
@@ -286,7 +231,7 @@ mod tests {
 
     #[test]
     fn uneven_job_costs_still_complete() {
-        // Front-loaded heavy jobs force the later workers to steal.
+        // Front-loaded heavy jobs: the other workers claim the cheap ones.
         let items: Vec<u32> = (0..16).collect();
         let got = par_map(4, items, |&x| {
             let spins = if x < 2 { 200_000 } else { 10 };
@@ -372,6 +317,53 @@ mod tests {
         assert_eq!(slots[11], JobSlot::Panicked("bad 11".into()));
         assert!(slots[12..].iter().all(|s| *s == JobSlot::Skipped));
         assert_eq!(slots[5], JobSlot::Done(5));
+    }
+
+    #[test]
+    fn a_tripped_budget_skips_a_suffix_of_submission_order() {
+        for threads in [2, 8] {
+            for seed in 0u64..8 {
+                // Seeded panics: about one job in five, placed by a hash
+                // of the seed and the index.
+                let bad = |x: u64| {
+                    (x ^ seed.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                        .wrapping_mul(0xBF58_476D_1CE4_E5B9)
+                        .rotate_left(31)
+                        .is_multiple_of(5)
+                };
+                let (slots, aborted) = quietly(|| {
+                    par_map_isolated(threads, (0u64..64).collect(), Some(1), |&x| {
+                        if bad(x) {
+                            panic!("bad {x}");
+                        }
+                        x * 3
+                    })
+                });
+                let ran = slots.iter().take_while(|s| **s != JobSlot::Skipped).count();
+                assert!(
+                    slots[ran..].iter().all(|s| *s == JobSlot::Skipped),
+                    "a job ran after a skipped one at {threads} threads, seed {seed}"
+                );
+                for (x, slot) in (0u64..).zip(&slots[..ran]) {
+                    let want = if bad(x) {
+                        JobSlot::Panicked(format!("bad {x}"))
+                    } else {
+                        JobSlot::Done(x * 3)
+                    };
+                    assert_eq!(*slot, want, "slot {x} at {threads} threads, seed {seed}");
+                }
+                let panicked = (0..ran as u64).filter(|&x| bad(x)).count();
+                assert_eq!(aborted, panicked > 1, "{threads} threads, seed {seed}");
+                assert!(aborted || ran == 64);
+            }
+        }
+    }
+
+    #[test]
+    fn one_worker_runs_every_job_on_the_callers_thread() {
+        let caller = std::thread::current().id();
+        let ids = par_map(1, (0u32..8).collect(), |_| std::thread::current().id());
+        assert!(ids.iter().all(|&id| id == caller));
     }
 
     #[test]

@@ -191,22 +191,6 @@ impl StreamRng {
         Self::derive(master_seed, StreamId::new(label.as_bytes(), index))
     }
 
-    /// Splits `sweep_seed` into the `index`-th child run seed.
-    ///
-    /// Sweep orchestration gives every point of a parameter sweep its own
-    /// master seed so runs stay statistically independent while the whole
-    /// sweep remains a pure function of one seed. The split is a SplitMix64
-    /// finalizer over `(sweep_seed, index)` — stateless, so the children
-    /// can be computed in any order (or in parallel) and always agree.
-    pub fn split_seed(sweep_seed: u64, index: u64) -> u64 {
-        let mut z = sweep_seed
-            .rotate_left(23)
-            .wrapping_add(index.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     /// The next 32 uniformly random bits.
     #[inline]
     pub fn next_u32(&mut self) -> u32 {
@@ -217,19 +201,6 @@ impl StreamRng {
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.inner.next_u64()
-    }
-
-    /// Fills `dest` with uniformly random bytes.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(4);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.inner.next_u32().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.inner.next_u32().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
     }
 
     /// Uniform sample from `range` (unbiased via rejection sampling).
@@ -372,38 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn split_seed_is_reproducible_across_calls() {
-        for seed in [0u64, 1, 42, u64::MAX, 0xba1d] {
-            for idx in [0u64, 1, 2, 63, 1000] {
-                assert_eq!(
-                    StreamRng::split_seed(seed, idx),
-                    StreamRng::split_seed(seed, idx),
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn split_seed_children_are_distinct() {
-        // All children of one sweep seed differ pairwise, differ from the
-        // parent, and differ from the same index under a different parent.
-        let mut seen = std::collections::BTreeSet::new();
-        for idx in 0..512u64 {
-            assert!(seen.insert(StreamRng::split_seed(0xba1d, idx)));
-        }
-        assert!(!seen.contains(&0xba1d), "child collided with parent seed");
-        for idx in 0..512u64 {
-            assert_ne!(
-                StreamRng::split_seed(0xba1d, idx),
-                StreamRng::split_seed(0xba1e, idx),
-                "index {idx} collided across parents"
-            );
-        }
-        // Zero is not a fixed point (a classic weak-seed hazard).
-        assert_ne!(StreamRng::split_seed(0, 0), 0);
-    }
-
-    #[test]
     fn gen_range_is_in_bounds_and_covers() {
         let mut rng = StreamRng::named(9, "range", 0);
         let mut seen = [false; 7];
@@ -449,18 +388,6 @@ mod tests {
             seen[x] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn fill_bytes_handles_ragged_lengths() {
-        let mut a = StreamRng::named(5, "bytes", 0);
-        let mut b = StreamRng::named(5, "bytes", 0);
-        let mut buf_a = [0u8; 13];
-        let mut buf_b = [0u8; 13];
-        a.fill_bytes(&mut buf_a);
-        b.fill_bytes(&mut buf_b);
-        assert_eq!(buf_a, buf_b);
-        assert!(buf_a.iter().any(|&x| x != 0));
     }
 
     #[test]

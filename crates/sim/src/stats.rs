@@ -8,8 +8,6 @@
 //! * [`Reservoir`] — exact percentiles over all samples (used at the scales
 //!   this reproduction runs at), with an optional cap that degrades to
 //!   uniform reservoir sampling,
-//! * [`LogHistogram`] — a log₂-bucketed histogram for cheap distribution
-//!   sketches,
 //! * [`geometric_mean`] — for cross-workload aggregation.
 
 use serde::{Deserialize, Serialize};
@@ -199,70 +197,6 @@ impl Reservoir {
     }
 }
 
-/// Log₂-bucketed histogram over non-negative integer values (picoseconds).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct LogHistogram {
-    buckets: Vec<u64>,
-    count: u64,
-}
-
-impl LogHistogram {
-    /// An empty histogram (covers the full `u64` range in 65 buckets).
-    pub fn new() -> Self {
-        LogHistogram {
-            buckets: vec![0; 65],
-            count: 0,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, value: u64) {
-        let idx = if value == 0 {
-            0
-        } else {
-            64 - value.leading_zeros() as usize
-        };
-        self.buckets[idx] += 1;
-        self.count += 1;
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Iterates `(bucket_lower_bound, count)` for non-empty buckets.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (if i == 0 { 0 } else { 1u64 << (i - 1) }, c))
-    }
-
-    /// Upper bound on the `q`-quantile from bucket boundaries.
-    pub fn quantile_upper_bound(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q * self.count as f64).ceil() as u64;
-        let mut acc = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            acc += c;
-            if acc >= target {
-                return if i >= 64 { u64::MAX } else { (1u64 << i) - 1 };
-            }
-        }
-        u64::MAX
-    }
-}
-
-impl Default for LogHistogram {
-    fn default() -> Self {
-        LogHistogram::new()
-    }
-}
-
 /// Geometric mean of strictly positive values; `NaN` for an empty slice.
 ///
 /// # Panics
@@ -428,33 +362,6 @@ mod tests {
         assert!(!r.is_exact());
         let med = r.quantile(0.5);
         assert!((med - 50_000.0).abs() < 5_000.0, "median {med}");
-    }
-
-    #[test]
-    fn log_histogram_buckets() {
-        let mut h = LogHistogram::new();
-        for v in [0u64, 1, 2, 3, 4, 1024, u64::MAX] {
-            h.push(v);
-        }
-        assert_eq!(h.count(), 7);
-        let buckets: Vec<(u64, u64)> = h.iter().collect();
-        assert!(buckets.iter().any(|&(lb, c)| lb == 0 && c == 1));
-        assert!(buckets.iter().any(|&(lb, c)| lb == 1 && c == 1));
-        assert!(buckets.iter().any(|&(lb, c)| lb == 2 && c == 2)); // 2,3
-        assert!(buckets.iter().any(|&(lb, c)| lb == 4 && c == 1));
-        assert!(buckets.iter().any(|&(lb, c)| lb == 1024 && c == 1));
-    }
-
-    #[test]
-    fn log_histogram_quantile_bound() {
-        let mut h = LogHistogram::new();
-        for _ in 0..99 {
-            h.push(100);
-        }
-        h.push(1_000_000);
-        let q50 = h.quantile_upper_bound(0.5);
-        assert!((100..1_000_000).contains(&q50));
-        assert!(h.quantile_upper_bound(1.0) >= 1_000_000);
     }
 
     #[test]

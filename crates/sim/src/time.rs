@@ -93,13 +93,6 @@ impl Time {
         Duration(self.0 - earlier.0)
     }
 
-    /// Saturating version of [`Time::since`]: returns zero if `earlier`
-    /// is after `self`.
-    #[inline]
-    pub fn saturating_since(self, earlier: Time) -> Duration {
-        Duration(self.0.saturating_sub(earlier.0))
-    }
-
     /// The index of the epoch containing this instant, given sorted
     /// (ascending) epoch boundary times in picoseconds: instants before
     /// the first boundary are epoch 0, instants at or after boundary `i`
@@ -316,14 +309,6 @@ mod tests {
         );
         // A 64 B ACK serializes in 20.48 ns.
         assert_eq!(Duration::serialization(64, 25.0), Duration::from_ps(20_480));
-    }
-
-    #[test]
-    fn saturating_since_is_zero_backwards() {
-        let a = Time::from_ns(5);
-        let b = Time::from_ns(9);
-        assert_eq!(a.saturating_since(b), Duration::ZERO);
-        assert_eq!(b.saturating_since(a), Duration::from_ns(4));
     }
 
     #[test]

@@ -29,7 +29,8 @@ fn storm(graph: RouterGraph, alg: RoutingAlg, nodes: u32) -> LatencyReport {
         RouterParams::paper(),
         driver,
         &RunSpec::new(link, SEED),
-    );
+    )
+    .0;
     assert_eq!(r.generated, 4 * u64::from(nodes));
     assert_eq!(r.delivered, r.generated, "lossless under backpressure");
     assert!(r.oracle.is_clean(), "oracle: {:?}", r.oracle);
