@@ -153,6 +153,21 @@ fabric_layout() {
         filtered_test --test golden_suite -- golden_scaling_head_csv
 }
 
+# The multi-butterfly built on the pool: the wiring digests (the 16K
+# m = 5 table takes the parallel path), the table at 1, 2, 3 and 8
+# workers and the 2^20-link cut, `gen_range`'s one-division accept rule
+# against the zone test and the two-modulo draws, a nested map running
+# inline on its job's thread, then byte-identical sweeps at 1/2/8 workers.
+parallel_wiring() {
+    cargo test -q --test topo_wiring &&
+        filtered_test -p baldur-topo -- the_table_is_the_same_at_every_worker_count \
+            only_tables_past_the_cut_build_in_parallel &&
+        filtered_test -p baldur-sim -- accept_matches_the_zone_test_at_its_edges \
+            one_division_draws_match_the_two_modulo_draws \
+            a_nested_map_runs_every_inner_job_on_its_outer_jobs_thread &&
+        cargo test -q --test thread_invariance
+}
+
 write_summary() {
     {
         echo "{"
@@ -206,6 +221,7 @@ run_step scheduler-equivalence scheduler_equivalence
 run_step fixed-delay-lanes fixed_delay_lanes
 run_step arbitration-over-requests arbitration_over_requests
 run_step port-epochs port_epochs
+run_step parallel-wiring parallel_wiring
 run_step test-workspace cargo test --workspace -q
 # Registry gates: the runner must enumerate every registered experiment,
 # and the completeness suite enforces bin <-> spec bijection, golden (or

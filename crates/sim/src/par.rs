@@ -21,12 +21,25 @@
 //! slot instead of tearing down its siblings. An optional failure budget
 //! stops the workers claiming jobs once exceeded (the unclaimed jobs, a
 //! suffix of submission order, come back as [`JobSlot::Skipped`]).
+//!
+//! Nesting: a job may itself call [`par_map`] (a sweep job that builds a
+//! 1M-node topology, whose stages the build spreads over the pool). Such
+//! an inner call runs every one of its jobs inline, in order, on the
+//! worker that made it, so the thread count never multiplies; its result
+//! is the same as at any worker count.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::thread;
+
+thread_local! {
+    /// Set while this thread runs the job loop, so a [`par_map_isolated`]
+    /// called from inside a job runs inline on it.
+    static IN_JOB_LOOP: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Environment variable overriding the worker count for sweeps
 /// (`thread_count(0)` consults it; an explicit request wins over it).
@@ -96,8 +109,9 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// submission order.
 ///
 /// The caller's thread is one of the workers, so with `threads <= 1` (or
-/// a single item) the map spawns no thread and runs every job inline, in
-/// order, producing the identical result vector.
+/// a single item, or when called from inside another map's job) the map
+/// spawns no thread and runs every job inline, in order, producing the
+/// identical result vector.
 ///
 /// # Panics
 ///
@@ -149,7 +163,11 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let workers = threads.clamp(1, items.len().max(1));
+    let workers = if IN_JOB_LOOP.get() {
+        1
+    } else {
+        threads.clamp(1, items.len().max(1))
+    };
     let slots: Vec<Mutex<JobSlot<R>>> =
         items.iter().map(|_| Mutex::new(JobSlot::Skipped)).collect();
     let next = AtomicUsize::new(0);
@@ -161,6 +179,7 @@ where
     // poisoned here: `catch_unwind` contains every job panic, so no
     // thread ever unwinds while holding one.
     let work = || {
+        let nested = IN_JOB_LOOP.replace(true);
         while !abort.load(Ordering::Relaxed) {
             let i = next.fetch_add(1, Ordering::Relaxed);
             let (Some(item), Some(slot)) = (items.get(i), slots.get(i)) else {
@@ -178,6 +197,7 @@ where
             };
             *slot.lock().unwrap_or_else(PoisonError::into_inner) = done;
         }
+        IN_JOB_LOOP.set(nested);
     };
     thread::scope(|scope| {
         for _ in 1..workers {
@@ -364,6 +384,29 @@ mod tests {
         let caller = std::thread::current().id();
         let ids = par_map(1, (0u32..8).collect(), |_| std::thread::current().id());
         assert!(ids.iter().all(|&id| id == caller));
+    }
+
+    #[test]
+    fn a_nested_map_runs_every_inner_job_on_its_outer_jobs_thread() {
+        // Each outer job records its own thread and the threads its inner
+        // jobs ran on; every inner job must have run where its outer job
+        // did.
+        let got = par_map(2, (0u32..8).collect(), |&x| {
+            let outer = std::thread::current().id();
+            let inner = par_map(2, (0u32..8).collect(), |&y| {
+                (std::thread::current().id(), x * 8 + y)
+            });
+            (outer, inner)
+        });
+        for (x, (outer, inner)) in (0u32..).zip(&got) {
+            for (y, &(id, v)) in (0u32..).zip(inner) {
+                assert_eq!(id, *outer, "inner job {y} of outer job {x} left its thread");
+                assert_eq!(v, x * 8 + y);
+            }
+        }
+        // The flag is cleared once the outer map returns: a later map from
+        // this (the caller's) thread may spread again.
+        assert!(!IN_JOB_LOOP.get());
     }
 
     #[test]

@@ -156,6 +156,17 @@ macro_rules! uniform_int {
 
 uniform_int!(u8, u16, u32, u64, usize);
 
+/// Whether [`StreamRng::gen_range`] keeps the draw `v` for a range of
+/// `span` values (`1 <= span < 2^64`): `v` must lie below the zone
+/// `u64::MAX - u64::MAX % span`, the largest multiple of `span` below 2^64,
+/// so that `v % span` is unbiased. The zone is at least
+/// `u64::MAX - span + 1`, so the first test settles all but about
+/// `span / 2^64` of the draws without a division.
+#[inline]
+fn accept(v: u64, span: u64) -> bool {
+    v <= u64::MAX - span || v < u64::MAX - u64::MAX % span
+}
+
 /// A deterministic random stream.
 #[derive(Debug, Clone)]
 pub struct StreamRng {
@@ -205,6 +216,14 @@ impl StreamRng {
 
     /// Uniform sample from `range` (unbiased via rejection sampling).
     ///
+    /// A draw `v` is kept when it lies below the largest multiple of the
+    /// range's span that fits in 64 bits, and is then reduced with one
+    /// `v % span`. That multiple is never below `u64::MAX - span + 1`, so
+    /// every `v <= u64::MAX - span` is kept without computing it; only
+    /// the rare draw above pays a second `%`. Which draws
+    /// are kept, and so every value returned, is the same as testing the
+    /// zone on each draw.
+    ///
     /// # Panics
     ///
     /// Panics if the range is empty.
@@ -231,12 +250,9 @@ impl StreamRng {
             return T::from_u64(self.next_u64());
         }
         let span = hi_inclusive - lo + 1;
-        // Rejection zone: the largest multiple of `span` below 2^64 keeps
-        // the modulo unbiased.
-        let zone = u64::MAX - (u64::MAX % span);
         loop {
             let v = self.next_u64();
-            if v < zone {
+            if accept(v, span) {
                 return T::from_u64(lo + v % span);
             }
         }
@@ -355,6 +371,74 @@ mod tests {
             let v: u32 = rng.gen_range(5..=9);
             assert!((5..=9).contains(&v));
         }
+    }
+
+    /// The accept test `gen_range` made before the `v <= u64::MAX - span`
+    /// shortcut: compute the zone on every draw.
+    fn zone_accept(v: u64, span: u64) -> bool {
+        v < u64::MAX - u64::MAX % span
+    }
+
+    #[test]
+    fn accept_matches_the_zone_test_at_its_edges() {
+        let spans = [
+            1,
+            2,
+            3,
+            (1 << 32) - 1,
+            1 << 32,
+            (1 << 32) + 1,
+            1 << 63,
+            (1 << 63) + 1,
+            u64::MAX,
+        ];
+        for span in spans {
+            let zone = u64::MAX - u64::MAX % span;
+            for v in [
+                0,
+                u64::MAX - span,
+                u64::MAX - span + 1,
+                zone - 1,
+                zone,
+                u64::MAX,
+            ] {
+                assert_eq!(accept(v, span), zone_accept(v, span), "v {v} span {span}");
+            }
+        }
+    }
+
+    /// `gen_range(lo..=hi)` as it was before the shortcut: two `%` a draw.
+    fn two_modulo_gen_range(rng: &mut StreamRng, lo: u64, hi: u64) -> u64 {
+        let span = hi - lo + 1;
+        let zone = u64::MAX - (u64::MAX % span);
+        loop {
+            let v = rng.next_u64();
+            if v < zone {
+                return lo + v % span;
+            }
+        }
+    }
+
+    #[test]
+    fn one_division_draws_match_the_two_modulo_draws() {
+        let mut rng = StreamRng::named(0xBA1D, "mbwire", 7);
+        let mut old = rng.clone();
+        // Spans shrink as a 65,536-slot `shuffle`'s do, restarting at the
+        // top; then spans just past 2^63, where half the draws are rejected.
+        for k in 0..100_000u64 {
+            let i = 65_535 - k % 65_535;
+            let got: usize = rng.gen_range(0..=i as usize);
+            assert_eq!(got as u64, two_modulo_gen_range(&mut old, 0, i), "draw {k}");
+        }
+        for k in 0..1_000u64 {
+            let got: u64 = rng.gen_range(3..=(1 << 63) + 3);
+            assert_eq!(
+                got,
+                two_modulo_gen_range(&mut old, 3, (1 << 63) + 3),
+                "draw {k}"
+            );
+        }
+        assert_eq!(rng.next_u64(), old.next_u64(), "streams end in step");
     }
 
     #[test]

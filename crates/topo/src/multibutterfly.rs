@@ -22,7 +22,23 @@
 //! for one path, [`MultiButterfly::next_targets`] for all `m` in path
 //! order. That is 4 bytes a link instead of a stored `(switch, port)`
 //! pair's 8; about 42 MB at 128K endpoints and m = 5.
+//!
+//! Build: the table is `stages - 1` contiguous stage blocks of
+//! `switches * 2m` links, and stage `s` draws only from its own
+//! `(s, group, dir)` streams (`StreamRng::named(seed, "mbwire", ..)`) and
+//! writes only its own block. So each inner stage is one job of
+//! `baldur_sim::par`'s job loop, and the table is the same at any worker
+//! count: which thread builds a stage changes neither its draws nor the
+//! links they land on. Tables of at least 2^20 links (the 16K m = 5
+//! build and up) use `par::thread_count(0)` workers, that is
+//! `BALDUR_THREADS` or the machine's parallelism, at most one per stage;
+//! smaller ones, every 1K build among them, run on the caller's thread,
+//! where a spawned thread would cost more than the stages it takes. A
+//! build inside a sweep job runs inline there (see `par`).
 
+use std::sync::{Mutex, PoisonError};
+
+use baldur_sim::par;
 use baldur_sim::rng::StreamRng;
 use serde::{Deserialize, Serialize};
 
@@ -66,6 +82,16 @@ pub struct MultiButterfly {
     links: Vec<u32>,
 }
 
+/// Link tables at least this long are built on several threads; see the
+/// module doc.
+const PARALLEL_LINKS: usize = 1 << 20;
+
+/// Links in the table of a `nodes`-node build with multiplicity `m`: `2m`
+/// per switch on every stage but the last.
+fn link_count(nodes: u32, m: u32) -> usize {
+    (nodes.trailing_zeros() as usize - 1) * (nodes / 2) as usize * 2 * m as usize
+}
+
 /// The stored form of the link on path `path` to input port
 /// `2 * path + bit` of `switch`.
 fn pack(switch: u32, bit: u32) -> u32 {
@@ -78,6 +104,68 @@ fn unpack(link: u32, path: u32) -> LinkTarget {
     LinkTarget {
         switch: link >> 1,
         port: 2 * path + (link & 1),
+    }
+}
+
+/// Fills `links`, the block of stage `s` (`switches * 2m` links, the
+/// target of (`switch`, `dir`, `path`) at `(switch * 2 + dir) * m + path`),
+/// from the stage's own random streams.
+fn wire_stage(links: &mut [u32], s: u32, switches: u32, m: u32, seed: u64, wiring: Wiring) {
+    let slot = |switch: u32, dir: u32, path: u32| {
+        (switch as usize * 2 + dir as usize) * m as usize + path as usize
+    };
+    let groups = 1u32 << s;
+    let group_width = switches / groups; // switches per group at s
+    let next_width = group_width / 2; // switches per subgroup at s+1
+    let mut slots: Vec<u32> = Vec::with_capacity(group_width as usize);
+    for g in 0..groups {
+        for dir in 0..2u32 {
+            // Next-stage group `2g + dir` starts at this switch index
+            // (groups are contiguous destination-row blocks).
+            let next_group_base = (2 * g + dir) * next_width;
+            match wiring {
+                Wiring::Randomized => {
+                    // Balanced random wiring: the m direction-`dir` outputs
+                    // of the group_width source switches fill exactly the
+                    // 2m inputs of the next_width target switches. Build m
+                    // rounds; each round matches sources to target slots
+                    // two-to-one via a shuffled slot list.
+                    let mut rng = StreamRng::named(
+                        seed,
+                        "mbwire",
+                        (u64::from(s) << 40) | (u64::from(g) << 8) | u64::from(dir),
+                    );
+                    for round in 0..m {
+                        // Each round hands every target switch exactly 2
+                        // links, on its input ports (2*round) and
+                        // (2*round + 1).
+                        slots.clear();
+                        slots.extend((0..next_width).flat_map(|t| {
+                            let switch = next_group_base + t;
+                            [pack(switch, 0), pack(switch, 1)]
+                        }));
+                        rng.shuffle(&mut slots);
+                        for (src, &target) in slots.iter().enumerate() {
+                            let switch = g * group_width + src as u32;
+                            links[slot(switch, dir, round)] = target;
+                        }
+                    }
+                }
+                Wiring::Dilated => {
+                    // Conventional butterfly fold: sources i and
+                    // i + next_width both map to target i % next_width;
+                    // each contributes m links on disjoint port halves.
+                    for src in 0..group_width {
+                        let switch = g * group_width + src;
+                        let target = next_group_base + src % next_width;
+                        let half = src / next_width; // 0 or 1
+                        for round in 0..m {
+                            links[slot(switch, dir, round)] = pack(target, half);
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -104,79 +192,37 @@ impl MultiButterfly {
             "nodes must be a power of two >= 4"
         );
         assert!(multiplicity >= 1, "multiplicity must be >= 1");
+        let workers = if link_count(nodes, multiplicity) >= PARALLEL_LINKS {
+            par::thread_count(0)
+        } else {
+            1
+        };
+        Self::build(nodes, multiplicity, seed, wiring, workers)
+    }
+
+    /// [`MultiButterfly::with_wiring`] on `workers` threads (inputs
+    /// already checked): one job per inner stage, each owning its stage's
+    /// block of the table.
+    fn build(nodes: u32, m: u32, seed: u64, wiring: Wiring, workers: usize) -> Self {
         let stages = nodes.trailing_zeros();
         let switches = nodes / 2;
-        let m = multiplicity;
-
-        let fanout = 2 * m as usize; // slots per switch: 2 directions × m paths
-        let stride = switches as usize * fanout; // slots per stage
-        let mut links = vec![u32::MAX; (stages as usize - 1) * stride];
-        let slot = |s: u32, switch: u32, dir: u32, path: u32| {
-            s as usize * stride + switch as usize * fanout + (dir * m + path) as usize
-        };
-        let mut slots: Vec<u32> = Vec::with_capacity(switches as usize);
-        for s in 0..stages - 1 {
-            let groups = 1u32 << s;
-            let group_width = switches / groups; // switches per group at s
-            let next_width = group_width / 2; // switches per subgroup at s+1
-
-            for g in 0..groups {
-                for dir in 0..2u32 {
-                    // Next-stage group `2g + dir` starts at this switch
-                    // index (groups are contiguous destination-row blocks).
-                    let next_group_base = (2 * g + dir) * next_width;
-                    match wiring {
-                        Wiring::Randomized => {
-                            // Balanced random wiring: the m direction-`dir`
-                            // outputs of the group_width source switches
-                            // fill exactly the 2m inputs of the next_width
-                            // target switches. Build m rounds; each round
-                            // matches sources to target slots two-to-one
-                            // via a shuffled slot list.
-                            let mut rng = StreamRng::named(
-                                seed,
-                                "mbwire",
-                                (u64::from(s) << 40) | (u64::from(g) << 8) | u64::from(dir),
-                            );
-                            for round in 0..m {
-                                // Each round hands every target switch
-                                // exactly 2 links, on its input ports
-                                // (2*round) and (2*round + 1).
-                                slots.clear();
-                                slots.extend((0..next_width).flat_map(|t| {
-                                    let switch = next_group_base + t;
-                                    [pack(switch, 0), pack(switch, 1)]
-                                }));
-                                rng.shuffle(&mut slots);
-                                for (src, &target) in slots.iter().enumerate() {
-                                    let switch = g * group_width + src as u32;
-                                    links[slot(s, switch, dir, round)] = target;
-                                }
-                            }
-                        }
-                        Wiring::Dilated => {
-                            // Conventional butterfly fold: sources i and
-                            // i + next_width both map to target
-                            // i % next_width; each contributes m links on
-                            // disjoint port halves.
-                            for src in 0..group_width {
-                                let switch = g * group_width + src;
-                                let target = next_group_base + src % next_width;
-                                let half = src / next_width; // 0 or 1
-                                for round in 0..m {
-                                    links[slot(s, switch, dir, round)] = pack(target, half);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        let stride = switches as usize * 2 * m as usize; // links per stage
+        let mut links = vec![u32::MAX; link_count(nodes, m)];
+        let jobs: Vec<(u32, Mutex<&mut [u32]>)> = (0..)
+            .zip(links.chunks_exact_mut(stride))
+            .map(|(s, block)| (s, Mutex::new(block)))
+            .collect();
+        par::par_map(workers, jobs, |(s, block)| {
+            // Only this job ever locks its block, so the lock is never
+            // poisoned when taken.
+            let mut block = block.lock().unwrap_or_else(PoisonError::into_inner);
+            wire_stage(&mut block, *s, switches, m, seed, wiring);
+        });
 
         MultiButterfly {
             nodes,
             stages,
-            multiplicity,
+            multiplicity: m,
             wiring,
             links,
         }
@@ -448,6 +494,43 @@ mod tests {
                     assert_eq!(mb.target(last, 0, 0, 0), None);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn the_table_is_the_same_at_every_worker_count() {
+        // Inner stages: 9 at 1K, 13 at 16K, 3 at 16 nodes. So 3 workers
+        // split the stages unevenly, and 8 workers are more than 16
+        // nodes has stages.
+        for (nodes, m, wiring) in [
+            (1024, 4, Wiring::Randomized),
+            (16_384, 5, Wiring::Randomized),
+            (1024, 4, Wiring::Dilated),
+            (16, 2, Wiring::Randomized),
+        ] {
+            let serial = MultiButterfly::build(nodes, m, 0xBA1D, wiring, 1);
+            assert!(serial.validate().is_ok());
+            for workers in [2, 3, 8] {
+                let parallel = MultiButterfly::build(nodes, m, 0xBA1D, wiring, workers);
+                assert!(
+                    parallel.links == serial.links,
+                    "{wiring:?} {nodes} nodes m {m}: table differs at {workers} workers"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn only_tables_past_the_cut_build_in_parallel() {
+        // `tests/topo_wiring.rs` pins the 16K m = 5 table by digest, so
+        // tier-1 covers the parallel path; every 1K build stays serial.
+        assert_eq!(link_count(16_384, 5), 1_064_960);
+        assert!(link_count(16_384, 5) >= PARALLEL_LINKS);
+        assert_eq!(link_count(1024, 4), 36_864);
+        assert!(link_count(1024, 5) < PARALLEL_LINKS);
+        for (nodes, m) in [(16, 2), (1024, 4), (16_384, 5)] {
+            let mb = MultiButterfly::new(nodes, m, 1);
+            assert_eq!(mb.links.len(), link_count(nodes, m));
         }
     }
 
