@@ -168,6 +168,15 @@ parallel_wiring() {
         cargo test -q --test thread_invariance
 }
 
+# The one TL switch generator: its unit tests (Figure 4 at m = 1, the
+# valid-latch chains above it, the pinned gate counts at m = 1..5), the
+# m = 1 netlist's circuit fingerprint, then the Figure 5 waveform run.
+switch_generator() {
+    filtered_test -p baldur-tl -- switch:: &&
+        filtered_test --test properties -- codec_and_gate_loop &&
+        cargo run --release -q -p baldur-bench --bin fig5_waveform -- --no-cache
+}
+
 write_summary() {
     {
         echo "{"
@@ -222,6 +231,7 @@ run_step fixed-delay-lanes fixed_delay_lanes
 run_step arbitration-over-requests arbitration_over_requests
 run_step port-epochs port_epochs
 run_step parallel-wiring parallel_wiring
+run_step switch-generator switch_generator
 run_step test-workspace cargo test --workspace -q
 # Registry gates: the runner must enumerate every registered experiment,
 # and the completeness suite enforces bin <-> spec bijection, golden (or

@@ -1,7 +1,8 @@
 //! CSV renderings of experiment results, for plotting (gnuplot, pandas).
 //!
 //! Every harness binary accepts `--csv PATH` and writes the corresponding
-//! table here. Columns are stable and documented per function.
+//! table here. Each table's header is its experiment spec's
+//! `output_columns`, so the registry and the file name the same columns.
 
 use std::fmt::Write as _;
 
@@ -10,11 +11,18 @@ use crate::experiments::{
     TableVRow,
 };
 use crate::power::scaling::ScalePoint;
+use crate::registry::ExperimentSpec;
 
-/// `pattern,network,load,avg_ns,p99_ns,drop_rate,delivered,generated`.
+/// A table holding only `spec`'s header line.
+fn header(spec: &ExperimentSpec) -> String {
+    let mut out = spec.output_columns.join(",");
+    out.push('\n');
+    out
+}
+
+/// Figure 6: one row per (pattern, network, load) cell.
 pub fn fig6(rows: &[Fig6Row]) -> String {
-    let mut out =
-        String::from("pattern,network,load,avg_ns,p99_ns,drop_rate,delivered,generated\n");
+    let mut out = header(&crate::experiments::fig6::SPEC);
     for r in rows {
         let _ = writeln!(
             out,
@@ -32,10 +40,11 @@ pub fn fig6(rows: &[Fig6Row]) -> String {
     out
 }
 
-/// `workload,network,avg_ns,p99_ns,normalized_avg,normalized_p99`.
+/// Figure 7: one row per (workload, network), with latencies also
+/// normalized to Baldur's on the same workload.
 pub fn fig7(rows: &[Fig7Row]) -> String {
     let normalized = crate::experiments::normalize_fig7(rows);
-    let mut out = String::from("workload,network,avg_ns,p99_ns,normalized_avg,normalized_p99\n");
+    let mut out = header(&crate::experiments::fig7::SPEC);
     for (r, (_, _, na, np)) in rows.iter().zip(normalized.iter()) {
         let _ = writeln!(
             out,
@@ -46,10 +55,9 @@ pub fn fig7(rows: &[Fig7Row]) -> String {
     out
 }
 
-/// `scale,network,nodes,transceivers_w,serdes_w,buffers_w,switching_w,total_w`.
+/// Figure 8: per-node power breakdown, one row per (scale, network).
 pub fn fig8(sweep: &[ScalePoint]) -> String {
-    let mut out =
-        String::from("scale,network,nodes,transceivers_w,serdes_w,buffers_w,switching_w,total_w\n");
+    let mut out = header(&crate::experiments::fig8::SPEC);
     for p in sweep {
         for (n, size, b) in &p.entries {
             let _ = writeln!(
@@ -69,9 +77,9 @@ pub fn fig8(sweep: &[ScalePoint]) -> String {
     out
 }
 
-/// `scale,nodes,interposers,fibers,faus,rfecs,transceivers,total`.
+/// Figure 10: per-node cost breakdown, one row per scale.
 pub fn fig10(rows: &[Fig10Row]) -> String {
-    let mut out = String::from("scale,nodes,interposers,fibers,faus,rfecs,transceivers,total\n");
+    let mut out = header(&crate::experiments::fig10::SPEC);
     for r in rows {
         let b = &r.breakdown;
         let _ = writeln!(
@@ -90,9 +98,9 @@ pub fn fig10(rows: &[Fig10Row]) -> String {
     out
 }
 
-/// `multiplicity,gates,latency_ns,paper_drop_pct,measured_drop_pct`.
+/// Table V: one row per path multiplicity.
 pub fn table5(rows: &[TableVRow]) -> String {
-    let mut out = String::from("multiplicity,gates,latency_ns,paper_drop_pct,measured_drop_pct\n");
+    let mut out = header(&crate::experiments::table5::SPEC);
     for r in rows {
         let _ = writeln!(
             out,
@@ -103,9 +111,9 @@ pub fn table5(rows: &[TableVRow]) -> String {
     out
 }
 
-/// `network,offered,accepted,avg_ns`.
+/// Saturation curves: accepted against offered load, per network.
 pub fn saturation(rows: &[SaturationRow]) -> String {
-    let mut out = String::from("network,offered,accepted,avg_ns\n");
+    let mut out = header(&crate::experiments::saturation::SPEC);
     for r in rows {
         let _ = writeln!(
             out,
@@ -116,11 +124,9 @@ pub fn saturation(rows: &[SaturationRow]) -> String {
     out
 }
 
-/// `network,fraction,goodput,avg_ns,p99_ns,delivered,abandoned,generated,retransmissions`.
+/// Fault degradation: one row per (network, failed fraction).
 pub fn faults(rows: &[DegradationRow]) -> String {
-    let mut out = String::from(
-        "network,fraction,goodput,avg_ns,p99_ns,delivered,abandoned,generated,retransmissions\n",
-    );
+    let mut out = header(&crate::experiments::faults::SPEC);
     for r in rows {
         let _ = writeln!(
             out,
@@ -139,11 +145,9 @@ pub fn faults(rows: &[DegradationRow]) -> String {
     out
 }
 
-/// `network,seed,events,repairs,violations,recovered,max_ttr_ns,stranded,flap_amp,delivered,abandoned,generated`.
+/// Chaos runs: one row per (network, schedule seed).
 pub fn chaos(rows: &[ChaosRow]) -> String {
-    let mut out = String::from(
-        "network,seed,events,repairs,violations,recovered,max_ttr_ns,stranded,flap_amp,delivered,abandoned,generated\n",
-    );
+    let mut out = header(&crate::experiments::chaos::SPEC);
     for r in rows {
         let recovered = r.report.recoveries.iter().filter(|x| x.recovered()).count();
         let _ = writeln!(
@@ -166,11 +170,9 @@ pub fn chaos(rows: &[ChaosRow]) -> String {
     out
 }
 
-/// `network,pattern,load,generated,delivered,expired,ingress_drops,abandoned,goodput_pkt_per_us,flows,jain,min_delivered,max_delivered,p99_ns,p999_ns,violations`.
+/// Overload storms: one row per (network, pattern, load).
 pub fn overload(rows: &[OverloadRow]) -> String {
-    let mut out = String::from(
-        "network,pattern,load,generated,delivered,expired,ingress_drops,abandoned,goodput_pkt_per_us,flows,jain,min_delivered,max_delivered,p99_ns,p999_ns,violations\n",
-    );
+    let mut out = header(&crate::experiments::overload::SPEC);
     for r in rows {
         let _ = writeln!(
             out,
@@ -196,11 +198,9 @@ pub fn overload(rows: &[OverloadRow]) -> String {
     out
 }
 
-/// `endpoints,wall_ms,events,events_per_sec,peak_rss_bytes,state_bytes,bytes_per_endpoint,delivered,generated,peak_pending,queue_bytes`.
+/// The scaling curve: one row per endpoint count.
 pub fn scaling(rows: &[ScalingRow]) -> String {
-    let mut out = String::from(
-        "endpoints,wall_ms,events,events_per_sec,peak_rss_bytes,state_bytes,bytes_per_endpoint,delivered,generated,peak_pending,queue_bytes\n",
-    );
+    let mut out = header(&crate::experiments::scaling::SPEC);
     for r in rows {
         let _ = writeln!(
             out,

@@ -63,13 +63,13 @@ pub fn figure5() -> Fig5Waveform {
     let p = SwitchParams::paper();
     let code = LengthCode::paper();
     let mut n = Netlist::new();
-    let sw = build_switch(&mut n, p);
+    let sw = build_switch(&mut n, p, 1);
     let mut sim = CircuitSim::new(n);
     let probes = [
         sw.inputs[0],
         sw.taps[0].envelope,
         sw.taps[0].route,
-        sw.taps[0].valid,
+        sw.taps[0].valid[0],
         sw.taps[0].mask,
         sw.grants[0][0],
         sw.outputs[0],

@@ -14,10 +14,10 @@
 //! * [`netlist`] — wires, gates, waveguide delays, combiners; the circuit
 //!   simulation engine (built on `baldur-sim`, one tick = 1 fs),
 //! * [`latch`], [`arbiter`], [`detector`] — the switch's sub-circuits,
-//! * [`switch`] — the full Figure-4 2x2 switch (multiplicity 1) and a test
-//!   harness that injects encoded packets and decodes the outputs,
-//! * [`switch_m`] — the generalized multiplicity-m switch: valid-latch
-//!   cascades implement the paper's sequential path arbitration,
+//! * [`switch`] — the 2x2 switch at any path multiplicity m (Figure 4 is
+//!   m = 1; valid-latch chains implement the paper's sequential path
+//!   arbitration) and a test harness that injects encoded packets and
+//!   decodes the outputs,
 //! * [`gate_count`] — the Table V gates/latency model for multiplicity 1–5,
 //! * [`reliability`] — the Sec. IV-F timing-jitter error-probability model,
 //! * [`vcd`] — waveform export for the Figure 5 reproduction.
@@ -32,7 +32,6 @@ pub mod latch;
 pub mod netlist;
 pub mod reliability;
 pub mod switch;
-pub mod switch_m;
 pub mod vcd;
 
 pub use device::TlGate;

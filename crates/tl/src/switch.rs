@@ -1,19 +1,30 @@
-//! The all-optical 2x2 TL switch, multiplicity 1 (paper Fig. 4(a)).
+//! The all-optical 2x2 TL switch with path multiplicity m: Fig. 4(a) is
+//! m = 1, and Sec. IV-E / Table V generalise it to m paths.
 //!
-//! Composition:
+//! A multiplicity-m switch has `2m` input ports, m per side (each fed by a
+//! different upstream switch), and `2m` output ports, m per direction.
+//! Input `side * m + k` and output `dir * m + path` index them. Composition:
 //!
 //! * **Switch fabric** — per input: a mask-off AND (kills the first routing
 //!   bit), a 132 ps waveguide delay (hides arbitration latency), and per
 //!   input×output an AND gated by the grant; per output a passive combiner.
 //! * **Header processing unit** — per input: a line activity detector,
-//!   a valid latch and a mask-off latch (set 2.3T after packet start, reset
-//!   at packet end), and a routing latch capturing the first bit by
-//!   length; plus one asynchronous arbiter per output port.
+//!   a chain of m valid latches, a mask-off latch (set 2.3T after packet
+//!   start, reset at packet end), and a routing latch capturing the first
+//!   bit by length; plus one arbiter per output port, a mutual-exclusion
+//!   element over all 2m inputs.
 //!
-//! Congestion behaviour is exactly the paper's: a packet whose requested
-//! output is held by the other input is *dropped* — its valid latch is
-//! cleared so it can never be granted mid-packet — and the sender must
-//! retransmit (handled at the network layer in `baldur-net`).
+//! Path arbitration is sequential, as the paper describes: valid latch `j`
+//! requests path `j` of the packet's direction. A packet that loses that
+//! port to another input gets a loss pulse, which clears latch `j` and sets
+//! latch `j + 1`, handing the request to the next path. Losing the last path
+//! drops the packet — at m = 1 every loss is a drop, Fig. 4's congestion
+//! behaviour — and the sender must retransmit (handled at the network layer
+//! in `baldur-net`).
+//!
+//! The generator builds in Fig. 4's order (input slices, one arbiter per
+//! output, loss pulses, then each input's fabric ANDs and one combiner per
+//! output), so the m = 1 netlist is the Fig. 4 circuit wire for wire.
 
 use baldur_phy::length_code::LengthCode;
 use baldur_phy::packet_wave::{assemble, PacketWave};
@@ -68,50 +79,114 @@ impl Default for SwitchParams {
 }
 
 /// Observable wires of one input's header-processing slice.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct InputTaps {
     /// Packet envelope from the line activity detector.
     pub envelope: WireId,
-    /// Valid latch output.
-    pub valid: WireId,
+    /// Valid latch outputs: `valid[j]` requests path `j`.
+    pub valid: Vec<WireId>,
     /// Mask-off latch output.
     pub mask: WireId,
-    /// Routing latch output (high = first bit was "0" = output 0).
+    /// Routing latch output (high = first bit was "0" = direction 0).
     pub route: WireId,
-    /// Request wires toward the two output arbiters.
-    pub req: [WireId; 2],
+    /// Request wires, one per output port.
+    pub req: Vec<WireId>,
 }
 
-/// Handles to a built 2x2 switch.
-#[derive(Debug, Clone, Copy)]
-pub struct Switch2x2 {
-    /// Optical inputs.
-    pub inputs: [WireId; 2],
-    /// Optical outputs.
-    pub outputs: [WireId; 2],
-    /// Grant wires: `grants[i][j]` = input `i` granted output `j`.
-    pub grants: [[WireId; 2]; 2],
+/// Handles to a built switch.
+#[derive(Debug, Clone)]
+pub struct Switch {
+    /// Optical inputs, `side * m + k`.
+    pub inputs: Vec<WireId>,
+    /// Optical outputs, `dir * m + path`.
+    pub outputs: Vec<WireId>,
+    /// Grant wires: `grants[i][o]` = input `i` granted output `o`.
+    pub grants: Vec<Vec<WireId>>,
     /// Per-input observability taps.
-    pub taps: [InputTaps; 2],
+    pub taps: Vec<InputTaps>,
 }
 
-/// Builds the multiplicity-1 switch into `n`, returning its handles.
-pub fn build_switch(n: &mut Netlist, p: SwitchParams) -> Switch2x2 {
-    let in0 = n.wire();
-    let in1 = n.wire();
-    n.name_wire(in0, "in0");
-    n.name_wire(in1, "in1");
+/// An n-way mutual-exclusion element: a tournament of [`mutex2`] pairs.
+/// Returns one grant wire per requester; at most one is high at any
+/// instant.
+fn mutex_tree(n: &mut Netlist, reqs: &[WireId]) -> Vec<WireId> {
+    match *reqs {
+        // A single requester wins whenever it asks (buffered through two
+        // inverters to keep grant timing comparable).
+        [only] => {
+            let a = n.not(only);
+            vec![n.not(a)]
+        }
+        [a, b] => {
+            let m = mutex2(n, a, b);
+            vec![m.grant0, m.grant1]
+        }
+        _ => {
+            let (left, right) = reqs.split_at(reqs.len().div_ceil(2));
+            let left = mutex_tree(n, left);
+            let left_any = or_chain(n, &left);
+            let right = mutex_tree(n, right);
+            let right_any = or_chain(n, &right);
+            let fin = mutex2(n, left_any, right_any);
+            let mut grants: Vec<WireId> = left.iter().map(|&g| n.and2(g, fin.grant0)).collect();
+            grants.extend(right.iter().map(|&g| n.and2(g, fin.grant1)));
+            grants
+        }
+    }
+}
 
-    let mut per_input = Vec::with_capacity(2);
-    for (i, &input) in [in0, in1].iter().enumerate() {
+/// The OR of `wires` (at least one), chained left to right.
+fn or_chain(n: &mut Netlist, wires: &[WireId]) -> WireId {
+    wires[1..].iter().fold(wires[0], |acc, &w| n.or2(acc, w))
+}
+
+/// One input's slice while the switch is being built.
+struct Slice {
+    taps: InputTaps,
+    /// Delayed end-of-packet pulse (resets the latches).
+    end_d: WireId,
+    /// Set wire of each valid latch; all but the first are driven by the
+    /// previous path's loss pulse.
+    sets: Vec<WireId>,
+    /// Reset wire of each valid latch, driven by end-of-packet OR loss.
+    resets: Vec<WireId>,
+    /// The masked packet after the fabric waveguide.
+    delayed: WireId,
+}
+
+/// Builds the multiplicity-`m` switch into `n`, returning its handles.
+///
+/// Wire names keep Fig. 4's at m = 1 (`in0`, `valid0`, `grant00`, `out0`,
+/// …): inputs, outputs and grants carry their flat indices, and valid
+/// latch `j > 0` of input `i` is `valid{i}_{j}`. A grant's two indices
+/// run together, so from m = 6 on two grants can share a name.
+///
+/// # Panics
+///
+/// Panics if `m` is zero.
+pub fn build_switch(n: &mut Netlist, p: SwitchParams, m: usize) -> Switch {
+    assert!(m >= 1, "multiplicity must be at least 1");
+    let ports = 2 * m;
+    let inputs: Vec<WireId> = (0..ports).map(|_| n.wire()).collect();
+
+    let mut slices = Vec::with_capacity(ports);
+    for (i, &input) in inputs.iter().enumerate() {
         let det = line_activity_detector(n, input, p.detector);
         let end_d = n.waveguide(det.end_pulse, p.reset_delay);
 
-        // Valid latch: reset by (delayed end) OR (drop); the drop wire is
-        // attached after the arbiters exist.
+        // Valid chain; the loss pulses that drive the resets (and the sets
+        // past the first) are attached once the arbiters exist.
         let valid_set = n.waveguide(det.start_pulse, p.valid_set_delay);
-        let valid_reset = n.wire();
-        let valid = sr_latch(n, valid_set, valid_reset);
+        let mut sets = vec![valid_set];
+        let mut resets = Vec::with_capacity(m);
+        let mut valid = Vec::with_capacity(m);
+        for j in 0..m {
+            if j > 0 {
+                sets.push(n.wire());
+            }
+            resets.push(n.wire());
+            valid.push(sr_latch(n, sets[j], resets[j]).q);
+        }
 
         // Mask-off latch (set earlier than valid: it only needs to open
         // before the second routing bit arrives).
@@ -119,104 +194,119 @@ pub fn build_switch(n: &mut Netlist, p: SwitchParams) -> Switch2x2 {
         let mask = sr_latch(n, mask_set, end_d);
 
         // Routing latch: sample the data-path-delayed input in the window
-        // after the first falling edge (gated by "not yet valid").
+        // after the first falling edge, until the header has been read.
+        // With one valid latch, "not valid" closes that window: a loss
+        // drops the packet. In a chain a loss hands the request to the
+        // next path, so a pre-valid latch that only the packet's end
+        // resets keeps the window closed.
         let s_pre = n.and2(det.fall_window, det.data_delayed);
-        let not_valid = n.not(valid.q);
-        let s_route = n.and2(s_pre, not_valid);
+        let header_unread = if m == 1 {
+            n.not(valid[0])
+        } else {
+            sr_latch(n, valid_set, end_d).qb
+        };
+        let s_route = n.and2(s_pre, header_unread);
         let route = sr_latch(n, s_route, end_d);
 
         // Fabric front half: mask off the first routing bit, then delay.
         let masked = n.and2(input, mask.q);
         let delayed = n.waveguide(masked, p.fabric_delay);
 
-        // Requests.
-        let req0 = n.and2(valid.q, route.q);
+        // Requests toward output `dir * m + j`: valid latch j AND the
+        // direction the routing latch selected.
+        let mut req: Vec<WireId> = valid.iter().map(|&v| n.and2(v, route.q)).collect();
         let route_n = n.not(route.q);
-        let req1 = n.and2(valid.q, route_n);
+        req.extend(valid.iter().map(|&v| n.and2(v, route_n)));
 
-        n.name_wire(valid.q, &format!("valid{i}"));
+        n.name_wire(input, &format!("in{i}"));
+        for (j, &v) in valid.iter().enumerate() {
+            let name = match j {
+                0 => format!("valid{i}"),
+                _ => format!("valid{i}_{j}"),
+            };
+            n.name_wire(v, &name);
+        }
         n.name_wire(mask.q, &format!("mask{i}"));
         n.name_wire(route.q, &format!("route{i}"));
         n.name_wire(det.envelope, &format!("env{i}"));
 
-        per_input.push((
-            det,
+        slices.push(Slice {
+            taps: InputTaps {
+                envelope: det.envelope,
+                valid,
+                mask: mask.q,
+                route: route.q,
+                req,
+            },
             end_d,
-            valid_reset,
-            valid,
-            mask,
-            route,
+            sets,
+            resets,
             delayed,
-            [req0, req1],
-        ));
+        });
     }
 
-    // Arbiters: one mutex per output port.
-    let m0 = mutex2(n, per_input[0].7[0], per_input[1].7[0]);
-    let m1 = mutex2(n, per_input[0].7[1], per_input[1].7[1]);
-    let grants = [[m0.grant0, m1.grant0], [m0.grant1, m1.grant1]];
-    n.name_wire(grants[0][0], "grant00");
-    n.name_wire(grants[0][1], "grant01");
-    n.name_wire(grants[1][0], "grant10");
-    n.name_wire(grants[1][1], "grant11");
+    // Arbiters: one mutual-exclusion element per output port.
+    let mut grants = vec![Vec::new(); ports];
+    for o in 0..ports {
+        let reqs: Vec<WireId> = slices.iter().map(|s| s.taps.req[o]).collect();
+        for (i, g) in mutex_tree(n, &reqs).into_iter().enumerate() {
+            n.name_wire(g, &format!("grant{i}{o}"));
+            grants[i].push(g);
+        }
+    }
 
-    // Drop detection closes the valid-reset loop: input i is dropped when
-    // it requests an output the other input currently holds.
-    #[allow(clippy::needless_range_loop)]
-    for i in 0..2 {
-        let other = 1 - i;
-        let req = per_input[i].7;
-        let lost0 = n.and2(req[0], grants[other][0]);
-        let lost1 = n.and2(req[1], grants[other][1]);
-        let drop = n.or2(lost0, lost1);
-        let end_d = per_input[i].1;
-        let valid_reset = per_input[i].2;
-        n.gate_into(
-            GateKind::Or2,
-            end_d,
-            Some(drop),
-            valid_reset,
-            n.gate_delay(),
-        );
+    // Loss pulses close the valid chains: input i loses path j when it
+    // requests output (dir, j) while another input holds that port.
+    let delay = n.gate_delay();
+    for (i, s) in slices.iter().enumerate() {
+        for j in 0..m {
+            let [lost0, lost1] = [j, m + j].map(|o| {
+                let held: Vec<WireId> = (0..ports)
+                    .filter(|&x| x != i)
+                    .map(|x| grants[x][o])
+                    .collect();
+                let held = or_chain(n, &held);
+                n.and2(s.taps.req[o], held)
+            });
+            let lost = n.or2(lost0, lost1);
+            n.gate_into(GateKind::Or2, s.end_d, Some(lost), s.resets[j], delay);
+            if j + 1 < m {
+                n.gate_into(GateKind::Or2, lost, Some(lost), s.sets[j + 1], delay);
+            }
+        }
     }
 
     // Fabric back half.
-    let a00 = n.and2(per_input[0].6, grants[0][0]);
-    let a01 = n.and2(per_input[0].6, grants[0][1]);
-    let a10 = n.and2(per_input[1].6, grants[1][0]);
-    let a11 = n.and2(per_input[1].6, grants[1][1]);
-    let out0 = n.combiner(&[a00, a10]);
-    let out1 = n.combiner(&[a01, a11]);
-    n.name_wire(out0, "out0");
-    n.name_wire(out1, "out1");
+    let legs: Vec<Vec<WireId>> = slices
+        .iter()
+        .zip(&grants)
+        .map(|(s, row)| row.iter().map(|&g| n.and2(s.delayed, g)).collect())
+        .collect();
+    let outputs = (0..ports)
+        .map(|o| {
+            let column: Vec<WireId> = legs.iter().map(|row| row[o]).collect();
+            let out = n.combiner(&column);
+            n.name_wire(out, &format!("out{o}"));
+            out
+        })
+        .collect();
 
-    let taps = [0, 1].map(|i| {
-        let (det, _, _, valid, mask, route, _, req) = &per_input[i];
-        InputTaps {
-            envelope: det.envelope,
-            valid: valid.q,
-            mask: mask.q,
-            route: route.q,
-            req: *req,
-        }
-    });
-
-    Switch2x2 {
-        inputs: [in0, in1],
-        outputs: [out0, out1],
+    Switch {
+        inputs,
+        outputs,
         grants,
-        taps,
+        taps: slices.into_iter().map(|s| s.taps).collect(),
     }
 }
 
 /// A packet to inject in a harness run.
 #[derive(Debug, Clone)]
 pub struct Injection {
-    /// Which switch input (0 or 1).
+    /// Which switch input, `side * m + k`.
     pub input: usize,
     /// Arrival instant of the first light, in femtoseconds.
     pub start: Fs,
-    /// Routing bits; the first selects this switch's output.
+    /// Routing bits; the first selects this switch's output direction.
     pub routing_bits: Vec<bool>,
     /// Payload bytes (8b/10b coded on the wire).
     pub payload: Vec<u8>,
@@ -225,14 +315,28 @@ pub struct Injection {
 /// Result of a harness run.
 #[derive(Debug)]
 pub struct HarnessResult {
-    /// Waveforms observed at the two outputs.
-    pub outputs: [Waveform; 2],
-    /// The assembled input waves (for reference checks).
-    pub injected: Vec<(usize, PacketWave)>,
-    /// The completed simulation, for extra probing.
-    pub sim: CircuitSim,
-    /// The switch handles.
-    pub switch: Switch2x2,
+    /// Path multiplicity of the switch.
+    pub multiplicity: usize,
+    /// Waveforms observed at the outputs, `dir * m + path`.
+    pub outputs: Vec<Waveform>,
+    /// The assembled input waves, in injection order.
+    pub injected: Vec<PacketWave>,
+}
+
+impl HarnessResult {
+    /// Paths of direction `dir` whose output carried any light.
+    pub fn lit_ports(&self, dir: usize) -> Vec<usize> {
+        let m = self.multiplicity;
+        (0..m)
+            .filter(|&j| !self.outputs[dir * m + j].is_dark())
+            .collect()
+    }
+
+    /// Count of packets that exited on direction `dir` (each lit port
+    /// carries at most one packet in the test scenarios).
+    pub fn delivered(&self, dir: usize) -> usize {
+        self.lit_ports(dir).len()
+    }
 }
 
 /// Fixed delay from switch input to output for a granted packet:
@@ -241,50 +345,48 @@ pub fn fabric_latency(p: &SwitchParams, gate_delay: Fs) -> Fs {
     gate_delay + p.fabric_delay + gate_delay + 1
 }
 
-/// Builds a switch, injects `packets`, runs to quiescence, and returns the
-/// observed outputs.
+/// Builds a multiplicity-`m` switch, injects `packets`, runs to
+/// quiescence, and returns the observed outputs.
 ///
 /// # Panics
 ///
 /// Panics if the circuit fails to settle (oscillation) or an injection is
 /// malformed.
-pub fn run_switch(p: SwitchParams, packets: &[Injection]) -> HarnessResult {
+pub fn run_switch(p: SwitchParams, m: usize, packets: &[Injection]) -> HarnessResult {
     let code = LengthCode::paper();
     let mut n = Netlist::new();
-    let sw = build_switch(&mut n, p);
+    let sw = build_switch(&mut n, p, m);
     let mut sim = CircuitSim::new(n);
-    for j in 0..2 {
-        sim.probe(sw.outputs[j]);
+    for &out in &sw.outputs {
+        sim.probe(out);
     }
     let mut horizon = 0;
-    let mut injected = Vec::new();
+    let mut injected = Vec::with_capacity(packets.len());
     // Merge multiple packets per input into a single waveform.
-    let mut per_input: [Vec<Fs>; 2] = [Vec::new(), Vec::new()];
+    let mut per_input: Vec<Vec<Fs>> = vec![Vec::new(); sw.inputs.len()];
     for inj in packets {
-        assert!(inj.input < 2, "switch has two inputs");
+        assert!(inj.input < sw.inputs.len(), "switch has {} inputs", 2 * m);
         let pw = assemble(&code, &inj.routing_bits, &inj.payload, inj.start);
         horizon = horizon.max(pw.end);
         per_input[inj.input].extend_from_slice(pw.wave.transitions());
-        injected.push((inj.input, pw));
+        injected.push(pw);
     }
-    for (i, mut transitions) in per_input.into_iter().enumerate() {
+    for (&input, mut transitions) in sw.inputs.iter().zip(per_input) {
         if transitions.is_empty() {
             continue;
         }
         transitions.sort_unstable();
-        sim.drive(sw.inputs[i], &Waveform::from_transitions(transitions));
+        sim.drive(input, &Waveform::from_transitions(transitions));
     }
-    let outcome = sim.run(horizon + 2_000_000);
+    let outcome = sim.run(horizon + 3_000_000);
     assert!(
         matches!(outcome, RunOutcome::Settled { .. }),
-        "switch failed to settle"
+        "m={m} switch failed to settle"
     );
-    let outputs = [sim.probed(sw.outputs[0]), sim.probed(sw.outputs[1])];
     HarnessResult {
-        outputs,
+        multiplicity: m,
+        outputs: sw.outputs.iter().map(|&o| sim.probed(o)).collect(),
         injected,
-        sim,
-        switch: sw,
     }
 }
 
@@ -298,7 +400,7 @@ pub fn expected_output(pw: &PacketWave, p: &SwitchParams, gate_delay: Fs) -> Wav
     masked.delayed(fabric_latency(p, gate_delay))
 }
 
-/// Empirically measures the switch's misrouting rate under Gaussian
+/// Empirically measures the m = 1 switch's misrouting rate under Gaussian
 /// timing jitter of the given sigma (femtoseconds) applied independently
 /// to every transition of the input packet — the circuit-level
 /// counterpart of the Sec. IV-F analytical model.
@@ -328,7 +430,7 @@ pub fn jitter_failure_rate(p: SwitchParams, sigma_fs: f64, trials: u32, seed: u6
         jittered.sort_unstable();
         jittered.dedup();
         let mut n = Netlist::new();
-        let sw = build_switch(&mut n, p);
+        let sw = build_switch(&mut n, p, 1);
         let mut sim = CircuitSim::new(n);
         sim.probe(sw.outputs[0]);
         sim.probe(sw.outputs[1]);
@@ -361,11 +463,22 @@ mod tests {
         }
     }
 
+    /// A packet on input `port` of `side` of a multiplicity-`m` switch.
+    fn pkt_m(m: usize, side: usize, port: usize, start: Fs, bits: &[bool]) -> Injection {
+        pkt(side * m + port, start, bits)
+    }
+
+    fn gate_count(m: usize) -> u32 {
+        let mut n = Netlist::new();
+        build_switch(&mut n, SwitchParams::paper(), m);
+        n.tl_gate_count()
+    }
+
     #[test]
     fn routes_bit0_to_output0_with_exact_waveform() {
         let p = SwitchParams::paper();
-        let r = run_switch(p, &[pkt(0, 10 * T, &[false, true, false])]);
-        let expect = expected_output(&r.injected[0].1, &p, TlGate::PAPER.delay_fs());
+        let r = run_switch(p, 1, &[pkt(0, 10 * T, &[false, true, false])]);
+        let expect = expected_output(&r.injected[0], &p, TlGate::PAPER.delay_fs());
         assert_eq!(
             r.outputs[0].transitions(),
             expect.transitions(),
@@ -377,8 +490,8 @@ mod tests {
     #[test]
     fn routes_bit1_to_output1() {
         let p = SwitchParams::paper();
-        let r = run_switch(p, &[pkt(0, 10 * T, &[true, false, true])]);
-        let expect = expected_output(&r.injected[0].1, &p, TlGate::PAPER.delay_fs());
+        let r = run_switch(p, 1, &[pkt(0, 10 * T, &[true, false, true])]);
+        let expect = expected_output(&r.injected[0], &p, TlGate::PAPER.delay_fs());
         assert_eq!(r.outputs[1].transitions(), expect.transitions());
         assert!(r.outputs[0].is_dark());
     }
@@ -386,8 +499,8 @@ mod tests {
     #[test]
     fn input1_routes_symmetrically() {
         let p = SwitchParams::paper();
-        let r = run_switch(p, &[pkt(1, 10 * T, &[false, false])]);
-        let expect = expected_output(&r.injected[0].1, &p, TlGate::PAPER.delay_fs());
+        let r = run_switch(p, 1, &[pkt(1, 10 * T, &[false, false])]);
+        let expect = expected_output(&r.injected[0], &p, TlGate::PAPER.delay_fs());
         assert_eq!(r.outputs[0].transitions(), expect.transitions());
         assert!(r.outputs[1].is_dark());
     }
@@ -397,6 +510,7 @@ mod tests {
         let p = SwitchParams::paper();
         let r = run_switch(
             p,
+            1,
             &[
                 pkt(0, 10 * T, &[false, true]),
                 pkt(1, 10 * T, &[true, true]),
@@ -405,11 +519,11 @@ mod tests {
         let g = TlGate::PAPER.delay_fs();
         assert_eq!(
             r.outputs[0].transitions(),
-            expected_output(&r.injected[0].1, &p, g).transitions()
+            expected_output(&r.injected[0], &p, g).transitions()
         );
         assert_eq!(
             r.outputs[1].transitions(),
-            expected_output(&r.injected[1].1, &p, g).transitions()
+            expected_output(&r.injected[1], &p, g).transitions()
         );
     }
 
@@ -419,6 +533,7 @@ mod tests {
         // Both want output 0; input 0 arrives first.
         let r = run_switch(
             p,
+            1,
             &[
                 pkt(0, 10 * T, &[false, true]),
                 pkt(1, 12 * T, &[false, false]),
@@ -427,7 +542,7 @@ mod tests {
         let g = TlGate::PAPER.delay_fs();
         assert_eq!(
             r.outputs[0].transitions(),
-            expected_output(&r.injected[0].1, &p, g).transitions(),
+            expected_output(&r.injected[0], &p, g).transitions(),
             "the earlier packet must win intact"
         );
         assert!(r.outputs[1].is_dark(), "nothing leaks to the other output");
@@ -438,6 +553,7 @@ mod tests {
         let p = SwitchParams::paper();
         let r = run_switch(
             p,
+            1,
             &[
                 pkt(0, 10 * T, &[false, true]),
                 pkt(1, 10 * T, &[false, false]),
@@ -448,7 +564,7 @@ mod tests {
         // unmangled.
         assert_eq!(
             r.outputs[0].transitions(),
-            expected_output(&r.injected[0].1, &p, g).transitions()
+            expected_output(&r.injected[0], &p, g).transitions()
         );
         assert!(r.outputs[1].is_dark());
     }
@@ -461,15 +577,15 @@ mod tests {
         let code = LengthCode::paper();
         let pw1 = assemble(&code, &first.routing_bits, &first.payload, first.start);
         let second_start = pw1.end + 20 * T;
-        let r = run_switch(p, &[first, pkt(0, second_start, &[true, true])]);
+        let r = run_switch(p, 1, &[first, pkt(0, second_start, &[true, true])]);
         let g = TlGate::PAPER.delay_fs();
         assert_eq!(
             r.outputs[0].transitions(),
-            expected_output(&r.injected[0].1, &p, g).transitions()
+            expected_output(&r.injected[0], &p, g).transitions()
         );
         assert_eq!(
             r.outputs[1].transitions(),
-            expected_output(&r.injected[1].1, &p, g).transitions()
+            expected_output(&r.injected[1], &p, g).transitions()
         );
     }
 
@@ -481,10 +597,10 @@ mod tests {
         let pw1 = assemble(&code, &first.routing_bits, &first.payload, first.start);
         // Input 1 sends to output 0 well after the first packet drains.
         let late_start = pw1.end + 30 * T;
-        let r = run_switch(p, &[first, pkt(1, late_start, &[false, false])]);
+        let r = run_switch(p, 1, &[first, pkt(1, late_start, &[false, false])]);
         let g = TlGate::PAPER.delay_fs();
-        let e0 = expected_output(&r.injected[0].1, &p, g);
-        let e1 = expected_output(&r.injected[1].1, &p, g);
+        let e0 = expected_output(&r.injected[0], &p, g);
+        let e1 = expected_output(&r.injected[1], &p, g);
         let mut all: Vec<Fs> = e0
             .transitions()
             .iter()
@@ -497,9 +613,7 @@ mod tests {
 
     #[test]
     fn gate_count_matches_figure_4() {
-        let mut n = Netlist::new();
-        build_switch(&mut n, SwitchParams::paper());
-        let gates = n.tl_gate_count();
+        let gates = gate_count(1);
         // Paper Fig. 4 caption: "only 60 TL gates" for multiplicity 1
         // (Table V budgets 64 including I/O conditioning).
         assert!(
@@ -553,7 +667,7 @@ mod tests {
             let mut sorted = jittered.clone();
             sorted.sort_unstable();
             let mut n = Netlist::new();
-            let sw = build_switch(&mut n, p);
+            let sw = build_switch(&mut n, p, 1);
             let mut sim = CircuitSim::new(n);
             sim.probe(sw.outputs[0]);
             sim.probe(sw.outputs[1]);
@@ -570,5 +684,177 @@ mod tests {
         // At sigma = 1.24 ps against a >= 7 ps margin, misdecodes are
         // ~1e-9; every trial must route correctly.
         assert_eq!(correct, trials);
+    }
+
+    #[test]
+    fn m1_degenerates_to_the_basic_switch() {
+        let p = SwitchParams::paper();
+        let r = run_switch(p, 1, &[pkt_m(1, 0, 0, 10 * T, &[false, true])]);
+        assert_eq!(r.delivered(0), 1);
+        assert_eq!(r.delivered(1), 0);
+    }
+
+    #[test]
+    fn m2_single_packet_takes_path_0_with_exact_waveform() {
+        let p = SwitchParams::paper();
+        let r = run_switch(p, 2, &[pkt_m(2, 0, 0, 10 * T, &[false, true])]);
+        assert_eq!(r.lit_ports(0), vec![0], "uncontended packet uses path 0");
+        let expect = expected_output(&r.injected[0], &p, TlGate::PAPER.delay_fs());
+        assert_eq!(
+            r.outputs[0].transitions(),
+            expect.transitions(),
+            "masked, delayed packet must arrive intact"
+        );
+        assert_eq!(r.delivered(1), 0);
+    }
+
+    #[test]
+    fn m2_two_contenders_both_delivered_on_different_paths() {
+        // The whole point of multiplicity: what would be a drop at m=1 is
+        // a second-path delivery at m=2.
+        let p = SwitchParams::paper();
+        let r = run_switch(
+            p,
+            2,
+            &[
+                pkt_m(2, 0, 0, 10 * T, &[false, true]),
+                pkt_m(2, 1, 0, 10 * T, &[false, false]),
+            ],
+        );
+        assert_eq!(r.delivered(0), 2, "lit ports: {:?}", r.lit_ports(0));
+        assert_eq!(r.delivered(1), 0);
+    }
+
+    #[test]
+    fn m2_three_contenders_drop_exactly_one() {
+        let p = SwitchParams::paper();
+        let r = run_switch(
+            p,
+            2,
+            &[
+                pkt_m(2, 0, 0, 10 * T, &[false, true]),
+                pkt_m(2, 0, 1, 10 * T, &[false, false]),
+                pkt_m(2, 1, 0, 11 * T, &[false, true]),
+            ],
+        );
+        assert_eq!(r.delivered(0), 2, "two paths exist, two survive");
+        assert_eq!(r.delivered(1), 0);
+    }
+
+    #[test]
+    fn m2_disjoint_directions_do_not_interact() {
+        // The two direction-1 packets tie for path 0. The loser moves to
+        // path 1 with its routing latch clear; were "not valid" the
+        // window gate, its later bits would set the latch and turn it to
+        // direction 0.
+        let p = SwitchParams::paper();
+        let r = run_switch(
+            p,
+            2,
+            &[
+                pkt_m(2, 0, 0, 10 * T, &[false, true]),
+                pkt_m(2, 0, 1, 10 * T, &[true, false]),
+                pkt_m(2, 1, 0, 10 * T, &[true, true]),
+            ],
+        );
+        assert_eq!(r.delivered(0), 1);
+        assert_eq!(r.delivered(1), 2);
+    }
+
+    #[test]
+    fn m3_four_contenders_drop_exactly_one() {
+        let p = SwitchParams::paper();
+        let r = run_switch(
+            p,
+            3,
+            &[
+                pkt_m(3, 0, 0, 10 * T, &[false]),
+                pkt_m(3, 0, 1, 10 * T, &[false]),
+                pkt_m(3, 0, 2, 11 * T, &[false]),
+                pkt_m(3, 1, 0, 11 * T, &[false]),
+            ],
+        );
+        assert_eq!(r.delivered(0), 3, "three paths exist, three survive");
+    }
+
+    #[test]
+    fn staggered_arrivals_reuse_freed_paths() {
+        let p = SwitchParams::paper();
+        let code = LengthCode::paper();
+        let first = pkt_m(2, 0, 0, 10 * T, &[false, true]);
+        let pw = assemble(&code, &first.routing_bits, &first.payload, first.start);
+        // Second packet arrives long after the first drains: path 0 again.
+        let r = run_switch(
+            p,
+            2,
+            &[first, pkt_m(2, 1, 0, pw.end + 30 * T, &[false, false])],
+        );
+        // Both packets on path 0, sequentially; path 1 never used.
+        assert!(!r.outputs[0].is_dark());
+        assert!(r.outputs[1].is_dark(), "{:?}", r.lit_ports(0));
+    }
+
+    #[test]
+    fn gate_counts_track_table_v() {
+        use crate::gate_count::TABLE_V_GATES;
+        for m in 1..=5 {
+            let gates = gate_count(m);
+            let paper = TABLE_V_GATES[m - 1];
+            let ratio = f64::from(gates) / f64::from(paper);
+            assert!(
+                (0.5..=1.5).contains(&ratio),
+                "m={m}: {gates} gates vs paper {paper}"
+            );
+        }
+    }
+
+    #[test]
+    fn gate_counts_are_pinned() {
+        // m = 1 is the Fig. 4 circuit; the window gate is one inverter
+        // there and a two-gate pre-valid latch per input above it.
+        let counts: Vec<u32> = (1..=5).map(gate_count).collect();
+        assert_eq!(counts, [62, 276, 744, 1_400, 2_500]);
+    }
+
+    #[test]
+    fn grants_are_exclusive_per_port() {
+        // Run the contended scenario and check grant exclusivity on every
+        // output port at every recorded edge.
+        let p = SwitchParams::paper();
+        let mut n = Netlist::new();
+        let sw = build_switch(&mut n, p, 2);
+        let mut sim = CircuitSim::new(n);
+        let code = LengthCode::paper();
+        for row in &sw.grants {
+            for &g in row {
+                sim.probe(g);
+            }
+        }
+        let a = assemble(&code, &[false, true], b"AA", 10 * T);
+        let b = assemble(&code, &[false, false], b"BB", 10 * T);
+        let c = assemble(&code, &[false, true], b"CC", 12 * T);
+        sim.drive(sw.inputs[0], &a.wave);
+        sim.drive(sw.inputs[1], &b.wave);
+        sim.drive(sw.inputs[2], &c.wave);
+        let out = sim.run(a.end.max(b.end).max(c.end) + 3_000_000);
+        assert!(matches!(out, RunOutcome::Settled { .. }));
+        // Collect all transition instants, then assert <= 1 grant high per
+        // port at each.
+        let mut edges: Vec<Fs> = Vec::new();
+        for row in &sw.grants {
+            for &g in row {
+                edges.extend_from_slice(sim.probed(g).transitions());
+            }
+        }
+        edges.sort_unstable();
+        edges.dedup();
+        for &e in &edges {
+            for o in 0..4 {
+                let high: usize = (0..4)
+                    .filter(|&i| sim.probed(sw.grants[i][o]).level_at(e))
+                    .count();
+                assert!(high <= 1, "port {o} at {e}: {high} grants");
+            }
+        }
     }
 }

@@ -10,9 +10,11 @@
 //! * [`dragonfly`] — Kim et al.'s balanced dragonfly (a = 2p = 2h),
 //! * [`fattree`] — the 3-level k-ary fat-tree of Al-Fares et al.,
 //! * [`omega`] — the Omega (perfect shuffle) network, for the paper's
-//!   multi-stage isomorphism claim,
-//! * [`ideal`] — the paper's infinite-bandwidth, flat-200 ns reference;
+//!   multi-stage isomorphism claim;
 //!   [`staged`] unifies the multi-stage variants behind one interface.
+//!
+//! The paper's ideal reference network has no topology: it is the packet
+//! model `baldur_net::ideal_net`.
 //!
 //! Electrical topologies also export a port-level [`graph::RouterGraph`]
 //! consumed by the buffered-router simulation in `baldur-net`.
@@ -20,7 +22,6 @@
 pub mod dragonfly;
 pub mod fattree;
 pub mod graph;
-pub mod ideal;
 pub mod mask;
 pub mod multibutterfly;
 pub mod omega;

@@ -715,7 +715,7 @@ fn latch_circuit() -> (CircuitSim, Fs) {
 fn switch_circuit() -> (CircuitSim, Fs) {
     let code = LengthCode::paper();
     let mut n = Netlist::new();
-    let sw = build_switch(&mut n, SwitchParams::paper());
+    let sw = build_switch(&mut n, SwitchParams::paper(), 1);
     let mut sim = CircuitSim::new(n);
     sim.probe(sw.outputs[0]);
     sim.probe(sw.outputs[1]);
