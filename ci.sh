@@ -177,6 +177,17 @@ switch_generator() {
         cargo run --release -q -p baldur-bench --bin fig5_waveform -- --no-cache
 }
 
+# The run cache keyed by the build: each executable caches in its own
+# directory, no smoke gate reads or writes the caller's cache, then a
+# SIGKILLed sweep replays its finished jobs and cached sweeps replay
+# identically at any thread count.
+cache_per_build() {
+    filtered_test -p baldur-bench -- each_build_caches_in_its_own_directory &&
+        filtered_test --test registry_suite -- smoke_modes_neither_read_nor_write_the_callers_cache &&
+        cargo test -q --test crash_recovery &&
+        cargo test -q --test thread_invariance
+}
+
 write_summary() {
     {
         echo "{"
@@ -195,9 +206,9 @@ write_summary() {
 }
 
 run_step fmt cargo fmt --all --check
-# The workspace's deny-level clippy classes (correctness, suspicious, and
-# the named lints in Cargo.toml) over every target, tests included.
-run_step clippy cargo clippy --workspace --all-targets -q
+# Clippy over every target, tests included, with every warning an error
+# (on top of the deny-level classes and named lints in Cargo.toml).
+run_step clippy cargo clippy --workspace --all-targets -q -- -D warnings
 run_step lint cargo run --release -p baldur-lint
 # The lint crate holds itself to the strictest bar: every rule, zero
 # allowlist entries. A machine-readable report lands in results/lint.json
@@ -232,6 +243,7 @@ run_step arbitration-over-requests arbitration_over_requests
 run_step port-epochs port_epochs
 run_step parallel-wiring parallel_wiring
 run_step switch-generator switch_generator
+run_step cache-per-build cache_per_build
 run_step test-workspace cargo test --workspace -q
 # Registry gates: the runner must enumerate every registered experiment,
 # and the completeness suite enforces bin <-> spec bijection, golden (or

@@ -4,6 +4,7 @@
 //! lives here (see `allowlist.txt`); `runner.rs` stays exit-free.
 
 use std::collections::HashMap;
+use std::path::{Path, PathBuf};
 
 use baldur::experiments::EvalConfig;
 use baldur::sweep::{Sweep, DEFAULT_CACHE_DIR};
@@ -164,12 +165,14 @@ impl Args {
         }
     }
 
-    /// Builds the [`Sweep`] runner for this invocation: cached into
-    /// `--cache-dir` (default [`DEFAULT_CACHE_DIR`]) unless `--no-cache`
+    /// Builds the [`Sweep`] runner for this invocation: cached into this
+    /// build's directory under `--cache-dir` (default
+    /// [`DEFAULT_CACHE_DIR`]; see [`build_cache_dir`]) unless `--no-cache`
     /// was passed; worker count follows `--threads` / `BALDUR_THREADS`;
     /// `--fail-budget N` tolerates N failed jobs per sweep (default:
     /// unlimited). After a killed run, the same command replays every
-    /// finished job from the cache.
+    /// finished job from the cache. When the running executable cannot
+    /// be read, the run goes uncached with one warning.
     pub fn sweep(&self, cfg: &EvalConfig) -> Sweep {
         let mut sw = Sweep::new(cfg.threads);
         if let Some(raw) = self.get("fail-budget") {
@@ -179,14 +182,29 @@ impl Args {
             sw = sw.with_fail_budget(budget);
         }
         if self.flag("no-cache") {
-            sw
-        } else {
-            sw.with_cache_dir(self.get("cache-dir").unwrap_or(DEFAULT_CACHE_DIR))
+            return sw;
+        }
+        let root = Path::new(self.get("cache-dir").unwrap_or(DEFAULT_CACHE_DIR));
+        match std::env::current_exe().and_then(std::fs::read) {
+            Ok(exe) => sw.with_cache_dir(build_cache_dir(root, &exe)),
+            Err(e) => {
+                eprintln!("warning: cannot read this executable to name its cache ({e}); running uncached");
+                sw
+            }
         }
     }
 }
 
-/// Prints the per-sweep wall-clock and cache-hit counters to stderr, so
+/// The run-cache directory of the build whose executable bytes are
+/// `exe`: `root/<first 16 hex digits of their SHA-256>`. Any change to
+/// the code changes the binary and so the directory, so a rebuilt
+/// binary starts cold and never replays a result of the code before it.
+fn build_cache_dir(root: &Path, exe: &[u8]) -> PathBuf {
+    let id = baldur::hash::hex_digest(exe);
+    root.join(&id[..16])
+}
+
+/// Prints the per-sweep job, cache-hit and corrupt-entry counts to stderr, so
 /// result tables on stdout stay clean and diffable.
 pub fn print_sweep_summary(sw: &Sweep) {
     eprint!("\n{}", sw.summary());
@@ -265,5 +283,17 @@ mod tests {
         // `--out` is an all_figures key only.
         assert_eq!(argv(&["--out", "dir"]).unknown_keys(&[]), ["out"]);
         assert!(argv(&["--out", "dir"]).unknown_keys(&["out"]).is_empty());
+    }
+
+    #[test]
+    fn each_build_caches_in_its_own_directory() {
+        let root = Path::new("results/cache");
+        let build = build_cache_dir(root, b"\x7fELF one build");
+        assert_eq!(build, build_cache_dir(root, b"\x7fELF one build"));
+        assert_ne!(build, build_cache_dir(root, b"\x7fELF one build!"));
+        assert_eq!(build.parent(), Some(root));
+        let name = build.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        assert_eq!(name.len(), 16, "{name}");
+        assert!(name.bytes().all(|b| b.is_ascii_hexdigit()), "{name}");
     }
 }

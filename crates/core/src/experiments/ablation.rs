@@ -23,15 +23,10 @@ use crate::registry::{
 };
 use crate::sweep::Sweep;
 
-// Every historical key was written at version 1; bump on
-// payload-semantics changes.
-const VERSION: u32 = 1;
-
 pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
     name: "ablation",
     artifact: "Sec. IV-E",
     summary: "wiring-randomization and exponential-backoff ablations",
-    version: VERSION,
     labels: &["wiring_burst", "wiring_sim", "backoff"],
     axes: &[],
     flags: &[],
@@ -77,12 +72,9 @@ pub fn wiring_ablation(sw: &Sweep, cfg: &EvalConfig) -> Result<WiringAblation, B
         .collect();
     let bursts = all_ok(
         "wiring_burst",
-        sw.try_map(
-            "wiring_burst",
-            VERSION,
-            burst_items,
-            |(n, m, p, seed, w)| droptool::worst_case_with_wiring(*n, *m, *p, *seed, *w).drop_rate,
-        ),
+        sw.try_map("wiring_burst", burst_items, |(n, m, p, seed, w)| {
+            droptool::worst_case_with_wiring(*n, *m, *p, *seed, *w).drop_rate
+        }),
     )?;
     let sim_items: Vec<RunConfig> = [Wiring::Randomized, Wiring::Dilated]
         .into_iter()
@@ -105,10 +97,7 @@ pub fn wiring_ablation(sw: &Sweep, cfg: &EvalConfig) -> Result<WiringAblation, B
             }
         })
         .collect();
-    let mut sims = all_ok(
-        "wiring_sim",
-        sw.try_map("wiring_sim", VERSION, sim_items, run),
-    )?;
+    let mut sims = all_ok("wiring_sim", sw.try_map("wiring_sim", sim_items, run))?;
     let (randomized, dilated) = match (sims.pop(), sims.pop()) {
         (Some(d), Some(r)) => (r, d),
         _ => {
@@ -165,7 +154,7 @@ pub fn backoff_ablation(sw: &Sweep, cfg: &EvalConfig) -> Result<BackoffAblation,
             }
         })
         .collect();
-    let mut reports = all_ok("backoff", sw.try_map("backoff", VERSION, items, run))?;
+    let mut reports = all_ok("backoff", sw.try_map("backoff", items, run))?;
     let (with_backoff, without_backoff) = match (reports.pop(), reports.pop()) {
         (Some(wo), Some(w)) => (w, wo),
         _ => {

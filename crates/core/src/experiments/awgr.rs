@@ -11,7 +11,6 @@ pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
     name: "awgr",
     artifact: "Sec. VII",
     summary: "Baldur versus a 32-radix AWGR network: power and per-hop latency",
-    version: 1,
     labels: &[],
     axes: &[],
     flags: &[],

@@ -9,15 +9,11 @@ use crate::registry::{json_of, no_overrides, outln, section, ExperimentSpec, Out
 use crate::sweep::Sweep;
 
 const LABEL: &str = "buffer_sizing";
-// Every historical key was written at version 1; bump on
-// payload-semantics changes.
-const VERSION: u32 = 1;
 
 pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
     name: "buffers",
     artifact: "Sec. IV-E",
     summary: "retransmission-buffer high-water mark across synthetic patterns",
-    version: VERSION,
     labels: &[LABEL],
     axes: &[],
     flags: &[],
@@ -59,7 +55,7 @@ pub fn buffer_sizing(sw: &Sweep, cfg: &EvalConfig) -> Vec<(String, u64)> {
             (pattern.name().to_string(), rc)
         })
         .collect();
-    sw.map(LABEL, VERSION, items, |(name, rc)| {
+    sw.map(LABEL, items, |(name, rc)| {
         let r = run(rc);
         (name.clone(), r.max_retx_buffer_bytes)
     })

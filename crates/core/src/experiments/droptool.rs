@@ -13,15 +13,11 @@ use super::EvalConfig;
 
 const LABEL: &str = "droptool";
 const REQ_LABEL: &str = "droptool_req";
-// Every historical key was written at version 1; bump on
-// payload-semantics changes.
-const VERSION: u32 = 1;
 
 pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
     name: "droptool",
     artifact: "Sec. IV-E",
     summary: "worst-case burst drop rate and required multiplicity per scale",
-    version: VERSION,
     labels: &[LABEL, REQ_LABEL],
     axes: &[Axis {
         name: "scales",
@@ -77,7 +73,7 @@ pub fn droptool_study(sw: &Sweep, scales: &[u32], seed: u64) -> (Vec<DropRow>, V
             }
         }
     }
-    let rows = sw.map(LABEL, VERSION, items, |(nodes, pattern, m, seed)| {
+    let rows = sw.map(LABEL, items, |(nodes, pattern, m, seed)| {
         let r = crate::net::droptool::worst_case(*nodes, *m, *pattern, *seed);
         DropRow {
             nodes: *nodes,
@@ -87,7 +83,7 @@ pub fn droptool_study(sw: &Sweep, scales: &[u32], seed: u64) -> (Vec<DropRow>, V
         }
     });
     let req_items: Vec<(u32, u64)> = scales.iter().map(|&n| (n, seed)).collect();
-    let required = sw.map(REQ_LABEL, VERSION, req_items, |(n, seed)| {
+    let required = sw.map(REQ_LABEL, req_items, |(n, seed)| {
         (
             *n,
             crate::net::droptool::required_multiplicity(*n, &patterns, 0.01, 3, *seed),

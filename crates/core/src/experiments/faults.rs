@@ -27,15 +27,11 @@ use crate::registry::{
 use crate::sweep::Sweep;
 
 const LABEL: &str = "faults";
-// Every historical key was written at version 1; bump on
-// payload-semantics changes.
-const VERSION: u32 = 1;
 
 pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
     name: "faults",
     artifact: "Sec. IV-F",
     summary: "failed-element degradation curves, fault smoke, and diagnosis demo",
-    version: VERSION,
     labels: &[LABEL],
     axes: &[
         Axis {
@@ -134,12 +130,10 @@ pub fn degradation(
             items.push((name.clone(), fraction, rc));
         }
     }
-    sw.map(LABEL, VERSION, items, |(name, fraction, rc)| {
-        DegradationRow {
-            network: name.clone(),
-            fraction: *fraction,
-            report: run(rc),
-        }
+    sw.map(LABEL, items, |(name, fraction, rc)| DegradationRow {
+        network: name.clone(),
+        fraction: *fraction,
+        report: run(rc),
     })
 }
 

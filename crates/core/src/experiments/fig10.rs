@@ -9,15 +9,11 @@ use crate::registry::{json_of, no_overrides, outln, section, ExperimentSpec, Out
 use crate::sweep::Sweep;
 
 const LABEL: &str = "fig10";
-// Every historical key was written at version 1; bump on
-// payload-semantics changes.
-const VERSION: u32 = 1;
 
 pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
     name: "fig10",
     artifact: "Figure 10",
     summary: "cost per node versus scale, with component breakdowns",
-    version: VERSION,
     labels: &[LABEL],
     axes: &[],
     flags: &[],
@@ -53,7 +49,7 @@ pub struct Fig10Row {
 
 /// The Figure 10 cost sweep — one cached job per scale.
 pub fn figure10(sw: &Sweep) -> Vec<Fig10Row> {
-    sw.map(LABEL, VERSION, paper_scales(), fig10_row)
+    sw.map(LABEL, paper_scales(), fig10_row)
 }
 
 fn fig10_row(item: &(u64, String)) -> Fig10Row {

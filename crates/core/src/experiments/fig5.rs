@@ -15,7 +15,6 @@ pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
     name: "fig5",
     artifact: "Figure 5",
     summary: "gate-level 2x2 switch waveform (ASCII + VCD)",
-    version: 1,
     labels: &[],
     axes: &[Axis {
         name: "vcd",

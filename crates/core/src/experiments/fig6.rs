@@ -15,15 +15,11 @@ use crate::registry::{
 use crate::sweep::Sweep;
 
 const LABEL: &str = "fig6";
-// Every historical key was written at version 1; bump on
-// payload-semantics changes.
-const VERSION: u32 = 1;
 
 pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
     name: "fig6",
     artifact: "Figure 6",
     summary: "average and tail latency versus input load, four patterns x five networks",
-    version: VERSION,
     labels: &[LABEL],
     axes: &[
         Axis {
@@ -119,7 +115,7 @@ pub fn figure6(
             }
         }
     }
-    sw.map(LABEL, VERSION, items, |(pattern, name, load, rc)| Fig6Row {
+    sw.map(LABEL, items, |(pattern, name, load, rc)| Fig6Row {
         pattern: pattern.clone(),
         network: name.clone(),
         load: *load,

@@ -15,15 +15,11 @@ use crate::sim::stats::geometric_mean;
 use crate::sweep::Sweep;
 
 const LABEL: &str = "fig7";
-// Every historical key was written at version 1; bump on
-// payload-semantics changes.
-const VERSION: u32 = 1;
 
 pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
     name: "fig7",
     artifact: "Figure 7",
     summary: "workload latency: hotspot, ping-pongs, and HPC traces on five networks",
-    version: VERSION,
     labels: &[LABEL],
     axes: &[],
     flags: &[],
@@ -99,7 +95,7 @@ pub fn figure7(sw: &Sweep, cfg: &EvalConfig) -> Vec<Fig7Row> {
             items.push((wname.clone(), nname, rc));
         }
     }
-    sw.map(LABEL, VERSION, items, |(wname, nname, rc)| Fig7Row {
+    sw.map(LABEL, items, |(wname, nname, rc)| Fig7Row {
         workload: wname.clone(),
         network: nname.clone(),
         report: run(rc),

@@ -7,15 +7,11 @@ use crate::registry::{json_of, no_overrides, outln, section, ExperimentSpec, Out
 use crate::sweep::Sweep;
 
 const LABEL: &str = "fig8";
-// Every historical key was written at version 1; bump on
-// payload-semantics changes.
-const VERSION: u32 = 1;
 
 pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
     name: "fig8",
     artifact: "Figure 8",
     summary: "power per node versus network scale, with component breakdowns",
-    version: VERSION,
     labels: &[LABEL],
     axes: &[],
     flags: &[],
@@ -51,15 +47,12 @@ plot for [net in "baldur electrical_mb dragonfly fattree"] \
 /// The Figure 8 power sweep at the paper's four scales — one cached job
 /// per scale.
 pub fn figure8(sw: &Sweep) -> Vec<ScalePoint> {
-    sw.map(
-        LABEL,
-        VERSION,
-        paper_scales(),
-        |point| match scaling_sweep(std::slice::from_ref(point)).pop() {
+    sw.map(LABEL, paper_scales(), |point| {
+        match scaling_sweep(std::slice::from_ref(point)).pop() {
             Some(row) => row,
             None => unreachable!("scaling_sweep returns one point per scale"),
-        },
-    )
+        }
+    })
 }
 
 fn run_hook(sw: &Sweep, _p: &Params) -> Result<Output, BaldurError> {

@@ -10,15 +10,11 @@ use crate::registry::{json_of, no_overrides, outln, section, ExperimentSpec, Out
 use crate::sweep::Sweep;
 
 const LABEL: &str = "fig9";
-// Every historical key was written at version 1; bump on
-// payload-semantics changes.
-const VERSION: u32 = 1;
 
 pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
     name: "fig9",
     artifact: "Figure 9",
     summary: "switch-power sensitivity of the 1M-scale comparison",
-    version: VERSION,
     labels: &[LABEL],
     axes: &[],
     flags: &[],
@@ -49,7 +45,7 @@ pub fn figure9(sw: &Sweep) -> Vec<Fig9Row> {
         .into_iter()
         .map(|name| (name.to_string(), scale))
         .collect();
-    sw.map(LABEL, VERSION, items, fig9_row)
+    sw.map(LABEL, items, fig9_row)
 }
 
 fn fig9_row(item: &(String, u64)) -> Fig9Row {

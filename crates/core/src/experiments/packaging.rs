@@ -9,7 +9,6 @@ pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
     name: "packaging",
     artifact: "Sec. IV-G",
     summary: "packaging plan at four scales under fiber and power limits",
-    version: 1,
     labels: &[],
     axes: &[],
     flags: &[],

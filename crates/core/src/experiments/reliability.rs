@@ -9,15 +9,11 @@ use crate::sweep::Sweep;
 use crate::tl::reliability::JitterModel;
 
 const LABEL: &str = "reliability";
-// Every historical key was written at version 1; bump on
-// payload-semantics changes.
-const VERSION: u32 = 1;
 
 pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
     name: "reliability",
     artifact: "Sec. IV-F",
     summary: "timing-jitter error probability, analytic and Monte Carlo",
-    version: VERSION,
     labels: &[LABEL],
     axes: &[
         Axis {
@@ -83,7 +79,7 @@ pub fn reliability(sw: &Sweep, samples: u64, seed: u64) -> Result<ReliabilityRep
         .collect();
     let monte_carlo = all_ok(
         LABEL,
-        sw.try_map(LABEL, VERSION, items, |(thr, samples, seed)| {
+        sw.try_map(LABEL, items, |(thr, samples, seed)| {
             let m = JitterModel::paper();
             (
                 *thr,

@@ -12,15 +12,11 @@ use crate::registry::{
 use crate::sweep::Sweep;
 
 const LABEL: &str = "saturation";
-// Every historical key was written at version 1; bump on
-// payload-semantics changes.
-const VERSION: u32 = 1;
 
 pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
     name: "saturation",
     artifact: "Figure 6 companion",
     summary: "accepted versus offered load under uniform-random traffic",
-    version: VERSION,
     labels: &[LABEL],
     axes: &[
         Axis {
@@ -104,7 +100,7 @@ pub fn saturation(
         }
     }
     let link = crate::net::config::LinkParams::paper();
-    sw.map(LABEL, VERSION, items, |(name, load, rc)| {
+    sw.map(LABEL, items, |(name, load, rc)| {
         let r = run(rc);
         SaturationRow {
             network: name.clone(),

@@ -45,7 +45,6 @@ use crate::registry::{
 use crate::sweep::Sweep;
 
 const LABEL: &str = "scaling";
-const VERSION: u32 = 2;
 
 static WALL_CLOCK: OnceLock<fn() -> u64> = OnceLock::new();
 static MEMORY_PROBE: OnceLock<fn() -> u64> = OnceLock::new();
@@ -81,7 +80,6 @@ pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
     name: "scaling",
     artifact: "Sec. V scale",
     summary: "kernel scaling curves (wall, events/s, RSS, state bytes) to 1M endpoints",
-    version: VERSION,
     labels: &[LABEL],
     axes: &[
         Axis {
@@ -187,9 +185,7 @@ pub fn scaling_curves(
         .iter()
         .map(|&n| (n.max(2).next_power_of_two(), ppn, cfg.seed))
         .collect();
-    sw.map(LABEL, VERSION, items, |&(n, ppn, seed)| {
-        measure(n, ppn, seed)
-    })
+    sw.map(LABEL, items, |&(n, ppn, seed)| measure(n, ppn, seed))
 }
 
 /// Builds, runs, and measures one scale point.

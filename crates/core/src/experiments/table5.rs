@@ -12,16 +12,11 @@ use crate::sweep::Sweep;
 use crate::tl::gate_count::{SwitchDesign, TABLE_V_DROP_PCT};
 
 const LABEL: &str = "table_v";
-// Every historical key was written at version 1; bump on
-// payload-semantics changes to invalidate exactly this experiment's
-// cache entries.
-const VERSION: u32 = 1;
 
 pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
     name: "table5",
     artifact: "Table V",
     summary: "switch design cost and drop rate versus path multiplicity",
-    version: VERSION,
     labels: &[LABEL],
     axes: &[],
     flags: &[],
@@ -79,7 +74,7 @@ pub fn table_v(sw: &Sweep, cfg: &EvalConfig) -> Vec<TableVRow> {
             (m, rc)
         })
         .collect();
-    sw.map(LABEL, VERSION, items, |(m, rc)| {
+    sw.map(LABEL, items, |(m, rc)| {
         let design = SwitchDesign::new(*m);
         let r = run(rc);
         TableVRow {

@@ -8,7 +8,6 @@ pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
     name: "tables34",
     artifact: "Tables III/IV",
     summary: "TL device/gate parameter tables and length-code overhead",
-    version: 1,
     labels: &[],
     axes: &[],
     flags: &[],

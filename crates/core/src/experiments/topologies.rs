@@ -15,15 +15,11 @@ use crate::registry::{
 use crate::sweep::Sweep;
 
 const LABEL: &str = "topologies";
-// Every historical key was written at version 1; bump on
-// payload-semantics changes.
-const VERSION: u32 = 1;
 
 pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
     name: "topologies",
     artifact: "Sec. VII",
     summary: "Baldur on three staged topologies: the isomorphism claim",
-    version: VERSION,
     labels: &[LABEL],
     axes: &[],
     flags: &[],
@@ -92,7 +88,7 @@ pub fn topology_comparison(sw: &Sweep, cfg: &EvalConfig) -> Vec<TopologyRow> {
             items.push((name.to_string(), pattern.name().to_string(), rc));
         }
     }
-    sw.map(LABEL, VERSION, items, |(name, pattern, rc)| TopologyRow {
+    sw.map(LABEL, items, |(name, pattern, rc)| TopologyRow {
         topology: name.clone(),
         pattern: pattern.clone(),
         report: run(rc),

@@ -6,17 +6,16 @@
 //! emission, and the failure epilogue — adding a flag meant editing 14
 //! files. Now each per-artifact module under [`crate::experiments`]
 //! registers a spec describing *what* it is (name, paper artifact,
-//! parameter axes with defaults, cache version, output columns) and
+//! parameter axes with defaults, output columns) and
 //! *how* to run it (a typed `run(&Sweep, &Params)` hook returning an
 //! [`Output`]); the single generic runner in `baldur-bench` owns
 //! everything else. Adding experiment #18 is one spec registration, not
 //! a new binary.
 //!
-//! Cache-key hygiene lives here too: a spec's `version` is hashed into
-//! every job key its sweeps write (via [`Sweep::map`]), so bumping one
-//! experiment's version invalidates exactly its own cache entries. All
-//! specs start at version 1, the value every key has been written with
-//! since the cache existed, so a warm cache stays 100% warm.
+//! A spec carries no cache version: a job's key is its sweep label and
+//! its item (see [`Sweep::map`]), and the bench binaries keep each
+//! build's entries in a directory of their own, so a rebuilt binary
+//! never replays a result the old code computed.
 
 use std::collections::BTreeMap;
 
@@ -138,10 +137,6 @@ pub struct ExperimentSpec {
     pub artifact: &'static str,
     /// One-line summary for `--list` and the docs table.
     pub summary: &'static str,
-    /// Cache-schema version, hashed into every job key this spec's
-    /// sweeps write. Bump when the payload semantics change; other
-    /// experiments' cache entries stay warm.
-    pub version: u32,
     /// The sweep labels this spec runs (cache-key namespaces).
     pub labels: &'static [&'static str],
     /// Overridable parameter axes (defaults are the standalone-binary
@@ -263,7 +258,7 @@ impl Params {
 
     /// True if the named flag was enabled.
     pub fn flag(&self, name: &str) -> bool {
-        self.flags.iter().any(|f| *f == name)
+        self.flags.contains(&name)
     }
 
     fn raw(&self, name: &str) -> Result<&str, BaldurError> {
@@ -386,8 +381,6 @@ pub struct Descriptor {
     pub artifact: String,
     /// One-line summary.
     pub summary: String,
-    /// Cache-schema version.
-    pub version: u32,
     /// Sweep labels (cache-key namespaces).
     pub labels: Vec<String>,
     /// Parameter axes.
@@ -430,7 +423,6 @@ pub fn describe(spec: &ExperimentSpec) -> Descriptor {
         name: spec.name.to_string(),
         artifact: spec.artifact.to_string(),
         summary: spec.summary.to_string(),
-        version: spec.version,
         labels: spec.labels.iter().map(|l| l.to_string()).collect(),
         axes: spec
             .axes

@@ -12,7 +12,7 @@
 //!   (`BALDUR_THREADS=1` and `=8` produce the same bytes; a tier-1 test
 //!   asserts it).
 //! * **Content-addressed caching.** Each job's cache key is the SHA-256 of
-//!   `label | version | crate version | exact-JSON(item)`. A hit replays
+//!   `label | exact-JSON(item)`. A hit replays
 //!   the stored result instead of simulating; because results are stored
 //!   with [`serde_json::to_string_exact`] (non-finite floats round-trip)
 //!   and floats render shortest-round-trip, a replayed result is
@@ -38,8 +38,11 @@
 //! about, recorded in [`Sweep::failures`], and — when a budget aborts —
 //! reflected in [`Sweep::aborted`]).
 //!
-//! The cache is enabled by the bench binaries (under `results/cache/` by
-//! default, one `<hex>.json` per job), not by unit tests: a
+//! The key names the job, not the code that computes it: the bench
+//! binaries give each build its own cache directory (a subdirectory of
+//! `results/cache/` named by the executable's digest, one `<hex>.json`
+//! per job), so a rebuilt binary starts cold and no entry outlives the
+//! code that wrote it. Unit tests do not enable the cache: a
 //! [`Sweep::new`] runner is uncached, so `cargo test` never touches the
 //! filesystem.
 //!
@@ -147,20 +150,16 @@ impl Sweep {
     /// [`Sweep::aborted`]. Use [`Sweep::try_map`] to see every slot.
     ///
     /// Each item must be *self-describing*: its serialized form (plus
-    /// `label` and `version`) is the cache key, so everything that
-    /// influences `f`'s result must be part of the item — which is why
-    /// the experiment sweeps carry their full `RunConfig` in the item
-    /// tuples. `version` is the experiment's cache version (its
-    /// registry spec's `version`): bumping it invalidates exactly that
-    /// experiment's entries while every other experiment's cache stays
-    /// warm.
-    pub fn map<T, R, F>(&self, label: &str, version: u32, items: Vec<T>, f: F) -> Vec<R>
+    /// `label`) is the cache key, so everything that influences `f`'s
+    /// result must be part of the item — which is why the experiment
+    /// sweeps carry their full `RunConfig` in the item tuples.
+    pub fn map<T, R, F>(&self, label: &str, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Serialize + Send + Sync,
         R: Serialize + Deserialize + Send,
         F: Fn(&T) -> R + Sync,
     {
-        self.try_map(label, version, items, f)
+        self.try_map(label, items, f)
             .into_iter()
             .filter_map(Result::ok)
             .collect()
@@ -172,13 +171,7 @@ impl Sweep {
     /// Completed jobs are persisted to the cache *as they finish* (not
     /// at the end of the sweep), which is what lets a rerun after a
     /// `kill -9` mid-sweep replay every finished job.
-    pub fn try_map<T, R, F>(
-        &self,
-        label: &str,
-        version: u32,
-        items: Vec<T>,
-        f: F,
-    ) -> Vec<Result<R, JobError>>
+    pub fn try_map<T, R, F>(&self, label: &str, items: Vec<T>, f: F) -> Vec<Result<R, JobError>>
     where
         T: Serialize + Send + Sync,
         R: Serialize + Deserialize + Send,
@@ -189,7 +182,7 @@ impl Sweep {
             .iter()
             .map(|it| {
                 let dir = self.cache_dir.as_ref()?;
-                Some(dir.join(format!("{}.json", key_hex(label, version, it)?)))
+                Some(dir.join(format!("{}.json", key_hex(label, it)?)))
             })
             .collect();
 
@@ -401,30 +394,13 @@ impl Sweep {
     }
 }
 
-/// The hex cache key for one `(label, version, item)` job, or `None`
-/// when the item fails to serialize — that job simply runs uncached.
-///
-/// `version` is the experiment's cache version from its
-/// [`crate::registry::ExperimentSpec`]; hashing it here is what makes
-/// per-spec invalidation possible without touching other experiments'
-/// keys.
-fn key_hex<T: Serialize>(label: &str, version: u32, item: &T) -> Option<String> {
+/// The hex cache key for one `(label, item)` job, or `None` when the
+/// item fails to serialize — that job simply runs uncached.
+fn key_hex<T: Serialize>(label: &str, item: &T) -> Option<String> {
     let payload = serde_json::to_string_exact(item).ok()?;
-    let mut h = crate::hash::Sha256::new();
-    h.update(label.as_bytes());
-    h.update(b"|");
-    h.update(&version.to_le_bytes());
-    h.update(b"|");
-    h.update(env!("CARGO_PKG_VERSION").as_bytes());
-    h.update(b"|");
-    h.update(payload.as_bytes());
-    let digest = h.finish();
-    let mut name = String::with_capacity(64);
-    for b in digest {
-        use std::fmt::Write;
-        let _ = write!(name, "{b:02x}"); // writing to a String cannot fail
-    }
-    Some(name)
+    Some(crate::hash::hex_digest(
+        format!("{label}|{payload}").as_bytes(),
+    ))
 }
 
 /// Outcome of probing one cache entry.
@@ -492,7 +468,7 @@ mod tests {
     #[test]
     fn uncached_map_preserves_order() {
         let sw = Sweep::new(4);
-        let out = sw.map("square", 1, (0u64..50).collect(), |&x| x * x);
+        let out = sw.map("square", (0u64..50).collect(), |&x| x * x);
         assert_eq!(out, (0u64..50).map(|x| x * x).collect::<Vec<_>>());
         let stats = sw.stats();
         assert_eq!(stats.len(), 1);
@@ -509,11 +485,11 @@ mod tests {
             (x, (x as f64).sqrt())
         };
         let sw = Sweep::new(2).with_cache_dir(&dir);
-        let first = sw.map("roots", 1, (0u64..20).collect(), job);
+        let first = sw.map("roots", (0u64..20).collect(), job);
         assert_eq!(calls.load(Ordering::Relaxed), 20);
 
         let sw2 = Sweep::new(2).with_cache_dir(&dir);
-        let second = sw2.map("roots", 1, (0u64..20).collect(), job);
+        let second = sw2.map("roots", (0u64..20).collect(), job);
         assert_eq!(calls.load(Ordering::Relaxed), 20, "all jobs replayed");
         assert_eq!(first, second);
         let stats = sw2.stats();
@@ -525,8 +501,8 @@ mod tests {
     fn label_separates_cache_namespaces() {
         let dir = temp_dir("labels");
         let sw = Sweep::new(1).with_cache_dir(&dir);
-        let a = sw.map("double", 1, vec![21u64], |&x| x * 2);
-        let b = sw.map("triple", 1, vec![21u64], |&x| x * 3);
+        let a = sw.map("double", vec![21u64], |&x| x * 2);
+        let b = sw.map("triple", vec![21u64], |&x| x * 3);
         assert_eq!((a[0], b[0]), (42, 63));
         let (jobs, hits) = sw.totals();
         assert_eq!((jobs, hits), (2, 0), "same item, different label: no hit");
@@ -534,33 +510,27 @@ mod tests {
     }
 
     #[test]
-    fn version_bump_invalidates_only_its_own_label() {
-        let dir = temp_dir("versions");
+    fn one_item_under_two_labels_is_stored_as_two_entries() {
+        let dir = temp_dir("label-entries");
         let sw = Sweep::new(1).with_cache_dir(&dir);
-        sw.map("fig_a", 1, vec![5u64], |&x| x + 1);
-        sw.map("fig_b", 1, vec![5u64], |&x| x + 2);
+        sw.map("fig_a", vec![5u64], |&x| x + 1);
+        sw.map("fig_b", vec![5u64], |&x| x + 2);
+        let entries = std::fs::read_dir(&dir).expect("cache dir exists").count();
+        assert_eq!(entries, 2, "one entry per label");
 
-        // fig_a bumps its spec version: its entry goes cold, fig_b's
-        // entry (same item, untouched version) stays warm.
+        // Each label replays its own result, not the other's.
         let sw2 = Sweep::new(1).with_cache_dir(&dir);
-        sw2.map("fig_a", 2, vec![5u64], |&x| x + 1);
-        sw2.map("fig_b", 1, vec![5u64], |&x| x + 2);
-        let stats = sw2.stats();
-        assert_eq!(stats[0].cache_hits, 0, "bumped version must miss");
-        assert_eq!(stats[1].cache_hits, 1, "other experiment stays warm");
-
-        // Version 1 of fig_a is still addressable — old entries are
-        // orphaned, not destroyed.
-        let sw3 = Sweep::new(1).with_cache_dir(&dir);
-        sw3.map("fig_a", 1, vec![5u64], |&x| x + 1);
-        assert_eq!(sw3.stats()[0].cache_hits, 1);
+        let a = sw2.map("fig_a", vec![5u64], |_| 0);
+        let b = sw2.map("fig_b", vec![5u64], |_| 0);
+        assert_eq!((a[0], b[0]), (6, 7));
+        assert_eq!(sw2.totals(), (2, 2));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Pins one real Figure 6 job key (the first tiny-config cell) to the
-    /// value the harness has always written, so a refactor of the key
-    /// derivation or of `RunConfig`'s serialized form cannot silently
-    /// orphan every existing `results/cache/` entry.
+    /// Pins one real Figure 6 job key (the first tiny-config cell): the
+    /// SHA-256 of `fig6|` and the item's exact JSON. A change to the key
+    /// derivation or to `RunConfig`'s serialized form shows here, not as
+    /// a silently cold (or wrongly warm) cache.
     #[test]
     fn fig6_cache_key_is_pinned() {
         use crate::net::config::BaldurParams;
@@ -585,8 +555,8 @@ mod tests {
             rc,
         );
         assert_eq!(
-            key_hex("fig6", 1, &item).as_deref(),
-            Some("955ab77c5a86afafda8350642537ea809525c9ec9c51d6d4520163cefd3afe41")
+            key_hex("fig6", &item).as_deref(),
+            Some("ee7129c39ac102d74b5f11712d70b57e00275743a94af829731eac1365737ad3")
         );
     }
 
@@ -594,19 +564,19 @@ mod tests {
     fn corrupt_entries_recompute_and_are_counted() {
         let dir = temp_dir("corrupt");
         let sw = Sweep::new(1).with_cache_dir(&dir);
-        sw.map("c", 1, vec![7u64], |&x| x + 1);
+        sw.map("c", vec![7u64], |&x| x + 1);
         for entry in std::fs::read_dir(&dir).expect("cache dir exists") {
             let path = entry.expect("dir entry").path();
             std::fs::write(&path, "{ not json").expect("overwrite entry");
         }
         let sw2 = Sweep::new(1).with_cache_dir(&dir);
-        let out = sw2.map("c", 1, vec![7u64], |&x| x + 1);
+        let out = sw2.map("c", vec![7u64], |&x| x + 1);
         assert_eq!(out, vec![8]);
         assert_eq!(sw2.stats()[0].cache_hits, 0);
         assert_eq!(sw2.stats()[0].corrupt, 1, "the heal is surfaced");
         // The corrupt entry was healed: a third run hits, heal count 0.
         let sw3 = Sweep::new(1).with_cache_dir(&dir);
-        sw3.map("c", 1, vec![7u64], |&x| x + 1);
+        sw3.map("c", vec![7u64], |&x| x + 1);
         assert_eq!(sw3.stats()[0].cache_hits, 1);
         assert_eq!(sw3.stats()[0].corrupt, 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -622,9 +592,9 @@ mod tests {
             _ => 0.1,
         };
         let sw = Sweep::new(1).with_cache_dir(&dir);
-        sw.map("nf", 1, (0u32..4).collect(), job);
+        sw.map("nf", (0u32..4).collect(), job);
         let sw2 = Sweep::new(1).with_cache_dir(&dir);
-        let replayed = sw2.map("nf", 1, (0u32..4).collect(), job);
+        let replayed = sw2.map("nf", (0u32..4).collect(), job);
         assert_eq!(sw2.stats()[0].cache_hits, 4);
         assert!(replayed[0].is_nan());
         assert_eq!(replayed[1], f64::INFINITY);
@@ -636,8 +606,8 @@ mod tests {
     #[test]
     fn summary_mentions_totals() {
         let sw = Sweep::new(1);
-        sw.map("alpha", 1, vec![1u32, 2], |&x| x);
-        sw.map("beta", 1, vec![3u32], |&x| x);
+        sw.map("alpha", vec![1u32, 2], |&x| x);
+        sw.map("beta", vec![3u32], |&x| x);
         let s = sw.summary();
         assert!(s.contains("alpha"), "{s}");
         assert!(s.contains("beta"), "{s}");
@@ -650,7 +620,7 @@ mod tests {
     fn panicking_job_yields_err_slot_and_siblings_complete() {
         let sw = Sweep::new(4);
         let slots = quietly(|| {
-            sw.try_map("mix", 1, (0u32..10).collect(), |&x| {
+            sw.try_map("mix", (0u32..10).collect(), |&x| {
                 if x == 6 {
                     panic!("job six is cursed");
                 }
@@ -675,7 +645,7 @@ mod tests {
         // map() drops the failed slot but keeps order.
         let sw2 = Sweep::new(2);
         let kept = quietly(|| {
-            sw2.map("mix", 1, (0u32..10).collect(), |&x| {
+            sw2.map("mix", (0u32..10).collect(), |&x| {
                 if x == 6 {
                     panic!("job six is cursed");
                 }
@@ -689,7 +659,7 @@ mod tests {
     fn failure_budget_aborts_the_sweep() {
         let sw = Sweep::new(1).with_fail_budget(1);
         let slots = quietly(|| {
-            sw.try_map("budget", 1, (0u32..10).collect(), |&x| {
+            sw.try_map("budget", (0u32..10).collect(), |&x| {
                 if x == 1 || x == 3 {
                     panic!("bad {x}");
                 }
@@ -715,7 +685,7 @@ mod tests {
         let message = format!("{}—{}", "x".repeat(56), "y".repeat(44));
         assert_eq!((message.len(), message.find('—')), (103, Some(56)));
         let sw = Sweep::new(1);
-        quietly(|| sw.try_map("dash", 1, vec![0u32], |_| -> u32 { panic!("{message}") }));
+        quietly(|| sw.try_map("dash", vec![0u32], |_| -> u32 { panic!("{message}") }));
         let table = sw.status_table().expect("one failure to report");
         let want = format!("  {}—...", "x".repeat(56));
         assert!(table.lines().any(|l| l.ends_with(&want)), "{table}");
@@ -726,7 +696,7 @@ mod tests {
         let dir = temp_dir("failrec");
         let sw = Sweep::new(1).with_cache_dir(&dir);
         quietly(|| {
-            sw.try_map("f", 1, (0u64..3).collect(), |&x| {
+            sw.try_map("f", (0u64..3).collect(), |&x| {
                 if x == 1 {
                     panic!("no");
                 }
@@ -736,7 +706,7 @@ mod tests {
         // A rerun replays the two completed jobs and recomputes only the
         // one that panicked.
         let sw2 = Sweep::new(1).with_cache_dir(&dir);
-        let out = sw2.map("f", 1, (0u64..3).collect(), |&x| x); // healed job fn
+        let out = sw2.map("f", (0u64..3).collect(), |&x| x); // healed job fn
         assert_eq!(out, vec![0, 1, 2]);
         assert_eq!(sw2.stats()[0].cache_hits, 2);
         let _ = std::fs::remove_dir_all(&dir);

@@ -223,14 +223,13 @@ impl<'a> Lexer<'a> {
                 }
             }
             // `'('`, `' '` and friends — anything but a quote or newline.
+            Some(c) if c != b'\'' && c != b'\n' && self.peek(2) == Some(b'\'') => {
+                self.bump_n(3);
+                Kind::Char
+            }
             Some(c) if c != b'\'' && c != b'\n' => {
-                if self.peek(2) == Some(b'\'') {
-                    self.bump_n(3);
-                    Kind::Char
-                } else {
-                    self.bump();
-                    Kind::Punct
-                }
+                self.bump();
+                Kind::Punct
             }
             _ => {
                 self.bump();

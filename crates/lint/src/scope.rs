@@ -112,7 +112,7 @@ fn is_test_attr(toks: &[Sig<'_>]) -> bool {
         Some(&"test") => idents.len() == 1,
         // `cfg(test)` / `cfg(all(test, …))` mask; `cfg(not(test))` is
         // live code and must not.
-        Some(&"cfg") => idents.iter().any(|&t| t == "test") && !idents.iter().any(|&t| t == "not"),
+        Some(&"cfg") => idents.contains(&"test") && !idents.contains(&"not"),
         _ => false,
     }
 }

@@ -1052,8 +1052,8 @@ impl Model for BaldurNet {
                         // ACK settles its whole batch.
                         match self.take_ack_batch(pkt) {
                             Some(batch) => {
-                                for i in 0..batch.len() {
-                                    self.settle_ack(now, batch[i], dst);
+                                for &ack in &batch {
+                                    self.settle_ack(now, ack, dst);
                                 }
                                 self.recycle_batch(batch);
                             }

@@ -159,7 +159,7 @@ impl Driver {
         };
         let bursty = pattern == Pattern::Hotcast;
         let senders = crate::traffic::storm_senders(pattern, nodes, seed);
-        let active = |n: u32| senders.as_ref().map_or(true, |s| s.contains(&n));
+        let active = |n: u32| senders.as_ref().is_none_or(|s| s.contains(&n));
         let mut total = 0u64;
         let sources = (0..nodes)
             .map(|n| {

@@ -10,8 +10,7 @@
 //! This module supplies the *schedule* of such failures:
 //!
 //! * [`FaultKind`] — what can fail (switches, links, per-port lasers),
-//!   recover, or transiently degrade (bit-error bursts derived from the
-//!   Sec. IV-F jitter model via [`baldur_tl::health::SwitchHealth`]);
+//!   recover, or transiently degrade (bit-error bursts);
 //! * [`FaultEvent`] / [`FaultPlan`] — a seeded, time-ordered schedule of
 //!   fault events on the simulation clock. Plans are plain data
 //!   (serde-serializable, comparable) so they live inside
@@ -27,8 +26,6 @@
 //! run is exactly as reproducible as a healthy one.
 
 use baldur_sim::rng::StreamRng;
-use baldur_tl::health::SwitchHealth;
-use baldur_tl::reliability::JitterModel;
 use baldur_topo::mask::EdgeMask;
 use serde::{Deserialize, Serialize};
 
@@ -131,7 +128,7 @@ impl FaultKind {
     /// The matched repair event for a failure kind, or `None` for kinds
     /// that are not a single-element outage (fraction kills, revives,
     /// bursts — a burst expires on its own clock). This is what fault
-    /// lifecycles (flapping, maintenance waves, chaos schedules) pair
+    /// lifecycles (outages, chaos schedules) pair
     /// each failure with so the post-repair state is exactly the
     /// pre-failure state.
     pub fn repair(&self) -> Option<FaultKind> {
@@ -241,26 +238,6 @@ impl FaultPlan {
         plan
     }
 
-    /// A bit-error burst whose corruption probability is derived from a
-    /// degraded switch health under the Sec. IV-F jitter model:
-    /// `transitions` routing-bit edges are exposed per traversal.
-    pub fn with_burst_from_health(
-        self,
-        at_ps: u64,
-        duration_ps: u64,
-        health: SwitchHealth,
-        transitions: u32,
-    ) -> Self {
-        let model = JitterModel::paper();
-        self.at(
-            at_ps,
-            FaultKind::BitErrorBurst {
-                duration_ps,
-                corruption_prob: health.packet_corruption_probability(&model, transitions),
-            },
-        )
-    }
-
     /// The distinct nonzero event times, ascending — the fault-epoch
     /// boundaries metrics bucket observations against (epoch 0 is
     /// everything before the first boundary).
@@ -299,54 +276,6 @@ impl FaultPlan {
             Some(up) => self.at(at_ps, kind).at(at_ps.saturating_add(outage_ps), up),
             None => self,
         }
-    }
-
-    /// A flapping element: `cycles` down/up duty cycles of `kind`
-    /// starting at `start_ps`, each `down_ps` down then `up_ps` up.
-    /// Kinds without a matched repair are ignored. The last cycle's
-    /// repair lands at `start_ps + cycles*down_ps + (cycles-1)*up_ps`,
-    /// so the plan ends with the element in service.
-    pub fn flapping(
-        mut self,
-        kind: FaultKind,
-        start_ps: u64,
-        down_ps: u64,
-        up_ps: u64,
-        cycles: u32,
-    ) -> Self {
-        if kind.repair().is_none() {
-            return self;
-        }
-        let period = down_ps.saturating_add(up_ps);
-        for k in 0..u64::from(cycles) {
-            let at = start_ps.saturating_add(k.saturating_mul(period));
-            self = self.outage(at, down_ps, kind);
-        }
-        self
-    }
-
-    /// A rolling maintenance wave over every switch of a staged fabric:
-    /// switch `(stage, switch)` is taken down for `outage_ps` starting at
-    /// `start_ps + (stage*width + switch) * stride_ps`, row-major, one
-    /// matched repair per outage. With `stride_ps >= outage_ps` at most
-    /// one switch is ever out — the planned-maintenance regime the laser
-    /// co-design work treats as normal operation.
-    pub fn rolling_maintenance(
-        mut self,
-        start_ps: u64,
-        outage_ps: u64,
-        stride_ps: u64,
-        stages: u32,
-        width: u32,
-    ) -> Self {
-        for stage in 0..stages {
-            for switch in 0..width {
-                let i = u64::from(stage) * u64::from(width) + u64::from(switch);
-                let at = start_ps.saturating_add(i.saturating_mul(stride_ps));
-                self = self.outage(at, outage_ps, FaultKind::SwitchDown { stage, switch });
-            }
-        }
-        self
     }
 
     /// A seeded random chaos schedule: `profile.pairs` matched
@@ -647,23 +576,6 @@ impl FaultState {
         &self.links
     }
 
-    /// How many switches are currently dead.
-    pub fn dead_switch_count(&self) -> usize {
-        self.dead_switches
-    }
-
-    /// The [`SwitchHealth`] the fault layer implies for `(stage, switch)`
-    /// — `Dead` while the switch is down, `Healthy` otherwise. This is
-    /// the `tl::health` view of the fault state, and the value
-    /// exact-repair tests compare against a never-faulted fabric.
-    pub fn switch_health(&self, stage: u32, switch: u32) -> SwitchHealth {
-        if self.switch_is_down(stage, switch) {
-            SwitchHealth::Dead
-        } else {
-            SwitchHealth::Healthy
-        }
-    }
-
     /// Applies one fault event (at simulation time `now_ps`, using the
     /// plan `seed` for [`FaultKind::FailFraction`] resolution).
     pub fn apply(&mut self, seed: u64, now_ps: u64, kind: &FaultKind) {
@@ -846,30 +758,6 @@ mod tests {
     }
 
     #[test]
-    fn health_derived_bursts_scale_with_degradation() {
-        let mild = FaultPlan::new(1).with_burst_from_health(
-            0,
-            1_000,
-            SwitchHealth::Degraded { margin_scale: 0.6 },
-            8,
-        );
-        let severe = FaultPlan::new(1).with_burst_from_health(
-            0,
-            1_000,
-            SwitchHealth::Degraded { margin_scale: 0.2 },
-            8,
-        );
-        let prob = |p: &FaultPlan| match p.events[0].kind {
-            FaultKind::BitErrorBurst {
-                corruption_prob, ..
-            } => corruption_prob,
-            _ => unreachable!(),
-        };
-        assert!(prob(&severe) > prob(&mild));
-        assert!(prob(&mild) > 0.0 && prob(&severe) < 1.0);
-    }
-
-    #[test]
     fn repair_pairs_cover_every_outage_kind() {
         let down = [
             FaultKind::SwitchDown {
@@ -894,39 +782,6 @@ mod tests {
         assert_eq!(FaultKind::ReviveAll.repair(), None);
         assert_eq!(FaultKind::FailFraction { fraction: 0.1 }.repair(), None);
         assert!(FaultKind::ReviveAll.is_repair());
-    }
-
-    #[test]
-    fn flapping_builds_matched_duty_cycles() {
-        let plan = FaultPlan::new(1).flapping(FaultKind::LaserDown { node: 2 }, 1_000, 300, 700, 3);
-        let times: Vec<u64> = plan.events.iter().map(|e| e.at_ps).collect();
-        assert_eq!(times, vec![1_000, 1_300, 2_000, 2_300, 3_000, 3_300]);
-        assert_eq!(plan.repair_times(), vec![1_300, 2_300, 3_300]);
-        // Unrepairable kinds are ignored, not half-scheduled.
-        let noop = FaultPlan::new(1).flapping(FaultKind::ReviveAll, 0, 10, 10, 4);
-        assert!(noop.is_empty());
-    }
-
-    #[test]
-    fn rolling_maintenance_waves_end_healthy() {
-        let plan = FaultPlan::new(3).rolling_maintenance(500, 100, 250, 2, 3);
-        assert_eq!(plan.events.len(), 2 * 3 * 2);
-        let mut st = FaultState::healthy(2, 3, 2, 8);
-        for e in &plan.events {
-            st.apply(plan.seed, e.at_ps, &e.kind);
-        }
-        assert!(st.is_all_healthy());
-        // stride > outage: at most one switch is down at any instant.
-        let mut st = FaultState::healthy(2, 3, 2, 8);
-        let mut i = 0;
-        while i < plan.events.len() {
-            let t = plan.events[i].at_ps;
-            while i < plan.events.len() && plan.events[i].at_ps == t {
-                st.apply(plan.seed, t, &plan.events[i].kind);
-                i += 1;
-            }
-            assert!(st.dead_switch_count() <= 1, "at t={t}");
-        }
     }
 
     #[test]
@@ -991,11 +846,7 @@ mod tests {
             assert_eq!(st.links(), fresh.links(), "seed {seed}");
             for stage in 0..shape.stages {
                 for switch in 0..shape.width {
-                    assert_eq!(
-                        st.switch_health(stage, switch),
-                        SwitchHealth::Healthy,
-                        "seed {seed}"
-                    );
+                    assert!(!st.switch_is_down(stage, switch), "seed {seed}");
                 }
             }
             assert_eq!(format!("{st:?}"), format!("{fresh:?}"), "seed {seed}");

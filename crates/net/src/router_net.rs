@@ -418,10 +418,7 @@ impl RouterNet {
         let pb = self.port_base(router);
         let nq = (self.radix(router) * self.rp.vcs) as usize;
         for qi in 0..nq {
-            loop {
-                let Some(pkt) = self.rq_pop_front(router, qi) else {
-                    break;
-                };
+            while let Some(pkt) = self.rq_pop_front(router, qi) {
                 let out = self.packets.get(pkt as usize).map(|p| p.decision.0);
                 match out.and_then(|o| self.out_pending.get_mut(pb + o as usize)) {
                     Some(p) if *p > 0 => *p -= 1,

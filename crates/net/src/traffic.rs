@@ -269,7 +269,7 @@ fn uniform_dest(src: NodeId, rng: &mut StreamRng, nodes: u32) -> NodeId {
 /// built assignment.
 pub fn storm_senders(pattern: Pattern, nodes: u32, seed: u64) -> Option<Vec<u32>> {
     match pattern {
-        Pattern::Incast { fanin } if fanin >= 1 && nodes >= 2 && fanin <= nodes - 1 => {
+        Pattern::Incast { fanin } if fanin >= 1 && nodes >= 2 && fanin < nodes => {
             let mut rng = StreamRng::named(seed, "traffic", pattern.stream_tag());
             Some(incast_parts(nodes, fanin, &mut rng).1)
         }

@@ -156,12 +156,6 @@ impl Duration {
     pub fn saturating_mul(self, factor: u64) -> Duration {
         Duration(self.0.saturating_mul(factor))
     }
-
-    /// True if the span is zero.
-    #[inline]
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
 }
 
 impl Add<Duration> for Time {

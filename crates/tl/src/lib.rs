@@ -27,7 +27,6 @@ pub mod detector;
 pub mod device;
 pub mod filter;
 pub mod gate_count;
-pub mod health;
 pub mod latch;
 pub mod netlist;
 pub mod reliability;

@@ -11,6 +11,7 @@ use std::path::Path;
 
 use baldur::experiments::EvalConfig;
 use baldur::registry::{self, Params};
+use baldur::sweep::Sweep;
 
 /// Names with `golden: None`, listed explicitly: adding an experiment
 /// without a golden snapshot is a deliberate decision recorded here, not
@@ -201,6 +202,40 @@ fn csv_flag_is_rejected_where_no_csv_is_rendered() {
             "topologies",
         ]
     );
+}
+
+/// No `--smoke` gate reads or writes the run cache: each runs its repeat
+/// on a sweep of its own, so the repeat compares two real computations
+/// even when the bench binary hands it a cached sweep.
+#[test]
+fn smoke_modes_neither_read_nor_write_the_callers_cache() {
+    let dir = std::env::temp_dir().join(format!("baldur-smoke-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut ran: Vec<&str> = Vec::new();
+    for spec in registry::all() {
+        for mode in spec.modes.iter().filter(|m| m.flag == "smoke") {
+            let sw = Sweep::new(2).with_cache_dir(&dir);
+            let params = Params::for_spec(spec, EvalConfig::tiny());
+            if let Err(e) = (mode.run)(&sw, &params) {
+                panic!("`{} --smoke` failed: {e}", spec.name);
+            }
+            assert_eq!(
+                sw.stats(),
+                [],
+                "`{} --smoke` ran jobs on the caller's sweep",
+                spec.name
+            );
+            assert!(
+                !dir.exists(),
+                "`{} --smoke` wrote {}",
+                spec.name,
+                dir.display()
+            );
+            ran.push(spec.name);
+        }
+    }
+    ran.sort_unstable();
+    assert_eq!(ran, ["chaos", "faults", "overload", "scaling"]);
 }
 
 #[test]

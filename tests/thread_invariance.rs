@@ -108,7 +108,7 @@ fn failed_slots_are_submission_ordered_at_any_thread_count() {
     fn slots_debug(threads: usize) -> String {
         let sw = Sweep::new(threads);
         let items: Vec<u64> = (0..24).collect();
-        let slots = sw.try_map("seeded-panics", 1, items, |&x| {
+        let slots = sw.try_map("seeded-panics", items, |&x| {
             assert!(x % 5 != 2, "seeded panic on item {x}");
             x * x
         });
