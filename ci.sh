@@ -144,12 +144,28 @@ packet_model_pins() {
 # The fabric state layout: the multi-butterfly's one-u32-per-link table
 # against its iterator and the `port == 2 * path + bit` rule (both
 # wirings, m = 1..=5), the double-filled-port mutation check, the 16-byte
-# hop event and 24-byte packet row, the 8-byte optional arena handle,
+# hop event and 32-byte packet row, the 8-byte optional arena handle,
 # then the state bytes they add up to in the scaling head.
 fabric_layout() {
     filtered_test -p baldur-topo -- target_is_the_path_th_candidate validate_reports_a_double_filled_port &&
         filtered_test -p baldur-net -- hop_event_and_packet_row_sizes_are_pinned &&
         filtered_test -p baldur-sim -- option_handle_is_niche_packed &&
+        filtered_test --test golden_suite -- golden_scaling_head_csv
+}
+
+# The packet table of live packets: the slab against a reference map, a
+# 64-node run of 256K rows whose table stays at its live peak and drains
+# with no row left, oracle notes that carry logical ids rather than
+# slots, the 32-byte packet row and the selection-based quantiles; then
+# what recycling rows must not move: the port-epoch report digests, the
+# packet-model fingerprints and the scaling head.
+packet_recycling() {
+    filtered_test --test properties -- slab_matches_a_reference_map soa_models &&
+        filtered_test -p baldur-net -- the_packet_table_follows_packets_in_flight \
+            oracle_notes_carry_logical_ids_not_slots hop_event_and_packet_row_sizes_are_pinned &&
+        filtered_test -p baldur-sim -- reservoir_quantiles_match_exact_sorted_reference &&
+        filtered_test --test port_epochs -- healthy_run_across_port_epochs_is_pinned \
+            link_outage_across_an_epoch_boundary_is_pinned &&
         filtered_test --test golden_suite -- golden_scaling_head_csv
 }
 
@@ -244,6 +260,7 @@ run_step port-epochs port_epochs
 run_step parallel-wiring parallel_wiring
 run_step switch-generator switch_generator
 run_step cache-per-build cache_per_build
+run_step packet-recycling packet_recycling
 run_step test-workspace cargo test --workspace -q
 # Registry gates: the runner must enumerate every registered experiment,
 # and the completeness suite enforces bin <-> spec bijection, golden (or

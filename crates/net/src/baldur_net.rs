@@ -21,23 +21,45 @@
 //! `(stage, switch, dir, path)` that holds each port's busy-until time as
 //! a 4-byte offset from a rolling epoch (a [`BusyTable`], half the bytes
 //! of an absolute [`Time`] per port), and the NIC queues as one [`FifoSet`]
-//! of intrusive FIFOs over packet ids (node `i`'s ACK queue is `2i`, its
+//! of intrusive FIFOs over packet slots (node `i`'s ACK queue is `2i`, its
 //! data queue `2i + 1`) instead of per-node `VecDeque`s. Combined-ACK
 //! batches live in generational [`Arena`]s; the retired map-based model's
 //! reports are pinned by fingerprint in
-//! `results/golden/soa_fingerprints.json`. Invariants the layout relies
-//! on: packet ids are sequential and never reused (the path-rotation hash
-//! keys on them), and a packet sits in at most one NIC queue at a time
-//! (one `next` link suffices). The run loop and drain audit protocol is
-//! the shell in [`crate::runner`], shared with the electrical model.
+//! `results/golden/soa_fingerprints.json`. The run loop and drain audit
+//! protocol is the shell in [`crate::runner`], shared with the electrical
+//! model.
 //!
-//! A packet-table row is 24 bytes: source, destination, and either the
-//! data packet's delivery and retransmission state or the ACK's
-//! acknowledged packet and batch handle, never both. [`Ev::Hop`] carries
-//! the destination and the ACK flag, set from the row at injection, so a
-//! hop reads only the port table and the topology's link table. The one
-//! exception is the off-by-default path rotation, which hashes the
-//! row's attempt count.
+//! # The packet table
+//!
+//! Packet rows live in a free-listed [`Slab`], so the table follows the
+//! packets alive at once (queued, in flight, awaiting an ACK), not every
+//! packet ever sent, and the queue links grow only when the slab does.
+//! Events, queues and ACK batches name a row by its slot, and a slot is
+//! reused once freed. Every use of a packet id as *data* — the retry
+//! jitter stream, the path-rotation hash, every oracle note — reads the
+//! row's logical id instead: sequential over all rows ever allocated
+//! (data and ACKs alike) and never reused, so reports and oracle traces
+//! do not depend on which slot a packet got. Invariants the layout relies
+//! on: a packet sits in at most one NIC queue at a time (one `next` link
+//! suffices), and a row is freed only when nothing can still name it.
+//! For a data row that means no NIC queue holds it, no copy of it is in
+//! the fabric, its retransmission timer has fired, no ACK or coalescing
+//! batch lists it, and the source has released it: each is one count in
+//! the row's `refs`, and `BaldurNet::unref` frees the row at zero. An
+//! ACK row lives from its enqueue to its one copy's end (laser loss,
+//! fabric drop or arrival), where `BaldurNet::retire_ack` frees it and
+//! hands back what it acknowledged. The drain audit tallies the outcome
+//! of each data row as it is freed and reports any row still live.
+//!
+//! A packet-table row is 32 bytes: logical id, reference count, source,
+//! destination, and either the data packet's delivery and retransmission
+//! state or the ACK's acknowledged packet and batch handle, never both. A
+//! free slot costs nothing extra (`Option` of a row is the row's size).
+//! [`Ev::Hop`] carries the destination and the ACK flag, set from the
+//! row at injection, so a hop reads only the port table and the
+//! topology's link table. The exceptions are a drop, which notes the
+//! logical id and releases the copy, and the off-by-default path
+//! rotation, which hashes the logical id and the attempt count.
 //!
 //! Most events are scheduled a fixed delay after `now`, so they go through
 //! [`Scheduler::schedule_in`] onto the scheduler's fixed-delay lanes, one
@@ -57,7 +79,9 @@
 use std::hint::black_box;
 
 use baldur_sim::rng::StreamRng;
-use baldur_sim::{Arena, ArenaStats, BusyTable, Duration, FifoSet, Handle, Model, Scheduler, Time};
+use baldur_sim::{
+    Arena, ArenaStats, BusyTable, Duration, FifoSet, Handle, Model, Scheduler, Slab, Time,
+};
 use baldur_topo::graph::NodeId;
 use baldur_topo::staged::Staged;
 
@@ -68,7 +92,8 @@ use crate::metrics::{Collector, DeliveryOutcome, LatencyReport};
 use crate::oracle::{Oracle, OracleConfig, Violation};
 use crate::runner::{self, PacketModel};
 
-/// Index into the packet table.
+/// A packet-table slot (reused once the row is freed; see the module
+/// doc).
 type PktId = u32;
 
 /// Lane entries whose port and link rows a hop loads ahead, once every
@@ -85,11 +110,19 @@ fn data_q(node: usize) -> usize {
     2 * node + 1
 }
 
-/// One packet-table row (24 bytes): the endpoints plus what only a data
-/// packet or only an ACK carries, so an ACK with a delivery outcome is
-/// unrepresentable.
+/// One packet-table row (32 bytes): the logical id, the references to
+/// the slot, the endpoints, plus what only a data packet or only an ACK
+/// carries, so an ACK with a delivery outcome is unrepresentable.
 #[derive(Debug, Clone, Copy)]
 struct PacketState {
+    /// Logical packet id: one per row ever allocated, never reused.
+    id: u32,
+    /// What still names a data row's slot: the source's hold until it
+    /// releases the packet, the NIC queue holding it, each copy in the
+    /// fabric, the armed retransmission timer, and each ACK or coalescing
+    /// batch that lists it. The row is freed at zero. An ACK row keeps 0:
+    /// it is freed at its one copy's end instead.
+    refs: u32,
     src: NodeId,
     dst: NodeId,
     kind: PacketKind,
@@ -142,6 +175,42 @@ impl PacketState {
     }
 }
 
+/// What a retired ACK row acknowledged: the data packets of its combined
+/// batch, or the one it names.
+enum Acked {
+    One(PktId),
+    Batch(Vec<PktId>),
+}
+
+impl Acked {
+    fn slots(&self) -> &[PktId] {
+        match self {
+            Acked::One(pkt) => std::slice::from_ref(pkt),
+            Acked::Batch(batch) => batch,
+        }
+    }
+}
+
+/// Delivery outcomes of freed data rows, tallied as each row is freed.
+#[derive(Debug, Clone, Copy, Default)]
+struct Freed {
+    delivered: u64,
+    gave_up: u64,
+    expired: u64,
+    pending: u64,
+}
+
+impl Freed {
+    fn count(&mut self, outcome: DeliveryOutcome) {
+        match outcome {
+            DeliveryOutcome::Delivered => self.delivered += 1,
+            DeliveryOutcome::GaveUp => self.gave_up += 1,
+            DeliveryOutcome::Expired => self.expired += 1,
+            DeliveryOutcome::Pending => self.pending += 1,
+        }
+    }
+}
+
 /// Events of the Baldur model.
 #[derive(Debug, Clone, Copy)]
 pub enum Ev {
@@ -153,7 +222,7 @@ pub enum Ev {
     /// hop needs from the packet, so a hop does not read the packet table
     /// (bar the off-by-default path rotation).
     Hop {
-        /// Packet id.
+        /// Packet slot.
         pkt: PktId,
         /// Destination node.
         dst: u32,
@@ -166,12 +235,13 @@ pub enum Ev {
     },
     /// A packet tail arrives at its destination node.
     Arrive {
-        /// Packet id.
+        /// Packet slot.
         pkt: PktId,
     },
-    /// Retransmission timer for a data packet.
+    /// Retransmission timer for a data packet; it holds a reference to
+    /// the row until it fires.
     Timeout {
-        /// Packet id.
+        /// Packet slot.
         pkt: PktId,
         /// The attempt this timer was armed for (stale timers no-op).
         attempt: u32,
@@ -200,6 +270,10 @@ pub struct StateStats {
     pub ack_batches: ArenaStats,
     /// Pending (coalescing-window) ACK batch arena counters.
     pub pending_batches: ArenaStats,
+    /// Packet-table counters: rows live at the end, the peak live at
+    /// once, rows ever allocated, and slots (the peak, as freed slots are
+    /// reused first).
+    pub packets: ArenaStats,
     /// Peak simultaneous scheduled events.
     pub peak_pending_events: u64,
     /// Total events ever scheduled.
@@ -258,7 +332,12 @@ pub struct BaldurNet {
     ack_batches: Arena<Vec<PktId>>,
     /// Recycled batch vectors (allocation-free steady state).
     batch_pool: Vec<Vec<PktId>>,
-    packets: Vec<PacketState>,
+    /// The packet table (see the module doc's "The packet table").
+    packets: Slab<PacketState>,
+    /// The logical id the next row gets.
+    next_id: u32,
+    /// Outcomes of the data rows freed so far, for the drain audit.
+    freed: Freed,
     metrics: Collector,
     in_flight: u64,
     /// Live fault state (switches, links, lasers, bit-error bursts); all
@@ -333,7 +412,9 @@ impl BaldurNet {
             pending: Arena::new(),
             ack_batches: Arena::new(),
             batch_pool: Vec::new(),
-            packets: Vec::new(),
+            packets: Slab::new(),
+            next_id: 0,
+            freed: Freed::default(),
             metrics: Collector::new(sample_cap),
             in_flight: 0,
             fstate,
@@ -364,13 +445,14 @@ impl BaldurNet {
                 + self.ports.state_bytes()
                 + per_nic
                 + self.queues.state_bytes()
-                + bytes_of(&self.packets)
+                + self.packets.state_bytes()
                 + self.pending.state_bytes()
                 + self.ack_batches.state_bytes()
                 + bytes_of(&self.batch_pool)
                 + self.fstate.state_bytes(),
             ack_batches: self.ack_batches.stats(),
             pending_batches: self.pending.stats(),
+            packets: self.packets.stats(),
             ..StateStats::default()
         }
     }
@@ -385,9 +467,13 @@ impl BaldurNet {
 
     /// The data state of packet `pkt` (`None` for an ACK).
     fn data_mut(&mut self, pkt: PktId) -> Option<&mut DataState> {
-        self.packets
-            .get_mut(pkt as usize)
-            .and_then(PacketState::data_mut)
+        self.packets.get_mut(pkt).and_then(PacketState::data_mut)
+    }
+
+    /// The logical id of the packet in slot `pkt`, as oracle notes record
+    /// it.
+    fn id(&self, pkt: PktId) -> u64 {
+        u64::from(self.packets[pkt].id)
     }
 
     /// Loads the first port and the first link row of the hops next in
@@ -420,12 +506,72 @@ impl BaldurNet {
         stage as usize * self.port_stride + (switch * 2 * m + dir * m + path) as usize
     }
 
-    /// Allocates a packet-table row (and its queue link).
-    fn alloc_packet(&mut self, st: PacketState) -> PktId {
-        let pkt = self.packets.len() as PktId;
-        self.packets.push(st);
-        self.queues.add_id();
+    /// Allocates a packet-table row with the next logical id; a data row
+    /// starts with the source's hold. The queue links grow only with the
+    /// slab.
+    fn alloc_packet(&mut self, src: NodeId, dst: NodeId, kind: PacketKind) -> PktId {
+        let id = self.next_id;
+        self.next_id = id.wrapping_add(1);
+        let refs = u32::from(matches!(kind, PacketKind::Data(_)));
+        let pkt = self.packets.insert(PacketState {
+            id,
+            refs,
+            src,
+            dst,
+            kind,
+        });
+        if pkt as usize == self.queues.ids() {
+            self.queues.add_id();
+        }
         pkt
+    }
+
+    /// Adds a reference to data row `pkt`.
+    fn hold(&mut self, pkt: PktId) {
+        self.packets[pkt].refs += 1;
+    }
+
+    /// Drops a reference to data row `pkt` and frees the row, tallying its
+    /// outcome for the drain audit, when nothing names it any more.
+    fn unref(&mut self, pkt: PktId) {
+        let row = &mut self.packets[pkt];
+        debug_assert!(row.refs > 0, "packet {} released once too often", row.id);
+        row.refs = row.refs.saturating_sub(1);
+        if row.refs > 0 {
+            return;
+        }
+        if let Some(d) = self
+            .packets
+            .remove(pkt)
+            .as_ref()
+            .and_then(PacketState::data)
+        {
+            self.freed.count(d.outcome);
+        }
+    }
+
+    /// Frees ACK row `pkt` at its copy's end (laser loss, drop or arrival)
+    /// and returns what it acknowledged, still referenced: the caller
+    /// settles it or not, then hands it to [`BaldurNet::release_acked`].
+    fn retire_ack(&mut self, pkt: PktId) -> Option<Acked> {
+        let PacketKind::Ack { acks, batch } = self.packets.remove(pkt)?.kind else {
+            debug_assert!(false, "retire_ack on data packet slot {pkt}");
+            return None;
+        };
+        Some(match batch.and_then(|h| self.ack_batches.remove(h)) {
+            Some(batch) => Acked::Batch(batch),
+            None => Acked::One(acks),
+        })
+    }
+
+    /// Drops an ACK's references to the data rows it acknowledged.
+    fn release_acked(&mut self, acked: Acked) {
+        for &pkt in acked.slots() {
+            self.unref(pkt);
+        }
+        if let Acked::Batch(batch) = acked {
+            self.recycle_batch(batch);
+        }
     }
 
     /// True when `node` has nothing queued (ACK or data).
@@ -455,7 +601,7 @@ impl BaldurNet {
         let packets = &self.packets;
         let pkt = self.queues.unlink_first(data_q(node), |p| {
             packets
-                .get(p as usize)
+                .get(p)
                 .and_then(PacketState::data)
                 .is_some_and(|d| d.attempts > 0)
         })?;
@@ -463,11 +609,14 @@ impl BaldurNet {
         Some(pkt)
     }
 
+    /// Queues `pkt` at `node`'s NIC; the queue holds a data row until
+    /// the packet is popped, and the popper takes that reference over.
     fn enqueue(&mut self, now: Time, node: u32, pkt: PktId, sched: &mut Scheduler<Ev>) {
         let n = node as usize;
-        if self.packets[pkt as usize].is_ack() {
+        if self.packets[pkt].is_ack() {
             self.queues.push_back(ack_q(n), pkt);
         } else {
+            self.hold(pkt);
             self.queues.push_back(data_q(n), pkt);
             self.data_len[n] += 1;
         }
@@ -488,31 +637,24 @@ impl BaldurNet {
         self.batch_pool.push(batch);
     }
 
-    /// Takes (and retires) the combined-ACK batch of `pkt`, if any.
-    fn take_ack_batch(&mut self, pkt: PktId) -> Option<Vec<PktId>> {
-        let PacketKind::Ack { batch, .. } = &mut self.packets.get_mut(pkt as usize)?.kind else {
-            return None;
-        };
-        self.ack_batches.remove(batch.take()?)
-    }
-
-    /// Drops the combined-ACK references of a packet that died in the
-    /// fabric (ACKs are never retransmitted, so the batch is abandoned).
-    fn drop_ack_batch(&mut self, pkt: PktId) {
-        if let Some(batch) = self.take_ack_batch(pkt) {
-            self.recycle_batch(batch);
+    /// Ends a copy of `pkt` that never reached its destination (laser
+    /// loss or fabric drop). ACKs are never retransmitted, so a lost ACK's
+    /// row is freed with its references; a lost data copy drops its own,
+    /// and the source's timeout recovers the packet.
+    fn lose_copy(&mut self, pkt: PktId, ack: bool) {
+        if ack {
+            if let Some(acked) = self.retire_ack(pkt) {
+                self.release_acked(acked);
+            }
+        } else {
+            self.unref(pkt);
         }
     }
 
-    /// Takes a packet the fabric dropped out of flight. ACKs are never
-    /// retransmitted, so a dropped combined ACK releases its batch here
-    /// (the only row read); a dropped data packet is recovered by its
-    /// source's timeout.
+    /// Takes a packet the fabric dropped out of flight.
     fn lost_in_fabric(&mut self, now: Time, pkt: PktId, ack: bool) {
         self.dec_in_flight(now);
-        if ack {
-            self.drop_ack_batch(pkt);
-        }
+        self.lose_copy(pkt, ack);
     }
 
     fn apply_driver_output(
@@ -539,17 +681,17 @@ impl BaldurNet {
                         .note(now.as_ps(), "drop:ingress", u64::from(node), 0);
                     continue;
                 }
-                let pkt = self.alloc_packet(PacketState {
-                    src: NodeId(node),
-                    dst: cmd.dst,
-                    kind: PacketKind::Data(DataState {
+                let pkt = self.alloc_packet(
+                    NodeId(node),
+                    cmd.dst,
+                    PacketKind::Data(DataState {
                         generated_at: now,
                         attempts: 0,
                         outcome: DeliveryOutcome::Pending,
                         acked: false,
                         released: false,
                     }),
-                });
+                );
                 self.metrics.on_generated(now);
                 self.metrics.note_flow_generated(node);
                 self.outstanding[node as usize] += 1;
@@ -567,7 +709,8 @@ impl BaldurNet {
     }
 
     /// Creates (and enqueues) one ACK packet from `node` back to `src`
-    /// acknowledging every data packet in `batch`.
+    /// acknowledging every data packet in `batch`, whose references it
+    /// takes over.
     fn send_ack(
         &mut self,
         now: Time,
@@ -584,19 +727,19 @@ impl BaldurNet {
             self.recycle_batch(batch);
             None
         };
-        let ack = self.alloc_packet(PacketState {
-            src: NodeId(node),
-            dst: NodeId(src),
-            kind: PacketKind::Ack {
+        let ack = self.alloc_packet(
+            NodeId(node),
+            NodeId(src),
+            PacketKind::Ack {
                 acks: first,
                 batch: handle,
             },
-        });
+        );
         self.enqueue(now, node, ack, sched);
     }
 
     /// Single-packet ACK without a batch allocation (the coalescing-off
-    /// hot path).
+    /// hot path); it takes a reference to `pkt`.
     fn send_ack_single(
         &mut self,
         now: Time,
@@ -605,14 +748,15 @@ impl BaldurNet {
         pkt: PktId,
         sched: &mut Scheduler<Ev>,
     ) {
-        let ack = self.alloc_packet(PacketState {
-            src: NodeId(node),
-            dst: NodeId(src),
-            kind: PacketKind::Ack {
+        self.hold(pkt);
+        let ack = self.alloc_packet(
+            NodeId(node),
+            NodeId(src),
+            PacketKind::Ack {
                 acks: pkt,
                 batch: None,
             },
-        });
+        );
         self.enqueue(now, node, ack, sched);
     }
 
@@ -665,7 +809,8 @@ impl BaldurNet {
         }
     }
 
-    /// Settles one data packet acknowledged by an arriving ACK.
+    /// Settles one data packet acknowledged by an arriving ACK (whose
+    /// reference keeps the row alive meanwhile).
     fn settle_ack(&mut self, now: Time, data_pkt: PktId, dst: NodeId) {
         let Some(data) = self.data_mut(data_pkt) else {
             debug_assert!(false, "an ACK names non-data packet {data_pkt}");
@@ -685,6 +830,7 @@ impl BaldurNet {
                 // Successful round trip relaxes the backoff.
                 let exp = &mut self.backoff_exp[dst.0 as usize];
                 *exp = exp.saturating_sub(1);
+                self.unref(data_pkt);
             }
         }
     }
@@ -692,6 +838,82 @@ impl BaldurNet {
     fn note_buffer(&mut self, node: u32) {
         let bytes = u64::from(self.outstanding[node as usize]) * u64::from(self.link.packet_bytes);
         self.metrics.on_retx_buffer(bytes);
+    }
+
+    /// Retransmission timer `attempt` of data row `pkt` fired (the timer's
+    /// reference still holds the row).
+    fn timeout(&mut self, now: Time, pkt: PktId, attempt: u32, sched: &mut Scheduler<Ev>) {
+        let PacketState {
+            src,
+            kind: PacketKind::Data(st),
+            ..
+        } = self.packets[pkt]
+        else {
+            return; // ACKs arm no timer
+        };
+        if st.acked || st.attempts != attempt {
+            return; // stale timer
+        }
+        // Deadline-aware retransmission: a retry whose packet has
+        // outlived its age budget expires instead of retrying —
+        // under overload, stale work is shed rather than
+        // amplified. Delivered-but-unACKed packets only drop
+        // their buffer slot (they are not a loss).
+        let deadline = self.params.deadline_ps;
+        if deadline > 0 && now.since(st.generated_at).as_ps() >= deadline {
+            if st.outcome != DeliveryOutcome::Delivered {
+                if let Some(d) = self.data_mut(pkt) {
+                    d.outcome = DeliveryOutcome::Expired;
+                }
+                self.metrics.on_expired(now);
+                self.oracle
+                    .note(now.as_ps(), "expire", self.id(pkt), u64::from(src.0));
+                self.oracle.progress(now.as_ps());
+            }
+            if !st.released {
+                if let Some(d) = self.data_mut(pkt) {
+                    d.released = true;
+                }
+                self.release_outstanding(now, src.0);
+                self.release_window(src.0);
+                self.unref(pkt);
+            }
+            return;
+        }
+        // Retry budget exhausted: the source gives up instead of
+        // retrying forever. A packet that was delivered but whose
+        // ACKs all died is only dropped from the buffer — it is
+        // not a loss, so it must not count as abandoned.
+        if st.attempts > self.params.max_retries {
+            if st.outcome != DeliveryOutcome::Delivered {
+                if let Some(d) = self.data_mut(pkt) {
+                    d.outcome = DeliveryOutcome::GaveUp;
+                }
+                self.metrics.on_abandoned(now);
+                self.oracle
+                    .note(now.as_ps(), "giveup", self.id(pkt), u64::from(src.0));
+                self.oracle.progress(now.as_ps());
+            }
+            // Give the buffer slot back exactly once: a late ACK
+            // for a delivered-but-timer-exhausted packet must not
+            // release it again (see released in Ev::Arrive).
+            if !st.released {
+                if let Some(d) = self.data_mut(pkt) {
+                    d.released = true;
+                }
+                self.release_outstanding(now, src.0);
+                self.release_window(src.0);
+                self.unref(pkt);
+            }
+            return;
+        }
+        self.metrics.on_retransmit();
+        if self.params.backoff {
+            // Binary exponential backoff throttles the transmitter.
+            let exp = &mut self.backoff_exp[src.0 as usize];
+            *exp = (*exp + 1).min(self.params.max_backoff_exp);
+        }
+        self.enqueue(now, src.0, pkt, sched);
     }
 
     /// Finishes the run and reports.
@@ -728,8 +950,9 @@ impl PacketModel for BaldurNet {
     /// every generated packet was delivered, dropped and retransmitted
     /// to completion, or abandoned, so nothing is in flight, no NIC holds
     /// queued or unACKed work, no coalesced ACK is still owed and no
-    /// coalescing batch is left. On top of the shared ledger, the packet
-    /// table must agree with the collector's outcome counters.
+    /// coalescing batch is left. On top of the shared ledger, every
+    /// packet row must have been freed, and the outcomes the freed data
+    /// rows carried must agree with the collector's outcome counters.
     fn oracle_check_drained(&mut self, end: Time) {
         let at = end.as_ps();
         let queued = (0..self.active_nodes as usize)
@@ -737,15 +960,12 @@ impl PacketModel for BaldurNet {
             .count() as u64;
         let outstanding = self.outstanding.iter().map(|&o| u64::from(o)).sum();
         let owed = self.pending_acks.iter().map(|p| p.len() as u64).sum();
-        let (mut delivered, mut gave_up, mut expired, mut pending) = (0, 0, 0, 0);
-        for st in self.packets.iter().filter_map(PacketState::data) {
-            match st.outcome {
-                DeliveryOutcome::Delivered => delivered += 1,
-                DeliveryOutcome::GaveUp => gave_up += 1,
-                DeliveryOutcome::Expired => expired += 1,
-                DeliveryOutcome::Pending => pending += 1,
-            }
-        }
+        let Freed {
+            delivered,
+            gave_up,
+            expired,
+            pending,
+        } = self.freed;
         let oracle = &mut self.oracle;
         oracle.residual(at, "in_flight", self.in_flight);
         oracle.residual(at, "nic_queue", queued);
@@ -754,6 +974,7 @@ impl PacketModel for BaldurNet {
         oracle.residual(at, "pending_batches", self.pending.live());
         oracle.residual(at, "ack_refs", self.ack_batches.live());
         oracle.residual(at, "pending_packets", pending);
+        oracle.residual(at, "packet_rows", self.packets.live());
         let m = &self.metrics;
         oracle.ledger(at, m);
         if m.delivered() != delivered || m.abandoned() != gave_up || m.expired() != expired {
@@ -812,7 +1033,7 @@ impl Model for BaldurNet {
                 // queue wait is the dominant staleness under overload and
                 // carries no retry timer that could catch it.
                 let deadline = self.params.deadline_ps;
-                let src = self.packets[pkt as usize].src.0;
+                let src = self.packets[pkt].src.0;
                 let expired = self.data_mut(pkt).filter(|d| {
                     deadline > 0
                         && d.outcome == DeliveryOutcome::Pending
@@ -825,14 +1046,17 @@ impl Model for BaldurNet {
                     d.released = true;
                     self.metrics.on_expired(now);
                     self.oracle
-                        .note(now.as_ps(), "expire", u64::from(pkt), u64::from(src));
+                        .note(now.as_ps(), "expire", self.id(pkt), u64::from(src));
                     self.oracle.progress(now.as_ps());
                     if release {
                         self.release_outstanding(now, src);
                         if in_window {
                             self.release_window(src);
                         }
+                        self.unref(pkt);
                     }
+                    // The queue's reference.
+                    self.unref(pkt);
                     if !self.nic_is_empty(n) {
                         self.try_scheduled[n] = true;
                         sched.schedule_now(Ev::TryInject(node));
@@ -846,9 +1070,7 @@ impl Model for BaldurNet {
                 // packet carries a timer, so the poll always terminates.
                 let pw = self.params.pacing_window;
                 if pw > 0
-                    && self.packets[pkt as usize]
-                        .data()
-                        .is_some_and(|d| d.attempts == 0)
+                    && self.packets[pkt].data().is_some_and(|d| d.attempts == 0)
                     && self.in_window[n] >= pw
                 {
                     // A queued retransmission must jump a deferred head:
@@ -867,7 +1089,9 @@ impl Model for BaldurNet {
                         }
                     }
                 }
-                let row = self.packets[pkt as usize];
+                // The queue's reference on a data row passes to the copy
+                // this injection sends.
+                let row = self.packets[pkt];
                 let ack = row.is_ack();
                 let dur = self.duration(ack);
                 self.tx_busy_until[n] = now + dur;
@@ -885,11 +1109,12 @@ impl Model for BaldurNet {
                     let to = Duration::from_ps(jittered_timeout_ps(
                         &self.params,
                         self.seed,
-                        pkt,
+                        row.id,
                         attempt,
                         backoff,
                     ));
                     sched.schedule_at(now + dur + to, Ev::Timeout { pkt, attempt });
+                    self.hold(pkt);
                 }
                 // A dead transmit laser eats the frame at the source: the
                 // NIC still burned the serialization slot (and, for data,
@@ -897,9 +1122,13 @@ impl Model for BaldurNet {
                 // enters the fabric.
                 if !self.fstate.is_all_healthy() && self.fstate.laser_is_down(node) {
                     self.metrics.on_laser_loss();
-                    self.oracle
-                        .note(now.as_ps(), "drop:laser", u64::from(pkt), u64::from(node));
-                    self.drop_ack_batch(pkt);
+                    self.oracle.note(
+                        now.as_ps(),
+                        "drop:laser",
+                        u64::from(row.id),
+                        u64::from(node),
+                    );
+                    self.lose_copy(pkt, ack);
                     return;
                 }
                 // Head reaches the first-stage switch after the ingress
@@ -934,7 +1163,7 @@ impl Model for BaldurNet {
                 if !healthy && self.fstate.switch_is_down(stage, switch) {
                     self.metrics.on_forward_attempt(true);
                     self.oracle
-                        .note(now.as_ps(), "drop:switch", u64::from(pkt), u64::from(stage));
+                        .note(now.as_ps(), "drop:switch", self.id(pkt), u64::from(stage));
                     self.lost_in_fabric(now, pkt, ack);
                     return; // a dead switch eats the packet
                 }
@@ -949,8 +1178,9 @@ impl Model for BaldurNet {
                     // pair explores an independent per-stage path vector.
                     // The one hop read of the packet table (an ACK's
                     // attempt is 0); the option is off by default.
-                    let attempts = self.packets[pkt as usize].data().map_or(0, |d| d.attempts);
-                    let mut h = (u64::from(pkt) << 32) ^ u64::from(attempts);
+                    let row = &self.packets[pkt];
+                    let attempts = row.data().map_or(0, |d| d.attempts);
+                    let mut h = (u64::from(row.id) << 32) ^ u64::from(attempts);
                     h = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
                     h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
                     h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -978,12 +1208,8 @@ impl Model for BaldurNet {
                 match claimed {
                     None => {
                         self.metrics.on_forward_attempt(true);
-                        self.oracle.note(
-                            now.as_ps(),
-                            "drop:port",
-                            u64::from(pkt),
-                            u64::from(stage),
-                        );
+                        self.oracle
+                            .note(now.as_ps(), "drop:port", self.id(pkt), u64::from(stage));
                         self.lost_in_fabric(now, pkt, ack);
                         // Dropped: the source's timeout handles recovery.
                     }
@@ -1000,7 +1226,7 @@ impl Model for BaldurNet {
                                 self.oracle.note(
                                     now.as_ps(),
                                     "drop:crc",
-                                    u64::from(pkt),
+                                    self.id(pkt),
                                     u64::from(stage),
                                 );
                                 self.lost_in_fabric(now, pkt, ack);
@@ -1045,19 +1271,16 @@ impl Model for BaldurNet {
             }
             Ev::Arrive { pkt } => {
                 self.dec_in_flight(now);
-                let PacketState { src, dst, kind } = self.packets[pkt as usize];
+                let PacketState { src, dst, kind, .. } = self.packets[pkt];
                 match kind {
-                    PacketKind::Ack { acks, .. } => {
+                    PacketKind::Ack { .. } => {
                         // ACK arrived back at the data source; a combined
                         // ACK settles its whole batch.
-                        match self.take_ack_batch(pkt) {
-                            Some(batch) => {
-                                for &ack in &batch {
-                                    self.settle_ack(now, ack, dst);
-                                }
-                                self.recycle_batch(batch);
+                        if let Some(acked) = self.retire_ack(pkt) {
+                            for &data in acked.slots() {
+                                self.settle_ack(now, data, dst);
                             }
-                            None => self.settle_ack(now, acks, dst),
+                            self.release_acked(acked);
                         }
                     }
                     PacketKind::Data(data) => {
@@ -1072,7 +1295,7 @@ impl Model for BaldurNet {
                             self.oracle.note(
                                 now.as_ps(),
                                 "deliver",
-                                u64::from(pkt),
+                                self.id(pkt),
                                 u64::from(dst.0),
                             );
                             self.oracle.progress(now.as_ps());
@@ -1081,7 +1304,8 @@ impl Model for BaldurNet {
                         }
                         // ACK every arrival (covers lost-ACK duplicates) —
                         // immediately, or batched per source when traffic
-                        // combining is on.
+                        // combining is on. Either way the ACK lists this
+                        // packet, which holds its row.
                         let window = self.params.ack_coalesce_ps;
                         if window == 0 {
                             self.send_ack_single(now, dst.0, src.0, pkt, sched);
@@ -1092,11 +1316,13 @@ impl Model for BaldurNet {
                                     let handle = self.pending_acks[d][at].1;
                                     if let Some(batch) = self.pending.get_mut(handle) {
                                         batch.push(pkt);
+                                        self.hold(pkt);
                                     }
                                 }
                                 None => {
                                     let mut batch = self.batch_pool.pop().unwrap_or_default();
                                     batch.push(pkt);
+                                    self.hold(pkt);
                                     let handle = self.pending.insert(batch);
                                     self.pending_acks[d].push((src.0, handle));
                                     sched.schedule_in(
@@ -1109,6 +1335,8 @@ impl Model for BaldurNet {
                                 }
                             }
                         }
+                        // The arrived copy's reference.
+                        self.unref(pkt);
                     }
                 }
             }
@@ -1128,75 +1356,9 @@ impl Model for BaldurNet {
                 }
             }
             Ev::Timeout { pkt, attempt } => {
-                let PacketState {
-                    src,
-                    kind: PacketKind::Data(st),
-                    ..
-                } = self.packets[pkt as usize]
-                else {
-                    return; // ACKs arm no timer
-                };
-                if st.acked || st.attempts != attempt {
-                    return; // stale timer
-                }
-                // Deadline-aware retransmission: a retry whose packet has
-                // outlived its age budget expires instead of retrying —
-                // under overload, stale work is shed rather than
-                // amplified. Delivered-but-unACKed packets only drop
-                // their buffer slot (they are not a loss).
-                let deadline = self.params.deadline_ps;
-                if deadline > 0 && now.since(st.generated_at).as_ps() >= deadline {
-                    if st.outcome != DeliveryOutcome::Delivered {
-                        if let Some(d) = self.data_mut(pkt) {
-                            d.outcome = DeliveryOutcome::Expired;
-                        }
-                        self.metrics.on_expired(now);
-                        self.oracle
-                            .note(now.as_ps(), "expire", u64::from(pkt), u64::from(src.0));
-                        self.oracle.progress(now.as_ps());
-                    }
-                    if !st.released {
-                        if let Some(d) = self.data_mut(pkt) {
-                            d.released = true;
-                        }
-                        self.release_outstanding(now, src.0);
-                        self.release_window(src.0);
-                    }
-                    return;
-                }
-                // Retry budget exhausted: the source gives up instead of
-                // retrying forever. A packet that was delivered but whose
-                // ACKs all died is only dropped from the buffer — it is
-                // not a loss, so it must not count as abandoned.
-                if st.attempts > self.params.max_retries {
-                    if st.outcome != DeliveryOutcome::Delivered {
-                        if let Some(d) = self.data_mut(pkt) {
-                            d.outcome = DeliveryOutcome::GaveUp;
-                        }
-                        self.metrics.on_abandoned(now);
-                        self.oracle
-                            .note(now.as_ps(), "giveup", u64::from(pkt), u64::from(src.0));
-                        self.oracle.progress(now.as_ps());
-                    }
-                    // Give the buffer slot back exactly once: a late ACK
-                    // for a delivered-but-timer-exhausted packet must not
-                    // release it again (see released in Ev::Arrive).
-                    if !st.released {
-                        if let Some(d) = self.data_mut(pkt) {
-                            d.released = true;
-                        }
-                        self.release_outstanding(now, src.0);
-                        self.release_window(src.0);
-                    }
-                    return;
-                }
-                self.metrics.on_retransmit();
-                if self.params.backoff {
-                    // Binary exponential backoff throttles the transmitter.
-                    let exp = &mut self.backoff_exp[src.0 as usize];
-                    *exp = (*exp + 1).min(self.params.max_backoff_exp);
-                }
-                self.enqueue(now, src.0, pkt, sched);
+                self.timeout(now, pkt, attempt, sched);
+                // The fired timer's reference.
+                self.unref(pkt);
             }
             Ev::Fault(idx) => {
                 if let Some(ev) = self.plan.events.get(idx as usize).copied() {
@@ -1256,7 +1418,71 @@ mod tests {
         // `Option<Ev>`, so its niche matters too.
         assert_eq!(size_of::<Ev>(), 16);
         assert_eq!(size_of::<Option<Ev>>(), 16);
-        assert_eq!(size_of::<PacketState>(), 24);
+        assert_eq!(size_of::<PacketState>(), 32);
+        assert_eq!(size_of::<Option<PacketState>>(), 32);
+    }
+
+    #[test]
+    fn the_packet_table_follows_packets_in_flight() {
+        // 2,000 packets per node at 64 nodes put 128,000 data rows and at
+        // least as many ACK rows through the table, 256K rows had none
+        // been freed. Freed slots are reused first, so the table's slots
+        // are its peak live population, about ten packets per node (604
+        // here), and the drain leaves no row behind.
+        let seed = 0xBA1D;
+        let d = Driver::open_loop(64, Pattern::UniformRandom, 0.7, 2_000, &link(), seed);
+        let (r, stats) = simulate(
+            64,
+            BaldurParams::paper_for(64),
+            d,
+            &RunSpec::new(link(), seed),
+        );
+        assert_eq!(r.delivered, 128_000);
+        assert!(r.oracle.is_clean(), "drain audit: {:?}", r.oracle);
+        let rows = stats.packets;
+        assert!(rows.total_inserts >= 256_000, "{rows:?}");
+        assert_eq!(rows.live, 0, "rows leaked past the drain: {rows:?}");
+        assert_eq!(rows.slots, rows.high_water, "{rows:?}");
+        assert!(rows.high_water < 64 * 32, "{rows:?}");
+    }
+
+    #[test]
+    fn oracle_notes_carry_logical_ids_not_slots() {
+        // Healthy for 100 us, so about 10,000 rows come and go through a
+        // few hundred slots; then every switch dies, the packets still
+        // owed pile up in about 1,200 slots, and the stall detector
+        // reports. The trace window it attaches is the dead fabric's
+        // drops, each noting the packet's logical id, which by then is
+        // past every slot the table ever had.
+        let params = BaldurParams {
+            max_retries: 100_000,
+            ..BaldurParams::paper_for(16)
+        };
+        let plan = FaultPlan::new(5).at(100_000_000, FaultKind::FailFraction { fraction: 1.0 });
+        let spec = RunSpec {
+            plan,
+            oracle: OracleConfig {
+                stall_ps: 1_000_000,
+                ..OracleConfig::default()
+            },
+            ..RunSpec::new(link(), 5)
+        };
+        let d = Driver::open_loop(16, Pattern::UniformRandom, 0.5, 600, &link(), 5);
+        let (r, stats) = simulate(16, params, d, &spec);
+        let slots = stats.packets.slots;
+        let drops: Vec<u64> = r
+            .oracle
+            .reports
+            .iter()
+            .flat_map(|rep| &rep.trace)
+            .filter(|e| e.what.starts_with("drop:"))
+            .map(|e| e.a)
+            .collect();
+        assert!(!drops.is_empty(), "no drop in any trace: {:?}", r.oracle);
+        assert!(
+            drops.iter().all(|&id| id >= slots),
+            "a note names a slot (< {slots}): {drops:?}"
+        );
     }
 
     #[test]

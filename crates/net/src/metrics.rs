@@ -451,6 +451,7 @@ impl Collector {
 
     /// Finalizes into a [`LatencyReport`].
     pub fn report(&self, sim_end: Time) -> LatencyReport {
+        let [p99_ns, p999_ns] = self.tail.quantiles([0.99, 0.999]);
         LatencyReport {
             generated: self.generated,
             delivered: self.delivered,
@@ -458,8 +459,8 @@ impl Collector {
             expired: self.expired,
             ingress_drops: self.ingress_drops,
             avg_ns: self.latency.mean(),
-            p99_ns: self.tail.quantile(0.99),
-            p999_ns: self.tail.quantile(0.999),
+            p99_ns,
+            p999_ns,
             max_ns: self.latency.max(),
             min_ns: self.latency.min(),
             drop_attempts: self.drop_attempts,

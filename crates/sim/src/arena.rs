@@ -7,9 +7,11 @@
 //! index plus a generation — so a stale handle to a reused slot is
 //! detectable instead of silently aliasing a new tenant. Freed slots go on
 //! a free list and are reused in LIFO order, which keeps the slab dense
-//! and the reuse order deterministic. A [`FifoSet`] keeps FIFO queues of
-//! dense ids as links in one flat table, and a [`BusyTable`] keeps a
-//! busy-until time per dense id as a 4-byte offset from a rolling epoch.
+//! and the reuse order deterministic. A [`Slab`] is the same free list
+//! without generations, for rows that name themselves by a dense `u32`
+//! slot. A [`FifoSet`] keeps FIFO queues of dense ids as links in one
+//! flat table, and a [`BusyTable`] keeps a busy-until time per dense id
+//! as a 4-byte offset from a rolling epoch.
 //!
 //! Generations start at 1 (a `NonZeroU32`), so `Option<Handle>` is the
 //! same 8 bytes as a `Handle`.
@@ -191,6 +193,136 @@ impl<T> Default for Arena<T> {
     }
 }
 
+/// A free-listed slab of rows at dense `u32` slots. `insert` stores a row
+/// in the most recently freed slot (LIFO, like [`Arena`]) and appends a
+/// new slot only when none is free, so the slab grows to the peak live
+/// population, not to the number of rows ever inserted. A slot carries no
+/// generation: the caller frees it only once nothing can still name it,
+/// and a table kept beside the slab (a [`FifoSet`]'s links) grows only
+/// when `insert` returns a slot past its end. A free slot holds `None`
+/// (no bytes for rows with a niche), so [`Slab::get`] sees it as free.
+#[derive(Debug, Clone)]
+pub struct Slab<T> {
+    rows: Vec<Option<T>>,
+    free: Vec<u32>,
+    live: u64,
+    high_water: u64,
+    total_inserts: u64,
+}
+
+impl<T> Slab<T> {
+    /// An empty slab.
+    pub fn new() -> Self {
+        Slab {
+            rows: Vec::new(),
+            free: Vec::new(),
+            live: 0,
+            high_water: 0,
+            total_inserts: 0,
+        }
+    }
+
+    /// Number of live rows.
+    pub fn live(&self) -> u64 {
+        self.live
+    }
+
+    /// Number of slots, live and free: one past the highest slot issued.
+    pub fn slots(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Allocation counters, in the [`Arena`]'s shape.
+    pub fn stats(&self) -> ArenaStats {
+        ArenaStats {
+            live: self.live,
+            high_water: self.high_water,
+            total_inserts: self.total_inserts,
+            slots: self.rows.len() as u64,
+        }
+    }
+
+    /// Bytes of row and free-list storage reserved (capacity, not live
+    /// population).
+    pub fn state_bytes(&self) -> u64 {
+        (self.rows.capacity() * std::mem::size_of::<Option<T>>()
+            + self.free.capacity() * std::mem::size_of::<u32>()) as u64
+    }
+
+    /// Stores `row` and returns its slot: the most recently freed one, or
+    /// [`Slab::slots`] (a new slot) when none is free.
+    #[inline]
+    pub fn insert(&mut self, row: T) -> u32 {
+        self.total_inserts += 1;
+        self.live += 1;
+        self.high_water = self.high_water.max(self.live);
+        if let Some(slot) = self.free.pop() {
+            self.rows[slot as usize] = Some(row);
+            return slot;
+        }
+        let slot = u32::try_from(self.rows.len()).unwrap_or(u32::MAX);
+        debug_assert!(slot < u32::MAX, "slab exceeded u32 slots");
+        self.rows.push(Some(row));
+        slot
+    }
+
+    /// Frees `slot` for reuse and returns its row; `None`, changing
+    /// nothing, when the slot is already free or was never issued.
+    #[inline]
+    pub fn remove(&mut self, slot: u32) -> Option<T> {
+        let row = self.rows.get_mut(slot as usize)?.take()?;
+        self.free.push(slot);
+        self.live -= 1;
+        Some(row)
+    }
+
+    /// The row at `slot` (`None` when free or never issued).
+    #[inline]
+    pub fn get(&self, slot: u32) -> Option<&T> {
+        self.rows.get(slot as usize)?.as_ref()
+    }
+
+    /// The row at `slot`, mutably.
+    #[inline]
+    pub fn get_mut(&mut self, slot: u32) -> Option<&mut T> {
+        self.rows.get_mut(slot as usize)?.as_mut()
+    }
+}
+
+impl<T> Default for Slab<T> {
+    fn default() -> Self {
+        Slab::new()
+    }
+}
+
+impl<T> std::ops::Index<u32> for Slab<T> {
+    type Output = T;
+
+    /// The row at a live `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is free or was never issued, as a `Vec` index
+    /// past the end does.
+    #[inline]
+    fn index(&self, slot: u32) -> &T {
+        match self.get(slot) {
+            Some(row) => row,
+            None => panic!("slab slot {slot} is not live"),
+        }
+    }
+}
+
+impl<T> std::ops::IndexMut<u32> for Slab<T> {
+    #[inline]
+    fn index_mut(&mut self, slot: u32) -> &mut T {
+        match self.get_mut(slot) {
+            Some(row) => row,
+            None => panic!("slab slot {slot} is not live"),
+        }
+    }
+}
+
 /// The null id: an empty queue's head and tail, and the link behind a
 /// queue's tail.
 const NIL: u32 = u32::MAX;
@@ -221,6 +353,12 @@ impl FifoSet {
     #[inline]
     pub fn add_id(&mut self) {
         self.next.push(NIL);
+    }
+
+    /// Number of registered ids: every id below it has a link.
+    #[inline]
+    pub fn ids(&self) -> usize {
+        self.next.len()
     }
 
     /// True when queue `q` holds no id.

@@ -54,6 +54,6 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use arena::{Arena, ArenaStats, BusyTable, FifoSet, Handle};
+pub use arena::{Arena, ArenaStats, BusyTable, FifoSet, Handle, Slab};
 pub use engine::{Model, Scheduler, Simulation, StopReason};
 pub use time::{Duration, Time};

@@ -172,23 +172,45 @@ impl Reservoir {
     ///
     /// Panics if `q` is outside `[0, 1]`.
     pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range");
+        let [v] = self.quantiles([q]);
+        v
+    }
+
+    /// Several quantiles (each as [`Reservoir::quantile`] gives it) from
+    /// one copy of the samples: each takes its order statistics by
+    /// selection, O(n) instead of a full sort. `f64::total_cmp` ranks
+    /// the samples as a sort with it would (NaN after +inf rather than a
+    /// panic), and values it calls equal are the same bits, so every
+    /// quantile is bit-identical to reading a sorted copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any `q` is outside `[0, 1]`.
+    pub fn quantiles<const N: usize>(&self, qs: [f64; N]) -> [f64; N] {
+        for q in qs {
+            assert!((0.0..=1.0).contains(&q), "quantile out of range");
+        }
         if self.samples.is_empty() {
-            return f64::NAN;
+            return [f64::NAN; N];
         }
-        let mut sorted = self.samples.clone();
-        // total_cmp gives NaN a fixed sort position (after +inf) instead of
-        // panicking, so a single bad sample cannot abort a whole run.
-        sorted.sort_by(f64::total_cmp);
-        let pos = q * (sorted.len() - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        if lo == hi {
-            sorted[lo]
-        } else {
+        let mut work = self.samples.clone();
+        qs.map(|q| {
+            let pos = q * (work.len() - 1) as f64;
+            let lo = pos.floor() as usize;
+            let hi = pos.ceil() as usize;
+            let (_, &mut at_lo, above) = work.select_nth_unstable_by(lo, f64::total_cmp);
+            if lo == hi {
+                return at_lo;
+            }
+            // Rank `lo + 1` is the least of everything ranked above `lo`.
+            let at_hi = above
+                .iter()
+                .copied()
+                .min_by(f64::total_cmp)
+                .unwrap_or(at_lo);
             let frac = pos - lo as f64;
-            sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-        }
+            at_lo * (1.0 - frac) + at_hi * frac
+        })
     }
 
     /// The paper's "tail latency": the 99th percentile.
@@ -295,31 +317,84 @@ mod tests {
         sorted[below] + (sorted[above] - sorted[below]) * w
     }
 
+    /// The quantile read off a fully sorted copy with the same
+    /// interpolation as [`Reservoir::quantile`]: what selection must
+    /// reproduce bit for bit.
+    fn sorted_quantile(data: &[f64], q: f64) -> f64 {
+        let mut sorted = data.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let pos = q * (sorted.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        let frac = pos - lo as f64;
+        if lo == hi {
+            sorted[lo]
+        } else {
+            sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        }
+    }
+
     #[test]
     fn reservoir_quantiles_match_exact_sorted_reference() {
-        // Several sizes, including ones that don't divide the quantile
-        // grid evenly; xorshift data so values are unordered and distinct.
+        // xorshift data at several sizes, including ones that don't
+        // divide the quantile grid evenly, so values are unordered and
+        // distinct; then ties, a NaN among signed zeros and infinities,
+        // and a single sample.
+        let mut sets: Vec<Vec<f64>> = Vec::new();
         for n in [1usize, 2, 3, 7, 100, 997] {
-            let mut r = Reservoir::with_capacity(1000);
             let mut x = 0x9E37_79B9u64 | 1;
-            let mut data = Vec::with_capacity(n);
-            for _ in 0..n {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                let v = (x % 1_000_003) as f64 / 7.0;
+            let data = (0..n)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    (x % 1_000_003) as f64 / 7.0
+                })
+                .collect();
+            sets.push(data);
+        }
+        sets.push((0..301u32).map(|i| f64::from(i * 7 % 5)).collect());
+        sets.push(vec![
+            3.0,
+            f64::NAN,
+            -0.0,
+            0.0,
+            f64::INFINITY,
+            -1.5,
+            f64::NEG_INFINITY,
+            3.0,
+        ]);
+        sets.push(vec![42.5]);
+        // 0.333 and 0.999 fall between ranks at most sizes: interpolated.
+        let qs = [0.0, 0.01, 0.25, 0.333, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0];
+        for data in &sets {
+            let n = data.len();
+            let mut r = Reservoir::with_capacity(1000);
+            for &v in data {
                 r.push(v);
-                data.push(v);
             }
             assert!(r.is_exact());
-            for q in [0.0, 0.01, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0] {
+            for q in qs {
                 let got = r.quantile(q);
-                let want = exact_quantile(&data, q);
-                assert!(
-                    (got - want).abs() <= 1e-9 * want.abs().max(1.0),
-                    "n={n} q={q}: got {got}, want {want}"
+                let sorted = sorted_quantile(data, q);
+                assert_eq!(
+                    got.to_bits(),
+                    sorted.to_bits(),
+                    "n={n} q={q}: {got} vs sorted {sorted}"
                 );
+                // The definition's form turns infinities into NaN, so it
+                // checks only the finite sets.
+                if data.iter().all(|v| v.is_finite()) {
+                    let want = exact_quantile(data, q);
+                    assert!(
+                        (got - want).abs() <= 1e-9 * want.abs().max(1.0),
+                        "n={n} q={q}: got {got}, want {want}"
+                    );
+                }
             }
+            // One copy, two selections: the same bits as one call each.
+            let [p99, p999] = r.quantiles([0.99, 0.999]);
+            assert_eq!(p99.to_bits(), r.quantile(0.99).to_bits(), "n={n}");
+            assert_eq!(p999.to_bits(), r.quantile(0.999).to_bits(), "n={n}");
         }
     }
 

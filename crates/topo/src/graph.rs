@@ -30,14 +30,15 @@ pub enum Endpoint {
 /// one terminal port.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RouterGraph {
-    /// `neighbors[router][port]` — what each port connects to.
-    pub neighbors: Vec<Vec<Endpoint>>,
-    /// Router `r`'s first port in `link_delay_ps` (the radixes of the
-    /// routers before it).
+    /// Router `r`'s first port in the flat per-port tables (the radixes
+    /// of the routers before it), then the total port count: router `r`
+    /// owns entries `port_off[r]..port_off[r + 1]`.
     port_off: Vec<u32>,
+    /// What each port connects to, one flat table: port `p` of router
+    /// `r` is entry `port_off[r] + p` ([`RouterGraph::peer`]).
+    peers: Vec<Endpoint>,
     /// Propagation delay of the link attached to each port in
-    /// picoseconds, one flat table: port `p` of router `r` is entry
-    /// `port_off[r] + p` ([`RouterGraph::delay`]).
+    /// picoseconds, laid out as `peers` ([`RouterGraph::delay`]).
     link_delay_ps: Vec<u64>,
     /// `node_attach[node] = (router, port)`.
     pub node_attach: Vec<(u32, u32)>,
@@ -46,17 +47,18 @@ pub struct RouterGraph {
 impl RouterGraph {
     /// An empty graph with `routers` routers of the given radix.
     pub fn new(routers: u32, radix: u32) -> Self {
+        let ports = routers as usize * radix as usize;
         RouterGraph {
-            neighbors: vec![vec![Endpoint::Unused; radix as usize]; routers as usize],
-            port_off: (0..routers).map(|r| r * radix).collect(),
-            link_delay_ps: vec![0; routers as usize * radix as usize],
+            port_off: (0..=routers).map(|r| r * radix).collect(),
+            peers: vec![Endpoint::Unused; ports],
+            link_delay_ps: vec![0; ports],
             node_attach: Vec::new(),
         }
     }
 
     /// Number of routers.
     pub fn router_count(&self) -> u32 {
-        self.neighbors.len() as u32
+        (self.port_off.len() - 1) as u32
     }
 
     /// Number of attached nodes.
@@ -66,7 +68,17 @@ impl RouterGraph {
 
     /// Radix of `router`.
     pub fn radix(&self, router: u32) -> u32 {
-        self.neighbors[router as usize].len() as u32
+        self.port_off[router as usize + 1] - self.port_off[router as usize]
+    }
+
+    /// Flat index of `port` of `router` in the per-port tables.
+    #[inline]
+    fn slot(&self, router: u32, port: u32) -> usize {
+        debug_assert!(
+            port < self.radix(router),
+            "router {router} has no port {port}"
+        );
+        (self.port_off[router as usize] + port) as usize
     }
 
     /// Connects two router ports bidirectionally with the given link delay.
@@ -77,20 +89,26 @@ impl RouterGraph {
     pub fn connect(&mut self, a: (u32, u32), b: (u32, u32), delay_ps: u64) {
         for &(r, p) in &[a, b] {
             assert!(
-                matches!(self.neighbors[r as usize][p as usize], Endpoint::Unused),
+                matches!(self.peer(r, p), Endpoint::Unused),
                 "router {r} port {p} already connected"
             );
         }
-        self.neighbors[a.0 as usize][a.1 as usize] = Endpoint::Router {
-            router: b.0,
-            port: b.1,
-        };
-        self.neighbors[b.0 as usize][b.1 as usize] = Endpoint::Router {
-            router: a.0,
-            port: a.1,
-        };
-        *self.delay_mut(a.0, a.1) = delay_ps;
-        *self.delay_mut(b.0, b.1) = delay_ps;
+        self.set(
+            a,
+            Endpoint::Router {
+                router: b.0,
+                port: b.1,
+            },
+            delay_ps,
+        );
+        self.set(
+            b,
+            Endpoint::Router {
+                router: a.0,
+                port: a.1,
+            },
+            delay_ps,
+        );
     }
 
     /// Attaches the next node (ids are assigned sequentially) to a router
@@ -101,15 +119,11 @@ impl RouterGraph {
     /// Panics if the port is already in use.
     pub fn attach_node(&mut self, router: u32, port: u32, delay_ps: u64) -> NodeId {
         assert!(
-            matches!(
-                self.neighbors[router as usize][port as usize],
-                Endpoint::Unused
-            ),
+            matches!(self.peer(router, port), Endpoint::Unused),
             "router {router} port {port} already connected"
         );
         let node = NodeId(self.node_attach.len() as u32);
-        self.neighbors[router as usize][port as usize] = Endpoint::Node(node);
-        *self.delay_mut(router, port) = delay_ps;
+        self.set((router, port), Endpoint::Node(node), delay_ps);
         self.node_attach.push((router, port));
         node
     }
@@ -124,33 +138,29 @@ impl RouterGraph {
     /// Panics if the port is already in use.
     pub fn attach_terminal(&mut self, node: NodeId, router: u32, port: u32, delay_ps: u64) {
         assert!(
-            matches!(
-                self.neighbors[router as usize][port as usize],
-                Endpoint::Unused
-            ),
+            matches!(self.peer(router, port), Endpoint::Unused),
             "router {router} port {port} already connected"
         );
-        self.neighbors[router as usize][port as usize] = Endpoint::Node(node);
-        *self.delay_mut(router, port) = delay_ps;
+        self.set((router, port), Endpoint::Node(node), delay_ps);
     }
 
     /// The endpoint a port connects to.
+    #[inline]
     pub fn peer(&self, router: u32, port: u32) -> Endpoint {
-        self.neighbors[router as usize][port as usize]
+        self.peers[self.slot(router, port)]
     }
 
     /// The link delay of a port.
     #[inline]
     pub fn delay(&self, router: u32, port: u32) -> u64 {
-        self.link_delay_ps[(self.port_off[router as usize] + port) as usize]
+        self.link_delay_ps[self.slot(router, port)]
     }
 
-    fn delay_mut(&mut self, router: u32, port: u32) -> &mut u64 {
-        debug_assert!(
-            port < self.radix(router),
-            "router {router} has no port {port}"
-        );
-        &mut self.link_delay_ps[(self.port_off[router as usize] + port) as usize]
+    /// Wires port `at` (router, port) to `peer` over a link of `delay_ps`.
+    fn set(&mut self, at: (u32, u32), peer: Endpoint, delay_ps: u64) {
+        let slot = self.slot(at.0, at.1);
+        self.peers[slot] = peer;
+        self.link_delay_ps[slot] = delay_ps;
     }
 
     /// Checks structural invariants.
@@ -159,14 +169,11 @@ impl RouterGraph {
     ///
     /// Returns a description of the first violated invariant.
     pub fn validate(&self) -> Result<(), String> {
-        for (r, ports) in self.neighbors.iter().enumerate() {
-            for (p, ep) in ports.iter().enumerate() {
-                if let Endpoint::Router { router, port } = ep {
-                    let back = self.neighbors[*router as usize][*port as usize];
-                    let want = Endpoint::Router {
-                        router: r as u32,
-                        port: p as u32,
-                    };
+        for r in 0..self.router_count() {
+            for p in 0..self.radix(r) {
+                if let Endpoint::Router { router, port } = self.peer(r, p) {
+                    let back = self.peer(router, port);
+                    let want = Endpoint::Router { router: r, port: p };
                     if back != want {
                         return Err(format!(
                             "asymmetric link: {r}:{p} -> {router}:{port} but back is {back:?}"
@@ -176,7 +183,7 @@ impl RouterGraph {
             }
         }
         for (n, &(r, p)) in self.node_attach.iter().enumerate() {
-            if self.neighbors[r as usize][p as usize] != Endpoint::Node(NodeId(n as u32)) {
+            if self.peer(r, p) != Endpoint::Node(NodeId(n as u32)) {
                 return Err(format!("node {n} attachment mismatch at {r}:{p}"));
             }
         }
@@ -215,7 +222,8 @@ mod tests {
     fn validate_catches_corruption() {
         let mut g = RouterGraph::new(2, 2);
         g.connect((0, 0), (1, 0), 1);
-        g.neighbors[1][0] = Endpoint::Unused;
+        let slot = g.slot(1, 0);
+        g.peers[slot] = Endpoint::Unused;
         assert!(g.validate().is_err());
     }
 }

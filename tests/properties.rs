@@ -1162,3 +1162,81 @@ fn busy_table_matches_absolute_times() {
     assert!(claims > 10_000, "{claims} claims");
     assert!(idle_gaps > CASES, "{idle_gaps} idle gaps");
 }
+
+/// The packet table's slab, on its own stream: random interleavings of
+/// inserts and frees (bursts of each, frees of free and never-issued
+/// slots included) against a reference map of live slots. A new row goes
+/// to the most recently freed slot, or to a new slot past the end only
+/// when none is free, so the slot count is the peak live population; a
+/// freed slot reads as free until reused, and freeing it again changes
+/// nothing.
+#[test]
+fn slab_matches_a_reference_map() {
+    use baldur::sim::Slab;
+    for case in 0..CASES {
+        let mut rng = case_rng("slab", case);
+        let mut slab = Slab::new();
+        let mut live: BTreeMap<u32, u64> = BTreeMap::new();
+        let mut freed: Vec<u32> = Vec::new();
+        let (mut peak, mut inserts) = (0usize, 0u64);
+        let grow_bias = rng.gen_range(1u32..4);
+        for step in 0..rng.gen_range(50u32..600) {
+            if live.is_empty() || rng.gen_range(0u32..4) < grow_bias {
+                let value = rng.next_u64();
+                let slot = slab.insert(value);
+                inserts += 1;
+                match freed.pop() {
+                    Some(last) => assert_eq!(slot, last, "case {case} step {step}: LIFO reuse"),
+                    None => assert_eq!(
+                        slot as usize,
+                        live.len(),
+                        "case {case} step {step}: new slot"
+                    ),
+                }
+                assert!(
+                    live.insert(slot, value).is_none(),
+                    "case {case}: slot {slot} issued twice"
+                );
+            } else if rng.gen_range(0u32..8) == 0 {
+                // A free or never-issued slot: nothing to remove.
+                let slot = match freed.last() {
+                    Some(&s) if rng.gen_bool(0.5) => s,
+                    _ => slab.slots() as u32 + rng.gen_range(0u32..3),
+                };
+                assert_eq!(slab.remove(slot), None, "case {case} step {step}");
+                assert_eq!(slab.get(slot), None, "case {case} step {step}");
+            } else {
+                let k = rng.gen_range(0..live.len());
+                let (&slot, &value) = live.iter().nth(k).expect("k < len");
+                live.remove(&slot);
+                assert_eq!(slab.remove(slot), Some(value), "case {case} step {step}");
+                freed.push(slot);
+            }
+            peak = peak.max(live.len());
+            assert_eq!(slab.live(), live.len() as u64, "case {case} step {step}");
+            assert_eq!(
+                slab.slots(),
+                peak,
+                "case {case} step {step}: slots follow the peak"
+            );
+            for (&slot, value) in &live {
+                assert_eq!(slab.get(slot), Some(value), "case {case} step {step}");
+                assert_eq!(slab[slot], *value, "case {case} step {step}");
+            }
+            for &slot in &freed {
+                assert_eq!(slab.get(slot), None, "case {case} step {step}");
+            }
+        }
+        let stats = slab.stats();
+        assert_eq!(
+            (
+                stats.live,
+                stats.high_water,
+                stats.total_inserts,
+                stats.slots
+            ),
+            (live.len() as u64, peak as u64, inserts, peak as u64),
+            "case {case}"
+        );
+    }
+}
